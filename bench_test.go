@@ -105,33 +105,39 @@ func benchSpawner(steps int) func(sim.ProcessID) sim.Process {
 // requested number of events.
 func benchGraph(b *testing.B, n, steps int) *causality.Graph {
 	b.Helper()
-	res, err := sim.Run(sim.Config{
-		N:         n,
-		Spawn:     benchSpawner(steps),
-		Delays:    sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
-		Seed:      1,
-		MaxEvents: 1 << 20,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return causality.Build(res.Trace, causality.Options{})
+	return causality.Build(benchTrace(b, n, steps, rat.New(3, 2)), causality.Options{})
 }
 
 // BenchmarkChecker measures the Bellman–Ford admissibility check across
-// graph sizes (the paper's Definition 4 made O(V·E)).
+// graph sizes (the paper's Definition 4 made O(V·E)). The admissible rows
+// check at Ξ = 2. Their delays in [1, 3/2] leave no relevant cycle with
+// ratio above 1, so the inadmissible row reruns the largest shape with
+// delays in [1, 10] and checks it at Ξ halfway between 1 and its critical
+// ratio, timing the violated path: negative-cycle detection and witness
+// mapping.
 func BenchmarkChecker(b *testing.B) {
-	for _, size := range []struct{ n, steps int }{{4, 10}, {6, 20}, {8, 40}} {
-		g := benchGraph(b, size.n, size.steps)
-		name := fmt.Sprintf("nodes=%d/edges=%d", g.NumNodes(), g.NumEdges())
-		b.Run(name, func(b *testing.B) {
+	bench := func(name string, g *causality.Graph, xi rat.Rat, admissible bool) {
+		b.Run(fmt.Sprintf("%snodes=%d/edges=%d", name, g.NumNodes(), g.NumEdges()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := check.ABC(g, rat.FromInt(2)); err != nil {
+				v, err := check.ABC(g, xi)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if v.Admissible != admissible {
+					b.Fatalf("Ξ=%v: admissible=%v, want %v", xi, v.Admissible, admissible)
 				}
 			}
 		})
 	}
+	for _, size := range []struct{ n, steps int }{{4, 10}, {6, 20}, {8, 40}} {
+		bench("", benchGraph(b, size.n, size.steps), rat.FromInt(2), true)
+	}
+	g := causality.Build(benchTrace(b, 8, 40, rat.FromInt(10)), causality.Options{})
+	crit, found, err := check.MaxRelevantRatio(g)
+	if err != nil || !found {
+		b.Fatalf("critical ratio: found=%v err=%v", found, err)
+	}
+	bench("inadmissible/", g, rat.New(crit.Num()+crit.Den(), 2*crit.Den()), false)
 }
 
 // BenchmarkMaxRelevantRatio measures the exact Stern–Brocot critical-ratio

@@ -27,24 +27,31 @@ func writeTrace(t *testing.T, tr *sim.Trace) string {
 	return path
 }
 
-func admissibleTrace(t *testing.T) *sim.Trace {
+// broadcastTrace simulates n processes that each broadcast in their first
+// steps steps, with delays uniform in [1, maxDelay].
+func broadcastTrace(t *testing.T, n, steps int, maxDelay rat.Rat, seed int64) *sim.Trace {
 	t.Helper()
 	res, err := sim.Run(sim.Config{
-		N: 3,
+		N: n,
 		Spawn: func(sim.ProcessID) sim.Process {
 			return sim.ProcessFunc(func(env *sim.Env, msg sim.Message) {
-				if env.StepIndex() < 3 {
+				if env.StepIndex() < steps {
 					env.Broadcast(env.StepIndex())
 				}
 			})
 		},
-		Delays: sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
-		Seed:   1, MaxEvents: 10000,
+		Delays: sim.UniformDelay{Min: rat.One, Max: maxDelay},
+		Seed:   seed, MaxEvents: 10000,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res.Trace
+}
+
+func admissibleTrace(t *testing.T) *sim.Trace {
+	t.Helper()
+	return broadcastTrace(t, 3, 3, rat.New(3, 2), 1)
 }
 
 func TestRunAdmissibleTrace(t *testing.T) {
@@ -76,6 +83,61 @@ func TestRunInadmissibleTrace(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestRunWitnessIsRelevant checks the printed witness of a simulated
+// inadmissible run from its text alone: the cycle must be simple, relevant
+// under Definition 3 (all local edges traversed against the orientation
+// whose message class is the smaller one), and its |Z−|/|Z+| must equal
+// the printed ratio and reach Ξ.
+func TestRunWitnessIsRelevant(t *testing.T) {
+	path := writeTrace(t, broadcastTrace(t, 5, 12, rat.FromInt(100), 7))
+	var out, errOut strings.Builder
+	if err := run([]string{"-xi", "2", path}, &out, &errOut); !errors.Is(err, errInadmissible) {
+		t.Fatalf("run error = %v, want errInadmissible", err)
+	}
+	lines := strings.Split(out.String(), "\n")
+	var printed, cycle string
+	for i, line := range lines {
+		if _, r, ok := strings.Cut(line, "|Z−|/|Z+| = "); ok && i+1 < len(lines) {
+			printed, cycle = strings.TrimSuffix(r, "):"), strings.TrimSpace(lines[i+1])
+		}
+	}
+	if cycle == "" {
+		t.Fatalf("no witness in output:\n%s", out.String())
+	}
+
+	// The cycle prints as "node dir+kind" pairs: "p0/1 →m p1/3 ←l ...".
+	fields := strings.Fields(cycle)
+	if len(fields)%2 != 0 {
+		t.Fatalf("witness is not node/edge pairs: %q", cycle)
+	}
+	count := map[string]int64{}
+	seen := map[string]bool{}
+	for i := 0; i < len(fields); i += 2 {
+		if seen[fields[i]] {
+			t.Errorf("witness not simple: %s repeats in %q", fields[i], cycle)
+		}
+		seen[fields[i]] = true
+		count[fields[i+1]]++
+	}
+	with, against := count["→m"], count["←m"]
+	var ratio rat.Rat
+	switch {
+	case count["→l"] == 0 && with <= against && with > 0:
+		ratio = rat.New(against, with)
+	case count["←l"] == 0 && against <= with && against > 0:
+		ratio = rat.New(with, against)
+	default:
+		t.Fatalf("witness is not relevant: %q", cycle)
+	}
+	want, err := rat.Parse(printed)
+	if err != nil {
+		t.Fatalf("printed ratio %q: %v", printed, err)
+	}
+	if !ratio.Equal(want) || ratio.Less(rat.FromInt(2)) {
+		t.Errorf("witness ratio %v, printed %v, want equal and >= Ξ = 2", ratio, want)
 	}
 }
 

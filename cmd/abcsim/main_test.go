@@ -131,6 +131,24 @@ func TestRunWatch(t *testing.T) {
 	}
 }
 
+// TestRunWatchRatioSearchInt64Guard pins the ratio search's current size
+// limit as a clean error. A watched 16-process broadcast over 280 steps
+// builds a 7·10^4-node graph; its galloping Stern–Brocot numerators, times
+// the prober's strictness scale b·(E+1), leave exact int64 arithmetic, and
+// the search must report that instead of running on.
+func TestRunWatchRatioSearchInt64Guard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 7·10^4-node graph and runs its ratio search")
+	}
+	var out, errOut strings.Builder
+	args := []string{"-watch", "-workload", "broadcast", "-param", "n=16",
+		"-param", "target=280", "-param", "trace=window/4096"}
+	err := run(args, &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "ratio search: check: graph too large for exact int64 arithmetic") {
+		t.Fatalf("run error = %v, want the ratio search's int64 guard", err)
+	}
+}
+
 // TestRunJSON pins the NDJSON contract of -json: one "job" record per
 // run carrying the full parameter point (base overlaid with sweep
 // assignments), seed, verdict, stream digest, and throughput, followed

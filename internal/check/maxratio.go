@@ -50,6 +50,14 @@ func (p *prober) constrained(k int64) (bool, error) {
 // is a fraction with numerator and denominator bounded by the message
 // count K, so a Stern–Brocot descent with galloping locates it exactly
 // with O(log² K) oracle calls.
+//
+// The search's size limit is the probe's overflow guard, not its running
+// time. Each probe scales times by b·(E+1), and galloping numerators and
+// denominators reach (K+2)², so the largest weight grows like K²·E, and
+// path sums over V nodes like V·K²·E. Past int64 the probe, and with it
+// the search, fails with "graph too large for exact int64 arithmetic"; a
+// watched 16-process broadcast over 280 steps (V ≈ 7·10^4, E ≈ 1.4·10^5)
+// already does.
 func MaxRelevantRatio(g *causality.Graph) (ratio rat.Rat, found bool, err error) {
 	k := int64(g.MessageCount())
 	if k < 2 {

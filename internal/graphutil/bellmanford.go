@@ -1,5 +1,7 @@
 package graphutil
 
+import "slices"
+
 // BFResult is the outcome of a Bellman–Ford run.
 type BFResult struct {
 	// Feasible is true when the graph contains no negative-weight cycle.
@@ -11,10 +13,16 @@ type BFResult struct {
 	// of weight w meaning x[v] - x[u] <= w, Dist is a solution (x := Dist
 	// satisfies every constraint).
 	Dist []int64
-	// NegativeCycle is a minimal witness when Feasible is false: a sequence
-	// of edges e1..ek with e[i].To == e[i+1].From (cyclically) whose weights
-	// sum to a negative value. Empty when Feasible is true.
+	// NegativeCycle is the witness when Feasible is false: a simple cycle of
+	// the predecessor graph (no node repeats), as a sequence of edges
+	// e1..ek with e[i].To == e[i+1].From (cyclically) whose weights sum to a
+	// negative value. It is not necessarily the most negative or shortest
+	// negative cycle. Empty when Feasible is true.
 	NegativeCycle []Edge
+	// Passes is the number of relaxation passes run: the converging pass
+	// when Feasible, the pass whose predecessor graph closed a cycle when
+	// not, and 0 for an edgeless graph.
+	Passes int
 }
 
 // bfPlan is the direction-partitioned CSR edge layout used by the
@@ -78,8 +86,20 @@ func (g *Digraph) bfplan() *bfPlan {
 // rather than their length. Execution graphs insert events in trace order,
 // which makes the node order nearly topological and the alternation depth
 // small. Yen's scheme converges within ⌈n/2⌉+1 passes when no negative
-// cycle exists, so — as with plain Bellman–Ford — a relaxation in pass
-// n+1 certifies a negative cycle, which predecessor-walking extracts.
+// cycle exists.
+//
+// Negative cycles are detected by walking the predecessor graph (each
+// node's parent is the tail of the edge that last lowered its label) after
+// every pass that relaxed an edge, and stopping at its first cycle. Any
+// such cycle is negative, whatever the initial labels: a parent arc (u,v)
+// of weight w keeps d(v) >= d(u)+w after it is set, since d(u) only
+// decreases, and the last arc set on the cycle lowered d(v) strictly
+// below its previous value, so summing around the cycle gives a negative
+// weight. Conversely, a relaxation in pass n+1 forces a predecessor cycle
+// (an acyclic predecessor graph bounds every label below by a simple path,
+// which n passes already reach), so an infeasible system stops by pass n+1
+// at the latest — usually after a handful of passes, where waiting for
+// pass n+1 would cost O(V·E).
 func (g *Digraph) BellmanFord() BFResult {
 	return g.BellmanFordFrom(nil)
 }
@@ -108,9 +128,10 @@ func (g *Digraph) BellmanFordFrom(init []int64) BFResult {
 	}
 	p := g.bfplan()
 
-	var lastRelaxed int32 = -1
-	for iter := 0; iter <= n; iter++ {
-		lastRelaxed = -1
+	mark := make([]int, n) // predecessor-walk generation stamps
+	gen := 0
+	for passes := 1; passes <= n+1; passes++ {
+		relaxed := false
 		for u := 0; u < n; u++ {
 			du := dist[u]
 			for _, ei := range p.adjF[p.offF[u]:p.offF[u+1]] {
@@ -118,7 +139,7 @@ func (g *Digraph) BellmanFordFrom(init []int64) BFResult {
 				if nd := du + e.Weight; nd < dist[e.To] {
 					dist[e.To] = nd
 					pred[e.To] = ei
-					lastRelaxed = ei
+					relaxed = true
 				}
 			}
 		}
@@ -129,38 +150,52 @@ func (g *Digraph) BellmanFordFrom(init []int64) BFResult {
 				if nd := du + e.Weight; nd < dist[e.To] {
 					dist[e.To] = nd
 					pred[e.To] = ei
-					lastRelaxed = ei
+					relaxed = true
 				}
 			}
 		}
-		if lastRelaxed == -1 {
-			return BFResult{Feasible: true, Dist: dist}
+		if !relaxed {
+			return BFResult{Feasible: true, Dist: dist, Passes: passes}
+		}
+		if cycle := g.predCycle(pred, mark, &gen); cycle != nil {
+			return BFResult{Feasible: false, NegativeCycle: cycle, Passes: passes}
 		}
 	}
+	panic("graphutil: relaxation in pass n+1 without a predecessor cycle")
+}
 
-	// An edge relaxed on iteration n+1: a negative cycle is reachable from
-	// the predecessor chain of that edge's head. Walk back n steps to land
-	// inside the cycle, then collect it.
-	v := g.edges[lastRelaxed].To
-	for i := 0; i < n; i++ {
-		v = g.edges[pred[v]].From
-	}
-	start := v
-	var cycleRev []Edge
-	for {
-		e := g.edges[pred[v]]
-		cycleRev = append(cycleRev, e)
-		v = e.From
-		if v == start {
-			break
+// predCycle returns a cycle of the predecessor graph (v's parent is
+// edges[pred[v]].From) in forward edge order, or nil if it is a forest. It
+// walks each node's parent chain until a root, a node stamped by an earlier
+// walk of this call, or a node stamped by this walk — a cycle. Every node is
+// stamped at most once per call, so the check is O(n); stamps only grow, so
+// marks left by earlier calls (all <= the entry value of *gen) read as
+// unvisited without clearing.
+func (g *Digraph) predCycle(pred []int32, mark []int, gen *int) []Edge {
+	base := *gen
+	for s := range pred {
+		*gen++
+		id := *gen
+		v := s
+		for mark[v] <= base && pred[v] >= 0 {
+			mark[v] = id
+			v = g.edges[pred[v]].From
 		}
+		if mark[v] != id {
+			continue
+		}
+		var cycle []Edge
+		for u := v; ; {
+			e := g.edges[pred[u]]
+			cycle = append(cycle, e)
+			if u = e.From; u == v {
+				break
+			}
+		}
+		slices.Reverse(cycle)
+		return cycle
 	}
-	// cycleRev lists edges from head back to tail; reverse into forward order.
-	cycle := make([]Edge, len(cycleRev))
-	for i, e := range cycleRev {
-		cycle[len(cycleRev)-1-i] = e
-	}
-	return BFResult{Feasible: false, NegativeCycle: cycle}
+	return nil
 }
 
 // CycleWeight returns the total weight of a sequence of edges.

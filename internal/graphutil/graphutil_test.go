@@ -1,6 +1,7 @@
 package graphutil
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -198,35 +199,77 @@ func TestWriteDOT(t *testing.T) {
 	}
 }
 
-// Property: on random graphs, BellmanFord either returns distances
-// satisfying every constraint edge, or a genuinely negative witness cycle.
+// checkResult validates a Bellman–Ford result against its graph: a
+// feasible Dist must satisfy every edge, and an infeasible witness must be
+// a closed, simple walk (no node entered twice) over edges of g whose
+// weights sum negative.
+func checkResult(g *Digraph, res BFResult) error {
+	if res.Passes < 1 || res.Passes > g.N()+1 {
+		return fmt.Errorf("%d passes outside [1, n+1=%d]", res.Passes, g.N()+1)
+	}
+	if res.Feasible {
+		for _, e := range g.Edges() {
+			if res.Dist[e.To] > res.Dist[e.From]+e.Weight {
+				return fmt.Errorf("dist violates edge %+v: %d > %d + %d", e, res.Dist[e.To], res.Dist[e.From], e.Weight)
+			}
+		}
+		return nil
+	}
+	c := res.NegativeCycle
+	if len(c) == 0 {
+		return fmt.Errorf("infeasible without a witness")
+	}
+	if w := CycleWeight(c); w >= 0 {
+		return fmt.Errorf("witness weight %d is not negative: %v", w, c)
+	}
+	edges := make(map[Edge]bool, g.M())
+	for _, e := range g.Edges() {
+		edges[e] = true
+	}
+	entered := make(map[int]bool, len(c))
+	for i, e := range c {
+		if !edges[e] {
+			return fmt.Errorf("witness edge %+v not in the graph", e)
+		}
+		if next := c[(i+1)%len(c)]; e.To != next.From {
+			return fmt.Errorf("witness not closed at position %d: %+v -> %+v", i, e, next)
+		}
+		if entered[e.To] {
+			return fmt.Errorf("witness not simple: node %d repeats in %v", e.To, c)
+		}
+		entered[e.To] = true
+	}
+	return nil
+}
+
+// Property: on random graphs of up to ~300 nodes, BellmanFord either
+// returns distances satisfying every constraint edge, or a simple,
+// genuinely negative witness cycle — and the same holds warm-started from
+// adversarial labels, with the same verdict.
 func TestBellmanFordProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(8)
+		if seed%2 == 0 {
+			n = 2 + rng.Intn(300)
+		}
 		g := New(n)
 		m := rng.Intn(3 * n)
 		for i := 0; i < m; i++ {
 			g.AddEdge(rng.Intn(n), rng.Intn(n), int64(rng.Intn(21)-10), int32(i))
 		}
-		res := g.BellmanFord()
-		if res.Feasible {
-			for _, e := range g.Edges() {
-				if res.Dist[e.To] > res.Dist[e.From]+e.Weight {
-					return false
-				}
-			}
+		if m == 0 {
 			return true
 		}
-		if CycleWeight(res.NegativeCycle) >= 0 {
-			return false
-		}
-		for i, e := range res.NegativeCycle {
-			if e.To != res.NegativeCycle[(i+1)%len(res.NegativeCycle)].From {
+		res := g.BellmanFord()
+		warm := g.BellmanFordFrom(adversarialInit(rng, n))
+		for _, r := range []BFResult{res, warm} {
+			if err := checkResult(g, r); err != nil {
+				t.Logf("seed %d (n=%d, m=%d): %v", seed, n, m, err)
 				return false
 			}
 		}
-		return true
+		return res.Feasible == warm.Feasible
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
