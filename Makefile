@@ -8,20 +8,18 @@ BENCH_SMOKE = BenchmarkChecker|BenchmarkMaxRelevantRatio|BenchmarkIncrementalChe
 BENCH_SIM_SMOKE = BenchmarkSimulator/.*/^n=(8|100|10000)$$
 
 # Benchmarks recorded into $(BENCH_OUT) by bench-json: the smoke set, the
-# simulator topology grid up to N=100k, the serial-vs-sharded engine grid
-# (shards 1/2/4/8 at N=100k and N=10^6), and graph construction. The
-# N=10^6 cases are seconds per iteration, so bench-json runs them in a
-# second, shorter invocation and concatenates both streams into one
-# benchjson document (whose host block records cores and GOMAXPROCS —
-# sharded numbers are meaningless without them).
-BENCH_JSON_MAIN = $(BENCH_SMOKE)|BenchmarkGraphBuild|BenchmarkSimulator/.*/^n=(8|100|10000|100000)$$|BenchmarkSimulatorSharded/topo=ring/^n=100000$$
-BENCH_JSON_SCALE = BenchmarkSimulator(Sharded)?/topo=ring/^n=1000000$$
+# simulator topology grid up to N=100k, and graph construction. The N=10^6
+# ring is seconds per iteration, so bench-json runs it in a second,
+# shorter invocation and concatenates both streams into one benchjson
+# document (whose host block records cores and GOMAXPROCS).
+BENCH_JSON_MAIN = $(BENCH_SMOKE)|BenchmarkGraphBuild|BenchmarkSimulator/.*/^n=(8|100|10000|100000)$$
+BENCH_JSON_SCALE = BenchmarkSimulator/topo=ring/^n=1000000$$
 
 # Per-PR benchmark record; earlier PRs' files stay in the repository so
 # the trajectory can be diffed.
 BENCH_OUT ?= BENCH_pr10.json
 
-.PHONY: all build vet test race bench bench-smoke bench-json fuzz-smoke fleet-ci fleet-bench incremental-ci workloads-ci topology-ci protocols-ci faults-ci scale-ci parallel-ci cover ci
+.PHONY: all build vet test race bench bench-smoke bench-json fuzz-smoke fleet-ci fleet-bench incremental-ci workloads-ci topology-ci protocols-ci faults-ci scale-ci cover ci
 
 all: build
 
@@ -40,21 +38,6 @@ race:
 # bench runs the full paper evaluation (cmd/abcbench). CPUPROFILE= and
 # MEMPROFILE= pass pprof output paths through, so engine regressions can
 # be chased with real experiment traffic: `make bench CPUPROFILE=cpu.out`.
-#
-# The sharded engine labels its goroutines with runtime/pprof labels, so
-# a CPU profile splits cleanly by engine mode, shard, and phase:
-#
-#	make bench CPUPROFILE=cpu.out
-#	go tool pprof -tags cpu.out                    # label inventory
-#	go tool pprof -tagfocus=abc_engine=sharded cpu.out   # parallel mode only
-#	go tool pprof -tagfocus=abc_phase=merge cpu.out      # the serial merge
-#	go tool pprof -tagfocus=abc_shard=0 cpu.out          # one shard's drain
-#
-# abc_phase distinguishes drain (parallel window execution), barrier (the
-# coordinator waiting on shard workers), and merge (the serial replay that
-# keeps traces byte-identical); a merge-heavy profile means lookahead
-# windows are too small for the topology, a barrier-heavy one means the
-# shard ranges are load-imbalanced.
 bench:
 	$(GO) run ./cmd/abcbench $(if $(CPUPROFILE),-cpuprofile $(CPUPROFILE)) $(if $(MEMPROFILE),-memprofile $(MEMPROFILE))
 
@@ -159,19 +142,7 @@ scale-ci:
 	$(GO) test -race -shuffle=on -run 'Sink|Retention|WindowWatch|EventsOf' ./internal/sim ./internal/workload/...
 	$(GO) test -run=NONE -bench='$(BENCH_JSON_SCALE)' -benchmem -benchtime=1x -timeout 15m .
 
-# parallel-ci mirrors the CI "parallel" job: the sharded-engine suites —
-# the shard-count determinism grid (trace hashes at shards {1,2,4,8} ==
-# serial, including retention modes, net faults, truncation, and the
-# lookahead fallback gates), the worker/shard split regression, the
-# registry-wide shard-invisibility conformance cases, and the E18 matrix
-# at shards=2 — under the race detector with shuffled order, plus a CLI
-# smoke driving a sharded NDJSON sweep end to end.
-parallel-ci:
-	$(GO) test -race -shuffle=on -run 'Shard|MinDelay' ./internal/sim ./internal/runner ./internal/workload/... ./cmd/abcsim
-	$(GO) test -race -run 'TestCrossWorkloadSharded' ./internal/experiments
-	$(GO) run ./cmd/abcsim -workload broadcast -param n=100 -runs 4 -shards 4 -json > /dev/null
-
 cover:
 	$(GO) test -cover ./internal/runner ./internal/sim
 
-ci: vet race bench-smoke fleet-ci incremental-ci workloads-ci topology-ci protocols-ci faults-ci scale-ci parallel-ci
+ci: vet race bench-smoke fleet-ci incremental-ci workloads-ci topology-ci protocols-ci faults-ci scale-ci

@@ -338,58 +338,6 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorSharded is the PR 10 acceptance grid: the conservative
-// sharded engine on the throughput workload (ring, retain=none) at shard
-// counts {1, 2, 4, 8} against the serial baseline above. shards=1 takes
-// the serial path through the sharded-mode gate (its cost must stay within
-// noise of BenchmarkSimulator's retain=none rows); the higher counts scale
-// with available cores — on a single-core host they only measure the
-// window machinery's overhead, which is why BENCH_*.json records host
-// metadata next to these numbers. Profile the phases with
-// `go tool pprof -tags` (abc_engine / abc_shard / abc_phase labels).
-func BenchmarkSimulatorSharded(b *testing.B) {
-	for _, n := range []int{100000, 1000000} {
-		topo, err := sim.ParseTopology("ring", n, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, shards := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("topo=ring/n=%d/shards=%d", n, shards), func(b *testing.B) {
-				cfg := sim.Config{
-					N:         n,
-					Spawn:     benchSpawner(3),
-					Delays:    sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
-					Topology:  topo,
-					Seed:      1,
-					MaxEvents: 1 << 24,
-					Sink:      sim.RetainNone(),
-					Shards:    shards,
-				}
-				engine := sim.NewEngine()
-				warm, err := engine.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if warm.Truncated {
-					b.Fatal("benchmark run truncated; raise MaxEvents")
-				}
-				if shards > 1 && warm.Shards != shards {
-					b.Fatalf("ran on %d shards, want %d (unexpected serial fallback)", warm.Shards, shards)
-				}
-				events := warm.Trace.TotalEvents()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := engine.Run(cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(events), "events/run")
-				b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-			})
-		}
-	}
-}
-
 // BenchmarkClockSyncScale measures Algorithm 1 runs across system sizes
 // (message complexity grows with n²·ticks; see EXPERIMENTS.md).
 func BenchmarkClockSyncScale(b *testing.B) {

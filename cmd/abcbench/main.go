@@ -8,9 +8,6 @@
 // -workers W the experiments run concurrently and each experiment's
 // internal simulation batches fan out over W workers. Results are
 // bit-identical for every width — -workers only changes wall-clock time.
-// -shards additionally runs each simulation on the conservative sharded
-// engine (also result-invisible); it defaults to off so recorded numbers
-// stay comparable with earlier PRs unless explicitly requested.
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole suite,
 // for chasing engine-level regressions with real experiment traffic
@@ -59,8 +56,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	only := fs.String("only", "", "print only the experiment with this ID (e.g. E7); the full suite still runs")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"fleet width: experiments and their internal simulation batches run on this many workers (results are identical for any width)")
-	shards := fs.Int("shards", 0,
-		"engine shards per simulation inside experiment fleets: 0 = serial engines (the default, keeping numbers comparable across PRs), -1 = fill idle cores, N = fixed (results are identical for any value)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the suite to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile (after the suite) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -95,8 +90,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	experiments.SetWorkers(*workers)
 	defer experiments.SetWorkers(0)
-	experiments.SetShards(*shards)
-	defer experiments.SetShards(0)
 
 	all := experiments.Everything()
 	outcomes, err := runner.Map(context.Background(), len(all), *workers,

@@ -23,12 +23,6 @@
 // event, the run stops at the first violating event, and the report names
 // the exact event index at which admissibility first failed.
 //
-// -shards controls intra-run parallelism: each simulation runs on the
-// conservative sharded engine with the given shard count (0, the
-// default, derives it from the cores the worker pool leaves idle; 1 pins
-// the serial engine). Traces and verdicts are byte-identical for every
-// value — like -workers it only trades wall-clock for cores.
-//
 // With -json the reports become NDJSON on stdout: one record per job
 // (kind "job": the full parameter point, seed, verdict, critical ratio,
 // stream digest, events/sec) and one aggregate footer (kind "fleet"),
@@ -119,7 +113,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed    = fs.Int64("seed", 1, "random seed (first seed of a -runs sweep)")
 		runs    = fs.Int("runs", 1, "number of seeds to run, starting at -seed")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "fleet width for sweeps (per-seed results are identical for any width)")
-		shards  = fs.Int("shards", 0, "engine shards per simulation: 0 = fill idle cores, 1 = serial, N = fixed (results identical for any value)")
 		jsonOut = fs.Bool("json", false, "emit NDJSON records (one per job plus an aggregate footer) instead of the text report")
 		watch   = fs.Bool("watch", false, "monitor ABC(Ξ) incrementally during the run and stop at the first violating event")
 		// Legacy shorthands for the most common parameters; equivalent to
@@ -184,9 +177,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *workers < 1 {
 		*workers = runtime.GOMAXPROCS(0)
 	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d, need >= 0", *shards)
-	}
 	single := *runs == 1 && len(axes) == 0
 	if !single && (*traceOut != "" || *dotOut != "") {
 		return fmt.Errorf("-trace/-dot exports require a single run (-runs 1, no -sweep)")
@@ -207,12 +197,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	opts := runner.Options{Workers: *workers, Shards: *shards}
-	if *shards == 0 {
-		opts.Shards = runner.ShardsAuto
-	}
 	start := time.Now()
-	results, stats, err := runner.Run(context.Background(), jobs, opts)
+	results, stats, err := runner.Run(context.Background(), jobs, runner.Options{Workers: *workers})
 	wall := time.Since(start)
 	if err != nil {
 		return err
@@ -224,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *jsonOut {
-		return reportJSON(stdout, *name, base, seeds, axes, jobs, results, stats, opts, wall)
+		return reportJSON(stdout, *name, base, seeds, axes, jobs, results, stats, *workers, wall)
 	}
 	if single {
 		return reportSingle(stdout, *name, base, *seed, results[0], jobs[0].Post != nil, *traceOut, *dotOut)
@@ -284,7 +270,6 @@ type jobRecord struct {
 	Events         int               `json:"events"`
 	Msgs           int               `json:"msgs"`
 	StreamHash     string            `json:"streamHash"`
-	Shards         int               `json:"shards"`
 	ElapsedSec     float64           `json:"elapsedSec"`
 	EventsPerSec   float64           `json:"eventsPerSec"`
 }
@@ -295,7 +280,6 @@ type fleetRecord struct {
 	Workload     string  `json:"workload"`
 	Runs         int     `json:"runs"`
 	Workers      int     `json:"workers"`
-	Shards       int     `json:"shards"`
 	Admissible   int     `json:"admissible"`
 	Inadmissible int     `json:"inadmissible"`
 	Truncated    int     `json:"truncated"`
@@ -312,7 +296,7 @@ type fleetRecord struct {
 // resolved base overlaid with its sweep-cell assignment, recomputed from
 // the job index by mirroring ParamGrid's row-major expansion (first axis
 // outermost, seeds innermost).
-func reportJSON(stdout io.Writer, name string, base workload.Values, seeds []int64, axes []runner.Axis, jobs []runner.Job, results []runner.JobResult, stats runner.Stats, opts runner.Options, wall time.Duration) error {
+func reportJSON(stdout io.Writer, name string, base workload.Values, seeds []int64, axes []runner.Axis, jobs []runner.Job, results []runner.JobResult, stats runner.Stats, workers int, wall time.Duration) error {
 	enc := json.NewEncoder(stdout)
 	for _, r := range results {
 		params := base.Map()
@@ -353,7 +337,6 @@ func reportJSON(stdout io.Writer, name string, base workload.Values, seeds []int
 		}
 		if r.Sim != nil {
 			rec.Truncated = r.Sim.Truncated
-			rec.Shards = r.Sim.Shards
 		}
 		rec.ElapsedSec = r.Elapsed.Seconds()
 		if s := r.Elapsed.Seconds(); s > 0 && rec.Events > 0 {
@@ -363,13 +346,11 @@ func reportJSON(stdout io.Writer, name string, base workload.Values, seeds []int
 			return err
 		}
 	}
-	workers, shards := opts.Plan(len(results))
 	footer := fleetRecord{
 		Kind:         "fleet",
 		Workload:     name,
 		Runs:         stats.Jobs,
-		Workers:      workers,
-		Shards:       shards,
+		Workers:      min(workers, len(results)), // the pool never exceeds the batch
 		Admissible:   stats.Admissible,
 		Inadmissible: stats.Inadmissible,
 		Truncated:    stats.Truncated,

@@ -153,7 +153,7 @@ func TestRunWatchRatioSearchInt64Guard(t *testing.T) {
 // run carrying the full parameter point (base overlaid with sweep
 // assignments), seed, verdict, stream digest, and throughput, followed
 // by exactly one "fleet" footer with the aggregate counts and the
-// resolved worker/shard split.
+// resolved worker count.
 func TestRunJSON(t *testing.T) {
 	var out, errOut strings.Builder
 	args := []string{"-workload", "broadcast", "-n", "3", "-target", "3",
@@ -209,56 +209,12 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
-// TestRunShardsInvisible pins the CLI half of the shard contract: the
-// same sweep at -shards 1 and -shards 4 emits identical NDJSON job
-// records up to timing fields.
-func TestRunShardsInvisible(t *testing.T) {
-	digests := make([]string, 0, 2)
-	for _, shards := range []string{"1", "4"} {
-		var out, errOut strings.Builder
-		args := []string{"-workload", "broadcast", "-param", "n=8", "-target", "4",
-			"-seed", "1", "-runs", "3", "-shards", shards, "-json"}
-		if err := run(args, &out, &errOut); err != nil {
-			t.Fatalf("-shards %s: %v (stderr: %s)", shards, err, errOut.String())
-		}
-		var hashes []string
-		for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
-			var probe struct {
-				Kind string `json:"kind"`
-			}
-			if err := json.Unmarshal([]byte(line), &probe); err != nil {
-				t.Fatalf("-shards %s: bad record %q: %v", shards, line, err)
-			}
-			if probe.Kind != "job" {
-				continue
-			}
-			var rec jobRecord
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				t.Fatalf("-shards %s: bad job record %q: %v", shards, line, err)
-			}
-			want := 1
-			if shards == "4" {
-				want = 4
-			}
-			if rec.Shards != want {
-				t.Errorf("-shards %s: job ran on %d shards, want %d", shards, rec.Shards, want)
-			}
-			hashes = append(hashes, rec.Key+"="+rec.StreamHash+"/"+rec.Verdict)
-		}
-		digests = append(digests, strings.Join(hashes, " "))
-	}
-	if digests[0] != digests[1] {
-		t.Errorf("stream digests differ between -shards 1 and 4:\n%s\n%s", digests[0], digests[1])
-	}
-}
-
 func TestRunRejectsBadUsage(t *testing.T) {
 	cases := [][]string{
 		{"-workload", "no-such-workload"},
 		{"-runs", "0"},
 		{"-runs", "2", "-trace", "t.json"},
 		{"-sweep", "xi=2,3", "-trace", "t.json"},
-		{"-shards", "-2"},
 		{"-json", "-trace", "t.json"},
 		{"-xi", "not-a-rational"},
 		{"-param", "no-such-param=1"},
@@ -268,6 +224,10 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		{"-sweep", "xi=2,3", "-sweep", "xi=5/4"}, // duplicate axis
 		{"-workload", "scenario", "-n", "4"},     // scenario declares no n
 		{"-workload", "scenario", "-param", "fig=fig77"},
+		// Delay bounds admitting a negative delay are setup errors, not
+		// engine panics.
+		{"-workload", "broadcast", "-param", "max=-1"},
+		{"-workload", "broadcast", "-param", "min=2", "-param", "max=1"},
 	}
 	for _, args := range cases {
 		var out, errOut strings.Builder

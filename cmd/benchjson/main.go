@@ -34,7 +34,7 @@ type Benchmark struct {
 }
 
 // Host records the machine and toolchain the benchmarks ran on — the
-// context needed to judge parallel-engine numbers (a shards=8 figure is
+// context needed to judge parallel numbers (a fleet-speedup figure is
 // meaningless without knowing how many cores were actually available).
 type Host struct {
 	GoVersion  string `json:"goVersion"`

@@ -26,10 +26,10 @@ func init() {
 			{Name: "target", Kind: workload.Int, Default: "10", Doc: "clock value every correct process must reach"},
 			{Name: "min", Kind: workload.Rational, Default: "1", Doc: "minimum message delay"},
 			{Name: "max", Kind: workload.Rational, Default: "3/2", Doc: "maximum message delay"},
-			{Name: "adversaries", Kind: workload.Bool, Default: "false", Doc: "run f live Byzantine adversaries (off: the f slots stay silent but count)"},
+			{Name: "adversaries", Kind: workload.Bool, Default: "false", Doc: "run f live Byzantine adversaries on IDs n-1 downward (off: only the faults param injects faults; with faults=none every process is correct)"},
 			{Name: "advseed", Kind: workload.Int64, Default: "-1", Doc: "adversary seed; -1 derives it from the job seed"},
 			{Name: "maxevents", Kind: workload.Int, Default: "200000", Doc: "receive-event budget"},
-		}, append(workload.FaultParams(), append(workload.TraceParams(), workload.ShardParams()...)...)...),
+		}, append(workload.FaultParams(), workload.TraceParams()...)...),
 		Job:     clockSyncJob,
 		Verdict: clockSyncVerdict,
 		// The Section 3 monitors replay the recorded clock notes and the

@@ -36,7 +36,7 @@ func init() {
 			{Name: "min", Kind: workload.Rational, Default: "1", Doc: "minimum message delay"},
 			{Name: "max", Kind: workload.Rational, Default: "3/2", Doc: "maximum message delay"},
 			{Name: "maxevents", Kind: workload.Int, Default: "400000", Doc: "receive-event budget"},
-		}, append(workload.FaultParams(), append(workload.TraceParams(), workload.ShardParams()...)...)...),
+		}, append(workload.FaultParams(), workload.TraceParams()...)...),
 		Job:     consensusJob,
 		Verdict: consensusVerdict,
 		// The verdict gates on a verified-admissible run, and the batch

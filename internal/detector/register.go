@@ -32,7 +32,7 @@ func init() {
 			{Name: "min", Kind: workload.Rational, Default: "1", Doc: "minimum message delay"},
 			{Name: "max", Kind: workload.Rational, Default: "3/2", Doc: "maximum message delay"},
 			{Name: "maxevents", Kind: workload.Int, Default: "200000", Doc: "receive-event budget"},
-		}, workload.TopologyParams()...), append(workload.FaultParams(), append(workload.TraceParams(), workload.ShardParams()...)...)...),
+		}, workload.TopologyParams()...), append(workload.FaultParams(), workload.TraceParams()...)...),
 		Job:     omegaJob,
 		Verdict: omegaVerdict,
 		// The verdict gates on a verified-admissible run, and the batch

@@ -65,35 +65,6 @@ func TestRunAllWidthIndependent(t *testing.T) {
 	}
 }
 
-// TestCrossWorkloadSharded pins shard invisibility at the evaluation
-// level on the E18 matrix — the registry-wide sweep plus the fault-plane
-// rows, the densest consumer of the per-message fault stream: every Row
-// (name, claim, measurement, verdict) must be identical whether the
-// experiment's internal fleets run serial engines or 2-shard engines.
-func TestCrossWorkloadSharded(t *testing.T) {
-	SetWorkers(1)
-	defer SetWorkers(0)
-	serial, err := RunCrossWorkload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetShards(2)
-	defer SetShards(0)
-	sharded, err := RunCrossWorkload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Errorf("E18 rows differ between serial and 2-shard engines:\nserial:  %+v\nsharded: %+v",
-			serial, sharded)
-	}
-	for _, row := range serial.Rows {
-		if !row.OK {
-			t.Errorf("row %s failed", row.Name)
-		}
-	}
-}
-
 func TestResultFailed(t *testing.T) {
 	r := Result{Rows: []Row{{OK: true}, {OK: true}}}
 	if r.Failed() {

@@ -41,7 +41,7 @@ func init() {
 			{Name: "adversaries", Kind: workload.Bool, Default: "false", Doc: "run f live Byzantine adversaries"},
 			{Name: "advseed", Kind: workload.Int64, Default: "-1", Doc: "adversary seed; -1 derives it from the job seed"},
 			{Name: "maxevents", Kind: workload.Int, Default: "300000", Doc: "receive-event budget"},
-		}, append(workload.FaultParams(), append(workload.TraceParams(), workload.ShardParams()...)...)...),
+		}, append(workload.FaultParams(), workload.TraceParams()...)...),
 		Job:     lockStepJob,
 		Verdict: lockStepVerdict,
 		// Theorem 5 presupposes a verified-admissible run, and the batch

@@ -12,12 +12,7 @@ import (
 // alongside the full result slice; slots whose f was skipped due to
 // cancellation hold the zero value and the context error is returned.
 func Map[T any](ctx context.Context, n, workers int, f func(i int) (T, error)) ([]T, error) {
-	if workers <= 0 {
-		workers, _ = Options{}.Plan(n)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = poolSize(workers, n)
 	results := make([]T, n)
 	errs := make([]error, n)
 	indices := make(chan int)

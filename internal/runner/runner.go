@@ -9,9 +9,8 @@
 // sim.Config, every worker runs jobs on a private sim.Engine, and no state
 // is shared between jobs, so the trace produced for a job is bit-identical
 // (sim.Trace.Hash-equal) to a serial sim.Run of the same Config regardless
-// of Workers — and, because the sharded engine is itself byte-identical at
-// every shard count, regardless of Shards. The golden-trace test in this
-// package pins that contract for workers ∈ {1, 2, 8}.
+// of Workers. The golden-trace test in this package pins that contract for
+// workers ∈ {1, 2, 8}.
 package runner
 
 import (
@@ -126,72 +125,21 @@ func (r JobResult) CompletedAdmissible(requireVerdict bool) bool {
 	return r.Verdict.Admissible
 }
 
-// ShardsAuto asks the fleet to derive the per-job shard count from
-// whatever parallelism the worker pool leaves unused (see Options.Shards).
-const ShardsAuto = -1
-
 // Options configures a fleet run.
 type Options struct {
-	// Workers is the number of concurrent workers; <= 0 means derive it
-	// from runtime.GOMAXPROCS(0), leaving room for the shard count when
-	// one is set explicitly.
+	// Workers is the number of concurrent workers; <= 0 means
+	// runtime.GOMAXPROCS(0). Either way the pool never exceeds the
+	// batch size.
 	Workers int
-	// Shards is the intra-job shard count stamped into each job's
-	// sim.Config (jobs that set Cfg.Shards themselves are left alone):
-	// 0 leaves configs untouched (serial engines), 1 forces the serial
-	// path, n > 1 runs every simulation on n shards, and ShardsAuto
-	// derives the count from the cores the worker pool leaves idle.
-	//
-	// The two auto-sizers never oversubscribe each other: the derived
-	// workers × shards product stays ≤ runtime.GOMAXPROCS(0). Small
-	// batches on big machines therefore parallelize inside jobs
-	// (few workers × many shards) while large batches parallelize
-	// across them (many workers × 1 shard). Explicitly setting both
-	// knobs bypasses the guard — the caller's product wins.
-	Shards int
 }
 
-// Plan resolves the worker count and per-job shard count for a batch of
-// the given size, applying the workers × shards ≤ GOMAXPROCS rule to
-// every auto-sized knob. Stream uses it internally; callers that report
-// fleet geometry (e.g. JSON footers) can call it to see the same split.
-func (o Options) Plan(jobs int) (workers, shards int) {
-	return o.split(jobs, runtime.GOMAXPROCS(0))
-}
-
-// split is Plan with the processor count injected for tests.
-func (o Options) split(jobs, procs int) (workers, shards int) {
-	if procs < 1 {
-		procs = 1
-	}
-	workers = o.Workers
+// poolSize resolves the worker count for a batch of n jobs: workers,
+// else GOMAXPROCS, capped at n (and at least 1). Shared by Stream and Map.
+func poolSize(workers, n int) int {
 	if workers <= 0 {
-		workers = procs
-		if o.Shards > 1 {
-			// An explicit shard count reserves cores inside each job;
-			// shrink the auto-sized pool so the product stays ≤ procs.
-			workers = procs / o.Shards
-		}
-		if workers < 1 {
-			workers = 1
-		}
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if jobs > 0 && workers > jobs {
-		workers = jobs
-	}
-	switch {
-	case o.Shards == ShardsAuto:
-		// Give each job the cores the pool leaves idle.
-		shards = procs / workers
-		if shards < 1 {
-			shards = 1
-		}
-	case o.Shards > 0:
-		shards = o.Shards
-	default:
-		shards = 1
-	}
-	return workers, shards
+	return max(min(workers, n), 1)
 }
 
 // Stats aggregates a completed batch.
@@ -253,7 +201,7 @@ var errJobEmpty = errors.New("runner: job has neither Cfg nor Trace")
 // cancelled, jobs not yet started complete immediately with Err set to the
 // context's error; jobs already in flight finish normally.
 func Stream(ctx context.Context, jobs []Job, opts Options) <-chan JobResult {
-	workers, shards := opts.Plan(len(jobs))
+	workers := poolSize(opts.Workers, len(jobs))
 	indices := make(chan int)
 	out := make(chan JobResult, workers)
 
@@ -285,7 +233,7 @@ func Stream(ctx context.Context, jobs []Job, opts Options) <-chan JobResult {
 					continue
 				}
 				start := time.Now()
-				r := execute(engine, i, jobs[i], shards)
+				r := execute(engine, i, jobs[i])
 				r.Elapsed = time.Since(start)
 				out <- r
 			}
@@ -314,18 +262,13 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]JobResult, Stats, err
 	return results, stats, ctx.Err()
 }
 
-// execute runs one job on a worker's private engine. shards, when > 1,
-// is stamped into the simulation config unless the job chose its own
-// shard count.
-func execute(engine *sim.Engine, index int, job Job, shards int) JobResult {
+// execute runs one job on a worker's private engine.
+func execute(engine *sim.Engine, index int, job Job) JobResult {
 	res := JobResult{Index: index, Key: job.Key, Xi: job.Xi, FirstViolation: -1}
 	var watcher *check.Watcher
 	switch {
 	case job.Cfg != nil:
 		cfg := *job.Cfg
-		if shards > 1 && cfg.Shards == 0 {
-			cfg.Shards = shards
-		}
 		if job.Watch {
 			if job.Xi.Sign() <= 0 {
 				res.Err = fmt.Errorf("runner: job %d (%s): Watch requires Xi > 0", index, job.Key)

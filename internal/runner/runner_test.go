@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/rat"
@@ -52,6 +53,9 @@ func TestRunCollectsInSubmissionOrder(t *testing.T) {
 		}
 		if r.Trace == nil || len(r.Trace.Events) == 0 {
 			t.Errorf("result %d has empty trace", i)
+		}
+		if r.Elapsed <= 0 {
+			t.Errorf("result %d: Elapsed not recorded", i)
 		}
 	}
 	if stats.Jobs != 9 || stats.Errored != 0 {
@@ -216,6 +220,26 @@ func TestMapOrderAndErrors(t *testing.T) {
 	})
 	if !errors.Is(err, mapErr) {
 		t.Errorf("Map error = %v", err)
+	}
+}
+
+// TestPoolSize pins the worker-count rule Stream and Map share: the
+// requested width, else GOMAXPROCS, never more than the batch size and
+// never less than one worker.
+func TestPoolSize(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	cases := []struct{ workers, jobs, want int }{
+		{0, 1000, procs},  // default width on a wide batch
+		{-3, 1000, procs}, // negative means default too
+		{0, 1, 1},         // capped at the batch
+		{8, 100, 8},       // explicit width may exceed the cores
+		{8, 3, 3},         // ... but not the batch
+		{4, 0, 1},         // empty batch still gets one worker
+	}
+	for _, tc := range cases {
+		if got := poolSize(tc.workers, tc.jobs); got != tc.want {
+			t.Errorf("poolSize(%d, %d) = %d, want %d", tc.workers, tc.jobs, got, tc.want)
+		}
 	}
 }
 

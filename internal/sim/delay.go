@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/rat"
@@ -126,95 +127,71 @@ type DelayFunc func(m Message, rng *rand.Rand) Time
 // Delay implements DelayPolicy.
 func (f DelayFunc) Delay(m Message, rng *rand.Rand) Time { return f(m, rng) }
 
-// minDelayBound returns a lower bound on the delay any message can be
-// assigned by p, valid for all send times >= 0, and whether such a bound
-// is derivable at all. It is the sharded engine's lookahead: a positive
-// bound means no message sent inside a time window can be received inside
-// that window, which is what makes conservative parallel draining sound.
-// Opaque policies (DelayFunc, unknown types) and policies whose bound
-// would require negative-time analysis report !ok, sending the run down
-// the serial path.
-func minDelayBound(p DelayPolicy) (Time, bool) {
+// compileDelays validates p and returns an equivalent policy with
+// per-policy constants (UniformDelay's span, GrowingDelay's clamped
+// spread) computed once instead of per message. Composite policies are
+// compiled recursively. The returned policy draws from the rng in exactly
+// the same sequence as the original, so seeded runs are bit-identical.
+// sim.Run applies it to Config.Delays; unknown policy types pass through
+// untouched.
+//
+// A built-in policy whose bounds admit a negative delay — a ConstantDelay
+// below zero, a UniformDelay with Min < 0 or Max < Min — is a
+// configuration error, reported here at setup instead of as a panic at
+// the first send that draws a negative value.
+func compileDelays(p DelayPolicy) (DelayPolicy, error) {
 	switch q := p.(type) {
 	case ConstantDelay:
-		return q.D, q.D.Sign() >= 0
+		if q.D.Sign() < 0 {
+			return nil, fmt.Errorf("sim: constant delay %v is negative", q.D)
+		}
+		return q, nil
 	case UniformDelay:
-		return minDelayBound(compiledUniform{min: q.Min, span: q.Max.Sub(q.Min)})
-	case compiledUniform:
-		// Draws land in [min, min+span] (span may be negative when
-		// Max < Min; the engine still accepts such policies).
-		lo := q.min
-		if q.span.Sign() < 0 {
-			lo = q.min.Add(q.span)
+		if q.Min.Sign() < 0 {
+			return nil, fmt.Errorf("sim: uniform delay [%v, %v] has negative minimum", q.Min, q.Max)
 		}
-		return lo, lo.Sign() >= 0
-	case GrowingDelay:
-		return minDelayBound(compiledGrowing{base: q.Base, rate: q.Rate})
-	case compiledGrowing:
-		// delay = base·(1+rate·t)·(1+spreadM1·k/Q) with spreadM1 >= 0 after
-		// compilation, so for t >= 0 and base, rate >= 0 the minimum is base.
-		if q.base.Sign() < 0 || q.rate.Sign() < 0 {
-			return Time{}, false
+		if q.Max.Less(q.Min) {
+			return nil, fmt.Errorf("sim: uniform delay [%v, %v] has maximum below minimum", q.Min, q.Max)
 		}
-		return q.base, true
-	case PerLinkDelay:
-		lo, ok := minDelayBound(q.Default)
-		if !ok {
-			return Time{}, false
-		}
-		for _, lp := range q.Links {
-			b, ok := minDelayBound(lp)
-			if !ok {
-				return Time{}, false
-			}
-			if b.Less(lo) {
-				lo = b
-			}
-		}
-		return lo, true
-	case OverrideDelay:
-		a, ok := minDelayBound(q.Base)
-		if !ok {
-			return Time{}, false
-		}
-		b, ok := minDelayBound(q.Override)
-		if !ok {
-			return Time{}, false
-		}
-		if b.Less(a) {
-			a = b
-		}
-		return a, true
-	default:
-		return Time{}, false
-	}
-}
-
-// compileDelays returns an equivalent policy with per-policy constants
-// (UniformDelay's span, GrowingDelay's clamped spread) computed once
-// instead of per message. Composite policies are compiled recursively.
-// The returned policy draws from the rng in exactly the same sequence as
-// the original, so seeded runs are bit-identical. sim.Run applies it to
-// Config.Delays; unknown policy types pass through untouched.
-func compileDelays(p DelayPolicy) DelayPolicy {
-	switch q := p.(type) {
-	case UniformDelay:
-		return compiledUniform{min: q.Min, span: q.Max.Sub(q.Min)}
+		return compiledUniform{min: q.Min, span: q.Max.Sub(q.Min)}, nil
 	case GrowingDelay:
 		spread := q.Spread
 		if spread.Less(rat.One) {
 			spread = rat.One
 		}
-		return compiledGrowing{base: q.Base, rate: q.Rate, spreadM1: spread.Sub(rat.One)}
+		return compiledGrowing{base: q.Base, rate: q.Rate, spreadM1: spread.Sub(rat.One)}, nil
 	case PerLinkDelay:
-		links := make(map[Link]DelayPolicy, len(q.Links))
-		for l, lp := range q.Links {
-			links[l] = compileDelays(lp)
+		def, err := compileDelays(q.Default)
+		if err != nil {
+			return nil, err
 		}
-		return PerLinkDelay{Default: compileDelays(q.Default), Links: links}
+		links := make(map[Link]DelayPolicy, len(q.Links))
+		// Report the lowest failing link, so the error text does not
+		// depend on map iteration order.
+		var bad *Link
+		var badErr error
+		for l, lp := range q.Links {
+			c, err := compileDelays(lp)
+			if err != nil && (bad == nil || l.From < bad.From || l.From == bad.From && l.To < bad.To) {
+				bad, badErr = &l, err
+			}
+			links[l] = c
+		}
+		if bad != nil {
+			return nil, fmt.Errorf("%w (link %d->%d)", badErr, bad.From, bad.To)
+		}
+		return PerLinkDelay{Default: def, Links: links}, nil
 	case OverrideDelay:
-		return OverrideDelay{Base: compileDelays(q.Base), Match: q.Match, Override: compileDelays(q.Override)}
+		base, err := compileDelays(q.Base)
+		if err != nil {
+			return nil, err
+		}
+		over, err := compileDelays(q.Override)
+		if err != nil {
+			return nil, err
+		}
+		return OverrideDelay{Base: base, Match: q.Match, Override: over}, nil
 	default:
-		return p
+		return p, nil
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -29,29 +28,26 @@ import (
 // An Engine is not safe for concurrent use; give each goroutine its own.
 type Engine struct {
 	// Pooled across runs.
-	rng           *rand.Rand
-	heapQ         heapQueue
-	wheelQ        *bucketQueue
-	queue         eventQueue // points at heapQ or wheelQ per Config.Queue
-	crashAfter    []int
-	stepCount     []int // computing steps executed per process
-	eventCount    []int // receive events recorded per process
-	wakeTime      []Time
-	down          [][]Interval  // per-process down schedule (aliases Fault.Down)
-	hold          []bool        // InflightHold: defer deliveries past down intervals
-	amnesia       []bool        // RecoverAmnesia: respawn on each recovery wake-up
-	out           []pendingSend // Env send buffer, recycled between steps
-	env           Env           // the one step environment, reused every step
-	posRows       [][]int32     // pooled eventPos rows; compacted out per run
-	lastEvents    int           // high-water marks sizing the next full-retention run
-	lastMsgs      int
-	pend          []Message       // bounded retention: in-flight message store
-	pendDone      []bool          // pend[i] delivered (eligible for compaction)
-	pendBase      MsgID           // ID of pend[0]
-	pendStart     int             // first undelivered index in pend
-	shardPool     []shardState    // sharded mode: per-shard queues and buffers
-	mergeLabels   context.Context // pooled pprof label sets (shard.go)
-	barrierLabels context.Context
+	rng        *rand.Rand
+	heapQ      heapQueue
+	wheelQ     *bucketQueue
+	queue      eventQueue // points at heapQ or wheelQ per Config.Queue
+	crashAfter []int
+	stepCount  []int // computing steps executed per process
+	eventCount []int // receive events recorded per process
+	wakeTime   []Time
+	down       [][]Interval  // per-process down schedule (aliases Fault.Down)
+	hold       []bool        // InflightHold: defer deliveries past down intervals
+	amnesia    []bool        // RecoverAmnesia: respawn on each recovery wake-up
+	out        []pendingSend // Env send buffer, recycled between steps
+	env        Env           // the one step environment, reused every step
+	posRows    [][]int32     // pooled eventPos rows; compacted out per run
+	lastEvents int           // high-water marks sizing the next full-retention run
+	lastMsgs   int
+	pend       []Message // bounded retention: in-flight message store
+	pendDone   []bool    // pend[i] delivered (eligible for compaction)
+	pendBase   MsgID     // ID of pend[0]
+	pendStart  int       // first undelivered index in pend
 
 	// Per-run state; reset at the top of Run.
 	cfg        Config
@@ -65,15 +61,6 @@ type Engine struct {
 	monitorErr error
 	net        *NetFaults // cfg.Net; nil draws nothing from the RNG
 	partSides  [][]int8   // per-partition side vectors, built at Run setup
-
-	// Sharded-mode per-run state (shard.go). shards is nil on the serial
-	// path; when non-nil it aliases shardPool and enqueue routes
-	// deliveries to the owning shard.
-	shards      []shardState
-	lookahead   Time    // positive minimum delay bound of the delay policy
-	winH        Time    // current window's safe horizon
-	winHKey     float64 // deliveryKey(winH)
-	routeDirect bool    // serial tail: route into shard queues, not inboxes
 }
 
 // NewEngine returns an empty Engine. Equivalent to new(Engine); it exists
@@ -214,7 +201,11 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		maxEvents = defaultMaxEvents
 	}
 
-	cfg.Delays = compileDelays(cfg.Delays)
+	delays, err := compileDelays(cfg.Delays)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Delays = delays
 	e.ret = ret
 	e.reset(cfg)
 	e.links = links
@@ -226,10 +217,6 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		// it incrementally.
 		e.out = make([]pendingSend, 0, links.MaxOutDegree()+1)
 	}
-	// Decide the execution mode before any delivery is scheduled: from
-	// here on, enqueue routes through the shard layer when the run is
-	// sharded (setup pushes land in shard inboxes).
-	e.setupShards(cfg, links)
 
 	for p := ProcessID(0); int(p) < cfg.N; p++ {
 		handler := cfg.Spawn(p)
@@ -272,7 +259,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			From: External, To: p, SendStep: SendStepExternal,
 			SendTime: at, RecvTime: at, Payload: Wakeup{},
 		})
-		e.enqueue(delivery{at: at, key: deliveryKey(at), seq: e.nextSeq(), msg: id}, p)
+		e.queue.push(delivery{at: at, key: deliveryKey(at), seq: e.nextSeq(), msg: id})
 	}
 	// Recovery wake-ups for amnesia processes: one external wake-up at the
 	// end of each down interval, so the respawned machine re-executes its
@@ -291,7 +278,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 				From: External, To: p, SendStep: SendStepExternal,
 				SendTime: iv.Until, RecvTime: iv.Until, Payload: Wakeup{},
 			})
-			e.enqueue(delivery{at: iv.Until, key: deliveryKey(iv.Until), seq: e.nextSeq(), msg: id}, p)
+			e.queue.push(delivery{at: iv.Until, key: deliveryKey(iv.Until), seq: e.nextSeq(), msg: id})
 		}
 	}
 	// Scripted Byzantine sends, in process order for determinism (map
@@ -306,20 +293,12 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	var truncated bool
-	shardsUsed := 1
-	if e.shards != nil {
-		shardsUsed = len(e.shards)
-		truncated = e.loopSharded(maxEvents)
-	} else {
-		truncated = e.loop(maxEvents)
-	}
+	truncated := e.loop(maxEvents)
 	e.finishTrace()
-	res := &Result{Trace: e.trace, Procs: e.procs, Truncated: truncated, MonitorErr: e.monitorErr, Shards: shardsUsed}
+	res := &Result{Trace: e.trace, Procs: e.procs, Truncated: truncated, MonitorErr: e.monitorErr}
 	// Drop the escaping references so pooled state never aliases a result.
 	e.trace, e.procs, e.cfg, e.links, e.cb, e.monitorErr = nil, nil, Config{}, nil, nil, nil
 	e.net, e.partSides = nil, nil
-	e.teardownShards()
 	for p := range e.down {
 		e.down[p] = nil // Fault.Down slices are config-owned; do not pin them
 	}
@@ -585,7 +564,7 @@ func (e *Engine) deliver(m Message) {
 	}
 	m.RecvTime = recv
 	id := e.recordMessage(m)
-	e.enqueue(delivery{at: recv, key: deliveryKey(recv), seq: e.nextSeq(), msg: id}, m.To)
+	e.queue.push(delivery{at: recv, key: deliveryKey(recv), seq: e.nextSeq(), msg: id})
 }
 
 // partitionCutsLink reports whether a partition's side vector severs at
@@ -640,15 +619,6 @@ func (e *Engine) takeDelivery(d delivery) Message {
 	}
 	i := int(d.msg - e.pendBase)
 	m := e.pend[i]
-	e.markDelivered(i)
-	return m
-}
-
-// markDelivered marks in-flight slot i delivered and compacts the
-// delivered prefix of the pooled store (amortized O(1)). Bounded
-// retention only; the sharded merge calls it directly because drained
-// messages were already copied out during the parallel phase.
-func (e *Engine) markDelivered(i int) {
 	e.pendDone[i] = true
 	s := e.pendStart
 	for s < len(e.pend) && e.pendDone[s] {
@@ -665,6 +635,7 @@ func (e *Engine) markDelivered(i int) {
 		e.pendBase += MsgID(s)
 		e.pendStart = 0
 	}
+	return m
 }
 
 // recordEvent appends one finalized receive event per the retention mode.
@@ -715,78 +686,68 @@ func (e *Engine) loop(maxEvents int) (truncated bool) {
 		if e.cfg.MaxTime.Sign() > 0 && m.RecvTime.Greater(e.cfg.MaxTime) {
 			return true
 		}
-		if e.stepEvent(m) {
+		p := m.To
+
+		// A process is not taking steps while permanently crashed or inside
+		// a down interval; the reception still occurs (Processed == false) —
+		// the network controls reception, the receiver controls processing.
+		crashed := e.crashAfter[p] != NeverCrash && e.stepCount[p] >= e.crashAfter[p]
+		if !crashed && len(e.down[p]) > 0 {
+			crashed = downAt(e.down[p], m.RecvTime)
+		}
+		if !crashed && e.amnesia[p] && m.IsWakeup() && e.eventCount[p] > 0 {
+			// Recovery wake-up of an amnesia process: respawn from scratch
+			// and reset the step counter so the fresh machine sees step
+			// indices from zero. Event indices stay monotone — SendStep
+			// records event indices, so causality is unaffected.
+			e.procs[p] = e.cfg.Spawn(p)
+			e.stepCount[p] = 0
+		}
+		ev := Event{
+			Proc:    p,
+			Index:   e.eventCount[p],
+			Time:    m.RecvTime,
+			Trigger: m.ID,
+		}
+		e.eventCount[p]++
+
+		if !crashed {
+			// The step environment is pooled: one Env lives in the Engine
+			// and is re-initialized per step, so the interface call's
+			// escape of &e.env costs nothing on the hot path.
+			e.env = Env{
+				self:      p,
+				n:         e.cfg.N,
+				stepIndex: e.stepCount[p],
+				topo:      e.cfg.Topology,
+				links:     e.links,
+				out:       e.out[:0],
+			}
+			e.procs[p].Step(&e.env, m)
+			e.stepCount[p]++
+			ev.Processed = true
+			ev.Note = e.env.note
+			for _, out := range e.env.out {
+				e.sendMessage(p, ev.Index, m.RecvTime, out.to, out.payload)
+			}
+			// Keep the (possibly grown) send buffer, cleared of payload
+			// references so pooled storage does not pin process data.
+			e.out = e.env.out[:0]
+			clearSends(e.env.out)
+		}
+		e.recordEvent(ev, m)
+
+		if e.cfg.Monitor != nil {
+			if err := e.cfg.Monitor(e.trace); err != nil {
+				e.monitorErr = err
+				return false
+			}
+		}
+		if ev.Processed && e.cfg.Until != nil && e.cfg.Until(e.procs) {
 			return false
 		}
 	}
 	return false
-}
-
-// stepEvent executes one delivered message: crash/down gating, the
-// process step, the send fan-out, recording, and the Monitor/Until stop
-// conditions. It returns true when the run should stop (quiescence-like
-// stops, not truncation). Shared by the serial loop and the sharded
-// engine's serial tail (drainSerialTail), which must match it event for
-// event.
-func (e *Engine) stepEvent(m Message) (stop bool) {
-	p := m.To
-
-	// A process is not taking steps while permanently crashed or inside
-	// a down interval; the reception still occurs (Processed == false) —
-	// the network controls reception, the receiver controls processing.
-	crashed := e.crashAfter[p] != NeverCrash && e.stepCount[p] >= e.crashAfter[p]
-	if !crashed && len(e.down[p]) > 0 {
-		crashed = downAt(e.down[p], m.RecvTime)
-	}
-	if !crashed && e.amnesia[p] && m.IsWakeup() && e.eventCount[p] > 0 {
-		// Recovery wake-up of an amnesia process: respawn from scratch
-		// and reset the step counter so the fresh machine sees step
-		// indices from zero. Event indices stay monotone — SendStep
-		// records event indices, so causality is unaffected.
-		e.procs[p] = e.cfg.Spawn(p)
-		e.stepCount[p] = 0
-	}
-	ev := Event{
-		Proc:    p,
-		Index:   e.eventCount[p],
-		Time:    m.RecvTime,
-		Trigger: m.ID,
-	}
-	e.eventCount[p]++
-
-	if !crashed {
-		// The step environment is pooled: one Env lives in the Engine
-		// and is re-initialized per step, so the interface call's
-		// escape of &e.env costs nothing on the hot path.
-		e.env = Env{
-			self:      p,
-			n:         e.cfg.N,
-			stepIndex: e.stepCount[p],
-			topo:      e.cfg.Topology,
-			links:     e.links,
-			out:       e.out[:0],
-		}
-		e.procs[p].Step(&e.env, m)
-		e.stepCount[p]++
-		ev.Processed = true
-		ev.Note = e.env.note
-		for _, out := range e.env.out {
-			e.sendMessage(p, ev.Index, m.RecvTime, out.to, out.payload)
-		}
-		// Keep the (possibly grown) send buffer, cleared of payload
-		// references so pooled storage does not pin process data.
-		e.out = e.env.out[:0]
-		clearSends(e.env.out)
-	}
-	e.recordEvent(ev, m)
-
-	if e.cfg.Monitor != nil {
-		if err := e.cfg.Monitor(e.trace); err != nil {
-			e.monitorErr = err
-			return true
-		}
-	}
-	return ev.Processed && e.cfg.Until != nil && e.cfg.Until(e.procs)
 }
 
 // downAt reports whether t falls inside one of the sorted intervals.

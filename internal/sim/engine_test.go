@@ -126,55 +126,6 @@ func TestEngineReuseHermetic(t *testing.T) {
 	}
 }
 
-// TestEngineShardModeSwitchHermetic extends the reuse-hermeticity suite
-// across execution modes: running config A serial, then B sharded, then A
-// serial again (and the mirrored parallel→serial→parallel order) on one
-// pooled Engine must reproduce a fresh run of A exactly. The sharded
-// mode's pooled state — shard queues, inboxes, window buffers, the
-// lookahead — must be as invisible between runs as the serial pools are.
-func TestEngineShardModeSwitchHermetic(t *testing.T) {
-	cfgs := engineTestConfigs()
-	for nameA, cfgA := range cfgs {
-		for _, aShards := range []int{1, 4} {
-			a := cfgA
-			a.Shards = aShards
-			fresh, err := Run(a)
-			if err != nil {
-				t.Fatalf("%s: fresh run: %v", nameA, err)
-			}
-			want := fresh.Trace.Hash()
-			for nameB, cfgB := range cfgs {
-				// B runs in the opposite mode of A, forcing a mode switch
-				// both into and out of the sharded engine.
-				b := cfgB
-				if aShards == 1 {
-					b.Shards = 4
-				} else {
-					b.Shards = 1
-				}
-				e := NewEngine()
-				first, err := e.Run(a)
-				if err != nil {
-					t.Fatalf("A=%s(x%d) B=%s: first A: %v", nameA, aShards, nameB, err)
-				}
-				if _, err := e.Run(b); err != nil {
-					t.Fatalf("A=%s(x%d) B=%s: B: %v", nameA, aShards, nameB, err)
-				}
-				second, err := e.Run(a)
-				if err != nil {
-					t.Fatalf("A=%s(x%d) B=%s: second A: %v", nameA, aShards, nameB, err)
-				}
-				if first.Trace.Hash() != want {
-					t.Errorf("A=%s(x%d) B=%s: first engine run of A differs from fresh run", nameA, aShards, nameB)
-				}
-				if second.Trace.Hash() != want {
-					t.Errorf("A=%s(x%d) B=%s: A after mode-switched B differs from fresh run (state leak)", nameA, aShards, nameB)
-				}
-			}
-		}
-	}
-}
-
 // TestEngineResultsDoNotAlias asserts that results of consecutive runs
 // share no mutable state: the first run's trace must be unchanged (same
 // hash) after the engine has executed a different configuration.
@@ -195,22 +146,53 @@ func TestEngineResultsDoNotAlias(t *testing.T) {
 }
 
 // TestEngineRecoversFromConfigError verifies an Engine stays usable after
-// a rejected configuration.
+// a run that never completed: a rejected configuration (including a delay
+// policy that admits negative delays) or a process step that panics
+// mid-run. The next run on the same Engine must match a fresh run.
 func TestEngineRecoversFromConfigError(t *testing.T) {
-	e := NewEngine()
-	if _, err := e.Run(Config{N: 0}); err == nil {
-		t.Fatal("N=0 accepted")
+	clean := engineTestConfigs()["uniform-n6"]
+	panicky := clean
+	panicky.Spawn = func(p ProcessID) Process {
+		return ProcessFunc(func(env *Env, msg Message) {
+			if p == 5 && env.StepIndex() == 1 {
+				panic("boom")
+			}
+			env.Broadcast(env.StepIndex())
+		})
 	}
-	cfg := engineTestConfigs()["uniform-n6"]
-	fresh, err := Run(cfg)
+	negative := clean
+	negative.Delays = UniformDelay{Min: rat.One, Max: rat.FromInt(-1)}
+	fresh, err := Run(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Trace.Hash() != fresh.Trace.Hash() {
-		t.Error("engine run after config error differs from fresh run")
+	for name, tc := range map[string]struct {
+		cfg    Config
+		panics any // the expected panic value; nil expects an error
+	}{
+		"config-error":   {cfg: Config{N: 0}},
+		"negative-delay": {cfg: negative},
+		"step-panic":     {cfg: panicky, panics: "boom"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			func() {
+				defer func() {
+					if r := recover(); r != tc.panics {
+						t.Errorf("panic = %v, want %v", r, tc.panics)
+					}
+				}()
+				if _, err := e.Run(tc.cfg); err == nil {
+					t.Error("bad run accepted")
+				}
+			}()
+			got, err := e.Run(clean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Trace.Hash() != fresh.Trace.Hash() {
+				t.Error("engine run after the failed run differs from fresh run")
+			}
+		})
 	}
 }

@@ -65,21 +65,7 @@ func deliveryKey(t Time) float64 {
 type eventQueue interface {
 	push(d delivery)
 	pop() delivery
-	// peek returns the delivery the next pop would return without
-	// consuming it (false when empty). The sharded engine's window loop
-	// uses it to find each shard's next-event time and to stop a drain at
-	// the safe horizon.
-	peek() (delivery, bool)
 	len() int
-}
-
-// deliveryLess is the exact total order (at, seq) with the cached float
-// key deciding most comparisons in one branch, as in heapQueue.less.
-func deliveryLess(a, b delivery) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.before(b)
 }
 
 // heapQueue is a hand-rolled binary min-heap ordered by (key, at, seq).
@@ -112,13 +98,6 @@ func (q *heapQueue) pop() delivery {
 		h[:n].down(0)
 	}
 	return d
-}
-
-func (q *heapQueue) peek() (delivery, bool) {
-	if len(*q) == 0 {
-		return delivery{}, false
-	}
-	return (*q)[0], true
 }
 
 func (q *heapQueue) len() int { return len(*q) }
@@ -297,18 +276,6 @@ func (q *bucketQueue) pop() delivery {
 	q.curIdx++
 	q.size--
 	return d
-}
-
-// peek primes the drain position exactly like pop and returns the head
-// without consuming it.
-func (q *bucketQueue) peek() (delivery, bool) {
-	if q.size == 0 {
-		return delivery{}, false
-	}
-	for q.curIdx >= len(q.cur) {
-		q.advance()
-	}
-	return q.cur[q.curIdx], true
 }
 
 // advance moves the drain position to the next non-empty bucket, sorting

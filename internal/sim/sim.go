@@ -56,18 +56,6 @@ type Config struct {
 	// memory: see Trace.Complete and the TotalEvents/StreamHash
 	// accessors, which work in every mode.
 	Sink Sink
-	// Shards, when > 1, asks the engine to execute the run on that many
-	// process shards with a conservative lookahead window (see shard.go):
-	// shards drain their calendar queues in parallel up to the global safe
-	// horizon, and the window is merged serially in the exact (time, seq)
-	// delivery order, so traces, digests, and verdicts are byte-identical
-	// at every shard count — sharding only changes wall-clock time. 0 and
-	// 1 select the serial engine. Configurations the conservative window
-	// cannot handle (Monitor/Until callbacks, Byzantine or amnesia faults,
-	// negative start times, or a delay policy with no positive lower
-	// bound, the zero-lookahead case) silently fall back to the serial
-	// path; Result.Shards reports the mode actually used.
-	Shards int
 }
 
 // Result of a run.
@@ -81,12 +69,6 @@ type Result struct {
 	// MonitorErr is the error with which Config.Monitor stopped the run,
 	// nil when no monitor was set or it never objected.
 	MonitorErr error
-	// Shards is the shard count the engine actually executed with: 1 for
-	// the serial path (including every fallback from a Config.Shards > 1
-	// request — see Config.Shards for the fallback conditions), the
-	// effective shard count otherwise. Results are identical either way;
-	// the field exists so tests can assert which path ran.
-	Shards int
 }
 
 // defaultMaxEvents bounds runaway executions of non-terminating algorithms

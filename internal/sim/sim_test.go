@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/rat"
@@ -355,22 +356,40 @@ func TestSendOutsideTopologyPanics(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	valid := twoProcConfig(1)
+	reversed := UniformDelay{Min: rat.FromInt(2), Max: rat.One}
 	tests := []struct {
 		name   string
 		mutate func(*Config)
+		want   string // error substring; "" checks only that Run fails
 	}{
-		{"zero N", func(c *Config) { c.N = 0 }},
-		{"nil spawn", func(c *Config) { c.Spawn = nil }},
-		{"nil delays", func(c *Config) { c.Delays = nil }},
-		{"bad start times", func(c *Config) { c.StartTimes = []Time{rat.Zero} }},
-		{"fault out of range", func(c *Config) { c.Faults = map[ProcessID]Fault{5: Crash(1)} }},
-		{"bad crash after", func(c *Config) { c.Faults = map[ProcessID]Fault{0: {CrashAfter: -7}} }},
+		{"zero N", func(c *Config) { c.N = 0 }, ""},
+		{"nil spawn", func(c *Config) { c.Spawn = nil }, ""},
+		{"nil delays", func(c *Config) { c.Delays = nil }, ""},
+		{"bad start times", func(c *Config) { c.StartTimes = []Time{rat.Zero} }, ""},
+		{"fault out of range", func(c *Config) { c.Faults = map[ProcessID]Fault{5: Crash(1)} }, ""},
+		{"bad crash after", func(c *Config) { c.Faults = map[ProcessID]Fault{0: {CrashAfter: -7}} }, ""},
+		{"negative constant delay", func(c *Config) { c.Delays = ConstantDelay{D: rat.New(-1, 2)} }, "constant delay -1/2 is negative"},
+		{"negative uniform minimum", func(c *Config) { c.Delays = UniformDelay{Min: rat.FromInt(-1), Max: rat.One} }, "negative minimum"},
+		{"reversed uniform bounds", func(c *Config) { c.Delays = reversed }, "uniform delay [2, 1] has maximum below minimum"},
+		{"reversed bounds on links", func(c *Config) {
+			// Two bad links: the error names the lowest, whatever the map order.
+			c.Delays = PerLinkDelay{
+				Default: ConstantDelay{D: rat.One},
+				Links:   map[Link]DelayPolicy{{From: 1, To: 0}: reversed, {From: 0, To: 1}: reversed},
+			}
+		}, "(link 0->1)"},
+		{"negative override", func(c *Config) {
+			c.Delays = OverrideDelay{Base: ConstantDelay{D: rat.One}, Override: ConstantDelay{D: rat.FromInt(-1)}}
+		}, "constant delay -1 is negative"},
 	}
 	for _, tt := range tests {
 		cfg := valid
 		tt.mutate(&cfg)
-		if _, err := Run(cfg); err == nil {
+		_, err := Run(cfg)
+		if err == nil {
 			t.Errorf("%s: no error", tt.name)
+		} else if !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("%s: error %q does not contain %q", tt.name, err, tt.want)
 		}
 	}
 }

@@ -46,15 +46,56 @@ func TestParseRetention(t *testing.T) {
 
 // TestRetentionEquivalence is the sink-equivalence contract at the engine
 // level: the same Config run under full, window, and none retention agrees
-// on every total and on the stream digest, and the window's retained
-// suffix is exactly the tail of the complete record.
+// on every total, on the stream digest, and on truncation, and the
+// window's retained suffix is exactly the tail of the complete record. The
+// truncated cases cut a lossy run mid-stream (MaxEvents) and a
+// partitioned one at a time horizon (MaxTime), so the bounded modes must
+// also stop at exactly the full-retention run's event.
 func TestRetentionEquivalence(t *testing.T) {
-	cfg := sinkTestConfig()
-	full, err := Run(cfg)
+	cases := map[string]struct {
+		cfg       func() Config
+		truncated bool
+	}{
+		"crash": {cfg: sinkTestConfig},
+		"lossy-max-events": {cfg: func() Config {
+			return Config{
+				N: 24, Spawn: broadcastSpawn(8),
+				Delays: UniformDelay{Min: rat.One, Max: rat.FromInt(2)},
+				Net: &NetFaults{
+					Drop: 0.15, Dup: 0.1,
+					Spike: SpikeRule{Prob: 0.2, Extra: rat.FromInt(3)},
+				},
+				Topology: Ring(24), Seed: 9, MaxEvents: 300,
+			}
+		}, truncated: true},
+		"partition-max-time": {cfg: func() Config {
+			return Config{
+				N: 16, Spawn: broadcastSpawn(20),
+				Delays: UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
+				Net: &NetFaults{Partitions: []Partition{{
+					From: rat.FromInt(2), Until: rat.FromInt(4),
+					A: []ProcessID{0, 1, 2, 3, 4, 5, 6, 7},
+				}}},
+				Topology: Ring(16), Seed: 13, MaxTime: rat.FromInt(5),
+			}
+		}, truncated: true},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			checkRetentionEquivalence(t, tc.cfg, tc.truncated)
+		})
+	}
+}
+
+func checkRetentionEquivalence(t *testing.T, build func() Config, truncated bool) {
+	full, err := Run(build())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ft := full.Trace
+	if full.Truncated != truncated {
+		t.Fatalf("full run truncated = %v, want %v", full.Truncated, truncated)
+	}
 	if !ft.Complete() || ft.Retention() != RetainFullMode {
 		t.Fatalf("default run not complete (retention %v)", ft.Retention())
 	}
@@ -76,7 +117,7 @@ func TestRetentionEquivalence(t *testing.T) {
 		{"window", RetainWindow(k)},
 		{"none", RetainNone()},
 	} {
-		cfg := sinkTestConfig()
+		cfg := build()
 		cfg.Sink = tc.sink
 		res, err := engine.Run(cfg)
 		if err != nil {
@@ -140,7 +181,7 @@ func TestRetentionEquivalence(t *testing.T) {
 
 	// The shared engine must still produce byte-identical full traces
 	// after bounded-mode runs (hermeticity across retention modes).
-	again, err := engine.Run(sinkTestConfig())
+	again, err := engine.Run(build())
 	if err != nil {
 		t.Fatal(err)
 	}

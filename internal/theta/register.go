@@ -26,7 +26,7 @@ func init() {
 			{Name: "theta", Kind: workload.Rational, Default: "7/4", Doc: "Θ bound on the delay ratio τ+/τ−"},
 			{Name: "xi", Kind: workload.Rational, Default: "2", Doc: "model parameter Ξ for the ABC check"},
 			{Name: "maxevents", Kind: workload.Int, Default: "0", Doc: "receive-event budget (0 = simulator default)"},
-		}, append(workload.TraceParams(), workload.ShardParams()...)...),
+		}, workload.TraceParams()...),
 		// CheckStatic scans every recorded message's realized delay.
 		VerdictNeedsTrace: true,
 		Job: func(v workload.Values, seed int64) (runner.Job, error) {

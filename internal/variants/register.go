@@ -31,7 +31,7 @@ func init() {
 			{Name: "min", Kind: workload.Rational, Default: "1", Doc: "minimum delay after the switch"},
 			{Name: "max", Kind: workload.Rational, Default: "3/2", Doc: "maximum delay after the switch"},
 			{Name: "maxevents", Kind: workload.Int, Default: "300000", Doc: "receive-event budget"},
-		}, append(workload.TraceParams(), workload.ShardParams()...)...),
+		}, workload.TraceParams()...),
 		Job: func(v workload.Values, seed int64) (runner.Job, error) {
 			n, f := v.Int("n"), v.Int("f")
 			if f < 0 || n < 3*f+1 {

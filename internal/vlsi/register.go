@@ -30,7 +30,7 @@ func init() {
 			{Name: "scale", Kind: workload.Rational, Default: "1", Doc: "technology-migration factor applied to every wire"},
 			{Name: "silent", Kind: workload.Int, Default: "0", Doc: "number of dead modules (fab defects), IDs n-1 downward"},
 			{Name: "maxevents", Kind: workload.Int, Default: "400000", Doc: "receive-event budget"},
-		}, append(workload.TopologyParams(), append(workload.FaultParams(), append(workload.TraceParams(), workload.ShardParams()...)...)...)...),
+		}, append(workload.TopologyParams(), append(workload.FaultParams(), workload.TraceParams()...)...)...),
 		Job:     vlsiJob,
 		Verdict: vlsiVerdict,
 		// The Theorem 3 precision check replays the recorded clock notes.

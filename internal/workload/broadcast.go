@@ -36,7 +36,7 @@ func init() {
 			{Name: "min", Kind: Rational, Default: "1", Doc: "minimum message delay"},
 			{Name: "max", Kind: Rational, Default: "3/2", Doc: "maximum message delay"},
 			{Name: "maxevents", Kind: Int, Default: "0", Doc: "receive-event budget (0 = simulator default)"},
-		}, append(TopologyParams(), append(FaultParams(), append(TraceParams(), ShardParams()...)...)...)...),
+		}, append(TopologyParams(), append(FaultParams(), TraceParams()...)...)...),
 		Job: func(v Values, seed int64) (runner.Job, error) {
 			topo, err := ResolveTopology(v, v.Int("n"))
 			if err != nil {

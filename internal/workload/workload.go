@@ -303,15 +303,6 @@ func (s Source) decorate(job runner.Job, v Values, opt JobOptions) (runner.Job, 
 			job.Cfg = &cfg
 		}
 	}
-	if job.Cfg != nil && v.Has("shards") {
-		// shards=1 is stamped too: it pins the serial engine even when the
-		// fleet-level runner.Options.Shards would otherwise parallelize.
-		if n := v.Int("shards"); n != 0 && job.Cfg.Shards == 0 {
-			cfg := *job.Cfg
-			cfg.Shards = n
-			job.Cfg = &cfg
-		}
-	}
 	if opt.Xi.Sign() > 0 {
 		job.Xi = opt.Xi
 	} else if job.Xi.Sign() <= 0 && v.Has("xi") {
