@@ -38,7 +38,7 @@
 //	abcsim -workload clocksync -n 7 -f 2 -runs 100 -workers 8
 //	abcsim -workload broadcast -n 3 -xi 3/2 -max 3 -watch
 //	abcsim -workload scenario -param fig=fig3 -sweep xi=3/2,2,3
-//	abcsim -workload vlsi -sweep scale=1,1/3 -param silent=1
+//	abcsim -workload vlsi -sweep scale=1,1/3 -param faults=crash/1
 //
 // Simulation workloads declare a topology axis (sim.ParseTopology syntax:
 // full, ring, torus[/RxC], regular/D, scalefree/M, islands/K; the sparse

@@ -228,11 +228,26 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		// engine panics.
 		{"-workload", "broadcast", "-param", "max=-1"},
 		{"-workload", "broadcast", "-param", "min=2", "-param", "max=1"},
+		// Ξ at or below 1 is a setup error, not a run without the ABC check.
+		{"-workload", "clocksync", "-param", "xi=0"},
+		{"-workload", "clocksync", "-xi", "-1"},
+		{"-workload", "clocksync", "-sweep", "xi=0,2"},
 	}
 	for _, args := range cases {
 		var out, errOut strings.Builder
 		if err := run(args, &out, &errOut); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+	// The removed per-source fault switches fail loudly: faults= is the
+	// only fault vocabulary.
+	for _, args := range [][]string{
+		{"-workload", "clocksync", "-param", "adversaries=true"},
+		{"-workload", "vlsi", "-param", "silent=1"},
+	} {
+		var out, errOut strings.Builder
+		if err := run(args, &out, &errOut); err == nil || !strings.Contains(err.Error(), "has no param") {
+			t.Errorf("args %v: err %v, want a has-no-param error", args, err)
 		}
 	}
 }
@@ -253,11 +268,17 @@ func TestRunList(t *testing.T) {
 	for _, want := range []string{
 		"registered workloads:",
 		"-param fig", // scenario's parameter space is printed
-		"-param adversaries",
+		"-param faults",
 		"rational",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("-list output missing %q:\n%s", want, got)
+		}
+	}
+	// faults= is the only fault vocabulary, and no param kind is bool.
+	for _, gone := range []string{"adversaries", "advseed", "silent", "bool"} {
+		if strings.Contains(got, gone) {
+			t.Errorf("-list output still mentions %q:\n%s", gone, got)
 		}
 	}
 }

@@ -21,13 +21,11 @@ func init() {
 		Doc:  "Byzantine clock synchronization (Algorithm 1) with Section 3 theorem monitors",
 		Params: append([]workload.Param{
 			{Name: "n", Kind: workload.Int, Default: "4", Doc: "number of processes (n >= 3f+1)"},
-			{Name: "f", Kind: workload.Int, Default: "1", Doc: "Byzantine fault bound"},
+			{Name: "f", Kind: workload.Int, Default: "1", Doc: "Byzantine fault bound: faults=byz/K (or any process-claiming clause) may claim at most f processes"},
 			{Name: "xi", Kind: workload.Rational, Default: "2", Doc: "model parameter Ξ"},
 			{Name: "target", Kind: workload.Int, Default: "10", Doc: "clock value every correct process must reach"},
 			{Name: "min", Kind: workload.Rational, Default: "1", Doc: "minimum message delay"},
 			{Name: "max", Kind: workload.Rational, Default: "3/2", Doc: "maximum message delay"},
-			{Name: "adversaries", Kind: workload.Bool, Default: "false", Doc: "run f live Byzantine adversaries on IDs n-1 downward (off: only the faults param injects faults; with faults=none every process is correct)"},
-			{Name: "advseed", Kind: workload.Int64, Default: "-1", Doc: "adversary seed; -1 derives it from the job seed"},
 			{Name: "maxevents", Kind: workload.Int, Default: "200000", Doc: "receive-event budget"},
 		}, append(workload.FaultParams(), workload.TraceParams()...)...),
 		Job:     clockSyncJob,
@@ -38,10 +36,10 @@ func init() {
 	})
 }
 
-// clockSyncByz is the ByzFactory behind the shared fault axis: the
-// deterministic adversary assortment, seeded by faultseed (the job seed
-// when negative, matching advseed's convention).
-func clockSyncByz(v workload.Values, seed int64) workload.ByzFactory {
+// ByzFactory is the workload.ByzFactory behind byz/K fault clauses for
+// Algorithm 1 and the protocols built on it (lockstep): the deterministic
+// adversary assortment, seeded by faultseed (the job seed when negative).
+func ByzFactory(v workload.Values, seed int64) workload.ByzFactory {
 	fseed := v.Int64("faultseed")
 	if fseed < 0 {
 		fseed = seed
@@ -56,15 +54,7 @@ func clockSyncJob(v workload.Values, seed int64) (runner.Job, error) {
 	if f < 0 || n < 3*f+1 {
 		return runner.Job{}, fmt.Errorf("clocksync: need n >= 3f+1, got n=%d f=%d", n, f)
 	}
-	faults, net, err := workload.SharedOrLegacyFaults(v, n, nil,
-		clockSyncByz(v, seed), v.Bool("adversaries"), "adversaries=true",
-		func() map[sim.ProcessID]sim.Fault {
-			advseed := v.Int64("advseed")
-			if advseed < 0 {
-				advseed = seed
-			}
-			return Adversaries(n, f, uint64(advseed))
-		})
+	faults, net, err := workload.ResolveFaults(v, n, nil, ByzFactory(v, seed))
 	if err != nil {
 		return runner.Job{}, err
 	}

@@ -350,12 +350,12 @@ func E05Fig5() (Result, error) {
 	m := core.MustModel(rat.FromInt(2))
 	x := m.PrecisionBound()
 	// Byzantine Algorithm 1 runs from the registry: the adversary seed
-	// derives from each job seed (advseed=-1). The source's bundled
+	// derives from each job seed (faultseed=-1). The source's bundled
 	// theorem verdict stays on — fleet() enforces it — unlike E10, which
 	// reports each theorem individually and switches it off.
 	jobs, err := sourceJobs("clocksync", map[string]string{
 		"n": "4", "f": "1", "xi": "2", "target": "10",
-		"adversaries": "true", "maxevents": "150000",
+		"faults": "byz/1", "maxevents": "150000",
 	}, runner.Seeds(0, 10), workload.JobOptions{})
 	if err != nil {
 		return res, err
@@ -555,7 +555,7 @@ func E10ClockSync() (Result, error) {
 	for _, tc := range sizes {
 		js, err := sourceJobs("clocksync", map[string]string{
 			"n": fmt.Sprint(tc.n), "f": fmt.Sprint(tc.f), "xi": "2", "target": "12",
-			"adversaries": "true", "advseed": "42", "maxevents": "200000",
+			"faults": fmt.Sprintf("byz/%d", tc.f), "faultseed": "42", "maxevents": "200000",
 		}, []int64{int64(tc.n)}, workload.JobOptions{NoVerdict: true})
 		if err != nil {
 			return res, err
@@ -594,7 +594,7 @@ func E11LockStep() (Result, error) {
 		allFaults[i] = clocksync.Adversaries(tc.n, tc.f, 7)
 		js, err := sourceJobs("lockstep", map[string]string{
 			"n": fmt.Sprint(tc.n), "f": fmt.Sprint(tc.f), "xi": "2", "target": "6",
-			"adversaries": "true", "advseed": "7", "maxevents": "300000",
+			"faults": fmt.Sprintf("byz/%d", tc.f), "faultseed": "7", "maxevents": "300000",
 		}, []int64{int64(tc.n)}, workload.JobOptions{NoVerdict: true})
 		if err != nil {
 			return res, err

@@ -33,13 +33,11 @@ func init() {
 		Doc:  "lock-step round simulation (Algorithm 2) with the Theorem 5 verdict",
 		Params: append([]workload.Param{
 			{Name: "n", Kind: workload.Int, Default: "4", Doc: "number of processes (n >= 3f+1)"},
-			{Name: "f", Kind: workload.Int, Default: "1", Doc: "Byzantine fault bound"},
+			{Name: "f", Kind: workload.Int, Default: "1", Doc: "Byzantine fault bound: faults=byz/K (or any process-claiming clause) may claim at most f processes"},
 			{Name: "xi", Kind: workload.Rational, Default: "2", Doc: "model parameter Ξ (round = ⌈2Ξ⌉ phases)"},
 			{Name: "target", Kind: workload.Int, Default: "6", Doc: "round every correct process must start"},
 			{Name: "min", Kind: workload.Rational, Default: "1", Doc: "minimum message delay"},
 			{Name: "max", Kind: workload.Rational, Default: "3/2", Doc: "maximum message delay"},
-			{Name: "adversaries", Kind: workload.Bool, Default: "false", Doc: "run f live Byzantine adversaries"},
-			{Name: "advseed", Kind: workload.Int64, Default: "-1", Doc: "adversary seed; -1 derives it from the job seed"},
 			{Name: "maxevents", Kind: workload.Int, Default: "300000", Doc: "receive-event budget"},
 		}, append(workload.FaultParams(), workload.TraceParams()...)...),
 		Job:     lockStepJob,
@@ -59,22 +57,7 @@ func lockStepJob(v workload.Values, seed int64) (runner.Job, error) {
 	if f < 0 || n < 3*f+1 {
 		return runner.Job{}, fmt.Errorf("lockstep: need n >= 3f+1, got n=%d f=%d", n, f)
 	}
-	fseed := v.Int64("faultseed")
-	if fseed < 0 {
-		fseed = seed
-	}
-	faults, net, err := workload.SharedOrLegacyFaults(v, n, nil,
-		func(i int, id sim.ProcessID, budget int) sim.Process {
-			return clocksync.Adversary(i, uint64(fseed), budget)
-		},
-		v.Bool("adversaries"), "adversaries=true",
-		func() map[sim.ProcessID]sim.Fault {
-			advseed := v.Int64("advseed")
-			if advseed < 0 {
-				advseed = seed
-			}
-			return clocksync.Adversaries(n, f, uint64(advseed))
-		})
+	faults, net, err := workload.ResolveFaults(v, n, nil, clocksync.ByzFactory(v, seed))
 	if err != nil {
 		return runner.Job{}, err
 	}

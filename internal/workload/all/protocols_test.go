@@ -6,6 +6,7 @@
 package all_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -202,6 +203,41 @@ func TestProtocolFaultGrids(t *testing.T) {
 				if r.CheckErr != nil {
 					t.Errorf("%s: domain verdict: %v", r.Key, r.CheckErr)
 				}
+			}
+		})
+	}
+}
+
+// TestFaultGrammarPinsLegacyExecutions pins the seed-1 stream hashes that
+// the removed per-source fault switches produced (clocksync and lockstep
+// adversaries=true with advseed=7 or the default job-seed derivation,
+// vlsi silent=1). The faults= spelling of each must keep reproducing
+// those executions bit for bit, with the domain verdict passing.
+func TestFaultGrammarPinsLegacyExecutions(t *testing.T) {
+	cases := []struct {
+		legacy string
+		spec   []string
+		hash   string
+	}{
+		{"adversaries=true advseed=7", []string{"clocksync", "faults=byz/1", "faultseed=7"}, "56596d440f86cf27"},
+		{"adversaries=true advseed=7", []string{"clocksync", "n=7", "f=2", "faults=byz/2", "faultseed=7"}, "406c3c4604bf54d5"},
+		{"adversaries=true", []string{"clocksync", "faults=byz/1"}, "fa9e20a4fff77a52"},
+		{"adversaries=true advseed=7", []string{"lockstep", "faults=byz/1", "faultseed=7"}, "1cc50353e00ec646"},
+		{"adversaries=true advseed=7", []string{"lockstep", "n=7", "f=2", "faults=byz/2", "faultseed=7"}, "e5a963c824831e21"},
+		{"adversaries=true", []string{"lockstep", "faults=byz/1"}, "9762caf7bc4aa6dc"},
+		{"silent=1", []string{"vlsi", "faults=crash/1"}, "1be9907bf4eaf484"},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.spec, "/"), func(t *testing.T) {
+			r := run(t, overrideJobs(t, tc.spec, workload.JobOptions{}), 1)[0]
+			if r.Key != tc.spec[0]+"/seed=1" {
+				t.Fatalf("first job is %q, want seed 1", r.Key)
+			}
+			if r.Err != nil || r.CheckErr != nil || !r.Admissible() {
+				t.Fatalf("err=%v checkErr=%v admissible=%v", r.Err, r.CheckErr, r.Admissible())
+			}
+			if got := fmt.Sprintf("%016x", r.Trace.StreamHash()); got != tc.hash {
+				t.Errorf("stream hash %s, want %s (legacy %s)", got, tc.hash, tc.legacy)
 			}
 		})
 	}

@@ -47,16 +47,16 @@ import (
 //
 // Process-claiming clauses (crash, byz, script, recover) take either a
 // count K — IDs assigned n-1 downward in clause order, matching the
-// repository convention (clocksync.Adversaries, vlsi's silent modules) —
-// or an explicit target pI (e.g. recover/p0@4..12 to take down process 0,
-// a leader, specifically). Sources validate the total against their own
+// repository convention (clocksync.Adversaries) — or an explicit target
+// pI (e.g. recover/p0@4..12 to take down process 0, a leader,
+// specifically). Sources validate the total against their own
 // resilience bound f via len(faults).
 func FaultParams() []Param {
 	return []Param{
 		{Name: "faults", Kind: String, Default: "none",
 			Doc: "fault spec: none, or '+'-joined crash/K[@S], byz/K[@B], script/K[@T], recover/K@S..E, drop/P, dup/P, spike/P[@D], partition/halves|pI@S..E (K is a count or an explicit pI target)"},
 		{Name: "faultseed", Kind: Int64, Default: "-1",
-			Doc: "seed for Byzantine adversaries; -1 derives it from the job seed"},
+			Doc: "seed for the Byzantine processes of byz/ clauses; -1 derives it from the job seed"},
 		{Name: "recovery", Kind: String, Default: "durable",
 			Doc: "state a recover/ process resumes with: durable (keeps its state) or amnesia (respawned from scratch)"},
 		{Name: "inflight", Kind: String, Default: "drop",
@@ -319,23 +319,6 @@ func Recovering(v Values) bool {
 		}
 	}
 	return false
-}
-
-// SharedOrLegacyFaults resolves the shared fault axis unless the
-// source's legacy fault switch (clocksync/lockstep `adversaries`, vlsi
-// `silent`) is engaged, in which case legacy supplies the map and a
-// non-none spec is a conflict error — both conventions assign IDs n-1
-// downward, so combining them would double-book processes silently.
-func SharedOrLegacyFaults(v Values, n int, topo sim.Topology, byz ByzFactory,
-	legacyOn bool, legacyName string, legacy func() map[sim.ProcessID]sim.Fault) (map[sim.ProcessID]sim.Fault, *sim.NetFaults, error) {
-	if legacyOn {
-		if spec := v.String("faults"); spec != "none" && spec != "" {
-			return nil, nil, fmt.Errorf("workload: %s: fault spec %q conflicts with %s (both assign IDs n-1 downward)",
-				v.source, spec, legacyName)
-		}
-		return legacy(), nil, nil
-	}
-	return ResolveFaults(v, n, topo, byz)
 }
 
 // insertInterval inserts iv into the schedule keeping it sorted by From.

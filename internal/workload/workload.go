@@ -41,7 +41,6 @@ const (
 	Int Kind = iota
 	Int64
 	Rational
-	Bool
 	String
 )
 
@@ -53,8 +52,6 @@ func (k Kind) String() string {
 		return "int64"
 	case Rational:
 		return "rational"
-	case Bool:
-		return "bool"
 	case String:
 		return "string"
 	default:
@@ -83,8 +80,6 @@ func (p Param) checkValue(v string) error {
 		_, err = strconv.ParseInt(v, 10, 64)
 	case Rational:
 		_, err = rat.Parse(v)
-	case Bool:
-		_, err = strconv.ParseBool(v)
 	case String:
 		// any value is a string
 	default:
@@ -134,12 +129,6 @@ func (v Values) Int64(name string) int64 {
 // Rat returns a Rational parameter.
 func (v Values) Rat(name string) rat.Rat {
 	return rat.MustParse(v.lookup(name, Rational))
-}
-
-// Bool returns a Bool parameter.
-func (v Values) Bool(name string) bool {
-	b, _ := strconv.ParseBool(v.lookup(name, Bool))
-	return b
 }
 
 // String returns a String parameter.
@@ -334,12 +323,28 @@ func (s Source) decorate(job runner.Job, v Values, opt JobOptions) (runner.Job, 
 	return job, nil
 }
 
+// checkXi rejects a declared xi parameter at or below 1. The ABC model
+// needs Ξ > 1, and decorate reads a non-positive Ξ as "no admissibility
+// check", so such a value would otherwise run unchecked instead of failing.
+func (s Source) checkXi(v Values) error {
+	if !v.Has("xi") {
+		return nil
+	}
+	if xi := v.Rat("xi"); !xi.Greater(rat.One) {
+		return fmt.Errorf("workload: %s: xi=%v: Ξ must be a rational > 1", s.Name, xi)
+	}
+	return nil
+}
+
 // Jobs expands one parameter point across seeds into decorated fleet jobs:
 // Xi/Watch/Ratio per opt, the domain verdict wired into Job.Post, keys
 // "name/seed=N".
 func (s Source) Jobs(v Values, seeds []int64, opt JobOptions) ([]runner.Job, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{0}
+	}
+	if err := s.checkXi(v); err != nil {
+		return nil, err
 	}
 	jobs := make([]runner.Job, 0, len(seeds))
 	for _, seed := range seeds {
@@ -378,6 +383,9 @@ func (s Source) Grid(base Values, axes []runner.Axis, seeds []int64, opt JobOpti
 				if v, err = v.Set(name, value); err != nil {
 					return runner.Job{}, err
 				}
+			}
+			if err := s.checkXi(v); err != nil {
+				return runner.Job{}, err
 			}
 			job, err := s.Job(v, seed)
 			if err != nil {

@@ -22,7 +22,7 @@ func testSource(name string) Source {
 			{Name: "steps", Kind: Int, Default: "2", Doc: "broadcast steps"},
 			{Name: "xi", Kind: Rational, Default: "2", Doc: "model parameter"},
 			{Name: "label", Kind: String, Default: "", Doc: "free-form tag"},
-			{Name: "strict", Kind: Bool, Default: "false", Doc: "a bool"},
+			{Name: "strict", Kind: Int, Default: "0", Doc: "nonzero: an inadmissible run fails the verdict"},
 			{Name: "budget", Kind: Int64, Default: "0", Doc: "an int64"},
 		},
 		Job: func(v Values, seed int64) (runner.Job, error) {
@@ -35,7 +35,7 @@ func testSource(name string) Source {
 			return runner.Job{Cfg: &cfg}, nil
 		},
 		Verdict: func(v Values, r *runner.JobResult) error {
-			if v.Bool("strict") && r.Verdict != nil && !r.Verdict.Admissible {
+			if v.Int("strict") != 0 && r.Verdict != nil && !r.Verdict.Admissible {
 				return fmt.Errorf("strict source saw inadmissible run")
 			}
 			return nil
@@ -52,16 +52,16 @@ func TestResolveDefaultsAndOverrides(t *testing.T) {
 	if v.Int("n") != 3 || v.Int("steps") != 2 || !v.Rat("xi").Equal(rat.FromInt(2)) {
 		t.Errorf("defaults not applied: n=%d steps=%d xi=%v", v.Int("n"), v.Int("steps"), v.Rat("xi"))
 	}
-	if v.String("label") != "" || v.Bool("strict") || v.Int64("budget") != 0 {
+	if v.String("label") != "" || v.Int("strict") != 0 || v.Int64("budget") != 0 {
 		t.Error("zero-ish defaults not applied")
 	}
 
-	v, err = s.Resolve(map[string]string{"n": "5", "xi": "7/4", "strict": "true", "budget": "9000000000"})
+	v, err = s.Resolve(map[string]string{"n": "5", "xi": "7/4", "strict": "1", "budget": "9000000000"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Int("n") != 5 || !v.Rat("xi").Equal(rat.New(7, 4)) || !v.Bool("strict") || v.Int64("budget") != 9000000000 {
-		t.Errorf("overrides not applied: %d %v %v %d", v.Int("n"), v.Rat("xi"), v.Bool("strict"), v.Int64("budget"))
+	if v.Int("n") != 5 || !v.Rat("xi").Equal(rat.New(7, 4)) || v.Int("strict") != 1 || v.Int64("budget") != 9000000000 {
+		t.Errorf("overrides not applied: %d %v %d %d", v.Int("n"), v.Rat("xi"), v.Int("strict"), v.Int64("budget"))
 	}
 
 	if _, err := s.Resolve(map[string]string{"nope": "1"}); err == nil {
@@ -74,7 +74,7 @@ func TestResolveDefaultsAndOverrides(t *testing.T) {
 		t.Error("malformed rational accepted")
 	}
 	if _, err := s.Resolve(map[string]string{"strict": "maybe"}); err == nil {
-		t.Error("malformed bool accepted")
+		t.Error("non-integer strict accepted")
 	}
 }
 
@@ -242,6 +242,27 @@ func TestGridExpansionOrderAndKeys(t *testing.T) {
 	}
 	if _, err := s.Grid(base, []runner.Axis{{Param: "n", Values: []string{"bad"}}}, nil, JobOptions{}); err == nil {
 		t.Error("grid accepted a malformed axis value")
+	}
+}
+
+// TestXiAtOrBelowOneRejected pins that a declared xi <= 1 fails job build,
+// through both Jobs and a Grid axis, instead of reading as "no Ξ" and
+// running without the admissibility check.
+func TestXiAtOrBelowOneRejected(t *testing.T) {
+	s := testSource("xi-test")
+	for _, xi := range []string{"1", "1/2", "0", "-1"} {
+		v, err := s.Resolve(map[string]string{"xi": xi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "xi-test: xi=" + xi + ":"
+		if _, err := s.Jobs(v, nil, JobOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Jobs with xi=%s: %v, want an error containing %q", xi, err, want)
+		}
+		base, _ := s.Resolve(nil)
+		if _, err := s.Grid(base, []runner.Axis{{Param: "xi", Values: []string{"2", xi}}}, nil, JobOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Grid with xi=2,%s: %v, want an error containing %q", xi, err, want)
+		}
 	}
 }
 
