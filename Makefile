@@ -82,14 +82,16 @@ fleet-bench:
 
 # cli-smoke drives abcsim end to end over the headline fault grids: a
 # crash-at-step sweep, a Byzantine-budget grid, a recovery and partition
-# sweep, Ω leader recovery, and VLSI technology migration with a dead
-# module.
+# sweep, Ω leader recovery, VLSI technology migration with a dead
+# module, and a watched 64-process full mesh (deep causal chains through
+# the incremental checker over a sliding window).
 cli-smoke:
 	$(GO) run ./cmd/abcsim -workload consensus -param algo=floodset -sweep faults=none,crash/1@0,crash/1@2 -runs 2
 	$(GO) run ./cmd/abcsim -workload clocksync -sweep faults=byz/1@20,byz/1@60 -runs 2
 	$(GO) run ./cmd/abcsim -workload broadcast -sweep faults=none,recover/1@2..4,partition/halves@2..5 -runs 2
 	$(GO) run ./cmd/abcsim -workload omega -param faults=recover/p0@4..12 -runs 2
 	$(GO) run ./cmd/abcsim -workload vlsi -sweep scale=1,1/3 -param faults=crash/1 -runs 2
+	$(GO) run ./cmd/abcsim -workload broadcast -param n=64 -param target=20 -param trace=window/4096 -watch
 
 # cover reports runner and sim coverage per function.
 cover:

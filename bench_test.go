@@ -141,13 +141,15 @@ func BenchmarkChecker(b *testing.B) {
 }
 
 // BenchmarkMaxRelevantRatio measures the exact Stern–Brocot critical-ratio
-// search.
+// search on BenchmarkChecker's inadmissible graph: its delays in [1, 10]
+// give a critical ratio well above 1, so the search descends instead of
+// stopping at one probe.
 func BenchmarkMaxRelevantRatio(b *testing.B) {
-	g := benchGraph(b, 5, 15)
+	g := causality.Build(benchTrace(b, 8, 40, rat.FromInt(10)), causality.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := check.MaxRelevantRatio(g); err != nil {
-			b.Fatal(err)
+		if _, found, err := check.MaxRelevantRatio(g); err != nil || !found {
+			b.Fatalf("critical ratio: found=%v err=%v", found, err)
 		}
 	}
 }
@@ -209,6 +211,36 @@ func BenchmarkIncrementalChecker(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(checkpoints), "checks/op")
+	})
+	// dense appends a 64-process full-mesh broadcast one event at a time,
+	// the watcher's cadence: deep causal chains, where a potential that
+	// drags repairs back through history shows as repairs and finalized
+	// nodes per op.
+	b.Run("dense", func(b *testing.B) {
+		dense := benchTrace(b, 64, 5, rat.New(3, 2))
+		var st check.RepairStats
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			shell := &sim.Trace{N: dense.N, Msgs: dense.Msgs, Faulty: dense.Faulty}
+			inc, err := check.NewIncremental(shell, xi, causality.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for j := 1; j <= len(dense.Events); j++ {
+				shell.Events = dense.Events[:j]
+				v, err := inc.Step()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !v.Admissible {
+					b.Fatal("benchmark workload must stay admissible")
+				}
+			}
+			st = inc.Stats()
+		}
+		b.ReportMetric(float64(len(dense.Events)), "events/op")
+		b.ReportMetric(float64(st.Repairs), "repairs/op")
+		b.ReportMetric(float64(st.Finalized), "finalized/op")
 	})
 	b.Run("batch", func(b *testing.B) {
 		events := make([]sim.Event, 0, len(tr.Events))

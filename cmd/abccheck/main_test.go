@@ -156,6 +156,19 @@ func TestRunExtraChecks(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOversizedXi pins that a Ξ whose numerator or denominator
+// overflows int64 is an error (exit 2), not a panic or a verdict.
+func TestRunRejectsOversizedXi(t *testing.T) {
+	path := writeTrace(t, admissibleTrace(t))
+	for _, xi := range []string{"99999999999999999999/3", "99999999999999999999/99999999999999999998"} {
+		var out, errOut strings.Builder
+		err := run([]string{"-xi", xi, path}, &out, &errOut)
+		if err == nil || errors.Is(err, errInadmissible) || !strings.Contains(err.Error(), "overflows int64") {
+			t.Errorf("-xi %s: err = %v, want an int64 overflow error", xi, err)
+		}
+	}
+}
+
 func TestRunUsageErrors(t *testing.T) {
 	var out, errOut strings.Builder
 	if err := run([]string{}, &out, &errOut); err == nil || errors.Is(err, errInadmissible) {

@@ -232,6 +232,9 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		{"-workload", "clocksync", "-param", "xi=0"},
 		{"-workload", "clocksync", "-xi", "-1"},
 		{"-workload", "clocksync", "-sweep", "xi=0,2"},
+		// A Ξ beyond int64 is a setup error, not a panic in the checker.
+		{"-workload", "broadcast", "-param", "xi=99999999999999999999/3"},
+		{"-workload", "broadcast", "-param", "xi=99999999999999999999/3", "-watch"},
 	}
 	for _, args := range cases {
 		var out, errOut strings.Builder

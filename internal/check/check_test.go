@@ -20,6 +20,28 @@ func TestXiValidation(t *testing.T) {
 	}
 }
 
+// TestXiOverflowIsError pins that a Ξ whose numerator or denominator
+// overflows int64 is an error from every checker entry point, not a panic
+// in the constraint-weight conversion.
+func TestXiOverflowIsError(t *testing.T) {
+	fig := scenario.BuildFig1()
+	for _, s := range []string{"99999999999999999999/3", "99999999999999999999/99999999999999999998"} {
+		xi, err := rat.Parse(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ABC(fig.Graph, xi); err == nil {
+			t.Errorf("ABC with Ξ=%s accepted", s)
+		}
+		if _, err := NewIncremental(fig.Trace, xi, causality.Options{}); err == nil {
+			t.Errorf("NewIncremental with Ξ=%s accepted", s)
+		}
+		if _, err := NewWatcher(xi, causality.Options{}); err == nil {
+			t.Errorf("NewWatcher with Ξ=%s accepted", s)
+		}
+	}
+}
+
 func TestFig1Admissibility(t *testing.T) {
 	fig := scenario.BuildFig1()
 	// Critical ratio is 5/4: admissible for Ξ > 5/4 only.

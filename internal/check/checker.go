@@ -60,15 +60,27 @@ type Verdict struct {
 // ABC checks the execution graph against the ABC synchrony condition for
 // the given Ξ. It runs in O(V·E) time and is exact.
 func ABC(g *causality.Graph, xi rat.Rat) (Verdict, error) {
-	if !xi.Greater(rat.One) {
-		return Verdict{}, ErrXiOutOfRange
+	a, b, err := xiParts(xi)
+	if err != nil {
+		return Verdict{}, err
 	}
-	a, b := xi.Num(), xi.Den()
 	p, err := newProber(g)
 	if err != nil {
 		return Verdict{}, err
 	}
 	return p.probe(a, b, true)
+}
+
+// xiParts returns Ξ = a/b in lowest terms, rejecting Ξ <= 1 and a Ξ beyond
+// the int64 constraint weights.
+func xiParts(xi rat.Rat) (a, b int64, err error) {
+	a, b, ok := xi.Inline()
+	if !xi.Greater(rat.One) {
+		err = ErrXiOutOfRange
+	} else if !ok {
+		err = fmt.Errorf("check: Ξ=%v: numerator or denominator overflows int64", xi)
+	}
+	return a, b, err
 }
 
 // constraint edge label encoding: label = 3*edgeID + kind.

@@ -27,13 +27,17 @@ import (
 //     change on every append and invalidate all existing weights. Pair
 //     weights never change once written, which is what makes the system
 //     append-only.
-//   - Each new constraint arc is inserted with a Cotton–Maler repair
-//     (SAT-solver-style incremental difference-constraint propagation):
-//     the previous potential makes every old arc's reduced cost
-//     non-negative, so a Dijkstra over reduced costs starting at the new
-//     arc's head repairs the potential touching only the affected region,
-//     ~O(affected·log affected) per arc. Popping the new arc's tail proves
-//     a lexicographically negative cycle through the arc — infeasibility.
+//   - The potential is p = −x, the negated earliest schedule: arcs are
+//     stored reversed and a fresh node is seeded at the minimum over its
+//     incoming arcs, so only a message upper bound that binds violates it.
+//     Such an arc is inserted with a Cotton–Maler repair (SAT-solver-style
+//     incremental difference-constraint propagation): the previous
+//     potential makes every old arc's reduced cost non-negative, so a
+//     Dijkstra over reduced costs starting at the new arc's head repairs
+//     the potential touching only the affected region, ~O(affected·log
+//     affected) per arc. Repairs push events later, forward into the
+//     causal future, not back through history. Popping the new arc's tail
+//     proves a lexicographically negative cycle through the arc.
 //   - On infeasibility the engine falls back once to the exact batch
 //     Yen-sweep Bellman–Ford prober to extract the violating relevant
 //     cycle (Theorem 7 witness), then latches: the graph only grows, and
@@ -46,11 +50,10 @@ import (
 // An Incremental is not safe for concurrent use.
 type Incremental struct {
 	bld  *causality.Builder
-	xi   rat.Rat
 	a, b int64
 
-	// out is the constraint digraph's out-adjacency; dist the feasible
-	// potential (super-source semantics: new nodes start at (0, 0)).
+	// out is the reversed constraint digraph's out-adjacency; dist the
+	// feasible potential −x (nodes without arcs sit at (0, 0)).
 	out  [][]carc
 	dist []pair
 
@@ -61,6 +64,7 @@ type Incremental struct {
 	doneGen []uint32
 	gen     uint32
 	heap    []repairItem
+	stats   RepairStats
 
 	infeasible bool
 	verdict    Verdict
@@ -79,6 +83,14 @@ type carc struct {
 	m  int64
 }
 
+// RepairStats counts an Incremental's constraint work since creation.
+type RepairStats struct {
+	Inserted  int64 // constraint arcs inserted
+	Repairs   int64 // inserts whose arc the potential violated
+	Finalized int64 // nodes whose potential a repair moved
+	Scanned   int64 // arcs scanned by repairs
+}
+
 type repairItem struct {
 	key  pair // γ = candidate − dist, lexicographically negative
 	node int32
@@ -89,20 +101,15 @@ type repairItem struct {
 // the last call. The trace must grow in causal delivery order (anything
 // the simulator produces does; see causality.Builder).
 func NewIncremental(t *sim.Trace, xi rat.Rat, opts causality.Options) (*Incremental, error) {
-	if !xi.Greater(rat.One) {
-		return nil, ErrXiOutOfRange
+	a, b, err := xiParts(xi)
+	if err != nil {
+		return nil, err
 	}
 	bld, err := causality.NewBuilder(t, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Incremental{
-		bld:      bld,
-		xi:       xi,
-		a:        xi.Num(),
-		b:        xi.Den(),
-		failedAt: -1,
-	}, nil
+	return &Incremental{bld: bld, a: a, b: b, failedAt: -1}, nil
 }
 
 // Step consumes the trace events appended since the last call and returns
@@ -142,48 +149,34 @@ func (inc *Incremental) Step() (Verdict, error) {
 	// New edges arrive grouped by their head — every edge's To is that
 	// batch event's fresh node (local edge first, then the message edge,
 	// in builder order). Before inserting a node's arcs, seed its
-	// potential at the highest feasible value: the message upper bound
-	// dist[sender] + (a, −1) when it has one, one message-width above its
-	// local predecessor otherwise. A fresh node's potential is a free
-	// choice (it has no arcs yet), and seeding high leaves the lower-bound
-	// arcs slack, so the common insert is a no-op instead of a repair
-	// cascade through the node's whole causal past.
+	// potential at the minimum over its incoming reversed arcs: local
+	// predecessor + (0, −1), sender + (−b, −1). Those arcs are then
+	// satisfied, so only the message upper bound can start a repair.
 	edges := g.Edges()
 	for i := prevE; i < len(edges); {
 		node := edges[i].To
 		j := i
-		seed := pair{}
-		seeded := false
 		for ; j < len(edges) && edges[j].To == node; j++ {
-			from := edges[j].From
+			from, w := edges[j].From, int64(0)
 			if edges[j].Kind == causality.Message {
-				// At most one incoming message per event; its upper bound
-				// caps the node, overriding any local-based seed.
-				seed = pair{inc.dist[from].m + inc.a, inc.dist[from].k - 1}
-				seeded = true
-				break
+				w = -inc.b
 			}
-			if !seeded {
-				seed = pair{inc.dist[from].m + inc.a, inc.dist[from].k - 1}
-				seeded = true
+			if c := (pair{inc.dist[from].m + w, inc.dist[from].k - 1}); j == i || c.less(inc.dist[node]) {
+				inc.dist[node] = c
 			}
 		}
-		for ; j < len(edges) && edges[j].To == node; j++ {
-		}
-		inc.dist[node] = seed
-
 		for ; i < j; i++ {
 			e := edges[i]
 			feasible := true
 			switch e.Kind {
 			case causality.Message:
-				// 1 < t(v) − t(u) < a/b: upper arc u→v with m=+a, lower
-				// arc v→u with m=−b.
-				feasible = inc.insert(int32(e.From), carc{to: int32(e.To), m: inc.a}) &&
-					inc.insert(int32(e.To), carc{to: int32(e.From), m: -inc.b})
+				// 1 < t(v) − t(u) < a/b: upper arc v→u with m=+a, lower
+				// arc u→v with m=−b.
+				feasible = inc.insert(int32(e.To), carc{to: int32(e.From), m: inc.a}) &&
+					inc.insert(int32(e.From), carc{to: int32(e.To), m: -inc.b})
 			case causality.Local:
-				// t(v) − t(u) > 0: arc v→u with m=0.
-				feasible = inc.insert(int32(e.To), carc{to: int32(e.From), m: 0})
+				// t(v) − t(u) > 0: arc u→v with m=0.
+				feasible = inc.insert(int32(e.From), carc{to: int32(e.To), m: 0})
 			default:
 				return Verdict{}, fmt.Errorf("check: unknown edge kind %v", e.Kind)
 			}
@@ -202,10 +195,12 @@ func (inc *Incremental) Step() (Verdict, error) {
 // (the system became infeasible).
 func (inc *Incremental) insert(tail int32, a carc) bool {
 	inc.out[tail] = append(inc.out[tail], a)
+	inc.stats.Inserted++
 	nd := pair{inc.dist[tail].m + a.m, inc.dist[tail].k - 1}
 	if !nd.less(inc.dist[a.to]) {
 		return true // potential already satisfies the new arc
 	}
+	inc.stats.Repairs++
 	return inc.repair(tail, a.to, nd)
 }
 
@@ -242,6 +237,8 @@ func (inc *Incremental) repair(tail, head int32, nd pair) bool {
 		inc.doneGen[x] = gen
 		inc.dist[x] = inc.cand[x]
 		dx := inc.dist[x]
+		inc.stats.Finalized++
+		inc.stats.Scanned += int64(len(inc.out[x]))
 		for _, arc := range inc.out[x] {
 			y := arc.to
 			if inc.doneGen[y] == gen {
@@ -282,8 +279,8 @@ func (inc *Incremental) fallback(g *causality.Graph) (Verdict, error) {
 }
 
 // Certify returns the current verdict with certificates materialized: for
-// an admissible graph, a normalized delay assignment (Theorem 7) built
-// from the live potential in O(V); for an inadmissible one, the latched
+// an admissible graph, a normalized delay assignment (Theorem 7), the
+// negated live potential, in O(V); for an inadmissible one, the latched
 // witness verdict.
 func (inc *Incremental) Certify() (Verdict, error) {
 	if inc.infeasible {
@@ -310,7 +307,7 @@ func (inc *Incremental) Certify() (Verdict, error) {
 	}
 	scaled := make([]int64, n)
 	for i, d := range inc.dist[:n] {
-		scaled[i] = d.m*s + d.k
+		scaled[i] = -(d.m*s + d.k)
 	}
 	return Verdict{Admissible: true, Assignment: newAssignment(g, scaled, inc.b*s)}, nil
 }
@@ -321,6 +318,9 @@ func abs64(x int64) int64 {
 	}
 	return x
 }
+
+// Stats returns the constraint work counters.
+func (inc *Incremental) Stats() RepairStats { return inc.stats }
 
 // Verdict returns the most recent Step verdict.
 func (inc *Incremental) Verdict() Verdict { return inc.verdict }

@@ -123,6 +123,7 @@ func TestIncrementalDifferential(t *testing.T) {
 
 	engine := sim.NewEngine()
 	schedules, violations := 0, 0
+	var work RepairStats
 	for _, tp := range topos {
 		for _, dl := range delays {
 			for xiIdx, xi := range xis {
@@ -176,6 +177,9 @@ func TestIncrementalDifferential(t *testing.T) {
 								break
 							}
 						}
+						st := inc.Stats()
+						work.Repairs += st.Repairs
+						work.Finalized += st.Finalized
 					}
 				}
 			}
@@ -187,6 +191,14 @@ func TestIncrementalDifferential(t *testing.T) {
 	}
 	if violations == 0 || violations == schedules {
 		t.Fatalf("degenerate grid: %d/%d violations — both verdict classes must be exercised", violations, schedules)
+	}
+	// Fresh nodes are seeded where their arcs hold, so repairs are rare on
+	// simulator traces; the grid must still drive the repair path, and
+	// through a repair that moves more than one node (more nodes finalized
+	// than repairs run).
+	t.Logf("%d repairs finalized %d nodes", work.Repairs, work.Finalized)
+	if work.Repairs == 0 || work.Finalized <= work.Repairs {
+		t.Fatalf("grid left the repair path cold: %d repairs finalized %d nodes", work.Repairs, work.Finalized)
 	}
 }
 

@@ -27,8 +27,8 @@ type Watcher struct {
 // NewWatcher returns a watcher for ABC(Ξ). The incremental engine binds
 // to the run's trace on the first Monitor call.
 func NewWatcher(xi rat.Rat, opts causality.Options) (*Watcher, error) {
-	if !xi.Greater(rat.One) {
-		return nil, ErrXiOutOfRange
+	if _, _, err := xiParts(xi); err != nil {
+		return nil, err
 	}
 	return &Watcher{xi: xi, opts: opts}, nil
 }

@@ -323,15 +323,21 @@ func (s Source) decorate(job runner.Job, v Values, opt JobOptions) (runner.Job, 
 	return job, nil
 }
 
-// checkXi rejects a declared xi parameter at or below 1. The ABC model
-// needs Ξ > 1, and decorate reads a non-positive Ξ as "no admissibility
-// check", so such a value would otherwise run unchecked instead of failing.
+// checkXi rejects a declared xi parameter at or below 1, or one whose
+// numerator or denominator overflows int64. The ABC model needs Ξ > 1,
+// and decorate reads a non-positive Ξ as "no admissibility check", so such
+// a value would otherwise run unchecked instead of failing; the checkers
+// weigh constraints in int64, so an oversized Ξ could only fail mid-run.
 func (s Source) checkXi(v Values) error {
 	if !v.Has("xi") {
 		return nil
 	}
-	if xi := v.Rat("xi"); !xi.Greater(rat.One) {
+	xi := v.Rat("xi")
+	if !xi.Greater(rat.One) {
 		return fmt.Errorf("workload: %s: xi=%v: Ξ must be a rational > 1", s.Name, xi)
+	}
+	if _, _, ok := xi.Inline(); !ok {
+		return fmt.Errorf("workload: %s: xi=%v: Ξ numerator and denominator must fit in int64", s.Name, xi)
 	}
 	return nil
 }
