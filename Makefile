@@ -3,23 +3,15 @@ GO ?= go
 # Headline benchmarks guarded per-PR: the exact-arithmetic substrate and
 # its heaviest consumers. Keep in sync with .github/workflows/ci.yml.
 # BenchmarkSimulator's N=100k sparse cases are excluded from the smoke
-# (seconds per iteration); bench-json records the full grid.
+# (seconds per iteration). These are regression gates only; the
+# performance ledger is bench/run.sh (BENCHMARK.json).
 BENCH_SMOKE = BenchmarkChecker|BenchmarkMaxRelevantRatio|BenchmarkIncrementalChecker
 BENCH_SIM_SMOKE = BenchmarkSimulator/.*/^n=(8|100|10000)$$
+# The N=10^6 ring is seconds per iteration, so bench-smoke runs it alone,
+# once, under a hard time budget.
+BENCH_SIM_SCALE = BenchmarkSimulator/topo=ring/^n=1000000$$
 
-# Benchmarks recorded into $(BENCH_OUT) by bench-json: the smoke set, the
-# simulator topology grid up to N=100k, and graph construction. The N=10^6
-# ring is seconds per iteration, so bench-json runs it in a second,
-# shorter invocation and concatenates both streams into one benchjson
-# document (whose host block records cores and GOMAXPROCS).
-BENCH_JSON_MAIN = $(BENCH_SMOKE)|BenchmarkGraphBuild|BenchmarkSimulator/.*/^n=(8|100|10000|100000)$$
-BENCH_JSON_SCALE = BenchmarkSimulator/topo=ring/^n=1000000$$
-
-# Per-PR benchmark record; earlier PRs' files stay in the repository so
-# the trajectory can be diffed.
-BENCH_OUT ?= BENCH_pr10.json
-
-.PHONY: all build vet test race bench bench-smoke bench-json fuzz-smoke fleet-bench cover cli-smoke ci
+.PHONY: all build vet test race bench bench-smoke fuzz-smoke fleet-bench cover cli-smoke ci
 
 all: build
 
@@ -54,25 +46,18 @@ bench-smoke: fleet-bench
 	$(GO) test -run=NONE -bench='$(BENCH_SMOKE)' -benchmem -benchtime=10x .
 	$(GO) test -run=NONE -bench='$(BENCH_SIM_SMOKE)' -benchmem -benchtime=10x .
 	$(GO) test -run=NONE -bench='BenchmarkE18_CrossWorkload' -benchtime=1x .
-	$(GO) test -run=NONE -bench='$(BENCH_JSON_SCALE)' -benchmem -benchtime=1x -timeout 15m .
+	$(GO) test -run=NONE -bench='$(BENCH_SIM_SCALE)' -benchmem -benchtime=1x -timeout 15m .
 
-# bench-json records the perf trajectory: the headline benchmarks are
-# rendered to $(BENCH_OUT) (via cmd/benchjson) so per-PR numbers live
-# in the repository and can be diffed, not just quoted in CHANGES.md.
-bench-json:
-	( $(GO) test -run=NONE -bench='$(BENCH_JSON_MAIN)' -benchmem -benchtime=20x . && \
-	  $(GO) test -run=NONE -bench='$(BENCH_JSON_SCALE)' -benchmem -benchtime=3x -timeout 30m . ) \
-	  | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
-	@echo wrote $(BENCH_OUT)
-
-# fuzz-smoke gives each differential fuzz target a short budget
-# (FUZZTIME); the seed corpus already pins the int64 overflow boundary, so
-# even 10s runs cross the promotion/demotion paths.
+# fuzz-smoke gives each fuzz target a short budget (FUZZTIME): the rat
+# differentials, whose seed corpus already pins the int64 overflow
+# boundary, so even 10s runs cross the promotion/demotion paths; the
+# fault grammar; and the JSON trace reader behind abccheck.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzArith -fuzztime=$(FUZZTIME) ./internal/rat
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/rat
 	$(GO) test -run=NONE -fuzz=FuzzParseFaults -fuzztime=$(FUZZTIME) ./internal/workload
+	$(GO) test -run=NONE -fuzz=FuzzReadJSON -fuzztime=$(FUZZTIME) ./cmd/abccheck
 
 # fleet-bench records the serial vs 8-worker wall-clock of the full E1–E18
 # evaluation through the runner (needs >= 8 hardware threads to show the
@@ -83,8 +68,10 @@ fleet-bench:
 # cli-smoke drives abcsim end to end over the headline fault grids: a
 # crash-at-step sweep, a Byzantine-budget grid, a recovery and partition
 # sweep, Ω leader recovery, VLSI technology migration with a dead
-# module, and a watched 64-process full mesh (deep causal chains through
-# the incremental checker over a sliding window).
+# module, a watched 64-process full mesh (deep causal chains through
+# the incremental checker over a sliding window), and the critical ratio
+# of a 6.1·10^4-event ring broadcast (past where a graph-size strictness
+# scale overflowed int64).
 cli-smoke:
 	$(GO) run ./cmd/abcsim -workload consensus -param algo=floodset -sweep faults=none,crash/1@0,crash/1@2 -runs 2
 	$(GO) run ./cmd/abcsim -workload clocksync -sweep faults=byz/1@20,byz/1@60 -runs 2
@@ -92,6 +79,7 @@ cli-smoke:
 	$(GO) run ./cmd/abcsim -workload omega -param faults=recover/p0@4..12 -runs 2
 	$(GO) run ./cmd/abcsim -workload vlsi -sweep scale=1,1/3 -param faults=crash/1 -runs 2
 	$(GO) run ./cmd/abcsim -workload broadcast -param n=64 -param target=20 -param trace=window/4096 -watch
+	$(GO) run ./cmd/abcsim -workload broadcast -param n=1000 -param topology=ring -param target=30
 
 # cover reports runner and sim coverage per function.
 cover:

@@ -86,7 +86,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !v.Admissible {
 		fmt.Fprintf(stdout, "  violating relevant cycle (|Z−|/|Z+| = %v):\n  %v\n",
 			v.WitnessClass.Ratio(), *v.Witness)
-	} else if ratio, found, err := check.MaxRelevantRatio(g); err == nil && found {
+	} else if ratio, found, err := check.MaxRelevantRatio(g); err != nil {
+		return fmt.Errorf("ratio search: %w", err)
+	} else if found {
 		fmt.Fprintf(stdout, "  critical ratio: %v\n", ratio)
 	}
 

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/causality"
+	"repro/internal/check"
 	"repro/internal/rat"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -177,4 +179,76 @@ func TestRunUsageErrors(t *testing.T) {
 	if err := run([]string{"/no/such/file.json"}, &out, &errOut); err == nil {
 		t.Error("nonexistent file accepted")
 	}
+}
+
+// validTraceJSON is a hand-written 2-process trace: both processes wake
+// at 0, and p0's first step sends one message that p1 receives at 1.
+const validTraceJSON = `{"n":2,"faulty":[false,false],
+"events":[
+ {"proc":0,"index":0,"time":"0","trigger":0,"processed":true},
+ {"proc":1,"index":0,"time":"0","trigger":1,"processed":true},
+ {"proc":1,"index":1,"time":"1","trigger":2,"processed":true}],
+"messages":[
+ {"id":0,"from":-1,"to":0,"sendStep":-1,"sendTime":"0","recvTime":"0","wakeup":true},
+ {"id":1,"from":-1,"to":1,"sendStep":-1,"sendTime":"0","recvTime":"0","wakeup":true},
+ {"id":2,"from":0,"to":1,"sendStep":0,"sendTime":"0","recvTime":"1"}]}`
+
+// malformedTraces edit one field of validTraceJSON each. Before the trace
+// reader checked them, the first panicked with an index out of range in
+// causality, the second died of an out-of-memory allocation of N index
+// rows, and the third was accepted and checked without its message edge.
+var malformedTraces = []struct {
+	name, old, new, wantErr string
+}{
+	{"sender-out-of-range", `"from":0,`, `"from":9,`, "sender 9 out of range"},
+	{"huge-n", `"n":2,`, `"n":1000000000000,`, "Faulty has length 2"},
+	{"dangling-send-step", `"sendStep":0,`, `"sendStep":99,`, "names send step 99"},
+}
+
+func writeJSON(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRunRejectsMalformedTraces pins that each malformed trace is a clean
+// input error (exit 2), not a panic, an OOM or a verdict.
+func TestRunRejectsMalformedTraces(t *testing.T) {
+	var out, errOut strings.Builder
+	if err := run([]string{"-xi", "2", writeJSON(t, validTraceJSON)}, &out, &errOut); err != nil {
+		t.Fatalf("valid trace: %v", err)
+	}
+	for _, tt := range malformedTraces {
+		body := strings.Replace(validTraceJSON, tt.old, tt.new, 1)
+		if body == validTraceJSON {
+			t.Fatalf("%s: edit %q not applied", tt.name, tt.old)
+		}
+		err := run([]string{"-xi", "2", writeJSON(t, body)}, &out, &errOut)
+		if err == nil || errors.Is(err, errInadmissible) || !strings.Contains(err.Error(), tt.wantErr) {
+			t.Errorf("%s: err = %v, want an error containing %q", tt.name, err, tt.wantErr)
+		}
+	}
+}
+
+// FuzzReadJSON: any input is either rejected by the trace reader or
+// accepted as a trace that graph construction and the ABC checker handle
+// without panicking.
+func FuzzReadJSON(f *testing.F) {
+	f.Add(validTraceJSON)
+	for _, tt := range malformedTraces {
+		f.Add(strings.Replace(validTraceJSON, tt.old, tt.new, 1))
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		tr, err := sim.ReadJSON(strings.NewReader(body))
+		if err != nil {
+			return
+		}
+		g := causality.Build(tr, causality.Options{})
+		if _, err := check.ABC(g, rat.FromInt(2)); err != nil && !strings.HasPrefix(err.Error(), "check: ") {
+			t.Fatalf("unexpected error class: %v", err)
+		}
+	})
 }

@@ -2,8 +2,10 @@ package check
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/causality"
+	"repro/internal/graphutil"
 	"repro/internal/rat"
 )
 
@@ -20,14 +22,39 @@ type Assignment struct {
 	times []rat.Rat
 }
 
-// newAssignment converts scaled integer Bellman–Ford potentials into
-// rational times: t(n) = dist[n] / scale, with scale = b·(E+1).
-func newAssignment(g *causality.Graph, dist []int64, scale int64) *Assignment {
-	times := make([]rat.Rat, len(dist))
-	for i, d := range dist {
-		times[i] = rat.New(d, scale)
+// newAssignment converts a pair solution of the strict constraint system
+// into exact rational times. x(v) = sign·(M(v) + K(v)·ε) solves the system
+// in units of 1/b (sign −1 for Incremental's negated potential). Any
+// ε = 1/s with s > max|K(u) − K(v)| keeps every strict inequality strict,
+// so s = 2·max|K| + 3 is derived from the live potential and the bound is
+// tight rather than worst-case: t(v) = sign·(M(v)·s + K(v)) / (b·s).
+func newAssignment(g *causality.Graph, d []graphutil.Pair, b, sign int64) (*Assignment, error) {
+	maxM, maxK := pairBounds(d)
+	s := 2*maxK + 3
+	if maxM > (math.MaxInt64-maxK)/s || b > math.MaxInt64/s {
+		return nil, fmt.Errorf("check: potential too large for exact certificate (V=%d, b=%d)", len(d), b)
 	}
-	return &Assignment{g: g, times: times}
+	times := make([]rat.Rat, len(d))
+	for i, p := range d {
+		times[i] = rat.New(sign*(p.M*s+p.K), b*s)
+	}
+	return &Assignment{g: g, times: times}, nil
+}
+
+// pairBounds returns the largest |M| and |K| over d.
+func pairBounds(d []graphutil.Pair) (maxM, maxK int64) {
+	for _, p := range d {
+		maxM = max(maxM, abs64(p.M))
+		maxK = max(maxK, abs64(p.K))
+	}
+	return maxM, maxK
+}
+
+func abs64(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // Time returns the assigned occurrence time of node n.

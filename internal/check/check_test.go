@@ -2,6 +2,8 @@ package check
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/causality"
@@ -39,6 +41,32 @@ func TestXiOverflowIsError(t *testing.T) {
 		if _, err := NewWatcher(xi, causality.Options{}); err == nil {
 			t.Errorf("NewWatcher with Ξ=%s accepted", s)
 		}
+	}
+}
+
+// TestSizeGuard pins the one overflow rule shared by the prober and
+// Incremental: 4·(V+2)·a must fit in int64. A near-int64 Ξ such as
+// 2^62/(2^62−1) trips it on any graph, as a clean error from both.
+func TestSizeGuard(t *testing.T) {
+	const v = 1000
+	limit := int64(math.MaxInt64 / 4 / (v + 2))
+	if err := sizeGuard(v, limit, limit-1); err != nil {
+		t.Errorf("a=%d at the bound rejected: %v", limit, err)
+	}
+	if err := sizeGuard(v, limit+1, limit); err == nil {
+		t.Errorf("a=%d past the bound accepted", limit+1)
+	}
+	fig := scenario.BuildFig1()
+	xi := rat.New(1<<62, 1<<62-1)
+	if _, err := ABC(fig.Graph, xi); err == nil || !strings.Contains(err.Error(), "too large") {
+		t.Errorf("ABC at Ξ=%v: err = %v, want the size guard", xi, err)
+	}
+	inc, err := NewIncremental(fig.Trace, xi, causality.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Step(); err == nil || !strings.Contains(err.Error(), "too large") {
+		t.Errorf("Incremental at Ξ=%v: err = %v, want the size guard", xi, err)
 	}
 }
 

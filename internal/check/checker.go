@@ -15,12 +15,16 @@
 //	0 < t(v) − t(u)       for every local edge (u, v)
 //
 // is feasible. Feasibility of difference constraints is the absence of a
-// negative cycle in the constraint digraph. Strict inequalities and the
-// rational Ξ = a/b are handled exactly by scaling: all times are multiplied
-// by b·(E+1), where E is the number of constraint-relevant edges, making
-// every constant an integer, and each strict bound is tightened by 1. Any
-// simple cycle has at most E edges, so the accumulated tightenings (at most
-// E) can never flip the sign of a scaled integer sum (multiples of E+1).
+// negative cycle in the constraint digraph. The rational Ξ = a/b is
+// handled by working in x = b·t, which makes every constant an integer
+// (upper bound a, lower bound −b, local 0), and strictness by
+// lexicographic (m, k) pair weights: each strict bound x(v) − x(u) < w
+// becomes the pair bound (w, −1), where k counts tightenings by an
+// infinitesimal. A cycle violates the system exactly when its pair sum is
+// lexicographically negative. The batch prober and the streaming
+// Incremental share this one encoding (graphutil.Pair) and one overflow
+// rule (sizeGuard); newAssignment turns a pair solution into exact
+// rational times.
 //
 // A negative cycle in the constraint digraph maps back to a relevant cycle
 // violating Definition 4: upper-bound edges are its forward messages,
@@ -83,6 +87,18 @@ func xiParts(xi rat.Rat) (a, b int64, err error) {
 	return a, b, err
 }
 
+// sizeGuard is the one overflow rule of the pair arithmetic over a
+// constraint graph of v nodes at Ξ = a/b (a > b): every m value is a walk
+// sum, |m| <= 3·(v+1)·a within one solve, and warm starts and repair heap
+// keys add or subtract two such values. Guarding 4·(v+2)·a covers all of
+// them.
+func sizeGuard(v, a, b int64) error {
+	if a > math.MaxInt64/4/(v+2) {
+		return fmt.Errorf("check: graph too large for exact int64 arithmetic (V=%d, Ξ=%d/%d)", v, a, b)
+	}
+	return nil
+}
+
 // constraint edge label encoding: label = 3*edgeID + kind.
 const (
 	labelUpper = 0 // message upper bound, traversed forward
@@ -98,13 +114,12 @@ const (
 type prober struct {
 	g  *causality.Graph
 	cg *graphutil.Digraph
-	e  int64 // constraint-relevant execution edges
 	v  int64 // execution nodes
 	// dist is the distance vector of the most recent feasible probe,
 	// reused to warm-start the next probe's Bellman–Ford: consecutive
 	// Stern–Brocot candidates are close, so the previous solution is
 	// nearly feasible for the new weights and the sweep count collapses.
-	dist []int64
+	dist []graphutil.Pair
 }
 
 // newProber validates the execution graph and builds the constraint
@@ -127,53 +142,34 @@ func newProber(g *causality.Graph) (*prober, error) {
 			return nil, fmt.Errorf("check: unknown edge kind %v", edge.Kind)
 		}
 	}
-	return &prober{g: g, cg: cg, e: int64(len(edges)), v: int64(g.NumNodes())}, nil
+	return &prober{g: g, cg: cg, v: int64(g.NumNodes())}, nil
 }
 
-// probe solves the scaled constraint system for Ξ = a/b. wantCerts
-// controls whether certificates (assignment/witness) are built.
+// probe solves the strict constraint system for Ξ = a/b in x = b·t units.
+// wantCerts controls whether certificates (assignment/witness) are built.
 func (p *prober) probe(a, b int64, wantCerts bool) (Verdict, error) {
-	s := p.e + 1 // strictness scale
-	// Overflow guard: the largest |path sum| is bounded by (V+1)·max|w|,
-	// with max|w| <= max(a,b)·S + 1. Guard the guard's own products too:
-	// maxW·s+1 must not wrap before it is used as a divisor.
-	maxW := a
-	if b > maxW {
-		maxW = b
+	if err := sizeGuard(p.v, a, b); err != nil {
+		return Verdict{}, err
 	}
-	if maxW > 0 && (maxW > (math.MaxInt64-1)/s || (p.v+2) > math.MaxInt64/(maxW*s+1)) {
-		return Verdict{}, fmt.Errorf("check: graph too large for exact int64 arithmetic (V=%d, E=%d, Ξ=%d/%d)", p.v, p.e, a, b)
-	}
-
 	for i, ce := range p.cg.Edges() {
 		switch ce.Label % 3 {
 		case labelUpper:
-			// t(v) - t(u) < a/b  =>  T(v) - T(u) <= a·S − 1.
-			p.cg.SetWeight(i, a*s-1)
+			// t(v) − t(u) < a/b  =>  x(v) − x(u) < a.
+			p.cg.SetWeight(i, a)
 		case labelLower:
-			// t(v) - t(u) > 1    =>  T(u) - T(v) <= −b·S − 1.
-			p.cg.SetWeight(i, -b*s-1)
+			// t(v) − t(u) > 1    =>  x(u) − x(v) < −b.
+			p.cg.SetWeight(i, -b)
 		case labelLocal:
-			// t(v) - t(u) > 0    =>  T(u) - T(v) <= −1.
-			p.cg.SetWeight(i, -1)
+			// t(v) − t(u) > 0    =>  x(u) − x(v) < 0.
+			p.cg.SetWeight(i, 0)
 		}
 	}
 
 	// Warm start from the previous feasible probe's distances when their
-	// magnitude leaves overflow headroom for this probe's path sums
-	// (|init| + (V+2)·(max|w|+1), with the second term already certified
-	// finite by the guard above).
-	var init []int64
+	// magnitude leaves the guard's headroom for this probe's walk sums.
+	var init []graphutil.Pair
 	if p.dist != nil {
-		var maxInit int64
-		for _, d := range p.dist {
-			if d > maxInit {
-				maxInit = d
-			} else if -d > maxInit {
-				maxInit = -d
-			}
-		}
-		if maxInit <= math.MaxInt64-(p.v+2)*(maxW*s+1) {
+		if maxM, maxK := pairBounds(p.dist); max(maxM, maxK) <= math.MaxInt64-4*(p.v+2)*a {
 			init = p.dist
 		}
 	}
@@ -184,7 +180,11 @@ func (p *prober) probe(a, b int64, wantCerts bool) (Verdict, error) {
 		p.dist = res.Dist
 		verdict := Verdict{Admissible: true}
 		if wantCerts {
-			verdict.Assignment = newAssignment(g, res.Dist, b*s)
+			asg, err := newAssignment(g, res.Dist, b, 1)
+			if err != nil {
+				return Verdict{}, err
+			}
+			verdict.Assignment = asg
 		}
 		return verdict, nil
 	}

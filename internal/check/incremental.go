@@ -3,9 +3,9 @@ package check
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/causality"
+	"repro/internal/graphutil"
 	"repro/internal/rat"
 	"repro/internal/sim"
 )
@@ -18,13 +18,10 @@ import (
 // Bellman–Ford (O(V·E)) on every call. Incremental instead keeps the
 // constraint digraph and a feasible potential alive across appends:
 //
-//   - Constraint weights are lexicographic pairs (m, k): m accumulates the
-//     integer bound of the constraint scaled by b (working in x = b·t, the
-//     upper bound contributes +a, the lower bound −b, local edges 0) and k
-//     counts strict tightenings (−1 per edge). A cycle violates the system
-//     exactly when its pair sum is lexicographically negative — strictness
-//     handled without the batch checker's global E+1 scale, which would
-//     change on every append and invalidate all existing weights. Pair
+//   - Constraint weights are the package's lexicographic pairs (m, k) (see
+//     the package comment): m is the integer bound in x = b·t units (upper
+//     bound +a, lower bound −b, local edges 0) and k counts strict
+//     tightenings (−1 per edge). No weight depends on the graph's size, so
 //     weights never change once written, which is what makes the system
 //     append-only.
 //   - The potential is p = −x, the negated earliest schedule: arcs are
@@ -55,11 +52,11 @@ type Incremental struct {
 	// out is the reversed constraint digraph's out-adjacency; dist the
 	// feasible potential −x (nodes without arcs sit at (0, 0)).
 	out  [][]carc
-	dist []pair
+	dist []graphutil.Pair
 
 	// Dijkstra repair scratch, generation-stamped so per-repair resets are
 	// O(affected), not O(V).
-	cand    []pair
+	cand    []graphutil.Pair
 	candGen []uint32
 	doneGen []uint32
 	gen     uint32
@@ -70,11 +67,6 @@ type Incremental struct {
 	verdict    Verdict
 	failedAt   int
 }
-
-// pair is a lexicographic (m, k) weight/distance.
-type pair struct{ m, k int64 }
-
-func (p pair) less(q pair) bool { return p.m < q.m || (p.m == q.m && p.k < q.k) }
 
 // carc is one constraint arc: head node and the m component of its weight
 // (every arc's k component is −1).
@@ -92,7 +84,7 @@ type RepairStats struct {
 }
 
 type repairItem struct {
-	key  pair // γ = candidate − dist, lexicographically negative
+	key  graphutil.Pair // γ = candidate − dist, lexicographically negative
 	node int32
 }
 
@@ -127,21 +119,14 @@ func (inc *Incremental) Step() (Verdict, error) {
 		return Verdict{}, err
 	}
 	v := int64(g.NumNodes())
-	maxW := inc.a
-	if inc.b > maxW {
-		maxW = inc.b
-	}
-	// Overflow guard for the pair arithmetic: every m value is a walk sum,
-	// |m| <= (V+1)·max(a,b), and the repair heap keys subtract two such
-	// values. Guard 4·(V+2)·max(a,b) once per step.
-	if maxW > math.MaxInt64/4/(v+2) {
-		return Verdict{}, fmt.Errorf("check: graph too large for exact int64 arithmetic (V=%d, Ξ=%d/%d)", v, inc.a, inc.b)
+	if err := sizeGuard(v, inc.a, inc.b); err != nil {
+		return Verdict{}, err
 	}
 
 	for int64(len(inc.dist)) < v {
-		inc.dist = append(inc.dist, pair{})
+		inc.dist = append(inc.dist, graphutil.Pair{})
 		inc.out = append(inc.out, nil)
-		inc.cand = append(inc.cand, pair{})
+		inc.cand = append(inc.cand, graphutil.Pair{})
 		inc.candGen = append(inc.candGen, 0)
 		inc.doneGen = append(inc.doneGen, 0)
 	}
@@ -161,7 +146,7 @@ func (inc *Incremental) Step() (Verdict, error) {
 			if edges[j].Kind == causality.Message {
 				w = -inc.b
 			}
-			if c := (pair{inc.dist[from].m + w, inc.dist[from].k - 1}); j == i || c.less(inc.dist[node]) {
+			if c := inc.dist[from].Arc(w); j == i || c.Less(inc.dist[node]) {
 				inc.dist[node] = c
 			}
 		}
@@ -196,8 +181,8 @@ func (inc *Incremental) Step() (Verdict, error) {
 func (inc *Incremental) insert(tail int32, a carc) bool {
 	inc.out[tail] = append(inc.out[tail], a)
 	inc.stats.Inserted++
-	nd := pair{inc.dist[tail].m + a.m, inc.dist[tail].k - 1}
-	if !nd.less(inc.dist[a.to]) {
+	nd := inc.dist[tail].Arc(a.m)
+	if !nd.Less(inc.dist[a.to]) {
 		return true // potential already satisfies the new arc
 	}
 	inc.stats.Repairs++
@@ -211,13 +196,13 @@ func (inc *Incremental) insert(tail int32, a carc) bool {
 // paths and nodes finalize in γ order, each at most once. Reaching the
 // inserted arc's tail with an improvement means the new arc would relax
 // again — a negative cycle through it — and repair reports false.
-func (inc *Incremental) repair(tail, head int32, nd pair) bool {
+func (inc *Incremental) repair(tail, head int32, nd graphutil.Pair) bool {
 	inc.gen++
 	gen := inc.gen
 	inc.cand[head] = nd
 	inc.candGen[head] = gen
 	inc.heap = inc.heap[:0]
-	inc.push(repairItem{key: pair{nd.m - inc.dist[head].m, nd.k - inc.dist[head].k}, node: head})
+	inc.push(repairItem{key: nd.Sub(inc.dist[head]), node: head})
 
 	for len(inc.heap) > 0 {
 		it := inc.pop()
@@ -228,7 +213,7 @@ func (inc *Incremental) repair(tail, head int32, nd pair) bool {
 		// dist[x] is untouched until x finalizes, so the pushed key still
 		// reconstructs its candidate; a mismatch means a better candidate
 		// superseded this entry (lazy decrease-key).
-		if (pair{it.key.m + inc.dist[x].m, it.key.k + inc.dist[x].k}) != inc.cand[x] {
+		if it.key != inc.cand[x].Sub(inc.dist[x]) {
 			continue
 		}
 		if x == tail {
@@ -244,16 +229,16 @@ func (inc *Incremental) repair(tail, head int32, nd pair) bool {
 			if inc.doneGen[y] == gen {
 				continue
 			}
-			c := pair{dx.m + arc.m, dx.k - 1}
-			if !c.less(inc.dist[y]) {
+			c := dx.Arc(arc.m)
+			if !c.Less(inc.dist[y]) {
 				continue
 			}
-			if inc.candGen[y] == gen && !c.less(inc.cand[y]) {
+			if inc.candGen[y] == gen && !c.Less(inc.cand[y]) {
 				continue
 			}
 			inc.cand[y] = c
 			inc.candGen[y] = gen
-			inc.push(repairItem{key: pair{c.m - inc.dist[y].m, c.k - inc.dist[y].k}, node: y})
+			inc.push(repairItem{key: c.Sub(inc.dist[y]), node: y})
 		}
 	}
 	return true
@@ -287,36 +272,11 @@ func (inc *Incremental) Certify() (Verdict, error) {
 		return inc.verdict, nil
 	}
 	g := inc.bld.Graph()
-	n := int64(g.NumNodes())
-	// Convert pair potentials to exact rationals: x(v) = m(v) + k(v)·ε
-	// with ε = 1/S for any S > max|k_i − k_j| keeps every strict
-	// inequality strict, and t = x/b. S is derived from the live
-	// potential, so the bound is tight rather than worst-case.
-	var maxM, maxK int64
-	for _, d := range inc.dist[:n] {
-		if a := abs64(d.m); a > maxM {
-			maxM = a
-		}
-		if a := abs64(d.k); a > maxK {
-			maxK = a
-		}
+	asg, err := newAssignment(g, inc.dist[:g.NumNodes()], inc.b, -1)
+	if err != nil {
+		return Verdict{}, err
 	}
-	s := 2*maxK + 3
-	if maxM > (math.MaxInt64-maxK)/s || inc.b > math.MaxInt64/s {
-		return Verdict{}, fmt.Errorf("check: potential too large for exact certificate (V=%d, Ξ=%d/%d)", n, inc.a, inc.b)
-	}
-	scaled := make([]int64, n)
-	for i, d := range inc.dist[:n] {
-		scaled[i] = -(d.m*s + d.k)
-	}
-	return Verdict{Admissible: true, Assignment: newAssignment(g, scaled, inc.b*s)}, nil
-}
-
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return Verdict{Admissible: true, Assignment: asg}, nil
 }
 
 // Stats returns the constraint work counters.
@@ -344,7 +304,7 @@ func (inc *Incremental) push(it repairItem) {
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h[i].key.less(h[parent].key) {
+		if !h[i].key.Less(h[parent].key) {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -363,10 +323,10 @@ func (inc *Incremental) pop() repairItem {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < len(h) && h[l].key.less(h[small].key) {
+		if l < len(h) && h[l].key.Less(h[small].key) {
 			small = l
 		}
-		if r < len(h) && h[r].key.less(h[small].key) {
+		if r < len(h) && h[r].key.Less(h[small].key) {
 			small = r
 		}
 		if small == i {

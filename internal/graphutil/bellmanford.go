@@ -2,22 +2,42 @@ package graphutil
 
 import "slices"
 
+// Pair is a lexicographic (M, K) weight or distance, standing for M + K·ε
+// with ε > 0 infinitesimal. Pairs under lexicographic order form an
+// ordered group, so shortest-path reasoning carries over unchanged; a
+// strict bound x[v] − x[u] < w is the non-strict pair bound
+// x[v] − x[u] <= (w, −1).
+type Pair struct{ M, K int64 }
+
+// Less reports p < q lexicographically.
+func (p Pair) Less(q Pair) bool { return p.M < q.M || (p.M == q.M && p.K < q.K) }
+
+// Arc returns p extended by one strict arc of weight w: (M+w, K−1).
+func (p Pair) Arc(w int64) Pair { return Pair{p.M + w, p.K - 1} }
+
+// Sub returns p − q componentwise.
+func (p Pair) Sub(q Pair) Pair { return Pair{p.M - q.M, p.K - q.K} }
+
 // BFResult is the outcome of a Bellman–Ford run.
 type BFResult struct {
-	// Feasible is true when the graph contains no negative-weight cycle.
+	// Feasible is true when the strict system has a solution: no cycle
+	// has weight sum <= 0.
 	Feasible bool
-	// Dist holds, for each node, the shortest-path distance from a virtual
-	// super-source connected to every node with a zero-weight edge (or, for
-	// BellmanFordFrom, with the caller's initial labels). Valid only when
-	// Feasible is true. For a difference-constraint system with edges u->v
-	// of weight w meaning x[v] - x[u] <= w, Dist is a solution (x := Dist
-	// satisfies every constraint).
-	Dist []int64
+	// Dist holds, for each node, the pair shortest-path distance from a
+	// virtual super-source connected to every node with a (0, 0) edge (or,
+	// for BellmanFordFrom, with the caller's initial labels), every edge
+	// of weight w counting as (w, −1). Valid only when Feasible is true.
+	// For the strict difference-constraint system with edges u->v of
+	// weight w meaning x[v] − x[u] < w, x := M + K·ε is a solution for
+	// every small enough ε > 0: Dist[v] <= Dist[u] + (w, −1) for every
+	// edge.
+	Dist []Pair
 	// NegativeCycle is the witness when Feasible is false: a simple cycle of
 	// the predecessor graph (no node repeats), as a sequence of edges
-	// e1..ek with e[i].To == e[i+1].From (cyclically) whose weights sum to a
-	// negative value. It is not necessarily the most negative or shortest
-	// negative cycle. Empty when Feasible is true.
+	// e1..ek with e[i].To == e[i+1].From (cyclically) whose pair weights
+	// sum to a negative value, i.e. whose weights sum to <= 0. It is not
+	// necessarily the most negative or shortest such cycle. Empty when
+	// Feasible is true.
 	NegativeCycle []Edge
 	// Passes is the number of relaxation passes run: the converging pass
 	// when Feasible, the pass whose predecessor graph closed a cycle when
@@ -25,56 +45,57 @@ type BFResult struct {
 	Passes int
 }
 
-// bfPlan is the direction-partitioned CSR edge layout used by the
-// relaxation loop. It depends only on the topology — never on weights —
-// so it is built once per Digraph and reused across BellmanFord runs
-// (the Stern–Brocot ratio search re-weights and re-solves the same graph
-// O(log² K) times). AddEdge and Grow invalidate it.
+// bfPlan is the edge order of the relaxation loop: forward edges (To >=
+// From) by ascending tail, then backward edges by descending tail, each
+// stable in insertion order, so one pass is two flat scans. It depends
+// only on the topology — never on weights — so it is built once per
+// Digraph and reused across BellmanFord runs (the Stern–Brocot ratio
+// search re-weights and re-solves the same graph O(log² K) times).
+// AddEdge and Grow invalidate it.
 type bfPlan struct {
-	offF, offB []int32
-	adjF, adjB []int32
+	fwd, bwd []int32 // indices into Digraph.edges
 }
 
 func (g *Digraph) bfplan() *bfPlan {
 	if g.plan != nil {
 		return g.plan
 	}
+	// Counting sort on one key per edge: forward edges take keys [0, n)
+	// by tail, backward edges keys [n, 2n) by descending tail.
 	n := g.n
-	p := &bfPlan{offF: make([]int32, n+1), offB: make([]int32, n+1)}
+	key := func(e Edge) int {
+		if e.To >= e.From {
+			return e.From
+		}
+		return 2*n - 1 - e.From
+	}
+	start := make([]int32, 2*n+1)
 	for _, e := range g.edges {
-		if e.To >= e.From {
-			p.offF[e.From+1]++
-		} else {
-			p.offB[e.From+1]++
-		}
+		start[key(e)+1]++
 	}
-	for i := 0; i < n; i++ {
-		p.offF[i+1] += p.offF[i]
-		p.offB[i+1] += p.offB[i]
+	for k := 1; k <= 2*n; k++ {
+		start[k] += start[k-1]
 	}
-	p.adjF = make([]int32, p.offF[n])
-	p.adjB = make([]int32, p.offB[n])
-	fillF := make([]int32, n)
-	fillB := make([]int32, n)
+	nfwd := start[n]
+	order := make([]int32, len(g.edges))
 	for i, e := range g.edges {
-		if e.To >= e.From {
-			p.adjF[p.offF[e.From]+fillF[e.From]] = int32(i)
-			fillF[e.From]++
-		} else {
-			p.adjB[p.offB[e.From]+fillB[e.From]] = int32(i)
-			fillB[e.From]++
-		}
+		k := key(e)
+		order[start[k]] = int32(i)
+		start[k]++
 	}
-	g.plan = p
-	return p
+	g.plan = &bfPlan{fwd: order[:nfwd], bwd: order[nfwd:]}
+	return g.plan
 }
 
-// BellmanFord solves single-source shortest paths from a virtual
-// super-source that reaches every node with weight 0, detecting negative
-// cycles. This formulation (rather than a caller-chosen source) is the one
-// needed for difference-constraint feasibility: the system is feasible if
-// and only if the constraint graph has no negative cycle, and the distances
-// from the super-source form a concrete solution.
+// BellmanFord solves the strict difference-constraint system of the
+// graph — edge u->v of weight w means x[v] − x[u] < w — as single-source
+// shortest paths over pair weights (w, −1) from a virtual super-source
+// that reaches every node with (0, 0), detecting negative cycles. This
+// formulation (rather than a caller-chosen source) is the one needed for
+// feasibility: the system is feasible if and only if no cycle has a
+// lexicographically negative pair sum (equivalently, weight sum <= 0),
+// and the distances from the super-source form a concrete solution.
+// Strictness costs no scaling: the K component counts it exactly.
 //
 // The relaxation loop uses Yen's two-sweep improvement of the classic
 // O(V·E) pass structure: edges are partitioned by direction in the node
@@ -92,7 +113,7 @@ func (g *Digraph) bfplan() *bfPlan {
 // node's parent is the tail of the edge that last lowered its label) after
 // every pass that relaxed an edge, and stopping at its first cycle. Any
 // such cycle is negative, whatever the initial labels: a parent arc (u,v)
-// of weight w keeps d(v) >= d(u)+w after it is set, since d(u) only
+// of pair weight w keeps d(v) >= d(u)+w after it is set, since d(u) only
 // decreases, and the last arc set on the cycle lowered d(v) strictly
 // below its previous value, so summing around the cycle gives a negative
 // weight. Conversely, a relaxation in pass n+1 forces a predecessor cycle
@@ -111,11 +132,11 @@ func (g *Digraph) BellmanFord() BFResult {
 // still satisfies every constraint — but an init close to a feasible
 // solution (e.g. the Dist of a previous probe of the same topology under
 // nearby weights) converges in far fewer passes. The caller must ensure
-// init magnitudes leave headroom for path sums (|init| + (n+1)·max|w|
-// must not overflow int64); init is not retained.
-func (g *Digraph) BellmanFordFrom(init []int64) BFResult {
+// init magnitudes leave headroom for walk sums (|init| + 3·(n+1)·max|w|
+// must not overflow int64 in either component); init is not retained.
+func (g *Digraph) BellmanFordFrom(init []Pair) BFResult {
 	n := g.n
-	dist := make([]int64, n)
+	dist := make([]Pair, n)
 	if init != nil {
 		copy(dist, init)
 	}
@@ -132,26 +153,20 @@ func (g *Digraph) BellmanFordFrom(init []int64) BFResult {
 	gen := 0
 	for passes := 1; passes <= n+1; passes++ {
 		relaxed := false
-		for u := 0; u < n; u++ {
-			du := dist[u]
-			for _, ei := range p.adjF[p.offF[u]:p.offF[u+1]] {
-				e := g.edges[ei]
-				if nd := du + e.Weight; nd < dist[e.To] {
-					dist[e.To] = nd
-					pred[e.To] = ei
-					relaxed = true
-				}
+		for _, ei := range p.fwd {
+			e := &g.edges[ei]
+			if nd := dist[e.From].Arc(e.Weight); nd.Less(dist[e.To]) {
+				dist[e.To] = nd
+				pred[e.To] = ei
+				relaxed = true
 			}
 		}
-		for u := n - 1; u >= 0; u-- {
-			du := dist[u]
-			for _, ei := range p.adjB[p.offB[u]:p.offB[u+1]] {
-				e := g.edges[ei]
-				if nd := du + e.Weight; nd < dist[e.To] {
-					dist[e.To] = nd
-					pred[e.To] = ei
-					relaxed = true
-				}
+		for _, ei := range p.bwd {
+			e := &g.edges[ei]
+			if nd := dist[e.From].Arc(e.Weight); nd.Less(dist[e.To]) {
+				dist[e.To] = nd
+				pred[e.To] = ei
+				relaxed = true
 			}
 		}
 		if !relaxed {
@@ -196,13 +211,4 @@ func (g *Digraph) predCycle(pred []int32, mark []int, gen *int) []Edge {
 		return cycle
 	}
 	return nil
-}
-
-// CycleWeight returns the total weight of a sequence of edges.
-func CycleWeight(cycle []Edge) int64 {
-	var sum int64
-	for _, e := range cycle {
-		sum += e.Weight
-	}
-	return sum
 }

@@ -36,8 +36,44 @@ func TestGrow(t *testing.T) {
 	g.AddEdge(4, 0, 1, 0) // must not panic
 }
 
+// cycleWeight returns the total weight of a sequence of edges; under the
+// strict semantics a cycle is infeasible exactly when it is <= 0.
+func cycleWeight(cycle []Edge) int64 {
+	var sum int64
+	for _, e := range cycle {
+		sum += e.Weight
+	}
+	return sum
+}
+
+// satisfies reports whether pair distances d satisfy edge e strictly:
+// d[To] <= d[From] + (w, −1).
+func satisfies(d []Pair, e Edge) bool { return !d[e.From].Arc(e.Weight).Less(d[e.To]) }
+
+func TestPairOrder(t *testing.T) {
+	for _, tt := range []struct {
+		p, q Pair
+		less bool
+	}{
+		{Pair{0, 0}, Pair{1, -5}, true},
+		{Pair{1, -5}, Pair{1, -4}, true},
+		{Pair{1, -4}, Pair{1, -4}, false},
+		{Pair{2, -9}, Pair{1, 9}, false},
+	} {
+		if got := tt.p.Less(tt.q); got != tt.less {
+			t.Errorf("%v.Less(%v) = %v, want %v", tt.p, tt.q, got, tt.less)
+		}
+	}
+	if got := (Pair{3, 2}).Arc(-5); got != (Pair{-2, 1}) {
+		t.Errorf("Arc = %v, want {-2 1}", got)
+	}
+	if got := (Pair{3, 2}).Sub(Pair{5, -1}); got != (Pair{-2, 3}) {
+		t.Errorf("Sub = %v, want {-2 3}", got)
+	}
+}
+
 func TestBellmanFordFeasible(t *testing.T) {
-	// Classic difference constraints: x1-x0 <= 3, x2-x1 <= -2, x2-x0 <= 5.
+	// Strict difference constraints: x1-x0 < 3, x2-x1 < -2, x2-x0 < 5.
 	g := New(3)
 	g.AddEdge(0, 1, 3, 0)
 	g.AddEdge(1, 2, -2, 1)
@@ -46,9 +82,10 @@ func TestBellmanFordFeasible(t *testing.T) {
 	if !res.Feasible {
 		t.Fatal("feasible system reported infeasible")
 	}
-	x := res.Dist
-	if !(x[1]-x[0] <= 3 && x[2]-x[1] <= -2 && x[2]-x[0] <= 5) {
-		t.Errorf("Dist %v does not satisfy constraints", x)
+	for _, e := range g.Edges() {
+		if !satisfies(res.Dist, e) {
+			t.Errorf("Dist %v violates edge %+v", res.Dist, e)
+		}
 	}
 }
 
@@ -62,8 +99,8 @@ func TestBellmanFordNegativeCycle(t *testing.T) {
 	if res.Feasible {
 		t.Fatal("negative cycle not detected")
 	}
-	if CycleWeight(res.NegativeCycle) >= 0 {
-		t.Errorf("witness cycle weight %d is not negative", CycleWeight(res.NegativeCycle))
+	if w := cycleWeight(res.NegativeCycle); w > 0 {
+		t.Errorf("witness cycle weight %d is positive", w)
 	}
 	// Witness must be a closed edge walk.
 	c := res.NegativeCycle
@@ -75,26 +112,38 @@ func TestBellmanFordNegativeCycle(t *testing.T) {
 	}
 }
 
-func TestBellmanFordZeroCycleFeasible(t *testing.T) {
-	// A zero-weight cycle is not negative; system remains feasible.
+func TestBellmanFordZeroCycleInfeasible(t *testing.T) {
+	// x1 - x0 < 2 and x0 - x1 < -2 sum to 0 < 0: a zero-weight cycle is
+	// infeasible under strict bounds, and a weight-1 cycle is not.
 	g := New(2)
 	g.AddEdge(0, 1, 2, 0)
 	g.AddEdge(1, 0, -2, 1)
 	res := g.BellmanFord()
-	if !res.Feasible {
-		t.Error("zero-weight cycle incorrectly reported as negative")
+	if res.Feasible || cycleWeight(res.NegativeCycle) != 0 {
+		t.Errorf("zero-weight cycle: feasible=%v witness %v, want the zero cycle", res.Feasible, res.NegativeCycle)
+	}
+	g.SetWeight(1, -1)
+	if res := g.BellmanFord(); !res.Feasible {
+		t.Error("weight-1 cycle reported infeasible")
 	}
 }
 
 func TestBellmanFordSelfLoop(t *testing.T) {
-	g := New(1)
-	g.AddEdge(0, 0, -1, 0)
-	res := g.BellmanFord()
-	if res.Feasible {
-		t.Error("negative self-loop not detected")
+	for _, w := range []int64{-1, 0} {
+		g := New(1)
+		g.AddEdge(0, 0, w, 0)
+		res := g.BellmanFord()
+		if res.Feasible {
+			t.Errorf("self-loop of weight %d not detected", w)
+		}
+		if len(res.NegativeCycle) != 1 {
+			t.Errorf("self-loop witness has %d edges, want 1", len(res.NegativeCycle))
+		}
 	}
-	if len(res.NegativeCycle) != 1 {
-		t.Errorf("self-loop witness has %d edges, want 1", len(res.NegativeCycle))
+	g := New(1)
+	g.AddEdge(0, 0, 1, 0)
+	if res := g.BellmanFord(); !res.Feasible {
+		t.Error("positive self-loop reported infeasible")
 	}
 }
 
@@ -202,15 +251,15 @@ func TestWriteDOT(t *testing.T) {
 // checkResult validates a Bellman–Ford result against its graph: a
 // feasible Dist must satisfy every edge, and an infeasible witness must be
 // a closed, simple walk (no node entered twice) over edges of g whose
-// weights sum negative.
+// weights sum to <= 0.
 func checkResult(g *Digraph, res BFResult) error {
 	if res.Passes < 1 || res.Passes > g.N()+1 {
 		return fmt.Errorf("%d passes outside [1, n+1=%d]", res.Passes, g.N()+1)
 	}
 	if res.Feasible {
 		for _, e := range g.Edges() {
-			if res.Dist[e.To] > res.Dist[e.From]+e.Weight {
-				return fmt.Errorf("dist violates edge %+v: %d > %d + %d", e, res.Dist[e.To], res.Dist[e.From], e.Weight)
+			if !satisfies(res.Dist, e) {
+				return fmt.Errorf("dist violates edge %+v: %v > %v + (%d, -1)", e, res.Dist[e.To], res.Dist[e.From], e.Weight)
 			}
 		}
 		return nil
@@ -219,8 +268,8 @@ func checkResult(g *Digraph, res BFResult) error {
 	if len(c) == 0 {
 		return fmt.Errorf("infeasible without a witness")
 	}
-	if w := CycleWeight(c); w >= 0 {
-		return fmt.Errorf("witness weight %d is not negative: %v", w, c)
+	if w := cycleWeight(c); w > 0 {
+		return fmt.Errorf("witness weight %d is positive: %v", w, c)
 	}
 	edges := make(map[Edge]bool, g.M())
 	for _, e := range g.Edges() {
@@ -243,8 +292,8 @@ func checkResult(g *Digraph, res BFResult) error {
 }
 
 // Property: on random graphs of up to ~300 nodes, BellmanFord either
-// returns distances satisfying every constraint edge, or a simple,
-// genuinely negative witness cycle — and the same holds warm-started from
+// returns distances satisfying every strict constraint edge, or a simple
+// witness cycle of weight <= 0 — and the same holds warm-started from
 // adversarial labels, with the same verdict.
 func TestBellmanFordProperty(t *testing.T) {
 	f := func(seed int64) bool {

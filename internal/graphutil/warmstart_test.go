@@ -24,13 +24,13 @@ func randomConstraintGraph(rng *rand.Rand, n, backward int) *Digraph {
 // negative labels: a node labelled far below every path sum is never
 // relaxed, so it stays a root (pred == -1) that predecessor walks from
 // other nodes run into.
-func adversarialInit(rng *rand.Rand, n int) []int64 {
-	init := make([]int64, n)
+func adversarialInit(rng *rand.Rand, n int) []Pair {
+	init := make([]Pair, n)
 	for i := range init {
 		if rng.Intn(4) == 0 {
-			init[i] = -1_000_000 - rng.Int63n(1000)
+			init[i] = Pair{-1_000_000 - rng.Int63n(1000), rng.Int63n(41) - 20}
 		} else {
-			init[i] = rng.Int63n(41) - 20
+			init[i] = Pair{rng.Int63n(41) - 20, rng.Int63n(41) - 20}
 		}
 	}
 	return init
@@ -40,7 +40,7 @@ func adversarialInit(rng *rand.Rand, n int) []int64 {
 // arbitrary (even adversarial) initial labels on graphs of up to ~300
 // nodes: feasibility verdicts must match the cold run, warm distances must
 // still satisfy every constraint, and negative-cycle witnesses must still
-// be simple closed walks over graph edges that sum negative.
+// be simple closed walks over graph edges whose weights sum to <= 0.
 func TestBellmanFordFromAgreesWithCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	feasible, infeasible := 0, 0

@@ -31,7 +31,7 @@ type Engine struct {
 	rng        *rand.Rand
 	heapQ      heapQueue
 	wheelQ     *bucketQueue
-	queue      eventQueue // points at heapQ or wheelQ per Config.Queue
+	queue      eventQueue // points at heapQ or wheelQ by system size
 	crashAfter []int
 	stepCount  []int // computing steps executed per process
 	eventCount []int // receive events recorded per process
@@ -321,7 +321,7 @@ func (e *Engine) reset(cfg Config) {
 			e.cb = cfg.Sink
 		}
 	}
-	if cfg.Queue == QueueBucket || (cfg.Queue == QueueAuto && cfg.N >= autoBucketN) {
+	if cfg.N >= autoBucketN {
 		if e.wheelQ == nil {
 			e.wheelQ = newBucketQueue()
 		}

@@ -143,9 +143,9 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 			Dropped: jm.Dropped,
 		}
 	}
-	t.indexEvents()
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
+	t.indexEvents()
 	return t, nil
 }

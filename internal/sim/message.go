@@ -333,17 +333,20 @@ func Reassemble(n int, events []Event, msgs []Message, faulty []bool) (*Trace, e
 		Msgs:   msgs,
 		Faulty: faulty,
 	}
-	t.indexEvents()
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
+	t.indexEvents()
 	return t, nil
 }
 
 // Validate checks internal consistency of the trace: event indices are
-// dense and per-process increasing, message recv times are not before send
-// times, and triggers resolve. It is used by tests and by cmd/abccheck when
-// loading external traces.
+// dense and per-process increasing, message endpoints are in range, a
+// correct sender's delivered message names one of its events as the
+// sending step, message recv times are not before send times, and
+// triggers resolve. It is used by tests and by cmd/abccheck when loading
+// external traces, and allocates O(N) only once N is known to match
+// len(Faulty).
 func (t *Trace) Validate() error {
 	if t.N <= 0 {
 		return fmt.Errorf("sim: trace has N = %d", t.N)
@@ -378,8 +381,25 @@ func (t *Trace) Validate() error {
 		if int(m.ID) != i {
 			return fmt.Errorf("sim: message %d has ID %d", i, m.ID)
 		}
-		if !m.IsWakeup() && m.RecvTime.Less(m.SendTime) {
+		if m.To < 0 || int(m.To) >= t.N {
+			return fmt.Errorf("sim: message %d has receiver %d out of range", i, m.To)
+		}
+		if m.IsWakeup() {
+			continue
+		}
+		if m.From < 0 || int(m.From) >= t.N {
+			return fmt.Errorf("sim: message %d has sender %d out of range", i, m.From)
+		}
+		if m.RecvTime.Less(m.SendTime) {
 			return fmt.Errorf("sim: message %d received at %v before sent at %v", i, m.RecvTime, m.SendTime)
+		}
+	}
+	// A delivered message from a correct sender becomes a graph edge from
+	// its sending step, so that step must be one of the sender's events.
+	for i, ev := range t.Events {
+		m := t.Msgs[ev.Trigger]
+		if !m.IsWakeup() && !t.Faulty[m.From] && m.SendStep != SendStepScripted && (m.SendStep < 0 || m.SendStep >= next[m.From]) {
+			return fmt.Errorf("sim: event %d: message %d names send step %d of p%d, which has %d events", i, m.ID, m.SendStep, m.From, next[m.From])
 		}
 	}
 	return nil

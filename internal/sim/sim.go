@@ -25,11 +25,6 @@ type Config struct {
 	// scanning all N processes per send. Self-delivery is always available
 	// regardless of topology, and wake-up delivery is unaffected by it.
 	Topology Topology
-	// Queue selects the delivery-queue implementation; the default
-	// QueueAuto picks by system size. The choice never affects results:
-	// every implementation realizes the same exact (time, seq) delivery
-	// order.
-	Queue QueueKind
 	// Seed seeds the deterministic random source used by delay policies.
 	Seed int64
 	// MaxEvents bounds the number of receive events; 0 means the default
@@ -90,20 +85,12 @@ func Run(cfg Config) (*Result, error) {
 // process's first computing step.
 type Wakeup struct{}
 
-// QueueKind selects the Engine's delivery-queue implementation.
-type QueueKind int
-
-const (
-	// QueueAuto uses the binary heap for small systems and the bucketed
-	// calendar queue once N reaches autoBucketN.
-	QueueAuto QueueKind = iota
-	// QueueHeap forces the binary min-heap.
-	QueueHeap
-	// QueueBucket forces the bucketed calendar queue.
-	QueueBucket
-)
-
-// autoBucketN is the system size at which QueueAuto switches to the
-// bucketed queue: below it the heap's constants win, above it the heap's
-// per-operation sift cost does not.
+// autoBucketN is the system size at which the Engine switches from the
+// binary heap to the bucketed calendar queue. Each kind wins on one
+// benchmark workload: the calendar at every N costs watch-dense (N=64)
+// about 20% more peak RSS, because its wake-ups at t=0 give a width-1
+// window that lands ~10^5 deliveries in one bucket, and the heap at
+// every N costs ring (N=5·10^4) 5–16% more wall time (DESIGN.md
+// decision 8). The choice never affects results: both realize the same
+// exact (time, seq) delivery order.
 const autoBucketN = 4096
