@@ -51,12 +51,14 @@ bench-smoke: fleet-bench
 # fuzz-smoke gives each fuzz target a short budget (FUZZTIME): the rat
 # differentials, whose seed corpus already pins the int64 overflow
 # boundary, so even 10s runs cross the promotion/demotion paths; the
-# fault grammar; and the JSON trace reader behind abccheck.
+# fault grammar; the topology grammar; and the JSON trace reader behind
+# abccheck.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzArith -fuzztime=$(FUZZTIME) ./internal/rat
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/rat
 	$(GO) test -run=NONE -fuzz=FuzzParseFaults -fuzztime=$(FUZZTIME) ./internal/workload
+	$(GO) test -run=NONE -fuzz=FuzzParseTopology -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzReadJSON -fuzztime=$(FUZZTIME) ./cmd/abccheck
 
 # fleet-bench records the serial vs 8-worker wall-clock of the full E1–E18
@@ -67,16 +69,18 @@ fleet-bench:
 
 # cli-smoke drives abcsim end to end over the headline fault grids: a
 # crash-at-step sweep, a Byzantine-budget grid, a recovery and partition
-# sweep, Ω leader recovery, VLSI technology migration with a dead
-# module, a watched 64-process full mesh (deep causal chains through
-# the incremental checker over a sliding window), and the critical ratio
-# of a 6.1·10^4-event ring broadcast (past where a graph-size strictness
-# scale overflowed int64).
+# sweep, Ω leader recovery, Ω on a 4000-process ring (core overlay plus
+# relayed flooding), VLSI technology migration with a dead module, a
+# watched 64-process full mesh (deep causal chains through the
+# incremental checker over a sliding window), and the critical ratio of a
+# 6.1·10^4-event ring broadcast (past where a graph-size strictness scale
+# overflowed int64).
 cli-smoke:
 	$(GO) run ./cmd/abcsim -workload consensus -param algo=floodset -sweep faults=none,crash/1@0,crash/1@2 -runs 2
 	$(GO) run ./cmd/abcsim -workload clocksync -sweep faults=byz/1@20,byz/1@60 -runs 2
 	$(GO) run ./cmd/abcsim -workload broadcast -sweep faults=none,recover/1@2..4,partition/halves@2..5 -runs 2
 	$(GO) run ./cmd/abcsim -workload omega -param faults=recover/p0@4..12 -runs 2
+	$(GO) run ./cmd/abcsim -workload omega -param n=4000 -param topology=ring
 	$(GO) run ./cmd/abcsim -workload vlsi -sweep scale=1,1/3 -param faults=crash/1 -runs 2
 	$(GO) run ./cmd/abcsim -workload broadcast -param n=64 -param target=20 -param trace=window/4096 -watch
 	$(GO) run ./cmd/abcsim -workload broadcast -param n=1000 -param topology=ring -param target=30

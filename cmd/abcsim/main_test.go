@@ -150,6 +150,29 @@ func TestRunWatchRatioSearchInt64Guard(t *testing.T) {
 	}
 }
 
+// TestRunTopologyOverflowSpecs pins the two topology specs whose size
+// arithmetic overflowed: a torus dimension so large that rows·cols wraps
+// around to n is a setup error, and a scale-free attachment count far
+// beyond n runs as the complete attachment graph instead of failing to
+// allocate.
+func TestRunTopologyOverflowSpecs(t *testing.T) {
+	var out, errOut strings.Builder
+	args := []string{"-workload", "broadcast", "-param", "n=4",
+		"-param", "topology=torus/4611686018427387905x4"}
+	if err := run(args, &out, &errOut); err == nil || !strings.Contains(err.Error(), "dimension exceeds") {
+		t.Errorf("torus overflow: err %v, want a dimension-exceeds setup error", err)
+	}
+	out.Reset()
+	args = []string{"-workload", "broadcast", "-param", "n=4",
+		"-param", "topology=scalefree/9223372036854775807"}
+	if err := run(args, &out, &errOut); err != nil {
+		t.Fatalf("scalefree overflow: %v (stderr: %s)", err, errOut.String())
+	}
+	if !strings.Contains(out.String(), "admissible") {
+		t.Errorf("scalefree overflow run printed no verdict:\n%s", out.String())
+	}
+}
+
 // TestRunJSON pins the NDJSON contract of -json: one "job" record per
 // run carrying the full parameter point (base overlaid with sweep
 // assignments), seed, verdict, stream digest, and throughput, followed

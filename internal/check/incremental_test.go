@@ -86,22 +86,36 @@ func checkAgreement(t *testing.T, ctx string, tr *sim.Trace, j int, inc *Increme
 func TestIncrementalDifferential(t *testing.T) {
 	type topo struct {
 		name string
-		fn   func(n int) sim.Topology
+		fn   func(n int) *sim.Links
 	}
+	// Each row lists p's out-neighbors, self-loop included.
 	topos := []topo{
-		{"full", func(int) sim.Topology { return nil }},
-		{"ring", func(n int) sim.Topology {
-			return sim.TopologyFunc(func(from, to sim.ProcessID) bool {
-				return to == (from+1)%sim.ProcessID(n) || to == from
-			})
+		{"full", func(int) *sim.Links { return nil }},
+		{"ring", func(n int) *sim.Links {
+			adj := make([][]sim.ProcessID, n)
+			for p := range adj {
+				adj[p] = []sim.ProcessID{sim.ProcessID(p), sim.ProcessID((p + 1) % n)}
+			}
+			return sim.NewLinks(n, adj)
 		}},
-		{"star", func(n int) sim.Topology {
-			return sim.TopologyFunc(func(from, to sim.ProcessID) bool {
-				return from == 0 || to == 0 || from == to
-			})
+		{"star", func(n int) *sim.Links {
+			adj := make([][]sim.ProcessID, n)
+			for p := range adj {
+				adj[0] = append(adj[0], sim.ProcessID(p))
+				if p != 0 {
+					adj[p] = []sim.ProcessID{0, sim.ProcessID(p)}
+				}
+			}
+			return sim.NewLinks(n, adj)
 		}},
-		{"pair", func(n int) sim.Topology {
-			return sim.TopologyFunc(func(from, to sim.ProcessID) bool { return from/2 == to/2 })
+		{"pair", func(n int) *sim.Links {
+			adj := make([][]sim.ProcessID, n)
+			for p := range adj {
+				for q := p &^ 1; q <= p|1 && q < n; q++ {
+					adj[p] = append(adj[p], sim.ProcessID(q))
+				}
+			}
+			return sim.NewLinks(n, adj)
 		}},
 	}
 	delays := []struct {

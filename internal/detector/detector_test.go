@@ -302,6 +302,36 @@ func TestCoreTopology(t *testing.T) {
 	if topo.Linked(0, 4) {
 		t.Error("core member 0 linked to distant follower 4")
 	}
+
+	// Every pair, the diagonal included, agrees with the overlay's
+	// predicate form: linked iff both ends are core members or the base
+	// links them.
+	for _, tc := range []struct {
+		name string
+		base *sim.Links
+		core []sim.ProcessID
+	}{
+		{"ring", sim.Ring(8), core},
+		{"torus", sim.Torus(3, 4), []sim.ProcessID{0, 1, 2, 3}},
+		{"islands", sim.Islands(9, 3), []sim.ProcessID{0, 1, 2, 3, 4}},
+	} {
+		inCore := make(map[sim.ProcessID]bool, len(tc.core))
+		for _, q := range tc.core {
+			inCore[q] = true
+		}
+		topo := CoreTopology(tc.base, tc.core)
+		if topo.N() != tc.base.N() {
+			t.Fatalf("%s: overlay spans %d processes, base %d", tc.name, topo.N(), tc.base.N())
+		}
+		for from := sim.ProcessID(0); int(from) < topo.N(); from++ {
+			for to := sim.ProcessID(0); int(to) < topo.N(); to++ {
+				want := (inCore[from] && inCore[to]) || tc.base.Linked(from, to)
+				if got := topo.Linked(from, to); got != want {
+					t.Errorf("%s: Linked(%d, %d) = %v, want %v", tc.name, from, to, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestOmegaFaultFree(t *testing.T) {

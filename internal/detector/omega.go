@@ -186,18 +186,18 @@ func (o *OmegaFollower) Step(env *sim.Env, msg sim.Message) {
 // monitoring core on dedicated interconnect, with leader announcements
 // flooding the ordinary (sparse) network via Relay. A nil base (fully
 // connected) is returned unchanged.
-func CoreTopology(base sim.Topology, core []sim.ProcessID) sim.Topology {
+func CoreTopology(base *sim.Links, core []sim.ProcessID) *sim.Links {
 	if base == nil {
 		return nil
 	}
-	inCore := make(map[sim.ProcessID]bool, len(core))
-	for _, q := range core {
-		inCore[q] = true
+	adj := make([][]sim.ProcessID, base.N())
+	for p := range adj {
+		adj[p] = base.Out(sim.ProcessID(p))
 	}
-	return sim.TopologyFunc(func(from, to sim.ProcessID) bool {
-		if inCore[from] && inCore[to] {
-			return true
-		}
-		return base.Linked(from, to)
-	})
+	for _, p := range core {
+		// Copy first: Out aliases base's storage, so appending in place
+		// would overwrite the next row.
+		adj[p] = append(append([]sim.ProcessID(nil), adj[p]...), core...)
+	}
+	return sim.NewLinks(base.N(), adj)
 }

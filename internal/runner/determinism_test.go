@@ -45,12 +45,12 @@ func goldenJobs(t testing.TB) []Job {
 	// legalTarget picks a topology-legal scripted-send recipient for the
 	// Byzantine process: its first out-neighbor, or itself when isolated
 	// (self-sends are always legal).
-	legalTarget := func(topo sim.Topology, from sim.ProcessID, n int) sim.ProcessID {
+	legalTarget := func(topo *sim.Links, from sim.ProcessID) sim.ProcessID {
 		if topo == nil {
 			return 0
 		}
-		for to := sim.ProcessID(0); int(to) < n; to++ {
-			if to != from && topo.Linked(from, to) {
+		for _, to := range topo.Out(from) {
+			if to != from {
 				return to
 			}
 		}
@@ -62,10 +62,9 @@ func goldenJobs(t testing.TB) []Job {
 		Ns:     []int{2, 5},
 		Delays: []string{"uniform", "growing", "perlink", "override"},
 		Faults: []string{"none", "mixed"},
-		// "ringfn" is the predicate-backed ring (the TopologyFunc path);
-		// the rest are CSR generators parsed by sim.ParseTopology,
+		// All but "full" are CSR generators parsed by sim.ParseTopology,
 		// including a disconnected one (islands/2).
-		Topologies: []string{"full", "ringfn", "ring", "torus", "regular/1", "scalefree/1", "islands/2"},
+		Topologies: []string{"full", "ring", "torus", "regular/1", "scalefree/1", "islands/2"},
 		Make: func(p Point) (Job, error) {
 			cfg := sim.Config{
 				N:         p.N,
@@ -95,25 +94,16 @@ func goldenJobs(t testing.TB) []Job {
 					Override: sim.UniformDelay{Min: rat.FromInt(3), Max: rat.FromInt(5)},
 				}
 			}
-			switch p.Topology {
-			case "full":
-			case "ringfn":
-				n := p.N
-				cfg.Topology = sim.TopologyFunc(func(from, to sim.ProcessID) bool {
-					return to == (from+1)%sim.ProcessID(n) || from == to
-				})
-			default:
-				topo, err := sim.ParseTopology(p.Topology, p.N, p.Seed)
-				if err != nil {
-					return Job{}, err
-				}
-				cfg.Topology = topo
+			topo, err := sim.ParseTopology(p.Topology, p.N, p.Seed)
+			if err != nil {
+				return Job{}, err
 			}
+			cfg.Topology = topo
 			if p.Fault == "mixed" {
 				cfg.Faults = map[sim.ProcessID]sim.Fault{
 					0: sim.Crash(3),
 					1: {CrashAfter: sim.NeverCrash, Script: []sim.ScriptedSend{
-						{At: rat.FromInt(2), To: legalTarget(cfg.Topology, 1, p.N), Payload: "forged"},
+						{At: rat.FromInt(2), To: legalTarget(cfg.Topology, 1), Payload: "forged"},
 					}},
 				}
 			}

@@ -51,7 +51,6 @@ type Engine struct {
 
 	// Per-run state; reset at the top of Run.
 	cfg        Config
-	links      *Links // cfg.Topology when it is a *Links, else nil
 	ret        Retention
 	cb         Sink // cfg.Sink when it observes (custom sink), else nil
 	trace      *Trace
@@ -102,12 +101,9 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("sim: unknown retention mode %v", ret.Mode)
 		}
 	}
-	var links *Links
-	if l, ok := cfg.Topology.(*Links); ok && l != nil {
-		if l.N() != cfg.N {
-			return nil, fmt.Errorf("sim: topology is over %d processes, config has N = %d", l.N(), cfg.N)
-		}
-		links = l
+	topo := cfg.Topology
+	if topo != nil && topo.N() != cfg.N {
+		return nil, fmt.Errorf("sim: topology is over %d processes, config has N = %d", topo.N(), cfg.N)
 	}
 	for p, f := range cfg.Faults {
 		if p < 0 || int(p) >= cfg.N {
@@ -152,7 +148,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			if s.At.Sign() < 0 {
 				return nil, fmt.Errorf("sim: scripted send from %d at negative time %v", p, s.At)
 			}
-			if s.To != p && cfg.Topology != nil && !cfg.Topology.Linked(p, s.To) {
+			if s.To != p && topo != nil && !topo.Linked(p, s.To) {
 				return nil, fmt.Errorf("sim: scripted send from %d to %d crosses a non-existent link", p, s.To)
 			}
 		}
@@ -190,7 +186,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s (partition %d)", err, i)
 			}
-			if !partitionCutsLink(sides, cfg.Topology, links, cfg.N) {
+			if !partitionCutsLink(sides, topo) {
 				return nil, fmt.Errorf("sim: partition %d cuts no link of the topology", i)
 			}
 			partSides[i] = sides
@@ -208,14 +204,13 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	cfg.Delays = delays
 	e.ret = ret
 	e.reset(cfg)
-	e.links = links
 	e.net = cfg.Net
 	e.partSides = partSides
-	if links != nil && cap(e.out) < links.MaxOutDegree()+1 {
+	if topo != nil && cap(e.out) < topo.MaxOutDegree()+1 {
 		// Pre-size the pooled send buffer to the worst-case broadcast
 		// fan-out (+1 for the woven-in self-delivery) so steps never grow
 		// it incrementally.
-		e.out = make([]pendingSend, 0, links.MaxOutDegree()+1)
+		e.out = make([]pendingSend, 0, topo.MaxOutDegree()+1)
 	}
 
 	for p := ProcessID(0); int(p) < cfg.N; p++ {
@@ -297,7 +292,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	e.finishTrace()
 	res := &Result{Trace: e.trace, Procs: e.procs, Truncated: truncated, MonitorErr: e.monitorErr}
 	// Drop the escaping references so pooled state never aliases a result.
-	e.trace, e.procs, e.cfg, e.links, e.cb, e.monitorErr = nil, nil, Config{}, nil, nil, nil
+	e.trace, e.procs, e.cfg, e.cb, e.monitorErr = nil, nil, Config{}, nil, nil
 	e.net, e.partSides = nil, nil
 	for p := range e.down {
 		e.down[p] = nil // Fault.Down slices are config-owned; do not pin them
@@ -568,39 +563,18 @@ func (e *Engine) deliver(m Message) {
 }
 
 // partitionCutsLink reports whether a partition's side vector severs at
-// least one link of the topology. For predicate topologies the pair scan
-// is only affordable at small N; larger systems skip the check (the
-// partition is accepted as specified).
-func partitionCutsLink(sides []int8, topo Topology, links *Links, n int) bool {
+// least one link of the topology (nil: fully connected).
+func partitionCutsLink(sides []int8, topo *Links) bool {
 	if topo == nil {
 		// Full mesh: two non-empty sides always cut links.
 		return true
 	}
-	if links != nil {
-		for p := 0; p < n; p++ {
-			if sides[p] == 0 {
-				continue
-			}
-			for _, q := range links.Out(ProcessID(p)) {
-				if sides[q] != 0 && sides[q] != sides[p] {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	if n > 1024 {
-		return true
-	}
-	for p := 0; p < n; p++ {
-		if sides[p] == 0 {
+	for p, side := range sides {
+		if side == 0 {
 			continue
 		}
-		for q := 0; q < n; q++ {
-			if q == p || sides[q] == 0 || sides[q] == sides[p] {
-				continue
-			}
-			if topo.Linked(ProcessID(p), ProcessID(q)) {
+		for _, q := range topo.Out(ProcessID(p)) {
+			if sides[q] != 0 && sides[q] != side {
 				return true
 			}
 		}
@@ -720,7 +694,6 @@ func (e *Engine) loop(maxEvents int) (truncated bool) {
 				n:         e.cfg.N,
 				stepIndex: e.stepCount[p],
 				topo:      e.cfg.Topology,
-				links:     e.links,
 				out:       e.out[:0],
 			}
 			e.procs[p].Step(&e.env, m)

@@ -46,10 +46,8 @@ func engineTestConfigs() map[string]Config {
 					{From: 0, To: 1}: ConstantDelay{D: rat.New(1, 2)},
 				},
 			},
-			Topology: TopologyFunc(func(from, to ProcessID) bool {
-				return to == (from+1)%5 || from == to
-			}),
-			Seed: 3, MaxEvents: 20000,
+			Topology: NewLinks(5, [][]ProcessID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}),
+			Seed:     3, MaxEvents: 20000,
 		},
 		"override-stagger-n4": {
 			N: 4, Spawn: broadcast(7),

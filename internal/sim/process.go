@@ -28,8 +28,7 @@ type Env struct {
 	stepIndex int
 	out       []pendingSend
 	note      any
-	topo      Topology
-	links     *Links // non-nil iff topo is a *Links; enables O(degree) fan-out
+	topo      *Links // nil: fully connected
 }
 
 type pendingSend struct {
@@ -67,40 +66,30 @@ func (e *Env) Send(to ProcessID, payload any) {
 // Broadcast sends payload to every out-neighbor in the topology and to the
 // sender itself. Self-delivery is unconditional — the paper assumes it for
 // Algorithm 1, and a topology describes network links, which a process does
-// not need to reach itself — so a predicate excluding from == to cannot
-// suppress it.
+// not need to reach itself — so a topology without a self-loop cannot
+// suppress it, and one with a self-loop does not duplicate it.
 //
-// All three paths emit sends in ascending recipient order (with self woven
-// into its sorted position), so the same topology expressed as a predicate
-// or as a *Links produces the identical trace; the *Links path just does it
-// in O(out-degree) instead of O(N).
+// Both paths emit sends in ascending recipient order, with self woven into
+// its sorted position; the sparse one costs O(out-degree), not O(N).
 func (e *Env) Broadcast(payload any) {
-	switch {
-	case e.links != nil:
-		selfDone := false
-		for _, to := range e.links.Out(e.self) {
-			if !selfDone && to >= e.self {
-				selfDone = true
-				if to != e.self {
-					e.out = append(e.out, pendingSend{to: e.self, payload: payload})
-				}
-			}
-			e.out = append(e.out, pendingSend{to: to, payload: payload})
-		}
-		if !selfDone {
-			e.out = append(e.out, pendingSend{to: e.self, payload: payload})
-		}
-	case e.topo != nil:
-		for to := ProcessID(0); int(to) < e.n; to++ {
-			if to != e.self && !e.topo.Linked(e.self, to) {
-				continue
-			}
-			e.out = append(e.out, pendingSend{to: to, payload: payload})
-		}
-	default:
+	if e.topo == nil {
 		for to := ProcessID(0); int(to) < e.n; to++ {
 			e.out = append(e.out, pendingSend{to: to, payload: payload})
 		}
+		return
+	}
+	selfDone := false
+	for _, to := range e.topo.Out(e.self) {
+		if !selfDone && to >= e.self {
+			selfDone = true
+			if to != e.self {
+				e.out = append(e.out, pendingSend{to: e.self, payload: payload})
+			}
+		}
+		e.out = append(e.out, pendingSend{to: to, payload: payload})
+	}
+	if !selfDone {
+		e.out = append(e.out, pendingSend{to: e.self, payload: payload})
 	}
 }
 

@@ -19,12 +19,12 @@ type Config struct {
 	// Delays assigns end-to-end delays; required.
 	Delays DelayPolicy
 	// Topology is the communication graph; nil means fully connected.
-	// Use a *Links (see the generators Ring, Torus, RandomRegular,
-	// ScaleFree, Islands, or ParseTopology) for sparse systems — the
-	// engine then broadcasts along precomputed neighbor lists instead of
-	// scanning all N processes per send. Self-delivery is always available
-	// regardless of topology, and wake-up delivery is unaffected by it.
-	Topology Topology
+	// Sparse systems build one with NewLinks or a generator (Ring, Torus,
+	// RandomRegular, ScaleFree, Islands, or ParseTopology), and the engine
+	// broadcasts along its neighbor lists. It must span exactly N
+	// processes. Self-delivery is always available regardless of
+	// topology, and wake-up delivery is unaffected by it.
+	Topology *Links
 	// Seed seeds the deterministic random source used by delay policies.
 	Seed int64
 	// MaxEvents bounds the number of receive events; 0 means the default

@@ -304,9 +304,9 @@ func TestUntilPredicate(t *testing.T) {
 }
 
 func TestTopologyRestriction(t *testing.T) {
-	// Ring topology 0->1->2->0 via a predicate that excludes from == to.
-	// Broadcast reaches the next process in the ring plus — regardless of
-	// the predicate — the sender itself: self-delivery is unconditional
+	// Ring topology 0->1->2->0 without self-loops. Broadcast reaches the
+	// next process in the ring plus — regardless of the links — the
+	// sender itself: self-delivery is unconditional
 	// (Algorithm 1's assumption), so each process receives exactly two
 	// copies, one from itself and one from its predecessor.
 	recv := make([]int, 3)
@@ -322,7 +322,7 @@ func TestTopologyRestriction(t *testing.T) {
 				}
 			})
 		},
-		Topology: TopologyFunc(func(from, to ProcessID) bool { return (int(from)+1)%3 == int(to) }),
+		Topology: Ring(3),
 		Delays:   ConstantDelay{D: rat.One},
 	}
 	if _, err := Run(cfg); err != nil {
@@ -343,7 +343,7 @@ func TestSendOutsideTopologyPanics(t *testing.T) {
 				}
 			})
 		},
-		Topology: TopologyFunc(func(from, to ProcessID) bool { return false }),
+		Topology: NewLinks(2, nil),
 		Delays:   ConstantDelay{D: rat.One},
 	}
 	defer func() {

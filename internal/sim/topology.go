@@ -8,31 +8,15 @@ import (
 	"strings"
 )
 
-// Topology describes which directed communication links exist. A nil
-// Topology in Config means fully connected. The engine treats self-delivery
-// as always available regardless of the topology: a process can deliver to
-// itself without a network link (see Env.Broadcast and Env.Send).
-//
-// Implementations backed by explicit neighbor lists should be *Links — the
-// engine recognizes it and routes Env.Broadcast through the precomputed
-// out-neighbor slices instead of the O(N) predicate scan, which is what
-// makes N ≈ 10^5 sparse systems tractable.
-type Topology interface {
-	// Linked reports whether the directed link from → to exists.
-	Linked(from, to ProcessID) bool
-}
-
-// TopologyFunc adapts a predicate to the Topology interface.
-type TopologyFunc func(from, to ProcessID) bool
-
-// Linked implements Topology.
-func (f TopologyFunc) Linked(from, to ProcessID) bool { return f(from, to) }
-
-// Links is a sparse directed graph in compressed sparse row form: one
-// sorted out-neighbor slice per process, following the CSR layout of
-// causality.Graph. It implements Topology; Linked answers by binary search
-// and Out exposes the neighbor slice the engine's broadcast fast path
-// iterates directly.
+// Links is a directed communication graph in compressed sparse row form:
+// one sorted out-neighbor slice per process, following the CSR layout of
+// causality.Graph. It is the engine's only topology representation; a nil
+// *Links in Config means fully connected. Linked answers by binary search,
+// and Out exposes the neighbor slice Env.Broadcast iterates directly, which
+// is what makes N ≈ 10^5 sparse systems tractable. The engine treats
+// self-delivery as always available regardless of the links: a process can
+// deliver to itself without a network link (see Env.Broadcast and
+// Env.Send).
 type Links struct {
 	n      int
 	off    []int32
@@ -99,8 +83,8 @@ func (l *Links) Out(p ProcessID) []ProcessID { return l.to[l.off[p]:l.off[p+1]] 
 // MaxOutDegree returns the largest out-degree.
 func (l *Links) MaxOutDegree() int { return l.maxOut }
 
-// Linked implements Topology by binary search over the sorted neighbor
-// slice.
+// Linked reports whether the directed link from → to exists, by binary
+// search over the sorted neighbor slice.
 func (l *Links) Linked(from, to ProcessID) bool {
 	if from < 0 || int(from) >= l.n {
 		return false
@@ -201,8 +185,9 @@ func ScaleFree(n, m int, seed int64) *Links {
 	rng := rand.New(rand.NewSource(seed))
 	adj := make([][]ProcessID, n)
 	// repeated lists every endpoint once per incident edge; sampling from
-	// it is degree-proportional selection.
-	repeated := make([]ProcessID, 0, 2*m*n)
+	// it is degree-proportional selection. A node attaches to at most n-1
+	// others, so m is clamped there to keep the capacity in range.
+	repeated := make([]ProcessID, 0, 2*min(m, n-1)*n)
 	for v := 1; v < n; v++ {
 		k := m
 		if v < m {
@@ -298,7 +283,7 @@ func IslandOf(n, k int, p ProcessID) int {
 //
 // Note that generated names contain '/' — axis labels must therefore use
 // explicit key=value segments (see runner.Point.Key).
-func ParseTopology(spec string, n int, seed int64) (Topology, error) {
+func ParseTopology(spec string, n int, seed int64) (*Links, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sim: topology %q needs n > 0, got %d", spec, n)
 	}
@@ -327,8 +312,13 @@ func ParseTopology(spec string, n int, seed int64) (Topology, error) {
 			if err1 != nil || err2 != nil || rows <= 0 || cols <= 0 {
 				return nil, fmt.Errorf("sim: topology %q: bad dimensions", spec)
 			}
+			// Bound each factor before multiplying: rows·cols could
+			// otherwise wrap around to n.
+			if rows > n || cols > n {
+				return nil, fmt.Errorf("sim: topology %q: dimension exceeds n=%d", spec, n)
+			}
 		}
-		if rows*cols != n {
+		if n%rows != 0 || n/rows != cols {
 			return nil, fmt.Errorf("sim: topology %q: %d×%d != n=%d", spec, rows, cols, n)
 		}
 		return Torus(rows, cols), nil

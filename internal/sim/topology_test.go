@@ -156,6 +156,9 @@ func TestParseTopology(t *testing.T) {
 		{"regular/2", 9, false, 9 * 2},
 		{"scalefree/1", 9, false, 2 * 8},
 		{"islands/3", 9, false, 9 * 2},
+		// An attachment count beyond n-1 attaches each node to every
+		// earlier one: the complete graph on 4 nodes.
+		{"scalefree/9223372036854775807", 4, false, 4 * 3},
 	}
 	for _, tc := range ok {
 		topo, err := ParseTopology(tc.spec, tc.n, 1)
@@ -169,13 +172,12 @@ func TestParseTopology(t *testing.T) {
 			}
 			continue
 		}
-		l, okType := topo.(*Links)
-		if !okType {
-			t.Errorf("ParseTopology(%q) returned %T, want *Links", tc.spec, topo)
+		if topo == nil {
+			t.Errorf("ParseTopology(%q) = nil, want sparse links", tc.spec)
 			continue
 		}
-		if l.NumLinks() != tc.links {
-			t.Errorf("ParseTopology(%q, %d): %d links, want %d", tc.spec, tc.n, l.NumLinks(), tc.links)
+		if topo.NumLinks() != tc.links {
+			t.Errorf("ParseTopology(%q, %d): %d links, want %d", tc.spec, tc.n, topo.NumLinks(), tc.links)
 		}
 	}
 	bad := []struct {
@@ -185,6 +187,8 @@ func TestParseTopology(t *testing.T) {
 		{"full/x", 4}, {"ring/3", 4}, {"torus/2x3", 4}, {"torus/ab", 4},
 		{"regular/4", 4}, {"regular/x", 4}, {"scalefree/0", 4},
 		{"islands/5", 4}, {"islands/0", 4}, {"mesh", 4}, {"ring", 0},
+		// rows·cols wraps around to n without the per-dimension bound.
+		{"torus/4611686018427387905x4", 4}, {"torus/4x4611686018427387905", 4},
 	}
 	for _, tc := range bad {
 		if _, err := ParseTopology(tc.spec, tc.n, 1); err == nil {
@@ -194,17 +198,17 @@ func TestParseTopology(t *testing.T) {
 }
 
 // TestBroadcastSelfDeliveryUnconditional pins the semantics decision for
-// the self-delivery bug: a topology predicate returning false for
-// from == to must not suppress the broadcast's self-copy (Algorithm 1
-// assumes unconditional self-delivery; a topology describes network links,
-// and reaching oneself needs none).
+// the self-delivery bug: a topology without the link p → p must not
+// suppress the broadcast's self-copy (Algorithm 1 assumes unconditional
+// self-delivery; a topology describes network links, and reaching oneself
+// needs none), and one with that link must not duplicate it.
 func TestBroadcastSelfDeliveryUnconditional(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		topo Topology
+		topo *Links
 	}{
-		{"predicate", TopologyFunc(func(from, to ProcessID) bool { return false })},
 		{"links", NewLinks(3, nil)}, // no links at all
+		{"self-loops", NewLinks(3, [][]ProcessID{{0}, {1}, {2}})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			recv := make([]int, 3)
@@ -250,7 +254,7 @@ func TestSendToSelfAlwaysAllowed(t *testing.T) {
 				}
 			})
 		},
-		Topology: TopologyFunc(func(from, to ProcessID) bool { return false }),
+		Topology: NewLinks(2, nil),
 		Delays:   ConstantDelay{D: rat.One},
 	})
 	if err != nil {
@@ -258,35 +262,6 @@ func TestSendToSelfAlwaysAllowed(t *testing.T) {
 	}
 	if got != 1 {
 		t.Errorf("process 0 received %d self-sends, want 1", got)
-	}
-}
-
-// TestBroadcastLinksMatchesPredicate: the same topology expressed as a
-// *Links and as a predicate produces bit-identical traces — the CSR fast
-// path is an optimization, not a semantics change.
-func TestBroadcastLinksMatchesPredicate(t *testing.T) {
-	const n = 6
-	ring := Ring(n)
-	pred := TopologyFunc(func(from, to ProcessID) bool { return ring.Linked(from, to) })
-	base := Config{
-		N:      n,
-		Spawn:  broadcastSpawn(4),
-		Delays: UniformDelay{Min: rat.One, Max: rat.FromInt(2)},
-		Seed:   11,
-	}
-	asLinks, asPred := base, base
-	asLinks.Topology = ring
-	asPred.Topology = pred
-	rl, err := Run(asLinks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := Run(asPred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rl.Trace.Hash() != rp.Trace.Hash() {
-		t.Errorf("links trace %016x != predicate trace %016x", rl.Trace.Hash(), rp.Trace.Hash())
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -30,6 +31,10 @@ func sparseCases(t *testing.T) map[string][]string {
 		// (the precision verdict gates itself off), so the event budget
 		// keeps the case bounded either way.
 		"vlsi-torus": {"vlsi", "topology=torus", "n=9", "maxevents=3000"},
+		// Ω on sparse fabrics: the core runs on detector.CoreTopology's
+		// clique overlay, and relays flood announcements hop by hop.
+		"omega-ring":  {"omega", "topology=ring", "n=8"},
+		"omega-torus": {"omega", "topology=torus", "n=9"},
 	}
 }
 
@@ -91,6 +96,33 @@ func TestSparseDisconnectedQuiesces(t *testing.T) {
 		}
 		if r.Sim == nil || r.Sim.Truncated {
 			t.Errorf("%s: disconnected run did not quiesce", r.Key)
+		}
+	}
+}
+
+// TestSparsePartitionMustCutALink pins the partition check on sparse
+// fabrics at every size: halving a two-island system along its island
+// boundary severs no link, so the run is rejected at setup — for Ω, whose
+// topology is the base plus the core overlay, as for plain broadcast, and
+// past N = 1024 as below it.
+func TestSparsePartitionMustCutALink(t *testing.T) {
+	for _, name := range []string{"broadcast", "omega"} {
+		for _, n := range []string{"1000", "2000"} {
+			s := source(t, name)
+			v, err := s.Resolve(map[string]string{
+				"n": n, "topology": "islands/2", "faults": "partition/halves@0..5",
+			})
+			if err != nil {
+				t.Fatalf("%s n=%s: %v", name, n, err)
+			}
+			jobs, err := s.Jobs(v, []int64{1}, workload.JobOptions{})
+			if err != nil {
+				t.Fatalf("%s n=%s: %v", name, n, err)
+			}
+			_, err = sim.Run(*jobs[0].Cfg)
+			if err == nil || !strings.Contains(err.Error(), "cuts no link") {
+				t.Errorf("%s n=%s: err %v, want a cuts-no-link setup error", name, n, err)
+			}
 		}
 	}
 }

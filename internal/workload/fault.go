@@ -240,15 +240,18 @@ func parseClause(pos int, text string) (faultClause, error) {
 }
 
 // scriptTarget picks the deterministic recipient of a scripted send from
-// p: the smallest process p is linked to (0 under the fully connected
-// default), itself when the topology gives it no out-links — self-sends
-// are always legal (see sim.Fault).
-func scriptTarget(p sim.ProcessID, n int, topo sim.Topology) sim.ProcessID {
-	for q := sim.ProcessID(0); int(q) < n; q++ {
-		if q == p {
-			continue
+// p: its smallest out-neighbor other than itself (0 under the fully
+// connected default), itself when the topology gives it no out-links —
+// self-sends are always legal (see sim.Fault).
+func scriptTarget(p sim.ProcessID, n int, topo *sim.Links) sim.ProcessID {
+	if topo == nil {
+		if p == 0 && n > 1 {
+			return 1
 		}
-		if topo == nil || topo.Linked(p, q) {
+		return 0
+	}
+	for _, q := range topo.Out(p) {
+		if q != p {
 			return q
 		}
 	}
@@ -341,7 +344,7 @@ func insertInterval(down []sim.Interval, iv sim.Interval) []sim.Interval {
 // drop/dup/spike/partition clauses assemble a sim.NetFaults. A nil map
 // and nil NetFaults mean no faults. Callers validate the returned map's
 // size against their own resilience bound.
-func ResolveFaults(v Values, n int, topo sim.Topology, byz ByzFactory) (map[sim.ProcessID]sim.Fault, *sim.NetFaults, error) {
+func ResolveFaults(v Values, n int, topo *sim.Links, byz ByzFactory) (map[sim.ProcessID]sim.Fault, *sim.NetFaults, error) {
 	spec := v.String("faults")
 	clauses, err := parseFaults(spec)
 	if err != nil {

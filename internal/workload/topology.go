@@ -20,11 +20,11 @@ func TopologyParams() []Param {
 	}
 }
 
-// ResolveTopology builds the sim.Topology for the resolved values; nil
-// means fully connected. The topology seed is deliberately separate from
-// the job seed so a sweep varies delays across seeds while holding the
-// graph fixed.
-func ResolveTopology(v Values, n int) (sim.Topology, error) {
+// ResolveTopology builds the communication graph for the resolved values;
+// nil means fully connected. The topology seed is deliberately separate
+// from the job seed so a sweep varies delays across seeds while holding
+// the graph fixed.
+func ResolveTopology(v Values, n int) (*sim.Links, error) {
 	topo, err := sim.ParseTopology(v.String("topology"), n, v.Int64("toposeed"))
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
