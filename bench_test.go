@@ -314,7 +314,9 @@ func BenchmarkCycleEnumeration(b *testing.B) {
 // 10^7-event trace is the memory wall the mode exists to remove); the
 // bounded variant at 100k carries the explicit /retain=none suffix next
 // to its full-retention twin. The n=10000 ring doubles as the CI fan-out
-// smoke.
+// smoke. Every row but one primes its engine before timing; the /cold
+// row builds a fresh engine per iteration, the path every abcsim run
+// takes, so its B/op gates the allocation of a cold run's working set.
 func BenchmarkSimulator(b *testing.B) {
 	cases := []struct {
 		topo     string
@@ -325,6 +327,7 @@ func BenchmarkSimulator(b *testing.B) {
 		{"full", 8, 50, nil, ""}, // the historical shape, for trajectory continuity
 		{"full", 100, 5, nil, ""},
 		{"ring", 10000, 3, nil, ""},
+		{"ring", 10000, 3, sim.RetainNone, "/cold"},
 		{"ring", 100000, 3, nil, ""},
 		{"torus", 100000, 3, nil, ""},
 		{"ring", 100000, 3, sim.RetainNone, "/retain=none"},
@@ -360,6 +363,9 @@ func BenchmarkSimulator(b *testing.B) {
 			events := warm.Trace.TotalEvents()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if tc.tag == "/cold" {
+					engine = sim.NewEngine()
+				}
 				if _, err := engine.Run(cfg); err != nil {
 					b.Fatal(err)
 				}

@@ -173,6 +173,29 @@ func TestRunTopologyOverflowSpecs(t *testing.T) {
 	}
 }
 
+// TestRunEngineSetupLimits pins two engine-setup inputs that panicked: a
+// retention window near MaxInt runs like any window larger than the run
+// (its pre-size and slide test overflowed int), and a system size beyond
+// the engine's int32 position rows is a setup error, not a failed
+// allocation.
+func TestRunEngineSetupLimits(t *testing.T) {
+	for _, k := range []string{"4611686018427387904", "9223372036854775807"} {
+		var out, errOut strings.Builder
+		args := []string{"-workload", "broadcast", "-param", "trace=window/" + k}
+		if err := run(args, &out, &errOut); err != nil {
+			t.Fatalf("window/%s: %v (stderr: %s)", k, err, errOut.String())
+		}
+		if !strings.Contains(out.String(), "164 events") {
+			t.Errorf("window/%s: unexpected run:\n%s", k, out.String())
+		}
+	}
+	var out, errOut strings.Builder
+	args := []string{"-workload", "broadcast", "-param", "n=99999999999999"}
+	if err := run(args, &out, &errOut); err == nil || !strings.Contains(err.Error(), "exceeds the engine's limit") {
+		t.Errorf("n=99999999999999: err %v, want an engine-limit setup error", err)
+	}
+}
+
 // TestRunJSON pins the NDJSON contract of -json: one "job" record per
 // run carrying the full parameter point (base overlaid with sweep
 // assignments), seed, verdict, stream digest, and throughput, followed

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/rat"
@@ -44,10 +45,7 @@ type Engine struct {
 	posRows    [][]int32     // pooled eventPos rows; compacted out per run
 	lastEvents int           // high-water marks sizing the next full-retention run
 	lastMsgs   int
-	pend       []Message // bounded retention: in-flight message store
-	pendDone   []bool    // pend[i] delivered (eligible for compaction)
-	pendBase   MsgID     // ID of pend[0]
-	pendStart  int       // first undelivered index in pend
+	slots      slotStore // bounded retention: in-flight message store
 
 	// Per-run state; reset at the top of Run.
 	cfg        Config
@@ -62,6 +60,11 @@ type Engine struct {
 	partSides  [][]int8   // per-partition side vectors, built at Run setup
 }
 
+// maxWindowPresize bounds the window retention pre-size: windows up to
+// this many events start at their full 2K slide capacity, larger ones
+// grow by append until their first slide.
+const maxWindowPresize = 1 << 12
+
 // NewEngine returns an empty Engine. Equivalent to new(Engine); it exists
 // for discoverability next to Run.
 func NewEngine() *Engine { return new(Engine) }
@@ -74,6 +77,10 @@ func NewEngine() *Engine { return new(Engine) }
 func (e *Engine) Run(cfg Config) (*Result, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("sim: N = %d, need at least 1", cfg.N)
+	}
+	if cfg.N > math.MaxInt32 {
+		// Each process's wake-up is an event, and event positions are int32.
+		return nil, fmt.Errorf("sim: N = %d exceeds the engine's limit of %d processes", cfg.N, math.MaxInt32)
 	}
 	if cfg.Spawn == nil {
 		return nil, errors.New("sim: Spawn is required")
@@ -250,11 +257,11 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			}
 		}
 		e.wakeTime[p] = at
-		id := e.recordMessage(Message{
+		ref := e.recordMessage(Message{
 			From: External, To: p, SendStep: SendStepExternal,
 			SendTime: at, RecvTime: at, Payload: Wakeup{},
 		})
-		e.queue.push(delivery{at: at, key: deliveryKey(at), seq: e.nextSeq(), msg: id})
+		e.queue.push(delivery{at: at, key: deliveryKey(at), seq: e.nextSeq(), ref: ref})
 	}
 	// Recovery wake-ups for amnesia processes: one external wake-up at the
 	// end of each down interval, so the respawned machine re-executes its
@@ -269,11 +276,11 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			if !iv.Until.Greater(e.wakeTime[p]) {
 				continue // the initial wake-up already covers this recovery
 			}
-			id := e.recordMessage(Message{
+			ref := e.recordMessage(Message{
 				From: External, To: p, SendStep: SendStepExternal,
 				SendTime: iv.Until, RecvTime: iv.Until, Payload: Wakeup{},
 			})
-			e.queue.push(delivery{at: iv.Until, key: deliveryKey(iv.Until), seq: e.nextSeq(), msg: id})
+			e.queue.push(delivery{at: iv.Until, key: deliveryKey(iv.Until), seq: e.nextSeq(), ref: ref})
 		}
 	}
 	// Scripted Byzantine sends, in process order for determinism (map
@@ -341,8 +348,7 @@ func (e *Engine) reset(cfg Config) {
 	for p := 0; p < cfg.N; p++ {
 		e.crashAfter[p] = NeverCrash
 	}
-	e.pendBase = 0
-	e.pendStart = 0
+	e.slots.reset()
 
 	// Escaping per-run state: always fresh. Full retention pre-sizes the
 	// event and message stores to the engine's high-water marks so steady
@@ -367,8 +373,11 @@ func (e *Engine) reset(cfg Config) {
 		// by a compacted fresh copy before the Result escapes.
 		e.trace.eventPos = e.posRows
 	case RetainWindowMode:
-		e.trace.Events = make([]Event, 0, 2*e.ret.Window)
-		e.trace.Msgs = make([]Message, 0, 2*e.ret.Window)
+		// The slide amortizes growth past the pre-size, so a window far
+		// larger than the run costs only what the run retains.
+		size := 2 * min(e.ret.Window, maxWindowPresize)
+		e.trace.Events = make([]Event, 0, size)
+		e.trace.Msgs = make([]Message, 0, size)
 		e.trace.digest.init()
 	case RetainNoneMode:
 		e.trace.digest.init()
@@ -378,7 +387,8 @@ func (e *Engine) reset(cfg Config) {
 // finishTrace seals the per-run trace before it escapes: full retention
 // compacts the pooled index rows into one fresh flat array (two
 // allocations) and refreshes the high-water marks; bounded retention
-// clears the pooled in-flight store so it pins no payloads between runs.
+// clears the slots a truncated run left occupied so the pooled store pins
+// no payloads between runs.
 func (e *Engine) finishTrace() {
 	switch e.ret.Mode {
 	case RetainFullMode:
@@ -399,9 +409,7 @@ func (e *Engine) finishTrace() {
 			e.lastMsgs = len(t.Msgs)
 		}
 	default:
-		clear(e.pend)
-		e.pend = e.pend[:0]
-		e.pendDone = e.pendDone[:0]
+		e.slots.clearUsed()
 	}
 }
 
@@ -455,24 +463,26 @@ func (e *Engine) nextSeq() int64 {
 }
 
 // recordMessage finalizes one message (its receive time already
-// assigned), stores it per the retention mode, and returns its ID. Under
-// bounded retention the message lives in the pooled in-flight store until
-// delivered, and the stream digest folds it immediately — in ID order,
-// matching the on-demand digest of a complete trace.
-func (e *Engine) recordMessage(m Message) MsgID {
+// assigned), stores it per the retention mode, and returns the reference
+// its delivery carries: the ID under full retention, which indexes
+// Trace.Msgs; under bounded retention a slot of the pooled in-flight
+// store, where the message waits until takeDelivery frees the slot. The
+// stream digest folds a bounded-retention message immediately — in ID
+// order, matching the on-demand digest of a complete trace.
+func (e *Engine) recordMessage(m Message) (ref int) {
 	m.ID = e.nextMsg
 	e.nextMsg++
 	switch e.ret.Mode {
 	case RetainFullMode:
 		e.trace.Msgs = append(e.trace.Msgs, m)
+		ref = int(m.ID)
 	default:
 		e.trace.totalMsgs++
 		e.trace.digest.foldMessage(&m)
-		// Dropped messages are never delivered, so they enter the pooled
-		// in-flight store already done — eligible for compaction, but
-		// preserving the dense pendBase+i == ID indexing.
-		e.pend = append(e.pend, m)
-		e.pendDone = append(e.pendDone, m.Dropped)
+		// A dropped message is never delivered, so it takes no slot.
+		if !m.Dropped {
+			ref = e.slots.put(&m)
+		}
 	}
 	if e.cb != nil {
 		// Copy for the interface call: handing &m itself to an opaque
@@ -480,7 +490,7 @@ func (e *Engine) recordMessage(m Message) MsgID {
 		cm := m
 		e.cb.Message(&cm)
 	}
-	return m.ID
+	return ref
 }
 
 // sendMessage runs the network pipeline for one send: the message-level
@@ -558,8 +568,8 @@ func (e *Engine) deliver(m Message) {
 		}
 	}
 	m.RecvTime = recv
-	id := e.recordMessage(m)
-	e.queue.push(delivery{at: recv, key: deliveryKey(recv), seq: e.nextSeq(), msg: id})
+	ref := e.recordMessage(m)
+	e.queue.push(delivery{at: recv, key: deliveryKey(recv), seq: e.nextSeq(), ref: ref})
 }
 
 // partitionCutsLink reports whether a partition's side vector severs at
@@ -583,33 +593,14 @@ func partitionCutsLink(sides []int8, topo *Links) bool {
 }
 
 // takeDelivery resolves a popped delivery to its message. Under bounded
-// retention the message is fetched from the in-flight store, marked
-// delivered, and the store's delivered prefix is compacted away
-// (amortized O(1)) so memory tracks the in-flight population, not the
-// run length.
+// retention the message leaves its slot, which is zeroed (so it pins no
+// payload) and freed for the next send: the store holds exactly the
+// messages still in flight, however long the run.
 func (e *Engine) takeDelivery(d delivery) Message {
 	if e.ret.Mode == RetainFullMode {
-		return e.trace.Msgs[d.msg]
+		return e.trace.Msgs[d.ref]
 	}
-	i := int(d.msg - e.pendBase)
-	m := e.pend[i]
-	e.pendDone[i] = true
-	s := e.pendStart
-	for s < len(e.pend) && e.pendDone[s] {
-		s++
-	}
-	e.pendStart = s
-	if s > 1024 && s > len(e.pend)/2 {
-		old := e.pend
-		n := copy(old, old[s:])
-		clear(old[n:]) // drop payload refs from the vacated suffix
-		e.pend = old[:n]
-		copy(e.pendDone, e.pendDone[s:])
-		e.pendDone = e.pendDone[:n]
-		e.pendBase += MsgID(s)
-		e.pendStart = 0
-	}
-	return m
+	return e.slots.take(d.ref)
 }
 
 // recordEvent appends one finalized receive event per the retention mode.
@@ -628,7 +619,8 @@ func (e *Engine) recordEvent(ev Event, m Message) {
 		t.digest.foldEvent(&ev)
 		t.Events = append(t.Events, ev)
 		t.Msgs = append(t.Msgs, m) // parallel trigger store
-		if k := e.ret.Window; len(t.Events) >= 2*k {
+		// len-k >= k, not len >= 2k: 2k overflows for K near MaxInt.
+		if k := e.ret.Window; len(t.Events)-k >= k {
 			// Slide: keep the most recent k, amortized O(1) per event.
 			drop := len(t.Events) - k
 			n := copy(t.Events, t.Events[drop:])

@@ -15,7 +15,9 @@ type delivery struct {
 	at  Time
 	key float64
 	seq int64 // insertion order; total tie-break for determinism
-	msg MsgID
+	// ref locates the message: its ID (an index into Trace.Msgs) under
+	// full retention, its in-flight store slot under bounded retention.
+	ref int
 }
 
 // before is the exact total delivery order (at, seq).
@@ -142,7 +144,7 @@ const (
 	bucketQueueMinBuckets = 1024
 	bucketQueueMaxBuckets = 1 << 19
 	// bucketSortThreshold is the run length above which the drain sort
-	// radix-refines by float key before the exact comparison sort; below
+	// counting-sorts by float key before the exact comparison sort; below
 	// it a plain comparison sort of a handful of items wins.
 	bucketSortThreshold = 64
 )
@@ -176,10 +178,19 @@ func bucketsFor(n int) int {
 // keys span nothing at rebuild time (every wake-up at t = 0) the width
 // falls back to 1 and the whole run can land in a handful of buckets,
 // turning each drain into a sort of 10^5+ deliveries. sortRun handles
-// that case by radix-refining oversized runs on the float key — an O(m)
-// distribution pass into per-drain bins, recursively, before the exact
-// sort of each small bin — so the drain cost stays near-linear however
-// badly the window width guessed.
+// that case by counting-sorting oversized runs on the float key — two
+// O(m) passes scattering the run into bin ranges of the spare — before
+// the exact sort of each small bin, so the drain cost stays near-linear
+// however badly the window width guessed.
+//
+// Draining copies nothing: advance takes the bucket's slice itself as
+// the current run, and the storage the previous run leaves behind becomes
+// the single spare (the old spare goes to the emptied bucket, so no
+// storage is dropped). The counting sort writes into the spare and hands
+// the unsorted run's storage back as the new spare, and a bucket about to
+// outgrow its capacity swaps into the spare when the spare is larger, so
+// at one bucket per time unit the 10^5-entry buffers circulate instead of
+// being regrown, and a warm engine's drains allocate nothing.
 type bucketQueue struct {
 	buckets [][]delivery
 	over    heapQueue // beyond the window (or before it is primed)
@@ -190,9 +201,8 @@ type bucketQueue struct {
 	bkt    int     // next bucket ordinal to drain
 	cur    []delivery
 	curIdx int
-
-	// radix-refinement scratch, recycled across drains.
-	bins [][]delivery
+	spare  []delivery // empty storage for a sort's output or a growing bucket
+	counts []int32    // counting-sort bin offsets, recycled across drains
 
 	size   int
 	primed bool
@@ -211,10 +221,13 @@ func (q *bucketQueue) reset(n int) {
 	for i := range q.buckets {
 		q.buckets[i] = q.buckets[i][:0]
 	}
-	q.over = q.over[:0]
+	// All n wake-ups wait in the overflow heap until the first pop primes
+	// the window: size it for them once.
+	q.over = slices.Grow(q.over[:0], n)
 	q.overMax = math.Inf(-1)
 	q.cur = q.cur[:0]
 	q.curIdx = 0
+	q.spare = q.spare[:0]
 	q.bkt = 0
 	q.size = 0
 	q.primed = false
@@ -241,11 +254,27 @@ func (q *bucketQueue) push(d delivery) {
 		// Belongs to already-drained territory: merge into the exact run.
 		q.insertCur(d)
 	case o < float64(len(q.buckets)):
-		i := int(o)
-		q.buckets[i] = append(q.buckets[i], d)
+		q.pushBucket(int(o), d)
 	default:
 		q.pushOver(d)
 	}
+}
+
+// pushBucket appends d to bucket i. A full bucket first moves into the
+// spare when the spare is larger, handing its own storage back as the new
+// spare, so growth reuses drained storage before it allocates; otherwise
+// it doubles, where append would grow a large slice by only 1.25x and
+// copy a bucket that grows from empty to 10^5 entries a dozen times.
+func (q *bucketQueue) pushBucket(i int, d delivery) {
+	b := q.buckets[i]
+	if len(b) == cap(b) {
+		if cap(q.spare) > cap(b) {
+			b, q.spare = append(q.spare[:0], b...), b[:0]
+		} else {
+			b = slices.Grow(b, len(b)+1)
+		}
+	}
+	q.buckets[i] = append(b, d)
 }
 
 // insertCur splices d into the sorted current run at its exact position.
@@ -278,33 +307,36 @@ func (q *bucketQueue) pop() delivery {
 	return d
 }
 
-// advance moves the drain position to the next non-empty bucket, sorting
-// it into the current run; when the window is exhausted it re-seeds
-// base/width from the overflow heap. Callers guarantee size > 0.
+// advance moves the drain position to the next non-empty bucket, which
+// becomes the current run in place and is sorted; when the window is
+// exhausted it re-seeds base/width from the overflow heap. Callers
+// guarantee size > 0.
 func (q *bucketQueue) advance() {
-	q.cur = q.cur[:0]
 	q.curIdx = 0
 	for q.bkt < len(q.buckets) {
 		b := q.bkt
 		q.bkt++
 		if len(q.buckets[b]) > 0 {
-			q.cur = append(q.cur, q.buckets[b]...)
-			q.buckets[b] = q.buckets[b][:0]
+			q.cur, q.spare, q.buckets[b] = q.buckets[b], q.cur[:0], q.spare
 			q.sortRun()
 			return
 		}
 	}
+	q.cur = q.cur[:0]
 	q.rebuild()
 }
 
 // sortRun orders q.cur by the exact (at, seq) order. Small runs sort
 // directly; oversized runs — the product of a degenerate window width —
-// are first distributed into ~len/4 bins by float key (monotone, so bin
-// order respects the exact order and only bin-mates need comparing), then
-// each bin is sorted and copied back over the run in bin order. The
-// distribution pass is O(m); key-identical runs (where no float width can
-// discriminate) fall through to the comparison sort, which resolves them
-// on the cheap seq tie-break.
+// are first counting-sorted into ~len/4 bins by float key (monotone, so
+// bin order respects the exact order and only bin-mates need comparing):
+// one pass counts each bin, one scatters the run into a second buffer at
+// the bins' prefix-sum offsets, and each bin's range is then sorted in
+// place. The sorted copy — in the spare when it is large enough —
+// becomes the current run and the unsorted run's storage the spare.
+// Key-identical runs (where no float width can discriminate) fall
+// through to the comparison sort, which resolves them on the cheap seq
+// tie-break.
 func (q *bucketQueue) sortRun() {
 	run := q.cur
 	if len(run) <= bucketSortThreshold {
@@ -328,23 +360,39 @@ func (q *bucketQueue) sortRun() {
 		slices.SortFunc(run, cmpDelivery)
 		return
 	}
-	if len(q.bins) < nbins {
-		q.bins = make([][]delivery, nbins)
+	if cap(q.counts) < nbins {
+		q.counts = make([]int32, nbins)
 	}
+	counts := q.counts[:nbins]
+	clear(counts)
+	for _, d := range run {
+		counts[int((d.key-lo)/width)]++
+	}
+	// Exclusive prefix sums: counts[b] becomes bin b's start offset.
+	var off int32
+	for b, c := range counts {
+		counts[b] = off
+		off += c
+	}
+	sorted := q.spare[:0]
+	if cap(sorted) < len(run) {
+		sorted = make([]delivery, 0, len(run))
+	}
+	sorted = sorted[:len(run)]
 	for _, d := range run {
 		b := int((d.key - lo) / width)
-		q.bins[b] = append(q.bins[b], d)
+		sorted[counts[b]] = d
+		counts[b]++
 	}
-	pos := 0
-	for i := 0; i < nbins; i++ {
-		bin := q.bins[i]
-		if len(bin) == 0 {
-			continue
+	// After the scatter counts[b] is bin b's end offset.
+	start := 0
+	for _, end := range counts {
+		if int(end)-start > 1 {
+			slices.SortFunc(sorted[start:end], cmpDelivery)
 		}
-		slices.SortFunc(bin, cmpDelivery)
-		pos += copy(run[pos:], bin)
-		q.bins[i] = bin[:0]
+		start = int(end)
 	}
+	q.cur, q.spare = sorted, run[:0]
 }
 
 // bucketSortBins picks the refinement bin count: about a quarter of the
@@ -361,8 +409,8 @@ func bucketSortBins(m int) int {
 // rebuild starts a fresh window at the overflow minimum. The width spreads
 // the overflow's key span across the buckets; degenerate spans (all keys
 // equal, or spans that overflow float64) fall back to width 1, which
-// degrades to sorted-run behavior but stays exact — sortRun's radix
-// refinement keeps even that case near-linear.
+// degrades to sorted-run behavior but stays exact — sortRun's counting
+// sort keeps even that case near-linear.
 func (q *bucketQueue) rebuild() {
 	q.primed = true
 	q.base = q.over[0].key
@@ -375,8 +423,7 @@ func (q *bucketQueue) rebuild() {
 		if !(o < float64(len(q.buckets))) {
 			break
 		}
-		d := q.over.pop()
-		q.buckets[int(o)] = append(q.buckets[int(o)], d)
+		q.pushBucket(int(o), q.over.pop())
 	}
 	if len(q.over) == 0 {
 		q.overMax = math.Inf(-1)
