@@ -11,7 +11,7 @@ BENCH_SIM_SMOKE = BenchmarkSimulator/.*/^n=(8|100|10000)$$
 # once, under a hard time budget.
 BENCH_SIM_SCALE = BenchmarkSimulator/topo=ring/^n=1000000$$
 
-.PHONY: all build vet test race bench bench-smoke fuzz-smoke fleet-bench cover cli-smoke ci
+.PHONY: all build vet test race bench bench-smoke fuzz-smoke fleet-bench cover cli-smoke bench-module ci
 
 all: build
 
@@ -85,6 +85,12 @@ cli-smoke:
 	$(GO) run ./cmd/abcsim -workload broadcast -param n=64 -param target=20 -param trace=window/4096 -watch
 	$(GO) run ./cmd/abcsim -workload broadcast -param n=1000 -param topology=ring -param target=30
 
+# bench-module vets and tests the benchmark harness, a separate module
+# (bench/go.mod) that ./... does not reach, so an API change that breaks
+# the harness fails here instead of in the benchmark run.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # cover reports runner and sim coverage per function.
 cover:
 	$(GO) test -cover -coverprofile=cover.out ./internal/runner ./internal/sim
@@ -92,4 +98,4 @@ cover:
 
 # ci runs the steps of the single CI job (.github/workflows/ci.yml), which
 # calls these targets one by one.
-ci: vet race cover fuzz-smoke bench-smoke cli-smoke
+ci: vet race cover fuzz-smoke bench-smoke cli-smoke bench-module

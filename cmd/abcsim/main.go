@@ -3,12 +3,11 @@
 // workload — clock synchronization, lock-step rounds, synchronous
 // consensus, the Ω failure detector, VLSI clock generation, Θ-Model and
 // ParSync embeddings, the Section 6 variants, the paper's figure traces,
-// plain broadcast — is selected with -workload,
-// parameterized with -param name=value (or the legacy shorthand flags),
-// swept over whole parameter axes with -sweep name=v1,v2,..., and checked
-// for ABC admissibility, exact critical ratio, and its domain-level
-// verdict (theorem monitors, protocol invariants). -list prints the
-// catalogue with each workload's parameter space.
+// plain broadcast — is selected with -workload, parameterized with
+// -param name=value, swept over whole parameter axes with -sweep
+// name=v1,v2,..., and checked for ABC admissibility, exact critical ratio,
+// and its domain-level verdict (theorem monitors, protocol invariants).
+// -list prints the catalogue with each workload's parameter space.
 //
 // With -runs R > 1 (or any -sweep) it becomes a fleet sweep: jobs are
 // sharded across -workers goroutines by internal/runner, one summary line
@@ -33,10 +32,10 @@
 // Usage:
 //
 //	abcsim -list
-//	abcsim -workload clocksync -n 4 -f 1 -xi 2 -target 10 -seed 1 \
-//	       -trace trace.json -dot graph.dot
-//	abcsim -workload clocksync -n 7 -f 2 -runs 100 -workers 8
-//	abcsim -workload broadcast -n 3 -xi 3/2 -max 3 -watch
+//	abcsim -workload clocksync -param n=4 -param f=1 -param xi=2 -param target=10 \
+//	       -seed 1 -trace trace.json -dot graph.dot
+//	abcsim -workload clocksync -param n=7 -param f=2 -runs 100 -workers 8
+//	abcsim -workload broadcast -param n=3 -param xi=3/2 -param max=3 -watch
 //	abcsim -workload scenario -param fig=fig3 -sweep xi=3/2,2,3
 //	abcsim -workload vlsi -sweep scale=1,1/3 -param faults=crash/1
 //
@@ -98,31 +97,18 @@ type repeatFlag []string
 func (r *repeatFlag) String() string     { return strings.Join(*r, " ") }
 func (r *repeatFlag) Set(v string) error { *r = append(*r, v); return nil }
 
-// legacyParams maps shorthand flags onto workload parameters of the same
-// name; they apply only when explicitly set, so unset flags defer to the
-// workload's own defaults.
-var legacyParams = []string{"n", "f", "xi", "target", "min", "max"}
-
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("abcsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var params, sweeps repeatFlag
 	var (
-		name    = fs.String("workload", "clocksync", "registered workload to run (see -list)")
-		list    = fs.Bool("list", false, "print the registered workloads with their parameter spaces and exit")
-		seed    = fs.Int64("seed", 1, "random seed (first seed of a -runs sweep)")
-		runs    = fs.Int("runs", 1, "number of seeds to run, starting at -seed")
-		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "fleet width for sweeps (per-seed results are identical for any width)")
-		jsonOut = fs.Bool("json", false, "emit NDJSON records (one per job plus an aggregate footer) instead of the text report")
-		watch   = fs.Bool("watch", false, "monitor ABC(Ξ) incrementally during the run and stop at the first violating event")
-		// Legacy shorthands for the most common parameters; equivalent to
-		// -param <flag>=<value> and applied only when set.
-		_        = fs.Int("n", 4, "shorthand for -param n=...")
-		_        = fs.Int("f", 1, "shorthand for -param f=...")
-		_        = fs.String("xi", "2", "shorthand for -param xi=... (rational, e.g. 3/2)")
-		_        = fs.Int("target", 10, "shorthand for -param target=...")
-		_        = fs.String("min", "1", "shorthand for -param min=...")
-		_        = fs.String("max", "3/2", "shorthand for -param max=...")
+		name     = fs.String("workload", "clocksync", "registered workload to run (see -list)")
+		list     = fs.Bool("list", false, "print the registered workloads with their parameter spaces and exit")
+		seed     = fs.Int64("seed", 1, "random seed (first seed of a -runs sweep)")
+		runs     = fs.Int("runs", 1, "number of seeds to run, starting at -seed")
+		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "fleet width for sweeps (per-seed results are identical for any width)")
+		jsonOut  = fs.Bool("json", false, "emit NDJSON records (one per job plus an aggregate footer) instead of the text report")
+		watch    = fs.Bool("watch", false, "monitor ABC(Ξ) incrementally during the run and stop at the first violating event")
 		traceOut = fs.String("trace", "", "write trace JSON to this file (single run only)")
 		dotOut   = fs.String("dot", "", "write execution graph DOT to this file (single run only)")
 	)
@@ -143,13 +129,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	overrides := make(map[string]string)
-	fs.Visit(func(f *flag.Flag) {
-		for _, p := range legacyParams {
-			if f.Name == p {
-				overrides[p] = f.Value.String()
-			}
-		}
-	})
 	for _, kv := range params {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok {

@@ -13,7 +13,7 @@ import (
 
 func TestRunSingleBroadcast(t *testing.T) {
 	var out, errOut strings.Builder
-	args := []string{"-workload", "broadcast", "-n", "3", "-target", "3", "-seed", "1"}
+	args := []string{"-workload", "broadcast", "-param", "n=3", "-param", "target=3", "-seed", "1"}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
 	}
@@ -36,7 +36,7 @@ func TestRunSingleBroadcast(t *testing.T) {
 func TestRunTraceExportRoundTrips(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	var out, errOut strings.Builder
-	args := []string{"-workload", "broadcast", "-n", "3", "-target", "3", "-seed", "1", "-trace", path}
+	args := []string{"-workload", "broadcast", "-param", "n=3", "-param", "target=3", "-seed", "1", "-trace", path}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestRunFleetSweep(t *testing.T) {
 	outputs := make([]string, 0, 3)
 	for _, workers := range []string{"1", "2", "8"} {
 		var out, errOut strings.Builder
-		args := []string{"-workload", "broadcast", "-n", "3", "-target", "3",
+		args := []string{"-workload", "broadcast", "-param", "n=3", "-param", "target=3",
 			"-seed", "1", "-runs", "5", "-workers", workers}
 		if err := run(args, &out, &errOut); err != nil {
 			t.Fatalf("workers=%s: %v (stderr: %s)", workers, err, errOut.String())
@@ -92,8 +92,8 @@ func TestRunFleetSweep(t *testing.T) {
 // tight-delay run that stays admissible throughout.
 func TestRunWatch(t *testing.T) {
 	var out, errOut strings.Builder
-	args := []string{"-workload", "broadcast", "-n", "3", "-target", "5",
-		"-xi", "3/2", "-max", "3", "-seed", "0", "-watch"}
+	args := []string{"-workload", "broadcast", "-param", "n=3", "-param", "target=5",
+		"-param", "xi=3/2", "-param", "max=3", "-seed", "0", "-watch"}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
 	}
@@ -109,8 +109,8 @@ func TestRunWatch(t *testing.T) {
 	}
 
 	out.Reset()
-	args = []string{"-workload", "broadcast", "-n", "3", "-target", "3",
-		"-xi", "2", "-max", "17/16", "-seed", "1", "-watch"}
+	args = []string{"-workload", "broadcast", "-param", "n=3", "-param", "target=3",
+		"-param", "xi=2", "-param", "max=17/16", "-seed", "1", "-watch"}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
 	}
@@ -121,8 +121,8 @@ func TestRunWatch(t *testing.T) {
 
 	// Sweep mode: per-seed lines carry the violation index.
 	out.Reset()
-	args = []string{"-workload", "broadcast", "-n", "3", "-target", "5",
-		"-xi", "3/2", "-max", "3", "-seed", "0", "-runs", "4", "-workers", "2", "-watch"}
+	args = []string{"-workload", "broadcast", "-param", "n=3", "-param", "target=5",
+		"-param", "xi=3/2", "-param", "max=3", "-seed", "0", "-runs", "4", "-workers", "2", "-watch"}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
 	}
@@ -203,7 +203,7 @@ func TestRunEngineSetupLimits(t *testing.T) {
 // resolved worker count.
 func TestRunJSON(t *testing.T) {
 	var out, errOut strings.Builder
-	args := []string{"-workload", "broadcast", "-n", "3", "-target", "3",
+	args := []string{"-workload", "broadcast", "-param", "n=3", "-param", "target=3",
 		"-seed", "1", "-runs", "2", "-sweep", "xi=3/2,2", "-workers", "2", "-json"}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
@@ -263,13 +263,13 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		{"-runs", "2", "-trace", "t.json"},
 		{"-sweep", "xi=2,3", "-trace", "t.json"},
 		{"-json", "-trace", "t.json"},
-		{"-xi", "not-a-rational"},
+		{"-param", "xi=not-a-rational"},
 		{"-param", "no-such-param=1"},
 		{"-param", "missing-equals"},
 		{"-sweep", "ghost=1,2"},
 		{"-sweep", "xi"},
-		{"-sweep", "xi=2,3", "-sweep", "xi=5/4"}, // duplicate axis
-		{"-workload", "scenario", "-n", "4"},     // scenario declares no n
+		{"-sweep", "xi=2,3", "-sweep", "xi=5/4"},   // duplicate axis
+		{"-workload", "scenario", "-param", "n=4"}, // scenario declares no n
 		{"-workload", "scenario", "-param", "fig=fig77"},
 		// Delay bounds admitting a negative delay are setup errors, not
 		// engine panics.
@@ -277,7 +277,7 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		{"-workload", "broadcast", "-param", "min=2", "-param", "max=1"},
 		// Ξ at or below 1 is a setup error, not a run without the ABC check.
 		{"-workload", "clocksync", "-param", "xi=0"},
-		{"-workload", "clocksync", "-xi", "-1"},
+		{"-workload", "clocksync", "-param", "xi=-1"},
 		{"-workload", "clocksync", "-sweep", "xi=0,2"},
 		// A Ξ beyond int64 is a setup error, not a panic in the checker.
 		{"-workload", "broadcast", "-param", "xi=99999999999999999999/3"},
@@ -287,6 +287,25 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		var out, errOut strings.Builder
 		if err := run(args, &out, &errOut); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+	// -param is the only parameter spelling: -n is not a flag.
+	var out, errOut strings.Builder
+	if err := run([]string{"-n", "4"}, &out, &errOut); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -n") {
+		t.Errorf("-n 4: err %v, want an undefined-flag error", err)
+	}
+	// VLSI chips below the n >= 3f+1 bound are setup errors, not panics in
+	// the clock-synchronization processes.
+	for _, args := range [][]string{
+		{"-workload", "vlsi", "-param", "n=1"},
+		{"-workload", "vlsi", "-param", "n=2"},
+		{"-workload", "vlsi", "-param", "n=3"},
+		{"-workload", "vlsi", "-param", "f=2"},
+		{"-workload", "vlsi", "-param", "n=6", "-param", "f=2"},
+	} {
+		var out, errOut strings.Builder
+		if err := run(args, &out, &errOut); err == nil || !strings.Contains(err.Error(), "vlsi: need n >= 3f+1") {
+			t.Errorf("args %v: err %v, want the vlsi n >= 3f+1 error", args, err)
 		}
 	}
 	// The removed per-source fault switches fail loudly: faults= is the
@@ -340,7 +359,7 @@ func TestRunList(t *testing.T) {
 func TestRunRegistryWorkloads(t *testing.T) {
 	// Trace source: Fig. 3 at its violating Ξ.
 	var out, errOut strings.Builder
-	err := run([]string{"-workload", "scenario", "-param", "fig=fig3", "-xi", "2"}, &out, &errOut)
+	err := run([]string{"-workload", "scenario", "-param", "fig=fig3", "-param", "xi=2"}, &out, &errOut)
 	if err != nil {
 		t.Fatalf("scenario: %v (stderr: %s)", err, errOut.String())
 	}
@@ -357,7 +376,7 @@ func TestRunRegistryWorkloads(t *testing.T) {
 
 	// Simulation source with theorem verdicts.
 	out.Reset()
-	err = run([]string{"-workload", "lockstep", "-n", "4", "-f", "1", "-target", "3", "-seed", "2"}, &out, &errOut)
+	err = run([]string{"-workload", "lockstep", "-param", "n=4", "-param", "f=1", "-param", "target=3", "-seed", "2"}, &out, &errOut)
 	if err != nil {
 		t.Fatalf("lockstep: %v (stderr: %s)", err, errOut.String())
 	}
@@ -369,7 +388,7 @@ func TestRunRegistryWorkloads(t *testing.T) {
 
 	// Source without an xi parameter: no ABC clause, ratio still searched.
 	out.Reset()
-	err = run([]string{"-workload", "variants", "-target", "3", "-seed", "1"}, &out, &errOut)
+	err = run([]string{"-workload", "variants", "-param", "target=3", "-seed", "1"}, &out, &errOut)
 	if err != nil {
 		t.Fatalf("variants: %v (stderr: %s)", err, errOut.String())
 	}
@@ -408,8 +427,8 @@ func TestRunSweepGrid(t *testing.T) {
 	// Truncated cells are flagged per line: a clocksync sweep whose event
 	// budget cannot reach the target.
 	out.Reset()
-	args = []string{"-workload", "clocksync", "-target", "4",
-		"-param", "maxevents=40", "-sweep", "n=4,7", "-f", "1"}
+	args = []string{"-workload", "clocksync", "-param", "target=4",
+		"-param", "maxevents=40", "-sweep", "n=4,7", "-param", "f=1"}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
 	}

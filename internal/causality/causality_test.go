@@ -50,7 +50,7 @@ func TestBuildBasic(t *testing.T) {
 		t.Errorf("MessageCount = %d, want 3", g.MessageCount())
 	}
 	// The graph is a DAG.
-	if !g.Digraph().IsDAG() {
+	if !g.IsDAG() {
 		t.Error("execution graph is not a DAG")
 	}
 }
@@ -334,7 +334,7 @@ func TestInDegreeInvariant(t *testing.T) {
 			t.Fatalf("node %v has %d message and %d local in-edges", g.Node(id), msgs, locals)
 		}
 	}
-	if !g.Digraph().IsDAG() {
+	if !g.IsDAG() {
 		t.Error("simulated execution graph not a DAG")
 	}
 }

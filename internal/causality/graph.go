@@ -304,7 +304,7 @@ func (g *Graph) IsDAG() bool {
 }
 
 // Digraph converts the execution graph to a graphutil.Digraph with edge
-// labels equal to edge IDs, for topological sorting and DOT export.
+// labels equal to edge IDs, for DOT export.
 func (g *Graph) Digraph() *graphutil.Digraph {
 	d := graphutil.New(len(g.nodes))
 	for i, e := range g.edges {

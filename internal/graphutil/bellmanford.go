@@ -24,9 +24,9 @@ type BFResult struct {
 	// has weight sum <= 0.
 	Feasible bool
 	// Dist holds, for each node, the pair shortest-path distance from a
-	// virtual super-source connected to every node with a (0, 0) edge (or,
-	// for BellmanFordFrom, with the caller's initial labels), every edge
-	// of weight w counting as (w, −1). Valid only when Feasible is true.
+	// virtual super-source connected to every node with an edge of the
+	// caller's initial label ((0, 0) on a cold start), every edge of
+	// weight w counting as (w, −1). Valid only when Feasible is true.
 	// For the strict difference-constraint system with edges u->v of
 	// weight w meaning x[v] − x[u] < w, x := M + K·ε is a solution for
 	// every small enough ε > 0: Dist[v] <= Dist[u] + (w, −1) for every
@@ -49,9 +49,9 @@ type BFResult struct {
 // From) by ascending tail, then backward edges by descending tail, each
 // stable in insertion order, so one pass is two flat scans. It depends
 // only on the topology — never on weights — so it is built once per
-// Digraph and reused across BellmanFord runs (the Stern–Brocot ratio
+// Digraph and reused across BellmanFordFrom runs (the Stern–Brocot ratio
 // search re-weights and re-solves the same graph O(log² K) times).
-// AddEdge and Grow invalidate it.
+// AddEdge invalidates it.
 type bfPlan struct {
 	fwd, bwd []int32 // indices into Digraph.edges
 }
@@ -87,14 +87,14 @@ func (g *Digraph) bfplan() *bfPlan {
 	return g.plan
 }
 
-// BellmanFord solves the strict difference-constraint system of the
+// BellmanFordFrom solves the strict difference-constraint system of the
 // graph — edge u->v of weight w means x[v] − x[u] < w — as single-source
-// shortest paths over pair weights (w, −1) from a virtual super-source
-// that reaches every node with (0, 0), detecting negative cycles. This
-// formulation (rather than a caller-chosen source) is the one needed for
-// feasibility: the system is feasible if and only if no cycle has a
-// lexicographically negative pair sum (equivalently, weight sum <= 0),
-// and the distances from the super-source form a concrete solution.
+// shortest paths over pair weights (w, −1) from a virtual super-source,
+// detecting negative cycles. This formulation (rather than a caller-chosen
+// source) is the one needed for feasibility: the system is feasible if
+// and only if no cycle has a lexicographically negative pair sum
+// (equivalently, weight sum <= 0), and the distances from the
+// super-source form a concrete solution.
 // Strictness costs no scaling: the K component counts it exactly.
 //
 // The relaxation loop uses Yen's two-sweep improvement of the classic
@@ -121,15 +121,11 @@ func (g *Digraph) bfplan() *bfPlan {
 // which n passes already reach), so an infeasible system stops by pass n+1
 // at the latest — usually after a handful of passes, where waiting for
 // pass n+1 would cost O(V·E).
-func (g *Digraph) BellmanFord() BFResult {
-	return g.BellmanFordFrom(nil)
-}
-
-// BellmanFordFrom is BellmanFord warm-started from the given initial node
-// labels (nil means all zero). It is equivalent to attaching the virtual
-// super-source with per-node edge weights init[v] instead of 0: any init
-// is sound — negative-cycle detection is unaffected and a feasible result
-// still satisfies every constraint — but an init close to a feasible
+//
+// The super-source reaches node v with the initial label init[v] (nil
+// means all zero, the cold start). Any init is sound — negative-cycle
+// detection is unaffected and a feasible result still satisfies every
+// constraint — but an init close to a feasible
 // solution (e.g. the Dist of a previous probe of the same topology under
 // nearby weights) converges in far fewer passes. The caller must ensure
 // init magnitudes leave headroom for walk sums (|init| + 3·(n+1)·max|w|

@@ -2,8 +2,7 @@
 // algorithms the ABC reproduction is built on: an edge-list digraph with
 // parallel edges, Bellman–Ford shortest paths with negative-cycle
 // extraction (the engine behind the difference-constraint ABC checker of
-// internal/check), topological sorting, and DOT export for debugging
-// space–time diagrams.
+// internal/check), and DOT export for debugging space–time diagrams.
 package graphutil
 
 import "fmt"
@@ -21,9 +20,9 @@ type Edge struct {
 // weights. Parallel edges and self-loops are allowed. The zero value is an
 // empty graph with no nodes; use New to create a graph with nodes.
 //
-// A Digraph is not safe for concurrent use: BellmanFord caches its edge
-// layout inside the graph on first use (SetWeight keeps the cache;
-// AddEdge and Grow invalidate it).
+// A Digraph is not safe for concurrent use: BellmanFordFrom caches its
+// edge layout inside the graph on first use (SetWeight keeps the cache;
+// AddEdge invalidates it).
 type Digraph struct {
 	n     int
 	edges []Edge
@@ -44,9 +43,6 @@ func New(n int) *Digraph {
 // N returns the number of nodes.
 func (g *Digraph) N() int { return g.n }
 
-// M returns the number of edges.
-func (g *Digraph) M() int { return len(g.edges) }
-
 // AddEdge appends an edge from -> to with the given weight and label.
 // It panics if either endpoint is out of range.
 func (g *Digraph) AddEdge(from, to int, weight int64, label int32) {
@@ -65,27 +61,3 @@ func (g *Digraph) Edges() []Edge { return g.edges }
 // Stern–Brocot critical-ratio search — to reuse one graph instead of
 // rebuilding it per probe.
 func (g *Digraph) SetWeight(i int, weight int64) { g.edges[i].Weight = weight }
-
-// Grow adds k nodes and returns the index of the first new node.
-func (g *Digraph) Grow(k int) int {
-	first := g.n
-	g.n += k
-	g.plan = nil
-	return first
-}
-
-// adjacency returns per-node outgoing edge index lists.
-func (g *Digraph) adjacency() [][]int32 {
-	adj := make([][]int32, g.n)
-	counts := make([]int32, g.n)
-	for _, e := range g.edges {
-		counts[e.From]++
-	}
-	for i := range adj {
-		adj[i] = make([]int32, 0, counts[i])
-	}
-	for i, e := range g.edges {
-		adj[e.From] = append(adj[e.From], int32(i))
-	}
-	return adj
-}

@@ -27,15 +27,6 @@ func TestAddEdgeRangeCheck(t *testing.T) {
 	g.AddEdge(0, 2, 1, 0)
 }
 
-func TestGrow(t *testing.T) {
-	g := New(3)
-	first := g.Grow(2)
-	if first != 3 || g.N() != 5 {
-		t.Errorf("Grow: first=%d N=%d, want 3, 5", first, g.N())
-	}
-	g.AddEdge(4, 0, 1, 0) // must not panic
-}
-
 // cycleWeight returns the total weight of a sequence of edges; under the
 // strict semantics a cycle is infeasible exactly when it is <= 0.
 func cycleWeight(cycle []Edge) int64 {
@@ -78,7 +69,7 @@ func TestBellmanFordFeasible(t *testing.T) {
 	g.AddEdge(0, 1, 3, 0)
 	g.AddEdge(1, 2, -2, 1)
 	g.AddEdge(0, 2, 5, 2)
-	res := g.BellmanFord()
+	res := g.BellmanFordFrom(nil)
 	if !res.Feasible {
 		t.Fatal("feasible system reported infeasible")
 	}
@@ -95,7 +86,7 @@ func TestBellmanFordNegativeCycle(t *testing.T) {
 	g.AddEdge(1, 2, -3, 11)
 	g.AddEdge(2, 1, 1, 12) // cycle 1->2->1 of weight -2
 	g.AddEdge(2, 3, 5, 13)
-	res := g.BellmanFord()
+	res := g.BellmanFordFrom(nil)
 	if res.Feasible {
 		t.Fatal("negative cycle not detected")
 	}
@@ -118,12 +109,12 @@ func TestBellmanFordZeroCycleInfeasible(t *testing.T) {
 	g := New(2)
 	g.AddEdge(0, 1, 2, 0)
 	g.AddEdge(1, 0, -2, 1)
-	res := g.BellmanFord()
+	res := g.BellmanFordFrom(nil)
 	if res.Feasible || cycleWeight(res.NegativeCycle) != 0 {
 		t.Errorf("zero-weight cycle: feasible=%v witness %v, want the zero cycle", res.Feasible, res.NegativeCycle)
 	}
 	g.SetWeight(1, -1)
-	if res := g.BellmanFord(); !res.Feasible {
+	if res := g.BellmanFordFrom(nil); !res.Feasible {
 		t.Error("weight-1 cycle reported infeasible")
 	}
 }
@@ -132,7 +123,7 @@ func TestBellmanFordSelfLoop(t *testing.T) {
 	for _, w := range []int64{-1, 0} {
 		g := New(1)
 		g.AddEdge(0, 0, w, 0)
-		res := g.BellmanFord()
+		res := g.BellmanFordFrom(nil)
 		if res.Feasible {
 			t.Errorf("self-loop of weight %d not detected", w)
 		}
@@ -142,81 +133,20 @@ func TestBellmanFordSelfLoop(t *testing.T) {
 	}
 	g := New(1)
 	g.AddEdge(0, 0, 1, 0)
-	if res := g.BellmanFord(); !res.Feasible {
+	if res := g.BellmanFordFrom(nil); !res.Feasible {
 		t.Error("positive self-loop reported infeasible")
 	}
 }
 
 func TestBellmanFordEmpty(t *testing.T) {
 	g := New(0)
-	if res := g.BellmanFord(); !res.Feasible {
+	if res := g.BellmanFordFrom(nil); !res.Feasible {
 		t.Error("empty graph infeasible")
 	}
 	g = New(5)
-	res := g.BellmanFord()
+	res := g.BellmanFordFrom(nil)
 	if !res.Feasible || len(res.Dist) != 5 {
 		t.Error("edgeless graph mishandled")
-	}
-}
-
-func TestTopoSort(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 0, 0)
-	g.AddEdge(0, 2, 0, 0)
-	g.AddEdge(1, 3, 0, 0)
-	g.AddEdge(2, 3, 0, 0)
-	order, ok := g.TopoSort()
-	if !ok {
-		t.Fatal("DAG reported cyclic")
-	}
-	pos := make([]int, 4)
-	for i, v := range order {
-		pos[v] = i
-	}
-	for _, e := range g.Edges() {
-		if pos[e.From] >= pos[e.To] {
-			t.Errorf("edge (%d,%d) violates topo order %v", e.From, e.To, order)
-		}
-	}
-}
-
-func TestTopoSortCycle(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1, 0, 0)
-	g.AddEdge(1, 0, 0, 0)
-	if _, ok := g.TopoSort(); ok {
-		t.Error("cyclic graph reported as DAG")
-	}
-	if g.IsDAG() {
-		t.Error("IsDAG true for cyclic graph")
-	}
-}
-
-func TestReachable(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 0, 0)
-	g.AddEdge(1, 2, 0, 0)
-	g.AddEdge(3, 4, 0, 0)
-	seen := g.Reachable(0)
-	want := []bool{true, true, true, false, false}
-	for v, w := range want {
-		if seen[v] != w {
-			t.Errorf("Reachable(0)[%d] = %v, want %v", v, seen[v], w)
-		}
-	}
-	seen = g.Reachable(0, 3)
-	if !seen[4] {
-		t.Error("multi-source reachability missed node 4")
-	}
-}
-
-func TestReverse(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 7, 42)
-	r := g.Reverse()
-	e := r.Edges()[0]
-	if e.From != 1 || e.To != 0 || e.Weight != 7 || e.Label != 42 {
-		t.Errorf("Reverse edge = %+v", e)
 	}
 }
 
@@ -271,7 +201,7 @@ func checkResult(g *Digraph, res BFResult) error {
 	if w := cycleWeight(c); w > 0 {
 		return fmt.Errorf("witness weight %d is positive: %v", w, c)
 	}
-	edges := make(map[Edge]bool, g.M())
+	edges := make(map[Edge]bool, len(g.Edges()))
 	for _, e := range g.Edges() {
 		edges[e] = true
 	}
@@ -291,7 +221,7 @@ func checkResult(g *Digraph, res BFResult) error {
 	return nil
 }
 
-// Property: on random graphs of up to ~300 nodes, BellmanFord either
+// Property: on random graphs of up to ~300 nodes, BellmanFordFrom(nil) either
 // returns distances satisfying every strict constraint edge, or a simple
 // witness cycle of weight <= 0 — and the same holds warm-started from
 // adversarial labels, with the same verdict.
@@ -310,7 +240,7 @@ func TestBellmanFordProperty(t *testing.T) {
 		if m == 0 {
 			return true
 		}
-		res := g.BellmanFord()
+		res := g.BellmanFordFrom(nil)
 		warm := g.BellmanFordFrom(adversarialInit(rng, n))
 		for _, r := range []BFResult{res, warm} {
 			if err := checkResult(g, r); err != nil {

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"repro/internal/rat"
@@ -56,23 +57,29 @@ func goldenJobs(t testing.TB) []Job {
 		}
 		return from
 	}
-	grid := Grid{
-		Name:   "golden",
-		Seeds:  Seeds(0, 4),
-		Ns:     []int{2, 5},
-		Delays: []string{"uniform", "growing", "perlink", "override"},
-		Faults: []string{"none", "mixed"},
-		// All but "full" are CSR generators parsed by sim.ParseTopology,
-		// including a disconnected one (islands/2).
-		Topologies: []string{"full", "ring", "torus", "regular/1", "scalefree/1", "islands/2"},
-		Make: func(p Point) (Job, error) {
+	grid := ParamGrid{
+		Name: "golden",
+		Axes: []Axis{
+			// All but "full" are CSR generators parsed by
+			// sim.ParseTopology, including a disconnected one (islands/2).
+			{Param: "topology", Values: []string{"full", "ring", "torus", "regular/1", "scalefree/1", "islands/2"}},
+			{Param: "fault", Values: []string{"none", "mixed"}},
+			{Param: "delay", Values: []string{"uniform", "growing", "perlink", "override"}},
+			{Param: "n", Values: []string{"2", "5"}},
+		},
+		Seeds: Seeds(0, 4),
+		Make: func(p map[string]string, seed int64) (Job, error) {
+			n, err := strconv.Atoi(p["n"])
+			if err != nil {
+				return Job{}, err
+			}
 			cfg := sim.Config{
-				N:         p.N,
+				N:         n,
 				Spawn:     spawn(5),
-				Seed:      p.Seed,
+				Seed:      seed,
 				MaxEvents: 50000,
 			}
-			switch p.Delay {
+			switch p["delay"] {
 			case "uniform":
 				cfg.Delays = sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)}
 			case "growing":
@@ -94,12 +101,12 @@ func goldenJobs(t testing.TB) []Job {
 					Override: sim.UniformDelay{Min: rat.FromInt(3), Max: rat.FromInt(5)},
 				}
 			}
-			topo, err := sim.ParseTopology(p.Topology, p.N, p.Seed)
+			topo, err := sim.ParseTopology(p["topology"], n, seed)
 			if err != nil {
 				return Job{}, err
 			}
 			cfg.Topology = topo
-			if p.Fault == "mixed" {
+			if p["fault"] == "mixed" {
 				cfg.Faults = map[sim.ProcessID]sim.Fault{
 					0: sim.Crash(3),
 					1: {CrashAfter: sim.NeverCrash, Script: []sim.ScriptedSend{
@@ -135,6 +142,11 @@ func goldenJobs(t testing.TB) []Job {
 // runs).
 func TestFleetGoldenTraceDeterminism(t *testing.T) {
 	jobs := goldenJobs(t)
+	// 4 seeds × 2 N × 4 delays × 2 fault sets × 6 topologies, plus 4
+	// pointer-payload jobs.
+	if len(jobs) != 388 {
+		t.Fatalf("golden fleet has %d jobs, want 388", len(jobs))
+	}
 
 	// Golden hashes from the strictly serial path.
 	golden := make([]uint64, len(jobs))

@@ -2,117 +2,6 @@ package runner
 
 import "fmt"
 
-// Point is one cell of a Grid sweep: the selected value of every axis.
-// Axes left empty on the Grid appear here as their zero value.
-type Point struct {
-	Seed     int64
-	N        int
-	Delay    string
-	Fault    string
-	Topology string
-}
-
-// Key renders the point as a stable human-readable label. Every segment is
-// an explicit name=value pair: bare values joined by "/" were ambiguous
-// once axis values themselves contain "/" (topology specs like
-// "torus/4x4"), letting distinct points collide on one key.
-func (p Point) Key() string {
-	var s string
-	if p.N > 0 {
-		s = fmt.Sprintf("n=%d/", p.N)
-	}
-	s += fmt.Sprintf("seed=%d", p.Seed)
-	for _, part := range []struct{ name, value string }{
-		{"delay", p.Delay}, {"fault", p.Fault}, {"topology", p.Topology},
-	} {
-		if part.value != "" {
-			s += "/" + part.name + "=" + part.value
-		}
-	}
-	return s
-}
-
-// Grid describes a rectangular sweep over the fleet's canonical axes:
-// seed × N × delay policy × fault set × topology. Empty axes contribute a
-// single default cell. Jobs are emitted in row-major order with the
-// topology axis outermost and the seed axis innermost, so job indices —
-// and therefore the order of collected results — are a pure function of
-// the grid, independent of worker count.
-type Grid struct {
-	// Name prefixes every generated job key.
-	Name string
-	// Axes. Delay/Fault/Topology axes are named; Make maps the names to
-	// concrete policies, keeping the grid declarative and its expansion
-	// order obvious.
-	Seeds      []int64
-	Ns         []int
-	Delays     []string
-	Faults     []string
-	Topologies []string
-	// Make builds the job for one cell. A returned job with an empty Key
-	// gets "Name/Point.Key()".
-	Make func(p Point) (Job, error)
-}
-
-// Jobs expands the grid into a job batch.
-func (g Grid) Jobs() ([]Job, error) {
-	if g.Make == nil {
-		return nil, fmt.Errorf("runner: grid %q has no Make", g.Name)
-	}
-	seeds := g.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{0}
-	}
-	ns := g.Ns
-	if len(ns) == 0 {
-		ns = []int{0}
-	}
-	orOne := func(axis []string) []string {
-		if len(axis) == 0 {
-			return []string{""}
-		}
-		return axis
-	}
-	delays, faults, topos := orOne(g.Delays), orOne(g.Faults), orOne(g.Topologies)
-
-	var jobs []Job
-	for _, topo := range topos {
-		for _, fault := range faults {
-			for _, delay := range delays {
-				for _, n := range ns {
-					for _, seed := range seeds {
-						p := Point{Seed: seed, N: n, Delay: delay, Fault: fault, Topology: topo}
-						job, err := g.Make(p)
-						if err != nil {
-							return nil, fmt.Errorf("runner: grid %q at %s: %w", g.Name, p.Key(), err)
-						}
-						if job.Key == "" {
-							job.Key = g.Name + "/" + p.Key()
-						}
-						jobs = append(jobs, job)
-					}
-				}
-			}
-		}
-	}
-	return jobs, nil
-}
-
-// SeedJobs is the common one-axis sweep: the same configuration replicated
-// across seeds. mk receives the seed and must return a config seeded with
-// it.
-func SeedJobs(name string, seeds []int64, mk func(seed int64) Job) []Job {
-	jobs := make([]Job, 0, len(seeds))
-	for _, seed := range seeds {
-		job := mk(seed)
-		if job.Key == "" {
-			job.Key = fmt.Sprintf("%s/seed=%d", name, seed)
-		}
-		jobs = append(jobs, job)
-	}
-	return jobs
-}
-
 // Axis is one named dimension of a ParamGrid sweep.
 type Axis struct {
 	// Param is the parameter name the axis varies.
@@ -124,9 +13,7 @@ type Axis struct {
 // ParamGrid is the generic workload sweep: named string-valued axes
 // expanded row-major — the first axis outermost, the seed axis innermost —
 // so job indices, and therefore the order of collected results, are a pure
-// function of the grid, independent of worker count. It is the
-// registry-facing counterpart of Grid: axes carry arbitrary workload
-// parameters instead of the fleet's canonical ones.
+// function of the grid, independent of worker count.
 type ParamGrid struct {
 	// Name prefixes every generated job key.
 	Name string

@@ -30,8 +30,19 @@ func broadcastCfg(n, steps int, seed int64) *sim.Config {
 	}
 }
 
+// seedJobs replicates one configuration across seeds 0..count-1, keying
+// job i "name/seed=i".
+func seedJobs(name string, count int, mk func(seed int64) Job) []Job {
+	jobs := make([]Job, count)
+	for i := range jobs {
+		jobs[i] = mk(int64(i))
+		jobs[i].Key = fmt.Sprintf("%s/seed=%d", name, i)
+	}
+	return jobs
+}
+
 func TestRunCollectsInSubmissionOrder(t *testing.T) {
-	jobs := SeedJobs("order", Seeds(0, 9), func(seed int64) Job {
+	jobs := seedJobs("order", 9, func(seed int64) Job {
 		return Job{Cfg: broadcastCfg(3, 4, seed)}
 	})
 	results, stats, err := Run(context.Background(), jobs, Options{Workers: 4})
@@ -127,75 +138,43 @@ func TestTraceOnlyJobs(t *testing.T) {
 	}
 }
 
-func TestGridExpansionOrderAndKeys(t *testing.T) {
-	g := Grid{
-		Name:       "g",
-		Seeds:      []int64{0, 1},
-		Ns:         []int{2, 3},
-		Delays:     []string{"fast", "slow"},
-		Topologies: []string{"full"},
-		Make: func(p Point) (Job, error) {
-			return Job{Cfg: broadcastCfg(p.N, 2, p.Seed)}, nil
+// TestParamGridKeyNoCollisions pins the name=value segment format of
+// ParamGrid keys. A bare-value join would make distinct cells collide once
+// axis values contain "/" — exactly what generated topology specs like
+// "torus/4x4" do — because a slash inside a value would be
+// indistinguishable from a segment separator.
+func TestParamGridKeyNoCollisions(t *testing.T) {
+	g := ParamGrid{
+		Name: "g",
+		Axes: []Axis{
+			{Param: "delay", Values: []string{"a/b", "a"}},
+			{Param: "fault", Values: []string{"", "b", "torus"}},
+			{Param: "topology", Values: []string{"", "b", "torus/4x4", "4x4"}},
 		},
+		Seeds: []int64{1},
+		Make:  func(map[string]string, int64) (Job, error) { return Job{}, nil },
 	}
 	jobs, err := g.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs) != 8 {
-		t.Fatalf("got %d jobs, want 8", len(jobs))
+	if len(jobs) != 24 {
+		t.Fatalf("got %d jobs, want 24", len(jobs))
 	}
-	// Row-major, seed innermost: first four cells cover delay "fast".
-	want := []string{
-		"g/n=2/seed=0/delay=fast/topology=full", "g/n=2/seed=1/delay=fast/topology=full",
-		"g/n=3/seed=0/delay=fast/topology=full", "g/n=3/seed=1/delay=fast/topology=full",
-		"g/n=2/seed=0/delay=slow/topology=full", "g/n=2/seed=1/delay=slow/topology=full",
-		"g/n=3/seed=0/delay=slow/topology=full", "g/n=3/seed=1/delay=slow/topology=full",
-	}
-	for i, j := range jobs {
-		if j.Key != want[i] {
-			t.Errorf("job %d key %q, want %q", i, j.Key, want[i])
+	seen := make(map[string]bool, len(jobs))
+	for _, j := range jobs {
+		if seen[j.Key] {
+			t.Errorf("key %q collides", j.Key)
 		}
+		seen[j.Key] = true
 	}
-
-	// Expansion is pure: a second call yields the same keys.
-	again, err := g.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		if jobs[i].Key != again[i].Key {
-			t.Errorf("grid expansion unstable at %d", i)
+	for _, want := range []string{
+		"g/delay=a/fault=/topology=torus/4x4/seed=1",
+		"g/delay=a/fault=torus/topology=4x4/seed=1",
+	} {
+		if !seen[want] {
+			t.Errorf("no job keyed %q", want)
 		}
-	}
-
-	gridErr := errors.New("no such cell")
-	g.Make = func(p Point) (Job, error) { return Job{}, gridErr }
-	if _, err := g.Jobs(); !errors.Is(err, gridErr) {
-		t.Errorf("grid error not propagated: %v", err)
-	}
-}
-
-// TestPointKeyNoCollisions pins the name=value segment format of Point.Key.
-// The former bare-value join made distinct points collide once axis values
-// contained "/" — exactly what generated topology specs like "torus/4x4"
-// do — because a slash inside a value was indistinguishable from a segment
-// separator.
-func TestPointKeyNoCollisions(t *testing.T) {
-	points := []Point{
-		{Seed: 1, N: 4, Delay: "a/b"},
-		{Seed: 1, N: 4, Delay: "a", Fault: "b"},
-		{Seed: 1, N: 4, Delay: "a", Topology: "b"},
-		{Seed: 1, N: 4, Topology: "torus/4x4"},
-		{Seed: 1, N: 4, Fault: "torus", Topology: "4x4"},
-	}
-	seen := make(map[string]Point, len(points))
-	for _, p := range points {
-		k := p.Key()
-		if prev, dup := seen[k]; dup {
-			t.Errorf("key %q collides: %+v and %+v", k, prev, p)
-		}
-		seen[k] = p
 	}
 }
 
@@ -244,7 +223,7 @@ func TestPoolSize(t *testing.T) {
 }
 
 func TestStreamDeliversEveryJobExactlyOnce(t *testing.T) {
-	jobs := SeedJobs("stream", Seeds(0, 16), func(seed int64) Job {
+	jobs := seedJobs("stream", 16, func(seed int64) Job {
 		return Job{Cfg: broadcastCfg(2, 3, seed)}
 	})
 	seen := make(map[int]int)

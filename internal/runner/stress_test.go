@@ -15,7 +15,7 @@ import (
 // aggregation concurrently and at volume.
 func TestFleetStressLargeBatchTinyPool(t *testing.T) {
 	const batch = 400
-	jobs := SeedJobs("stress", Seeds(0, batch), func(seed int64) Job {
+	jobs := seedJobs("stress", batch, func(seed int64) Job {
 		// Vary the shape with the seed so pooled engine arrays grow and
 		// shrink continuously across one worker's job stream.
 		n := 2 + int(seed%4)
@@ -50,7 +50,7 @@ func TestFleetCancelledMidBatch(t *testing.T) {
 
 	const batch = 200
 	var cancelled atomic.Bool
-	jobs := SeedJobs("cancel", Seeds(0, batch), func(seed int64) Job {
+	jobs := seedJobs("cancel", batch, func(seed int64) Job {
 		job := Job{Cfg: broadcastCfg(2, 3, seed)}
 		if seed == 3 {
 			job.Check = func(*sim.Result) error {
@@ -105,7 +105,7 @@ func TestFleetCancelledMidBatch(t *testing.T) {
 func TestFleetCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	jobs := SeedJobs("dead", Seeds(0, 50), func(seed int64) Job {
+	jobs := seedJobs("dead", 50, func(seed int64) Job {
 		return Job{Cfg: broadcastCfg(2, 3, seed)}
 	})
 	results, stats, err := Run(ctx, jobs, Options{Workers: 4})

@@ -40,6 +40,9 @@ func init() {
 
 func vlsiJob(v workload.Values, seed int64) (runner.Job, error) {
 	n, f := v.Int("n"), v.Int("f")
+	if f < 0 || n < 3*f+1 {
+		return runner.Job{}, fmt.Errorf("vlsi: need n >= 3f+1, got n=%d f=%d", n, f)
+	}
 	chip, err := NewChip(n, v.Rat("min"), v.Rat("max"))
 	if err != nil {
 		return runner.Job{}, err
