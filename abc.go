@@ -244,13 +244,8 @@ var (
 // ThetaReport is the result of a Θ-Model check.
 type ThetaReport = theta.Report
 
-// Weaker variants (Section 6).
-type (
-	// XiLearner estimates an unknown Ξ online (?ABC).
-	XiLearner = variants.XiLearner
-	// EventualDelays switches delay regimes at a time (◇ABC builds).
-	EventualDelays = variants.EventualDelays
-)
+// XiLearner estimates an unknown Ξ online (?ABC, Section 6).
+type XiLearner = variants.XiLearner
 
 // Variant helpers.
 var (

@@ -23,20 +23,6 @@ func (c *Cut) Contains(n NodeID) bool { return c.in[n] }
 // Add inserts n into the cut.
 func (c *Cut) Add(n NodeID) { c.in[n] = true }
 
-// Remove deletes n from the cut.
-func (c *Cut) Remove(n NodeID) { c.in[n] = false }
-
-// Size returns the number of nodes in the cut.
-func (c *Cut) Size() int {
-	k := 0
-	for _, b := range c.in {
-		if b {
-			k++
-		}
-	}
-	return k
-}
-
 // Nodes returns the cut's members in ascending NodeID order.
 func (c *Cut) Nodes() []NodeID {
 	var out []NodeID
@@ -46,13 +32,6 @@ func (c *Cut) Nodes() []NodeID {
 		}
 	}
 	return out
-}
-
-// Clone returns an independent copy of the cut.
-func (c *Cut) Clone() *Cut {
-	in := make([]bool, len(c.in))
-	copy(in, c.in)
-	return &Cut{g: c.g, in: in}
 }
 
 // Minus returns the set difference c \ d as a cut (not necessarily
@@ -169,34 +148,6 @@ func (g *Graph) CutAtTime(t sim.Time) *Cut {
 // Definition 6.
 func (g *Graph) Interval(phi, psi NodeID) *Cut {
 	return g.LeftClosure(psi).Minus(g.LeftClosure(phi))
-}
-
-// HappensBefore reports whether a ∗→ b (reflexive-transitive closure of
-// the edge relation).
-func (g *Graph) HappensBefore(a, b NodeID) bool {
-	if a == b {
-		return true
-	}
-	// Search backwards from b: the in-degree of execution graphs is at most
-	// 2 (one local, one message edge), so the reverse search is linear.
-	seen := make([]bool, g.NumNodes())
-	stack := []NodeID{b}
-	seen[b] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, eid := range g.In(v) {
-			u := g.Edge(eid).From
-			if u == a {
-				return true
-			}
-			if !seen[u] {
-				seen[u] = true
-				stack = append(stack, u)
-			}
-		}
-	}
-	return false
 }
 
 // CausalCone returns the cut ⟨φ⟩ — all events that happen-before φ,

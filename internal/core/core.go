@@ -11,7 +11,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/causality"
 	"repro/internal/check"
@@ -85,33 +84,6 @@ func MaxFaults(n int) int {
 // Admissible checks the execution graph against Definition 4.
 func (m Model) Admissible(g *causality.Graph) (check.Verdict, error) {
 	return check.ABC(g, m.xi)
-}
-
-// AdmissibleTrace builds the execution graph of a trace and checks it.
-func (m Model) AdmissibleTrace(t *sim.Trace) (check.Verdict, error) {
-	return m.Admissible(causality.Build(t, causality.Options{}))
-}
-
-// ThetaDelays returns a delay policy with delays uniform in [d, Θ·d] for
-// Θ < Ξ; executions scheduled by it are Θ-Model admissible and hence
-// ABC-admissible (Theorem 6).
-func (m Model) ThetaDelays(d rat.Rat, theta rat.Rat) (sim.DelayPolicy, error) {
-	if !theta.Less(m.xi) || theta.Less(rat.One) {
-		return nil, fmt.Errorf("core: Θ = %v must satisfy 1 <= Θ < Ξ = %v", theta, m.xi)
-	}
-	return sim.UniformDelay{Min: d, Max: d.Mul(theta)}, nil
-}
-
-// GrowingDelays returns a delay policy whose base delay grows by the given
-// rate per unit of send time while the instantaneous spread stays below Ξ.
-// It models the paper's spacecraft-formation example (Section 5.3):
-// delays grow without bound — inadmissible in any static Θ or ParSync
-// model — yet the execution remains ABC-admissible.
-func (m Model) GrowingDelays(base, ratePerUnit, spread rat.Rat) (sim.DelayPolicy, error) {
-	if !spread.Less(m.xi) || spread.Less(rat.One) {
-		return nil, fmt.Errorf("core: spread = %v must satisfy 1 <= spread < Ξ = %v", spread, m.xi)
-	}
-	return sim.GrowingDelay{Base: base, Rate: ratePerUnit, Spread: spread}, nil
 }
 
 // RunVerified runs the simulation and verifies the resulting trace is

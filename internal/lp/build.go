@@ -58,8 +58,8 @@ func FromGraph(g *causality.Graph, xi rat.Rat, cycleLimit int) (s *System, varOf
 // DifferenceSystem builds the event-time formulation over one variable per
 // node: 1 < t(v) − t(u) < Ξ for message edges and t(v) − t(u) > 0 for local
 // edges. It is feasible exactly when the graph is ABC-admissible for Ξ
-// (the system internal/check solves with Bellman–Ford); comparing the two
-// formulations is experiment E6.
+// (the system internal/check solves with Bellman–Ford).
+// TestSystemsAgreeOnFigures compares the two formulations.
 func DifferenceSystem(g *causality.Graph, xi rat.Rat) *System {
 	s := &System{NumVars: g.NumNodes()}
 	for i, e := range g.Edges() {

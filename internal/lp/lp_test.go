@@ -128,7 +128,8 @@ func TestVerifyCertificateRejects(t *testing.T) {
 }
 
 // The Fig. 6 message-weight system and the difference system agree with
-// the Bellman–Ford checker on the figure graphs (experiment E6 core).
+// the Bellman–Ford checker on the figure graphs. Experiment E6 makes the
+// same comparison for the Fig. 6 system alone.
 func TestSystemsAgreeOnFigures(t *testing.T) {
 	graphs := map[string]*causality.Graph{
 		"fig1": scenario.BuildFig1().Graph,

@@ -10,8 +10,9 @@
 // matrix of Fig. 6 (variables are message weights; rows are the bounds
 // 1 < τ(e) < Ξ and one row per relevant/non-relevant cycle), and
 // DifferenceSystem constructs the equivalent event-time formulation that
-// internal/check solves with Bellman–Ford. Their agreement on random
-// graphs is experiment E6.
+// internal/check solves with Bellman–Ford. Experiment E6 checks the Fig. 6
+// system against the checker; TestSystemsAgreeOnFigures checks both
+// formulations against it.
 package lp
 
 import (

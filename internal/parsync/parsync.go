@@ -113,6 +113,10 @@ func Check(t *sim.Trace, phi, delta int) Report {
 	return r
 }
 
+// maxWitnessEvents is the simulator's default receive-event budget: no
+// default-budget run produces a longer execution than this.
+const maxWitnessEvents = 200000
+
 // ProverExecution constructs the Fig. 8 witness for the game: given the
 // adversary's (Φ, Δ) and the Prover's Ξ, it builds a trace that
 //
@@ -125,13 +129,19 @@ func Check(t *sim.Trace, phi, delta int) Report {
 //     more than Φ ticks.
 //
 // Layout: q = 0, p = 1, relays = 2 .. 2+k−1.
+//
+// The witness has L + 2k + 3 events; a (Φ, Δ) that needs more than
+// maxWitnessEvents is an error, checked before anything is allocated.
 func ProverExecution(phi, delta int, xi rat.Rat) (*sim.Trace, error) {
 	if !xi.Greater(rat.One) {
 		return nil, fmt.Errorf("parsync: Ξ = %v must exceed 1", xi)
 	}
-	l := phi
-	if delta > l {
-		l = delta
+	tooLarge := func() error {
+		return fmt.Errorf("parsync: the witness for Φ = %d, Δ = %d exceeds %d events", phi, delta, maxWitnessEvents)
+	}
+	l := max(phi, delta)
+	if l > maxWitnessEvents {
+		return nil, tooLarge()
 	}
 	l += 2 // |Z−| strictly greater than both, with margin
 	if l%2 == 1 {
@@ -142,6 +152,9 @@ func ProverExecution(phi, delta int, xi rat.Rat) (*sim.Trace, error) {
 	k := int(kPlus1 - 1)
 	if k < 1 {
 		k = 1
+	}
+	if l+2*k+3 > maxWitnessEvents {
+		return nil, tooLarge()
 	}
 
 	n := 2 + k

@@ -1,6 +1,7 @@
 package parsync
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/causality"
@@ -118,6 +119,16 @@ func TestProverExecutionRatioNearXi(t *testing.T) {
 func TestProverExecutionValidation(t *testing.T) {
 	if _, err := ProverExecution(3, 3, rat.One); err == nil {
 		t.Error("Ξ = 1 accepted")
+	}
+	// Witnesses past the event budget are refused before allocation: Φ
+	// itself too large, and L + 2k + 3 too large at Φ = 10^5, Ξ = 2.
+	for _, phi := range []int{1 << 62, 100000} {
+		if _, err := ProverExecution(phi, 3, rat.FromInt(2)); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("Φ = %d: err = %v, want the event-budget error", phi, err)
+		}
+	}
+	if _, err := ProverExecution(1000, 3, rat.FromInt(2)); err != nil {
+		t.Errorf("Φ = 1000 rejected: %v", err)
 	}
 }
 

@@ -175,16 +175,6 @@ func FromBig(r *big.Rat) Rat {
 	return demote(new(big.Rat).Set(r))
 }
 
-// FromFloat returns the exact rational value of f.
-// It panics if f is NaN or infinite.
-func FromFloat(f float64) Rat {
-	br := new(big.Rat).SetFloat64(f)
-	if br == nil {
-		panic(fmt.Sprintf("rat: cannot represent %v", f))
-	}
-	return demote(br)
-}
-
 // Parse parses a string in fraction ("3/2") or decimal ("1.5") form.
 func Parse(s string) (Rat, error) {
 	br, ok := new(big.Rat).SetString(s)
@@ -583,15 +573,6 @@ func Max(x, y Rat) Rat {
 		return x
 	}
 	return y
-}
-
-// Sum returns the sum of all values, or 0 for an empty slice.
-func Sum(xs ...Rat) Rat {
-	acc := Rat{num: 0, den: 1}
-	for _, x := range xs {
-		acc = acc.Add(x)
-	}
-	return acc
 }
 
 // String renders x as "n" for integers and "n/d" otherwise.

@@ -162,21 +162,6 @@ func TestFromBig(t *testing.T) {
 	}
 }
 
-func TestFromFloat(t *testing.T) {
-	if got := FromFloat(0.5); !got.Equal(New(1, 2)) {
-		t.Errorf("FromFloat(0.5) = %v, want 1/2", got)
-	}
-}
-
-func TestSum(t *testing.T) {
-	if got := Sum(); !got.Equal(Zero) {
-		t.Errorf("Sum() = %v, want 0", got)
-	}
-	if got := Sum(One, New(1, 2), New(1, 2)); !got.Equal(FromInt(2)) {
-		t.Errorf("Sum(1, 1/2, 1/2) = %v, want 2", got)
-	}
-}
-
 // Property: immutability. Operations never change their operands.
 func TestImmutability(t *testing.T) {
 	f := func(an, bn int64) bool {

@@ -49,7 +49,6 @@ func TestZeroValueEveryMethod(t *testing.T) {
 		{"Floor", z.Floor(), int64(0)},
 		{"Min", Min(z, One).String(), "0"},
 		{"Max", Max(z, One).String(), "1"},
-		{"Sum", Sum(z, z, One).String(), "1"},
 		{"String", z.String(), "0"},
 	}
 	for _, c := range cases {
@@ -113,7 +112,6 @@ func TestConcurrentSharedRat(t *testing.T) {
 					_ = x.String()
 					_ = Min(x, y)
 					_ = Max(x, y)
-					_ = Sum(x, y, x)
 				}
 			}
 		}(g)

@@ -18,45 +18,10 @@ import (
 	"repro/internal/sim"
 )
 
-// MCMClass is a slow/fast flag for a received message.
-type MCMClass bool
-
-// MCM classes.
-const (
-	Fast MCMClass = false
-	Slow MCMClass = true
-)
-
-// MCMValid reports whether a complete classification of the trace's
-// correct messages satisfies Fetzer's requirement: the end-to-end delay of
-// every slow message strictly exceeds twice the end-to-end delay of every
-// fast message. classify is consulted per message.
-func MCMValid(t *sim.Trace, classify func(m sim.Message) MCMClass) bool {
-	var maxFast, minSlow rat.Rat
-	haveFast, haveSlow := false, false
-	for _, m := range t.Msgs {
-		if m.IsWakeup() || t.Faulty[m.From] || t.Faulty[m.To] {
-			continue
-		}
-		d := m.RecvTime.Sub(m.SendTime)
-		if classify(m) == Slow {
-			if !haveSlow || d.Less(minSlow) {
-				minSlow, haveSlow = d, true
-			}
-		} else {
-			if !haveFast || d.Greater(maxFast) {
-				maxFast, haveFast = d, true
-			}
-		}
-	}
-	if !haveFast || !haveSlow {
-		return true // one-sided classifications are vacuously consistent
-	}
-	return minSlow.Greater(maxFast.MulInt(2))
-}
-
-// MCMClassifiable reports whether ANY classification of the trace's
-// correct messages is valid — equivalently (sorting delays), whether some
+// MCMClassifiable reports whether ANY slow/fast classification of the
+// trace's correct messages satisfies Fetzer's requirement — the end-to-end
+// delay of every slow message strictly exceeds twice that of every fast
+// message. Equivalently (sorting delays), it reports whether some
 // threshold splits the delay multiset so that everything above is more
 // than twice everything below, with the all-fast and all-slow splits
 // always allowed. A trace with two messages whose delay ratio lies in

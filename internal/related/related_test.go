@@ -10,39 +10,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestMCMValidBasic(t *testing.T) {
-	b := sim.NewTraceBuilder(2)
-	b.WakeAll(rat.Zero)
-	b.MsgAt(0, 0, 1, 1, "fast")  // delay 1
-	b.MsgAt(0, 0, 1, 5, "slow")  // delay 5 > 2*1
-	b.MsgAt(1, 1, 0, 20, "slow") // delay 19
-	tr := b.MustBuild()
-
-	byPayload := func(m sim.Message) MCMClass {
-		if s, ok := m.Payload.(string); ok && s == "slow" {
-			return Slow
-		}
-		return Fast
-	}
-	if !MCMValid(tr, byPayload) {
-		t.Error("valid classification rejected")
-	}
-	// Misclassify the delay-1 message as slow: 1 > 2*19 fails.
-	allSlowButOne := func(m sim.Message) MCMClass {
-		if s, ok := m.Payload.(string); ok && s == "fast" {
-			return Slow
-		}
-		return Fast
-	}
-	if MCMValid(tr, allSlowButOne) {
-		t.Error("invalid classification accepted")
-	}
-	// One-sided classifications are vacuously valid.
-	if !MCMValid(tr, func(sim.Message) MCMClass { return Fast }) {
-		t.Error("all-fast rejected")
-	}
-}
-
 // Section 5.2's comparison: the MCM assumption is more demanding than the
 // ABC condition. Fig. 1's execution is ABC(2)-admissible, but its delay
 // spectrum (which includes a zero-delay message and a dense range) admits

@@ -18,7 +18,7 @@ func TestFig1Shape(t *testing.T) {
 		t.Errorf("messages = %d, want 9 (m1..m9)", fig.Graph.MessageCount())
 	}
 	// ψ1 happens before ψ2 at p.
-	if !fig.Graph.HappensBefore(fig.Psi1, fig.Psi2) {
+	if !fig.Graph.LeftClosure(fig.Psi2).Contains(fig.Psi1) {
 		t.Error("ψ1 must precede ψ2")
 	}
 	// The zero-delay message m3 exists.
@@ -75,10 +75,10 @@ func TestFig3Fig4Divergence(t *testing.T) {
 			f3.Graph.MessageCount(), f4.Graph.MessageCount())
 	}
 	// Fig 3: ψ before the reply. Fig 4: reply (φ) before ψ.
-	if !f3.Graph.HappensBefore(f3.Psi, f3.PhiReply) {
+	if !f3.Graph.LeftClosure(f3.PhiReply).Contains(f3.Psi) {
 		t.Error("Fig.3: ψ must precede the reply")
 	}
-	if !f4.Graph.HappensBefore(f4.Phi, f4.Psi) {
+	if !f4.Graph.LeftClosure(f4.Psi).Contains(f4.Phi) {
 		t.Error("Fig.4: φ must precede ψ")
 	}
 	// The triggering payloads of ψ match ("pong2" closes the chain).

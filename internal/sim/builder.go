@@ -109,9 +109,6 @@ func (b *TraceBuilder) MsgAt(from ProcessID, fromIdx int, to ProcessID, recvT in
 	return b.Msg(from, fromIdx, to, rat.FromInt(recvT), payload)
 }
 
-// LastIndex returns the index of p's most recent event, or -1 if none.
-func (b *TraceBuilder) LastIndex(p ProcessID) int { return b.count[p] - 1 }
-
 func (b *TraceBuilder) appendEvent(p ProcessID, t Time, trigger MsgID) {
 	b.events = append(b.events, Event{
 		Proc: p, Index: b.count[p], Time: t, Trigger: trigger, Processed: true,

@@ -158,7 +158,7 @@ func TestRecoverDurableResumes(t *testing.T) {
 	}
 	var maxNote int
 	sawDownReception, sawResumption := false, false
-	for _, pos := range tr.EventsOf(2) {
+	for _, pos := range eventsOf(tr, 2) {
 		ev := tr.Events[pos]
 		down := !ev.Time.Less(rat.FromInt(2)) && ev.Time.Less(rat.FromInt(4))
 		if down {
@@ -206,7 +206,7 @@ func TestRecoverAmnesiaRespawns(t *testing.T) {
 	}
 	recovery := rat.FromInt(4)
 	var beforeMax, firstAfter int
-	for _, pos := range tr.EventsOf(2) {
+	for _, pos := range eventsOf(tr, 2) {
 		ev := tr.Events[pos]
 		n, ok := ev.Note.(int)
 		if !ok {
@@ -248,7 +248,7 @@ func TestWakeupDeferredPastDownInterval(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := res.Trace
-		positions := tr.EventsOf(1)
+		positions := eventsOf(tr, 1)
 		if len(positions) == 0 {
 			t.Fatal("process 1 recorded no events")
 		}
@@ -281,7 +281,7 @@ func TestInflightHoldDefersDeliveries(t *testing.T) {
 	}
 
 	held := run(InflightHold)
-	for _, pos := range held.EventsOf(2) {
+	for _, pos := range eventsOf(held, 2) {
 		ev := held.Events[pos]
 		if down.Contains(ev.Time) {
 			t.Fatalf("inflight=hold: delivery at %v inside the down interval", ev.Time)
@@ -293,7 +293,7 @@ func TestInflightHoldDefersDeliveries(t *testing.T) {
 
 	dropped := run(InflightDrop)
 	sawUnprocessed := false
-	for _, pos := range dropped.EventsOf(2) {
+	for _, pos := range eventsOf(dropped, 2) {
 		ev := dropped.Events[pos]
 		if down.Contains(ev.Time) && !ev.Processed {
 			sawUnprocessed = true

@@ -248,58 +248,6 @@ func (t *Trace) indexEvents() {
 	}
 }
 
-// EventsOf returns the positions (into Events) of all receive events at p,
-// in order. With the dense per-process index present (every engine- or
-// builder-produced trace) it is O(events of p) instead of an O(E) scan;
-// bare trace shells without the index fall back to scanning.
-func (t *Trace) EventsOf(p ProcessID) []int {
-	if t.eventPos != nil {
-		if p < 0 || int(p) >= len(t.eventPos) {
-			return nil
-		}
-		row := t.eventPos[p]
-		if len(row) == 0 {
-			return nil
-		}
-		out := make([]int, len(row))
-		for i, pos := range row {
-			out[i] = int(pos)
-		}
-		return out
-	}
-	var out []int
-	for i, ev := range t.Events {
-		if ev.Proc == p {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// StepCount returns the number of computing steps process p executed
-// (receive events with Processed == true). Like EventsOf it walks the
-// dense per-process index row when present instead of all of Events.
-func (t *Trace) StepCount(p ProcessID) int {
-	n := 0
-	if t.eventPos != nil {
-		if p < 0 || int(p) >= len(t.eventPos) {
-			return 0
-		}
-		for _, pos := range t.eventPos[p] {
-			if t.Events[pos].Processed {
-				n++
-			}
-		}
-		return n
-	}
-	for _, ev := range t.Events {
-		if ev.Proc == p && ev.Processed {
-			n++
-		}
-	}
-	return n
-}
-
 // CorrectProcesses returns the IDs of all non-faulty processes.
 func (t *Trace) CorrectProcesses() []ProcessID {
 	var out []ProcessID

@@ -244,9 +244,9 @@ func TestRetentionConfigErrors(t *testing.T) {
 	}
 }
 
-// TestEventsOfIndexedMatchesScan pins the dense-row fast path of EventsOf
-// and StepCount against the legacy O(E) scan they replaced.
-func TestEventsOfIndexedMatchesScan(t *testing.T) {
+// TestEventAtIndexedMatchesScan pins the engine's incrementally built
+// event index against one rebuilt from Events by indexEvents.
+func TestEventAtIndexedMatchesScan(t *testing.T) {
 	res, err := Run(sinkTestConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -256,18 +256,15 @@ func TestEventsOfIndexedMatchesScan(t *testing.T) {
 		t.Fatal("engine trace lacks the event index")
 	}
 	shell := &Trace{N: tr.N, Events: tr.Events, Msgs: tr.Msgs, Faulty: tr.Faulty}
+	shell.indexEvents()
 	for p := ProcessID(0); int(p) < tr.N; p++ {
-		fast, slow := tr.EventsOf(p), shell.EventsOf(p)
-		if len(fast) != len(slow) {
-			t.Fatalf("p%d: indexed EventsOf has %d entries, scan %d", p, len(fast), len(slow))
+		if a, b := len(tr.eventPos[p]), len(shell.eventPos[p]); a != b {
+			t.Fatalf("p%d: engine index has %d events, rebuilt %d", p, a, b)
 		}
-		for i := range fast {
-			if fast[i] != slow[i] {
-				t.Fatalf("p%d: EventsOf[%d] = %d (indexed) vs %d (scan)", p, i, fast[i], slow[i])
+		for k := 0; k <= len(tr.eventPos[p]); k++ {
+			if a, b := tr.EventAt(p, k), shell.EventAt(p, k); a != b {
+				t.Fatalf("p%d: EventAt(%d) = %d (engine) vs %d (rebuilt)", p, k, a, b)
 			}
-		}
-		if a, b := tr.StepCount(p), shell.StepCount(p); a != b {
-			t.Fatalf("p%d: StepCount %d (indexed) vs %d (scan)", p, a, b)
 		}
 	}
 }

@@ -6,9 +6,10 @@
 //
 // The package provides admissibility checkers for both the static variant
 // (global bounds τ−, τ+ with τ+/τ− <= Θ) and the dynamic variant
-// (τ+(t)/τ−(t) <= Θ at every time t), plus the Theorem 9 bridge: timing an
-// admissible ABC execution graph with its normalized delay assignment
-// (Theorem 7) yields a Θ-admissible timed execution for every Θ >= Ξ.
+// (τ+(t)/τ−(t) <= Θ at every time t). They also check the Theorem 9
+// bridge: check.Assignment.Retime times an admissible ABC execution graph
+// with its normalized delay assignment (Theorem 7), and CheckStatic finds
+// the retimed trace Θ-admissible for every Θ >= Ξ.
 //
 // Together with Theorem 6 (every Θ-admissible execution with Θ < Ξ is
 // ABC-admissible, tested in internal/check) this gives both directions of
@@ -20,8 +21,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/causality"
-	"repro/internal/check"
 	"repro/internal/rat"
 	"repro/internal/sim"
 )
@@ -127,39 +126,6 @@ func CheckDynamic(t *sim.Trace, theta rat.Rat) Report {
 				Reason:     fmt.Sprintf("in-transit ratio %v exceeds Θ = %v at time %v", max.Div(min), theta, t0),
 			}
 		}
-	}
-	return r
-}
-
-// TimeFromAssignment retimes an execution graph with a normalized delay
-// assignment (Theorem 7) and reports the static Θ-admissibility of the
-// result. Since the assignment places every message delay strictly inside
-// (1, Ξ), the retimed execution is statically Θ-admissible for any
-// Θ >= Ξ — the constructive content of Theorem 9's model
-// indistinguishability.
-func TimeFromAssignment(g *causality.Graph, a *check.Assignment, theta rat.Rat) Report {
-	r := Report{Admissible: true}
-	first := true
-	for i, e := range g.Edges() {
-		if e.Kind != causality.Message {
-			continue
-		}
-		d := a.Delay(causality.EdgeID(i))
-		r.Messages++
-		if first {
-			r.MinDelay, r.MaxDelay = d, d
-			first = false
-			continue
-		}
-		r.MinDelay = rat.Min(r.MinDelay, d)
-		r.MaxDelay = rat.Max(r.MaxDelay, d)
-	}
-	if r.Messages == 0 {
-		return r
-	}
-	if r.MinDelay.Sign() <= 0 || r.MaxDelay.Div(r.MinDelay).Greater(theta) {
-		r.Admissible = false
-		r.Reason = fmt.Sprintf("assigned delays [%v, %v] exceed Θ = %v", r.MinDelay, r.MaxDelay, theta)
 	}
 	return r
 }

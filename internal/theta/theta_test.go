@@ -121,10 +121,10 @@ func TestEmptyTrace(t *testing.T) {
 	}
 }
 
-// Theorem 9 bridge: the normalized assignment of an admissible ABC graph
-// is Θ-admissible for Θ = Ξ, even when the original timing was not
-// Θ-admissible for any Θ.
-func TestTimeFromAssignment(t *testing.T) {
+// Theorem 9 bridge: the execution retimed with the normalized assignment
+// of an admissible ABC graph is Θ-admissible for Θ = Ξ, even when the
+// original timing was not Θ-admissible for any Θ.
+func TestRetimedAssignmentThetaAdmissible(t *testing.T) {
 	fig := scenario.BuildFig1() // contains a zero-delay message
 	xi := rat.FromInt(2)
 	v, err := check.ABC(fig.Graph, xi)
@@ -134,20 +134,22 @@ func TestTimeFromAssignment(t *testing.T) {
 	if !v.Admissible {
 		t.Fatal("Fig.1 not admissible at Ξ=2")
 	}
-	r := TimeFromAssignment(fig.Graph, v.Assignment, xi)
+	if r := CheckStatic(fig.Trace, rat.FromInt(1000)); r.Admissible {
+		t.Fatal("original Fig.1 timing Θ-admissible despite its zero-delay message")
+	}
+	tr, err := v.Assignment.Retime()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := CheckStatic(tr, xi)
 	if !r.Admissible {
 		t.Fatalf("retimed execution not Θ(Ξ)-admissible: %s", r.Reason)
 	}
 	if r.MinDelay.LessEq(rat.One) || r.MaxDelay.GreaterEq(xi) {
-		t.Errorf("assigned delays [%v, %v] outside (1, Ξ)", r.MinDelay, r.MaxDelay)
+		t.Errorf("retimed delays [%v, %v] outside (1, Ξ)", r.MinDelay, r.MaxDelay)
 	}
-	// The retimed graph preserves causal order: delays positive on every
-	// edge (already guaranteed by Assignment.Validate, asserted here
-	// against the theta-view).
-	for i, e := range fig.Graph.Edges() {
-		if e.Kind == causality.Message && v.Assignment.Delay(causality.EdgeID(i)).Sign() <= 0 {
-			t.Fatal("non-positive assigned delay")
-		}
+	if want := len(correctMessages(fig.Trace)); r.Messages != want {
+		t.Errorf("retimed trace has %d correct messages, original %d", r.Messages, want)
 	}
 }
 

@@ -41,15 +41,18 @@ func init() {
 			if x0 <= 0 {
 				return runner.Job{}, fmt.Errorf("variants: x0 = %d must be positive", x0)
 			}
+			switchAt := v.Rat("switch")
 			cfg := sim.Config{
 				N: n,
 				Spawn: func(sim.ProcessID) sim.Process {
 					return lockstep.NewWithBoundary(n, f, lockstep.EchoApp{}, DoublingBoundary(x0))
 				},
-				Delays: EventualDelays{
-					Before: sim.UniformDelay{Min: rat.Zero, Max: v.Rat("chaosmax")},
-					After:  sim.UniformDelay{Min: v.Rat("min"), Max: v.Rat("max")},
-					Switch: v.Rat("switch"),
+				// Chaotic delays for messages sent before the switch,
+				// well-behaved ones from then on.
+				Delays: sim.OverrideDelay{
+					Base:     sim.UniformDelay{Min: v.Rat("min"), Max: v.Rat("max")},
+					Match:    func(m sim.Message) bool { return m.SendTime.Less(switchAt) },
+					Override: sim.UniformDelay{Min: rat.Zero, Max: v.Rat("chaosmax")},
 				},
 				Seed:      seed,
 				Until:     lockstep.AllReachedRound(v.Int("target"), nil),

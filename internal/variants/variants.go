@@ -15,7 +15,6 @@ package variants
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/causality"
 	"repro/internal/check"
@@ -150,22 +149,6 @@ func FindGST(t *sim.Trace, xi rat.Rat) (gstIndex int, ok bool, err error) {
 		}
 	}
 	return hi, true, nil
-}
-
-// EventualDelays is a delay policy for building ◇ABC executions: chaotic
-// (unbounded-ratio) delays strictly before the switch time, well-behaved
-// delays afterwards.
-type EventualDelays struct {
-	Before, After sim.DelayPolicy
-	Switch        sim.Time
-}
-
-// Delay implements sim.DelayPolicy.
-func (e EventualDelays) Delay(m sim.Message, rng *rand.Rand) sim.Time {
-	if m.SendTime.Less(e.Switch) {
-		return e.Before.Delay(m, rng)
-	}
-	return e.After.Delay(m, rng)
 }
 
 // DoublingBoundary returns the round-boundary function for eventual

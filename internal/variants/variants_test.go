@@ -142,10 +142,10 @@ func TestEventualLockStep(t *testing.T) {
 		Spawn: func(id sim.ProcessID) sim.Process {
 			return lockstep.NewWithBoundary(n, f, newApp(id), DoublingBoundary(2))
 		},
-		Delays: EventualDelays{
-			Before: sim.UniformDelay{Min: rat.Zero, Max: rat.FromInt(8)}, // ratio unbounded
-			After:  sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
-			Switch: rat.FromInt(30),
+		Delays: sim.OverrideDelay{
+			Base:     sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
+			Match:    func(m sim.Message) bool { return m.SendTime.Less(rat.FromInt(30)) },
+			Override: sim.UniformDelay{Min: rat.Zero, Max: rat.FromInt(8)}, // ratio unbounded
 		},
 		Seed:      3,
 		Until:     lockstep.AllReachedRound(7, nil),
@@ -187,11 +187,13 @@ func TestDoublingBoundaryValues(t *testing.T) {
 	b(62)
 }
 
-func TestEventualDelaysSwitch(t *testing.T) {
-	pol := EventualDelays{
-		Before: sim.ConstantDelay{D: rat.FromInt(10)},
-		After:  sim.ConstantDelay{D: rat.One},
-		Switch: rat.FromInt(5),
+// The ◇ABC delay switch as the variants workload builds it: messages sent
+// before the switch time take the override, later ones the base policy.
+func TestEventualSwitchOverride(t *testing.T) {
+	pol := sim.OverrideDelay{
+		Base:     sim.ConstantDelay{D: rat.One},
+		Match:    func(m sim.Message) bool { return m.SendTime.Less(rat.FromInt(5)) },
+		Override: sim.ConstantDelay{D: rat.FromInt(10)},
 	}
 	early := sim.Message{SendTime: rat.FromInt(4)}
 	late := sim.Message{SendTime: rat.FromInt(5)}

@@ -19,6 +19,7 @@ package vlsi
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/causality"
 	"repro/internal/check"
@@ -36,7 +37,7 @@ type Wire struct {
 // usable; create with NewChip.
 type Chip struct {
 	n     int
-	names []string
+	names map[sim.ProcessID]string // SetName overrides of the default "M<id>"
 	wires map[sim.Link]Wire
 	// Default applies to links without an explicit wire.
 	def Wire
@@ -50,13 +51,9 @@ func NewChip(n int, defaultMin, defaultMax rat.Rat) (*Chip, error) {
 	if defaultMin.Sign() < 0 || defaultMax.Less(defaultMin) {
 		return nil, fmt.Errorf("vlsi: bad default delay range [%v, %v]", defaultMin, defaultMax)
 	}
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("M%d", i)
-	}
 	return &Chip{
 		n:     n,
-		names: names,
+		names: make(map[sim.ProcessID]string),
 		wires: make(map[sim.Link]Wire),
 		def:   Wire{Min: defaultMin, Max: defaultMax},
 	}, nil
@@ -65,8 +62,13 @@ func NewChip(n int, defaultMin, defaultMax rat.Rat) (*Chip, error) {
 // SetName labels a module.
 func (c *Chip) SetName(m sim.ProcessID, name string) { c.names[m] = name }
 
-// Name returns a module's label.
-func (c *Chip) Name(m sim.ProcessID) string { return c.names[m] }
+// Name returns a module's label: the one SetName gave it, else "M<id>".
+func (c *Chip) Name(m sim.ProcessID) string {
+	if name, ok := c.names[m]; ok {
+		return name
+	}
+	return fmt.Sprintf("M%d", m)
+}
 
 // Modules returns the module count.
 func (c *Chip) Modules() int { return c.n }
@@ -98,7 +100,7 @@ func (c *Chip) Migrate(factor rat.Rat) (*Chip, error) {
 	}
 	out := &Chip{
 		n:     c.n,
-		names: append([]string(nil), c.names...),
+		names: maps.Clone(c.names),
 		wires: make(map[sim.Link]Wire, len(c.wires)),
 		def:   Wire{Min: c.def.Min.Mul(factor), Max: c.def.Max.Mul(factor)},
 	}

@@ -308,22 +308,6 @@ func NetFaulty(v Values) bool {
 	return false
 }
 
-// Recovering reports whether the resolved fault spec contains recover
-// clauses — verdicts that special-case down-then-up processes (e.g. Ω's
-// leader re-election) branch on it.
-func Recovering(v Values) bool {
-	clauses, err := parseFaults(v.String("faults"))
-	if err != nil {
-		return false
-	}
-	for _, c := range clauses {
-		if c.kind == "recover" {
-			return true
-		}
-	}
-	return false
-}
-
 // insertInterval inserts iv into the schedule keeping it sorted by From.
 // Overlaps are left for sim.Run's schedule validation to reject.
 func insertInterval(down []sim.Interval, iv sim.Interval) []sim.Interval {

@@ -249,12 +249,6 @@ func TestResolveFaultsNet(t *testing.T) {
 	if NetFaulty(faultValues(t, map[string]string{"faults": "crash/1"})) {
 		t.Error("NetFaulty(crash/1) = true")
 	}
-	if !Recovering(faultValues(t, map[string]string{"faults": "recover/1@1..2"})) {
-		t.Error("Recovering(recover/1@1..2) = false")
-	}
-	if Recovering(v) {
-		t.Error("Recovering(crash/1+drop/0.5) = true")
-	}
 }
 
 // TestResolveFaultsErrors pins the error text of malformed specs: every
