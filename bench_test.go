@@ -10,6 +10,7 @@ package abc
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/causality"
@@ -217,30 +218,12 @@ func BenchmarkIncrementalChecker(b *testing.B) {
 	// drags repairs back through history shows as repairs and finalized
 	// nodes per op.
 	b.Run("dense", func(b *testing.B) {
-		dense := benchTrace(b, 64, 5, rat.New(3, 2))
-		var st check.RepairStats
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			shell := &sim.Trace{N: dense.N, Msgs: dense.Msgs, Faulty: dense.Faulty}
-			inc, err := check.NewIncremental(shell, xi, causality.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j := 1; j <= len(dense.Events); j++ {
-				shell.Events = dense.Events[:j]
-				v, err := inc.Step()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !v.Admissible {
-					b.Fatal("benchmark workload must stay admissible")
-				}
-			}
-			st = inc.Stats()
-		}
-		b.ReportMetric(float64(len(dense.Events)), "events/op")
-		b.ReportMetric(float64(st.Repairs), "repairs/op")
-		b.ReportMetric(float64(st.Finalized), "finalized/op")
+		benchEachEvent(b, benchTrace(b, 64, 5, rat.New(3, 2)), xi)
+	})
+	// repair replays a trace whose message upper bounds bind, so arc
+	// insertion runs the Dijkstra repair and its adjacency scan.
+	b.Run("repair", func(b *testing.B) {
+		benchEachEvent(b, relayRingTrace(b, 16, 1000), rat.New(7, 2))
 	})
 	b.Run("batch", func(b *testing.B) {
 		events := make([]sim.Event, 0, len(tr.Events))
@@ -268,6 +251,84 @@ func BenchmarkIncrementalChecker(b *testing.B) {
 		}
 		b.ReportMetric(float64(checkpoints), "checks/op")
 	})
+}
+
+// benchEachEvent checks tr at Ξ = xi through check.Incremental one event
+// at a time and reports the constraint work per replay.
+func benchEachEvent(b *testing.B, tr *sim.Trace, xi rat.Rat) {
+	var st check.RepairStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		shell := &sim.Trace{N: tr.N, Msgs: tr.Msgs, Faulty: tr.Faulty}
+		inc, err := check.NewIncremental(shell, xi, causality.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 1; j <= len(tr.Events); j++ {
+			shell.Events = tr.Events[:j]
+			v, err := inc.Step()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !v.Admissible {
+				b.Fatal("benchmark workload must stay admissible")
+			}
+		}
+		st = inc.Stats()
+	}
+	b.ReportMetric(float64(len(tr.Events)), "events/op")
+	b.ReportMetric(float64(st.Repairs), "repairs/op")
+	b.ReportMetric(float64(st.Finalized), "finalized/op")
+}
+
+// relayDelay delays messages between processes 0 and 1 by one time unit
+// and every other message by slow.
+type relayDelay struct{ slow sim.Time }
+
+func (d relayDelay) Delay(m sim.Message, _ *rand.Rand) sim.Time {
+	if m.From <= 1 && m.To <= 1 {
+		return rat.One
+	}
+	return d.slow
+}
+
+// relayRingTrace runs processes 0 and 1 ping-ponging with delay 1 for
+// rounds steps of process 0, which also starts a lap of a ring of relays
+// (2 → 3 → … → 0) with delay 3 every round. Each lap closes relevant
+// cycles of ratio 3, so the run is admissible at Ξ = 7/2; yet a lap's
+// last hop arrives more than Ξ ping-pong rounds after the relays' earliest
+// schedule, so its upper bound binds and inserting it pushes the potential
+// back along the lap.
+func relayRingTrace(b *testing.B, relays, rounds int) *sim.Trace {
+	b.Helper()
+	proc := sim.ProcessFunc(func(env *sim.Env, msg sim.Message) {
+		switch self := env.Self(); {
+		case msg.IsWakeup():
+			if self == 0 {
+				env.Send(1, nil)
+			}
+		case self == 0:
+			if msg.From == 1 && env.StepIndex() < rounds {
+				env.Send(1, nil)
+				env.Send(2, nil)
+			}
+		case self == 1:
+			env.Send(0, nil)
+		default:
+			env.Send((self+1)%sim.ProcessID(env.N()), nil)
+		}
+	})
+	res, err := sim.Run(sim.Config{
+		N:         2 + relays,
+		Spawn:     func(sim.ProcessID) sim.Process { return proc },
+		Delays:    relayDelay{slow: rat.FromInt(3)},
+		Seed:      1,
+		MaxEvents: 1 << 20,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Trace
 }
 
 // BenchmarkExhaustiveVsBF is the ablation for DESIGN.md decision #1:

@@ -26,9 +26,10 @@ import (
 // trace; the node set, node order, edge set, and all derived semantics
 // (cycles, cuts, verdicts) are identical.
 //
-// The Builder maintains its own (process, index) → position index, so it
-// also works on bare prefix views of a trace (a sim.Trace value whose
-// Events slice is truncated), which lack the EventAt index.
+// A node's ID is its trace position, as in Build, so the Builder finds a
+// message's sender in its own per-process node lists: it works on bare
+// prefix views of a trace (a sim.Trace value whose Events slice is
+// truncated), which lack the EventAt index.
 //
 // The Builder reads the trace exclusively through the retention-safe
 // accessors (TotalEvents, EventByPos, TriggerOf), so it also consumes
@@ -37,11 +38,8 @@ import (
 // any per-event Monitor guarantees. A consumed-then-evicted event is
 // fine; an evicted-before-consumption event is an error.
 type Builder struct {
-	g    *Graph
-	opts Options
-	// eventPos[p][i] is the trace position of process p's i-th consumed
-	// event; used to resolve message edges without t.EventAt.
-	eventPos [][]int32
+	g        *Graph
+	opts     Options
 	consumed int
 }
 
@@ -59,8 +57,7 @@ func NewBuilder(t *sim.Trace, opts Options) (*Builder, error) {
 			trace:     t,
 			procNodes: make([][]NodeID, t.N),
 		},
-		opts:     opts,
-		eventPos: make([][]int32, t.N),
+		opts: opts,
 	}, nil
 }
 
@@ -83,12 +80,12 @@ func (b *Builder) Append() (int, error) {
 		if !ok {
 			return pos - start, fmt.Errorf("causality: event %d has dangling trigger %d", pos, ev.Trigger)
 		}
-		if ev.Index != len(b.eventPos[ev.Proc]) {
+		if ev.Index != len(g.procNodes[ev.Proc]) {
 			return pos - start, fmt.Errorf("causality: event %d at p%d has index %d, want %d (builder requires dense per-process order)",
-				pos, ev.Proc, ev.Index, len(b.eventPos[ev.Proc]))
+				pos, ev.Proc, ev.Index, len(g.procNodes[ev.Proc]))
 		}
 
-		id := NodeID(len(g.nodes))
+		id := NodeID(pos)
 		g.nodes = append(g.nodes, Node{
 			Proc:     ev.Proc,
 			Index:    ev.Index,
@@ -96,12 +93,10 @@ func (b *Builder) Append() (int, error) {
 			TracePos: pos,
 			Wakeup:   m.IsWakeup(),
 		})
-		g.nodeByEvent = append(g.nodeByEvent, id)
 		if pn := g.procNodes[ev.Proc]; len(pn) > 0 {
 			g.edges = append(g.edges, Edge{From: pn[len(pn)-1], To: id, Kind: Local, Msg: -1})
 		}
 		g.procNodes[ev.Proc] = append(g.procNodes[ev.Proc], id)
-		b.eventPos[ev.Proc] = append(b.eventPos[ev.Proc], int32(pos))
 
 		if !m.IsWakeup() && !dropped(t, b.opts, m) {
 			if m.SendStep < 0 {
@@ -109,12 +104,12 @@ func (b *Builder) Append() (int, error) {
 				b.consumed = pos + 1
 				continue
 			}
-			if m.SendStep >= len(b.eventPos[m.From]) {
+			sent := g.procNodes[m.From]
+			if m.SendStep >= len(sent) {
 				return pos - start, fmt.Errorf("causality: event %d received before its sending step p%d/%d (builder requires causal delivery order)",
 					pos, m.From, m.SendStep)
 			}
-			from := g.nodeByEvent[b.eventPos[m.From][m.SendStep]]
-			g.edges = append(g.edges, Edge{From: from, To: id, Kind: Message, Msg: m.ID})
+			g.edges = append(g.edges, Edge{From: sent[m.SendStep], To: id, Kind: Message, Msg: m.ID})
 			g.msgCount++
 		}
 		b.consumed = pos + 1

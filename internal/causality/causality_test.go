@@ -295,11 +295,22 @@ func TestNodesAndAccessors(t *testing.T) {
 			}
 		}
 	}
-	// NodeByEvent round-trip.
-	for pos := range tr.Events {
-		id := g.NodeByEvent(pos)
-		if id >= 0 && g.Node(id).TracePos != pos {
-			t.Errorf("NodeByEvent(%d) round-trip failed", pos)
+	// A node's ID is its trace position, in both constructions.
+	b, err := NewBuilder(tr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Append(); err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{"Build": g, "Builder": b.Finalize()} {
+		if g.NumNodes() != len(tr.Events) {
+			t.Fatalf("%s: %d nodes for %d events", name, g.NumNodes(), len(tr.Events))
+		}
+		for pos := range tr.Events {
+			if got := g.Node(NodeID(pos)).TracePos; got != pos {
+				t.Errorf("%s: Node(NodeID(%d)).TracePos = %d", name, pos, got)
+			}
 		}
 	}
 }

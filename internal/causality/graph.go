@@ -25,7 +25,9 @@
 // Graphs come in two flavors: Build constructs the complete graph of a
 // finished trace in one shot, and Builder grows a graph event by event as
 // its trace is appended to (the substrate of the incremental admissibility
-// engine in internal/check). Both store adjacency in a flat CSR layout
+// engine in internal/check). In both, every trace event is a node and a
+// node's ID is its position in Trace.Events: Node(NodeID(pos)).TracePos
+// == pos. Both store adjacency in a flat CSR layout
 // (offsets + edge IDs) rather than per-node slices, so adjacency walks are
 // two contiguous array reads.
 package causality
@@ -101,8 +103,6 @@ type Graph struct {
 	outOff, inOff      []int32
 	outIDs, inIDs      []EdgeID
 	csrNodes, csrEdges int
-	// nodeByEvent maps a trace event position to its node, -1 if dropped.
-	nodeByEvent []NodeID
 	// procNodes lists each process's kept nodes in local order.
 	procNodes [][]NodeID
 }
@@ -136,9 +136,8 @@ func dropped(t *sim.Trace, opts Options, m sim.Message) bool {
 // Build constructs the execution graph of a trace.
 func Build(t *sim.Trace, opts Options) *Graph {
 	g := &Graph{
-		trace:       t,
-		nodeByEvent: make([]NodeID, len(t.Events)),
-		procNodes:   make([][]NodeID, t.N),
+		trace:     t,
+		procNodes: make([][]NodeID, t.N),
 	}
 
 	// Pass 1: create a node for every receive event. Events triggered by
@@ -146,7 +145,6 @@ func Build(t *sim.Trace, opts Options) *Graph {
 	// get no incoming message edge.
 	for pos, ev := range t.Events {
 		m := t.Msgs[ev.Trigger]
-		id := NodeID(len(g.nodes))
 		g.nodes = append(g.nodes, Node{
 			Proc:     ev.Proc,
 			Index:    ev.Index,
@@ -154,8 +152,7 @@ func Build(t *sim.Trace, opts Options) *Graph {
 			TracePos: pos,
 			Wakeup:   m.IsWakeup(),
 		})
-		g.nodeByEvent[pos] = id
-		g.procNodes[ev.Proc] = append(g.procNodes[ev.Proc], id)
+		g.procNodes[ev.Proc] = append(g.procNodes[ev.Proc], NodeID(pos))
 	}
 
 	// Pass 2: local edges between consecutive kept events of each process.
@@ -169,7 +166,6 @@ func Build(t *sim.Trace, opts Options) *Graph {
 	// Pass 3: message edges for kept messages, from the sending step's
 	// node to the receive event's node.
 	for pos, ev := range t.Events {
-		to := g.nodeByEvent[pos]
 		m := t.Msgs[ev.Trigger]
 		if m.IsWakeup() || dropped(t, opts, m) {
 			continue // external trigger or exempted: no message edge
@@ -178,8 +174,7 @@ func Build(t *sim.Trace, opts Options) *Graph {
 		if sendPos < 0 {
 			continue // scripted send without a step: dangling
 		}
-		from := g.nodeByEvent[sendPos]
-		g.edges = append(g.edges, Edge{From: from, To: to, Kind: Message, Msg: m.ID})
+		g.edges = append(g.edges, Edge{From: NodeID(sendPos), To: NodeID(pos), Kind: Message, Msg: m.ID})
 		g.msgCount++
 	}
 
@@ -250,10 +245,6 @@ func (g *Graph) In(n NodeID) []EdgeID {
 
 // NodesOf returns process p's kept nodes in local order.
 func (g *Graph) NodesOf(p sim.ProcessID) []NodeID { return g.procNodes[p] }
-
-// NodeByEvent returns the node for the trace event at position pos, or -1
-// if the event was dropped.
-func (g *Graph) NodeByEvent(pos int) NodeID { return g.nodeByEvent[pos] }
 
 // MessageCount returns the number of non-local edges. It is O(1): the
 // count is maintained at build time.

@@ -49,13 +49,20 @@ type Incremental struct {
 	bld  *causality.Builder
 	a, b int64
 
-	// out is the reversed constraint digraph's out-adjacency; dist the
-	// feasible potential −x (nodes without arcs sit at (0, 0)).
-	out  [][]carc
-	dist []graphutil.Pair
+	// The reversed constraint digraph, append-only and pointer-free: arc i
+	// runs to arcTo[i] with m = weight[arcW[i]] (every arc's k is −1), and
+	// head[x], arcNext[i] chain each node's out-arcs newest first (−1 ends
+	// a chain). dist is the feasible potential −x (nodes without arcs sit
+	// at (0, 0)).
+	head    []int32
+	arcTo   []int32
+	arcNext []int32
+	arcW    []uint8
+	weight  [3]int64
+	dist    []graphutil.Pair
 
 	// Dijkstra repair scratch, generation-stamped so per-repair resets are
-	// O(affected), not O(V).
+	// O(affected), not O(V), and grown only once a repair starts.
 	cand    []graphutil.Pair
 	candGen []uint32
 	doneGen []uint32
@@ -68,12 +75,12 @@ type Incremental struct {
 	failedAt   int
 }
 
-// carc is one constraint arc: head node and the m component of its weight
-// (every arc's k component is −1).
-type carc struct {
-	to int32
-	m  int64
-}
+// Arc weight codes, indexing Incremental.weight.
+const (
+	wLocal uint8 = iota // 0: t(v) − t(u) > 0
+	wUpper              // +a: message upper bound
+	wLower              // −b: message lower bound
+)
 
 // RepairStats counts an Incremental's constraint work since creation.
 type RepairStats struct {
@@ -101,7 +108,7 @@ func NewIncremental(t *sim.Trace, xi rat.Rat, opts causality.Options) (*Incremen
 	if err != nil {
 		return nil, err
 	}
-	return &Incremental{bld: bld, a: a, b: b, failedAt: -1}, nil
+	return &Incremental{bld: bld, a: a, b: b, weight: [3]int64{0, a, -b}, failedAt: -1}, nil
 }
 
 // Step consumes the trace events appended since the last call and returns
@@ -125,10 +132,7 @@ func (inc *Incremental) Step() (Verdict, error) {
 
 	for int64(len(inc.dist)) < v {
 		inc.dist = append(inc.dist, graphutil.Pair{})
-		inc.out = append(inc.out, nil)
-		inc.cand = append(inc.cand, graphutil.Pair{})
-		inc.candGen = append(inc.candGen, 0)
-		inc.doneGen = append(inc.doneGen, 0)
+		inc.head = append(inc.head, -1)
 	}
 
 	// New edges arrive grouped by their head — every edge's To is that
@@ -157,11 +161,11 @@ func (inc *Incremental) Step() (Verdict, error) {
 			case causality.Message:
 				// 1 < t(v) − t(u) < a/b: upper arc v→u with m=+a, lower
 				// arc u→v with m=−b.
-				feasible = inc.insert(int32(e.To), carc{to: int32(e.From), m: inc.a}) &&
-					inc.insert(int32(e.From), carc{to: int32(e.To), m: -inc.b})
+				feasible = inc.insert(int32(e.To), int32(e.From), wUpper) &&
+					inc.insert(int32(e.From), int32(e.To), wLower)
 			case causality.Local:
 				// t(v) − t(u) > 0: arc u→v with m=0.
-				feasible = inc.insert(int32(e.From), carc{to: int32(e.To), m: 0})
+				feasible = inc.insert(int32(e.From), int32(e.To), wLocal)
 			default:
 				return Verdict{}, fmt.Errorf("check: unknown edge kind %v", e.Kind)
 			}
@@ -175,18 +179,26 @@ func (inc *Incremental) Step() (Verdict, error) {
 	return inc.verdict, nil
 }
 
-// insert adds the constraint arc tail→a and repairs the potential.
-// It reports false when the arc closes a lexicographically negative cycle
-// (the system became infeasible).
-func (inc *Incremental) insert(tail int32, a carc) bool {
-	inc.out[tail] = append(inc.out[tail], a)
+// insert links the constraint arc tail→to with weight code w and repairs
+// the potential. It reports false when the arc closes a lexicographically
+// negative cycle (the system became infeasible).
+func (inc *Incremental) insert(tail, to int32, w uint8) bool {
+	inc.arcTo = append(inc.arcTo, to)
+	inc.arcNext = append(inc.arcNext, inc.head[tail])
+	inc.arcW = append(inc.arcW, w)
+	inc.head[tail] = int32(len(inc.arcTo) - 1)
 	inc.stats.Inserted++
-	nd := inc.dist[tail].Arc(a.m)
-	if !nd.Less(inc.dist[a.to]) {
+	nd := inc.dist[tail].Arc(inc.weight[w])
+	if !nd.Less(inc.dist[to]) {
 		return true // potential already satisfies the new arc
 	}
 	inc.stats.Repairs++
-	return inc.repair(tail, a.to, nd)
+	for len(inc.cand) < len(inc.dist) {
+		inc.cand = append(inc.cand, graphutil.Pair{})
+		inc.candGen = append(inc.candGen, 0)
+		inc.doneGen = append(inc.doneGen, 0)
+	}
+	return inc.repair(tail, to, nd)
 }
 
 // repair restores d(x) <= d(u) + w(u, x) for all arcs after inserting
@@ -223,13 +235,13 @@ func (inc *Incremental) repair(tail, head int32, nd graphutil.Pair) bool {
 		inc.dist[x] = inc.cand[x]
 		dx := inc.dist[x]
 		inc.stats.Finalized++
-		inc.stats.Scanned += int64(len(inc.out[x]))
-		for _, arc := range inc.out[x] {
-			y := arc.to
+		for i := inc.head[x]; i >= 0; i = inc.arcNext[i] {
+			inc.stats.Scanned++
+			y := inc.arcTo[i]
 			if inc.doneGen[y] == gen {
 				continue
 			}
-			c := dx.Arc(arc.m)
+			c := dx.Arc(inc.weight[inc.arcW[i]])
 			if !c.Less(inc.dist[y]) {
 				continue
 			}

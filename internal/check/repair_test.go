@@ -94,3 +94,44 @@ func TestIncrementalCertifyDenseMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWatcherAllocsPerEvent is the storage regression for the checker's
+// flat arc arrays: watching the 64-process full mesh one event at a time
+// must cost amortized slice growth only, not heap objects per node or
+// arc (a slice of arcs per node costs about 2.2 per event).
+func TestWatcherAllocsPerEvent(t *testing.T) {
+	proc := sim.ProcessFunc(func(env *sim.Env, msg sim.Message) {
+		if env.StepIndex() < 5 {
+			env.Broadcast(env.StepIndex())
+		}
+	})
+	res, err := sim.Run(sim.Config{
+		N:         64,
+		Spawn:     func(sim.ProcessID) sim.Process { return proc },
+		Delays:    sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
+		Seed:      1,
+		MaxEvents: 1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.Trace
+	allocs := testing.AllocsPerRun(1, func() {
+		w, err := check.NewWatcher(rat.FromInt(2), causality.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shell := &sim.Trace{N: tr.N, Msgs: tr.Msgs, Faulty: tr.Faulty}
+		for j := 1; j <= len(tr.Events); j++ {
+			shell.Events = tr.Events[:j]
+			if err := w.Monitor(shell); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	per := allocs / float64(len(tr.Events))
+	t.Logf("%d events, %.0f allocations, %.3f per event", len(tr.Events), allocs, per)
+	if per > 0.1 {
+		t.Fatalf("%.3f allocations per consumed event, want <= 0.1", per)
+	}
+}

@@ -23,11 +23,12 @@ import (
 func (a *Assignment) Retime() (*sim.Trace, error) {
 	old := a.g.Trace()
 
-	// New time per trace event: every event is a node of the graph (see
-	// internal/causality), so every event has an assigned time.
+	// New time per trace event: every event is a node of the graph, with
+	// its trace position as ID (see internal/causality), so every event
+	// has an assigned time.
 	newTime := make([]sim.Time, len(old.Events))
 	for pos := range old.Events {
-		newTime[pos] = a.Time(a.g.NodeByEvent(pos))
+		newTime[pos] = a.Time(causality.NodeID(pos))
 	}
 
 	// Rebuild messages with shifted send/recv times. Messages without a

@@ -19,8 +19,7 @@ type TraceBuilder struct {
 	events []Event
 	msgs   []Message
 	faulty []bool
-	last   []Time // last event time per process; -1 length marker via woke
-	count  []int  // events per process
+	pos    [][]int // pos[p][i] is the position in events of p's i-th event
 	err    error
 }
 
@@ -32,8 +31,7 @@ func NewTraceBuilder(n int) *TraceBuilder {
 	return &TraceBuilder{
 		n:      n,
 		faulty: make([]bool, n),
-		last:   make([]Time, n),
-		count:  make([]int, n),
+		pos:    make([][]int, n),
 	}
 }
 
@@ -50,8 +48,8 @@ func (b *TraceBuilder) Wake(p ProcessID, t Time) *TraceBuilder {
 	if b.err != nil {
 		return b
 	}
-	if b.count[p] != 0 {
-		b.err = fmt.Errorf("sim: Wake(p%d) after %d events", p, b.count[p])
+	if len(b.pos[p]) != 0 {
+		b.err = fmt.Errorf("sim: Wake(p%d) after %d events", p, len(b.pos[p]))
 		return b
 	}
 	id := MsgID(len(b.msgs))
@@ -78,21 +76,21 @@ func (b *TraceBuilder) Msg(from ProcessID, fromIdx int, to ProcessID, recvT Time
 	if b.err != nil {
 		return b
 	}
-	if fromIdx < 0 || fromIdx >= b.count[from] {
+	if fromIdx < 0 || fromIdx >= len(b.pos[from]) {
 		b.err = fmt.Errorf("sim: Msg from nonexistent event p%d/%d", from, fromIdx)
 		return b
 	}
-	sendT := b.eventTime(from, fromIdx)
+	sendT := b.events[b.pos[from][fromIdx]].Time
 	if recvT.Less(sendT) {
 		b.err = fmt.Errorf("sim: message from p%d/%d received at %v before sent at %v", from, fromIdx, recvT, sendT)
 		return b
 	}
-	if b.count[to] == 0 {
+	if len(b.pos[to]) == 0 {
 		b.err = fmt.Errorf("sim: message to p%d before its wake-up", to)
 		return b
 	}
-	if recvT.Less(b.last[to]) {
-		b.err = fmt.Errorf("sim: receive at p%d at %v precedes its last event at %v", to, recvT, b.last[to])
+	if last := b.events[b.pos[to][len(b.pos[to])-1]].Time; recvT.Less(last) {
+		b.err = fmt.Errorf("sim: receive at p%d at %v precedes its last event at %v", to, recvT, last)
 		return b
 	}
 	id := MsgID(len(b.msgs))
@@ -110,20 +108,10 @@ func (b *TraceBuilder) MsgAt(from ProcessID, fromIdx int, to ProcessID, recvT in
 }
 
 func (b *TraceBuilder) appendEvent(p ProcessID, t Time, trigger MsgID) {
+	b.pos[p] = append(b.pos[p], len(b.events))
 	b.events = append(b.events, Event{
-		Proc: p, Index: b.count[p], Time: t, Trigger: trigger, Processed: true,
+		Proc: p, Index: len(b.pos[p]) - 1, Time: t, Trigger: trigger, Processed: true,
 	})
-	b.count[p]++
-	b.last[p] = t
-}
-
-func (b *TraceBuilder) eventTime(p ProcessID, idx int) Time {
-	for _, ev := range b.events {
-		if ev.Proc == p && ev.Index == idx {
-			return ev.Time
-		}
-	}
-	panic("sim: eventTime on missing event")
 }
 
 // Build finalizes and validates the trace.
