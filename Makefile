@@ -11,7 +11,7 @@ BENCH_SIM_SMOKE = BenchmarkSimulator/.*/^n=(8|100|10000)$$
 # once, under a hard time budget.
 BENCH_SIM_SCALE = BenchmarkSimulator/topo=ring/^n=1000000$$
 
-.PHONY: all build vet test race bench bench-smoke fuzz-smoke fleet-bench cover cli-smoke bench-module ci
+.PHONY: all build vet fmt test race bench bench-smoke fuzz-smoke fleet-bench cover cli-smoke bench-module ci
 
 all: build
 
@@ -20,6 +20,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt would reformat any Go file; the walk from the root
+# covers the bench/ module too.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -61,9 +66,10 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseTopology -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzReadJSON -fuzztime=$(FUZZTIME) ./cmd/abccheck
 
-# fleet-bench records the serial vs 8-worker wall-clock of the full E1–E18
-# evaluation through the runner (needs >= 8 hardware threads to show the
-# speedup; see DESIGN.md decision 5).
+# fleet-bench records the wall-clock of the full E1–E18 evaluation through
+# the runner at one worker and at eight (DESIGN.md decision 5 has the
+# measured numbers; the 8-worker row only beats the serial one with more
+# than one hardware thread).
 fleet-bench:
 	$(GO) test -run=NONE -bench='BenchmarkFleetExperiments' -benchtime=3x .
 
@@ -98,4 +104,4 @@ cover:
 
 # ci runs the steps of the single CI job (.github/workflows/ci.yml), which
 # calls these targets one by one.
-ci: vet race cover fuzz-smoke bench-smoke cli-smoke bench-module
+ci: vet fmt race cover fuzz-smoke bench-smoke cli-smoke bench-module

@@ -58,13 +58,12 @@ func BenchmarkE13_Variants(b *testing.B)            { benchExperiment(b, experim
 func BenchmarkE14_Consensus(b *testing.B)           { benchExperiment(b, experiments.E14Consensus) }
 func BenchmarkE15_VLSIClockGeneration(b *testing.B) { benchExperiment(b, experiments.RunVLSI) }
 
-// BenchmarkFleetExperiments is the ISSUE 2 acceptance benchmark: the
-// complete E1–E18 evaluation through the fleet runner, serial vs 8
-// workers. Per-seed traces and experiment Rows are bit-identical across
-// widths (TestRunAllWidthIndependent); the only difference is wall-clock.
-// The ≥3x target at 8 workers requires ≥8 hardware threads — on a
-// single-core machine (GOMAXPROCS=1) both variants measure the same
-// serial execution, so read the speedup from a multicore run of
+// BenchmarkFleetExperiments runs the complete E1–E18 evaluation through
+// the fleet runner at one worker and at eight. Per-seed traces and
+// experiment Rows are bit-identical across widths
+// (TestRunAllWidthIndependent); the only difference is wall-clock, which
+// can only shrink with more than one hardware thread. DESIGN.md decision 5
+// records measured rows:
 //
 //	go test -bench=BenchmarkFleetExperiments -benchtime=3x .
 func BenchmarkFleetExperiments(b *testing.B) {

@@ -67,6 +67,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -90,6 +91,10 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// maxJobs bounds the jobs one invocation expands to: -runs times the
+// product of the -sweep axis lengths.
+const maxJobs = 1 << 20
 
 // repeatFlag collects every occurrence of a repeatable flag.
 type repeatFlag []string
@@ -153,6 +158,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *runs < 1 {
 		return fmt.Errorf("-runs %d, need at least 1", *runs)
 	}
+	if *seed > math.MaxInt64-int64(*runs-1) {
+		return fmt.Errorf("-seed %d with -runs %d: the last seed overflows int64", *seed, *runs)
+	}
+	// Every job and its result stay in memory until the report, so the
+	// batch size is checked before anything is allocated for it.
+	count := *runs
+	for _, ax := range axes {
+		if count > maxJobs/len(ax.Values) {
+			count = maxJobs + 1 // stop before the product can overflow
+			break
+		}
+		count *= len(ax.Values)
+	}
+	if count > maxJobs {
+		return fmt.Errorf("-runs %d times the -sweep grid exceeds %d jobs", *runs, maxJobs)
+	}
 	if *workers < 1 {
 		*workers = runtime.GOMAXPROCS(0)
 	}
@@ -177,7 +198,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	start := time.Now()
-	results, stats, err := runner.Run(context.Background(), jobs, runner.Options{Workers: *workers})
+	results, stats, err := runner.Run(context.Background(), jobs, *workers)
 	wall := time.Since(start)
 	if err != nil {
 		return err

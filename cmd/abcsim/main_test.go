@@ -289,6 +289,24 @@ func TestRunRejectsBadUsage(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
+	// Batches too large to hold, and seed ranges past int64, are usage
+	// errors before anything is allocated for them.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workload", "broadcast", "-runs", "1000000000000"}, "exceeds 1048576 jobs"},
+		{[]string{"-workload", "broadcast", "-runs", "1048577"}, "exceeds 1048576 jobs"},
+		{[]string{"-workload", "broadcast", "-runs", "600000", "-sweep", "xi=2,3"}, "exceeds 1048576 jobs"},
+		{[]string{"-workload", "broadcast", "-runs", "9223372036854775807", "-sweep", "xi=2,3"}, "exceeds 1048576 jobs"},
+		{[]string{"-workload", "broadcast", "-seed", "9223372036854775807", "-runs", "2"}, "overflows int64"},
+		{[]string{"-workload", "broadcast", "-seed", "9223372036854775000", "-runs", "1000"}, "overflows int64"},
+	} {
+		var out, errOut strings.Builder
+		if err := run(tc.args, &out, &errOut); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: err %v, want %q", tc.args, err, tc.want)
+		}
+	}
 	// -param is the only parameter spelling: -n is not a flag.
 	var out, errOut strings.Builder
 	if err := run([]string{"-n", "4"}, &out, &errOut); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -n") {

@@ -1,6 +1,7 @@
 package clocksync
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/causality"
@@ -77,6 +78,47 @@ func TestTheoremsFaultFree(t *testing.T) {
 	}
 	if err := CheckBoundedProgress(g, model.BoundedProgressRho()); err != nil {
 		t.Errorf("Theorem 4: %v", err)
+	}
+}
+
+// TestCutSynchronyReportsFirstViolatingCut runs the Theorem 2 check with
+// a bound below the execution's precision, so several cones violate it.
+// The error must name the first violating cone in node order (cones are
+// checked before real-time cuts), as a reference scan over the cones
+// finds it.
+func TestCutSynchronyReportsFirstViolatingCut(t *testing.T) {
+	tr, g := runSync(t, 4, 1, nil, 15, rat.New(3, 2), 1)
+	const bound = 1
+	correct := tr.CorrectProcesses()
+	var violating []causality.NodeID
+	var spreads []int
+	for id := range causality.NodeID(g.NumNodes()) {
+		cut := g.CausalCone(id)
+		lo, hi := -1, -1
+		for _, p := range correct {
+			f := cut.Frontier(p)
+			if f < 0 {
+				lo = -1
+				break
+			}
+			c, _ := clockOf(tr.Events[g.Node(f).TracePos])
+			if lo == -1 || c < lo {
+				lo = c
+			}
+			hi = max(hi, c)
+		}
+		if lo >= 0 && hi-lo > bound {
+			violating = append(violating, id)
+			spreads = append(spreads, hi-lo)
+		}
+	}
+	if len(violating) < 2 {
+		t.Fatalf("%d cones violate bound %d; the test needs several", len(violating), bound)
+	}
+	want := fmt.Sprintf("clocksync: cut cone(%v) has spread %d > %d", g.Node(violating[0]), spreads[0], bound)
+	err := CheckConsistentCutSynchrony(g, bound)
+	if err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
 	}
 }
 

@@ -1,11 +1,9 @@
 package clocksync
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/causality"
-	"repro/internal/runner"
 	"repro/internal/sim"
 )
 
@@ -151,22 +149,23 @@ func CheckCausalCone(t *sim.Trace, x int64) error {
 // available) plus every real-time cut. For each cut S containing an event
 // of every correct process, |Cp(S) − Cq(S)| <= bound.
 //
-// Each cut's check is independent and the execution graph is immutable, so
-// the cuts are sharded across GOMAXPROCS goroutines (runner.Map). The
-// check is the dominant cost of the E10 evaluation on trace-sized graphs —
-// one cone closure per node is O(V·(V+E)) total. The reported error is the
-// first in the deterministic cone-then-time-cut order, independent of
-// scheduling.
+// The cuts are checked serially — cones in node order, then real-time cuts
+// in order of first occurrence — and the reported error names the first
+// violating cut in that order. The check already runs on a fleet worker
+// (runner.Run), so it does not fan out itself.
 func CheckConsistentCutSynchrony(g *causality.Graph, bound int64) error {
 	t := g.Trace()
 	correct := t.CorrectProcesses()
 
-	checkCut := func(cut *causality.Cut, what string) error {
+	// spread is max − min of the correct processes' frontier clocks; ok
+	// is false when the cut misses a correct process (not a consistent cut
+	// per Definition 5, so it is skipped).
+	spread := func(cut *causality.Cut) (s int, ok bool) {
 		min, max := -1, -1
 		for _, p := range correct {
 			f := cut.Frontier(p)
 			if f < 0 {
-				return nil // not a consistent cut per Definition 5; skip
+				return 0, false
 			}
 			c, ok := clockOf(t.Events[g.Node(f).TracePos])
 			if !ok {
@@ -181,56 +180,24 @@ func CheckConsistentCutSynchrony(g *causality.Graph, bound int64) error {
 				max = c
 			}
 		}
-		if min >= 0 && int64(max-min) > bound {
-			return fmt.Errorf("clocksync: cut %s has spread %d > %d", what, max-min, bound)
-		}
-		return nil
+		return max - min, min >= 0
 	}
 
-	// One task per node cone, then one per distinct occurrence time.
-	var times []sim.Time
+	for id := range causality.NodeID(g.NumNodes()) {
+		if s, ok := spread(g.CausalCone(id)); ok && int64(s) > bound {
+			return fmt.Errorf("clocksync: cut cone(%v) has spread %d > %d", g.Node(id), s, bound)
+		}
+	}
 	seen := map[string]bool{}
-	for id := 0; id < g.NumNodes(); id++ {
-		ts := g.Node(causality.NodeID(id)).Time
+	for id := range causality.NodeID(g.NumNodes()) {
+		ts := g.Node(id).Time
 		key := ts.String()
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		times = append(times, ts)
-	}
-	task := func(i int) error {
-		if i < g.NumNodes() {
-			id := causality.NodeID(i)
-			return checkCut(g.CausalCone(id), fmt.Sprintf("cone(%v)", g.Node(id)))
-		}
-		ts := times[i-g.NumNodes()]
-		return checkCut(g.CutAtTime(ts), "time "+ts.String())
-	}
-	total := g.NumNodes() + len(times)
-
-	// Parallel sweep with early exit: the first violation cancels the
-	// remaining dispatch. Which violation a racing sweep reports is
-	// schedule-dependent (and skipped tasks surface as ctx.Err), so on
-	// failure re-scan serially — that stops at the first cut in the
-	// canonical cone-then-time order, exactly like the pre-fleet serial
-	// loop, and costs no more than that loop did. Passing traces (the
-	// common case) pay only the parallel sweep.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	_, err := runner.Map(ctx, total, 0, func(i int) (struct{}, error) {
-		err := task(i)
-		if err != nil {
-			cancel()
-		}
-		return struct{}{}, err
-	})
-	if err == nil {
-		return nil
-	}
-	for i := 0; i < total; i++ {
-		if err := task(i); err != nil {
-			return err
+		if s, ok := spread(g.CutAtTime(ts)); ok && int64(s) > bound {
+			return fmt.Errorf("clocksync: cut time %s has spread %d > %d", key, s, bound)
 		}
 	}
 	return nil

@@ -160,7 +160,7 @@ func TestFleetGoldenTraceDeterminism(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			results, stats, err := Run(context.Background(), jobs, Options{Workers: workers})
+			results, stats, err := Run(context.Background(), jobs, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,11 +180,11 @@ func TestFleetGoldenTraceDeterminism(t *testing.T) {
 // asserts hash-identical results — no hidden per-run state in the fleet.
 func TestFleetRunsAreRepeatable(t *testing.T) {
 	jobs := goldenJobs(t)
-	first, _, err := Run(context.Background(), jobs, Options{Workers: 4})
+	first, _, err := Run(context.Background(), jobs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, _, err := Run(context.Background(), jobs, Options{Workers: 4})
+	second, _, err := Run(context.Background(), jobs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

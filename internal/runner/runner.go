@@ -1,16 +1,19 @@
 // Package runner is a worker-pool fleet for simulation and admissibility
-// checking. It shards batches of jobs — each a sim.Config to execute and/or
-// a trace to check — across GOMAXPROCS-bounded goroutines, streams per-job
-// results over a channel as they complete, and collects them back into the
-// stable (batch, index) order so that aggregate outcomes are independent of
-// worker count and scheduling.
+// checking. Run shards a batch of jobs — each a sim.Config to execute
+// and/or a trace to check — over a fixed number of goroutines and writes
+// each result into its job's slot, so results come back in submission
+// order and aggregate outcomes are independent of worker count and
+// scheduling. Map runs arbitrary index-addressed work on the same pool.
+// The pool is the only place the fleet fans out: the checks a job runs
+// (admissibility, ratio search, domain verdicts) are serial on the job's
+// worker.
 //
 // Determinism contract: every job carries its own seed inside its
 // sim.Config, every worker runs jobs on a private sim.Engine, and no state
 // is shared between jobs, so the trace produced for a job is bit-identical
 // (sim.Trace.Hash-equal) to a serial sim.Run of the same Config regardless
-// of Workers. The golden-trace test in this package pins that contract for
-// workers ∈ {1, 2, 8}.
+// of the worker count. The golden-trace test in this package pins that
+// contract for workers ∈ {1, 2, 8}.
 package runner
 
 import (
@@ -125,21 +128,43 @@ func (r JobResult) CompletedAdmissible(requireVerdict bool) bool {
 	return r.Verdict.Admissible
 }
 
-// Options configures a fleet run.
-type Options struct {
-	// Workers is the number of concurrent workers; <= 0 means
-	// runtime.GOMAXPROCS(0). Either way the pool never exceeds the
-	// batch size.
-	Workers int
-}
-
 // poolSize resolves the worker count for a batch of n jobs: workers,
-// else GOMAXPROCS, capped at n (and at least 1). Shared by Stream and Map.
+// else GOMAXPROCS, capped at n (and at least 1). pool applies it to Run
+// and Map alike.
 func poolSize(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return max(min(workers, n), 1)
+}
+
+// pool calls work(i) exactly once for every i in [0, n), spread over
+// poolSize(workers, n) goroutines, and returns when all calls have
+// returned. Each goroutine calls newWorker once and runs its indices
+// through the returned function, so per-worker state (a sim.Engine) lives
+// in the closure. The calling goroutine feeds the indices in order over an
+// unbuffered channel, so a worker picks up the next index only when it is
+// free. pool knows nothing of cancellation: a worker function that should
+// skip work after ctx is done checks ctx itself.
+func pool(n, workers int, newWorker func() func(i int)) {
+	workers = poolSize(workers, n)
+	indices := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			work := newWorker()
+			for i := range indices {
+				work(i)
+			}
+		}()
+	}
+	for i := range n {
+		indices <- i
+	}
+	close(indices)
+	wg.Wait()
 }
 
 // Stats aggregates a completed batch.
@@ -195,66 +220,27 @@ func (s *Stats) add(r JobResult) {
 // errJobEmpty is returned for jobs with neither a Cfg nor a Trace.
 var errJobEmpty = errors.New("runner: job has neither Cfg nor Trace")
 
-// Stream executes the batch and delivers results over the returned channel
-// in completion order (use Run for submission order). The channel is
-// closed once every job has produced exactly one result. When ctx is
-// cancelled, jobs not yet started complete immediately with Err set to the
-// context's error; jobs already in flight finish normally.
-func Stream(ctx context.Context, jobs []Job, opts Options) <-chan JobResult {
-	workers := poolSize(opts.Workers, len(jobs))
-	indices := make(chan int)
-	out := make(chan JobResult, workers)
-
-	go func() {
-		defer close(indices)
-		for i := range jobs {
-			select {
-			case indices <- i:
-			case <-ctx.Done():
-				// Drain the remaining indices as cancelled results so
-				// every job is accounted for.
-				for j := i; j < len(jobs); j++ {
-					out <- JobResult{Index: j, Key: jobs[j].Key, Err: ctx.Err(), FirstViolation: -1}
-				}
+// Run executes the batch on workers goroutines (<= 0 means GOMAXPROCS),
+// each with a private sim.Engine, and returns one result per job, in
+// submission order, together with aggregate statistics. When ctx is
+// cancelled, jobs not yet started complete immediately with Err set to
+// the context's error; jobs already running finish normally. The returned
+// error is the context's error if the run was cancelled; per-job failures
+// are reported in the results, not as a run error.
+func Run(ctx context.Context, jobs []Job, workers int) ([]JobResult, Stats, error) {
+	results := make([]JobResult, len(jobs))
+	pool(len(jobs), workers, func() func(int) {
+		engine := sim.NewEngine()
+		return func(i int) {
+			if err := ctx.Err(); err != nil {
+				results[i] = JobResult{Index: i, Key: jobs[i].Key, Err: err, FirstViolation: -1}
 				return
 			}
+			start := time.Now()
+			results[i] = execute(engine, i, jobs[i])
+			results[i].Elapsed = time.Since(start)
 		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			engine := sim.NewEngine()
-			for i := range indices {
-				if err := ctx.Err(); err != nil {
-					out <- JobResult{Index: i, Key: jobs[i].Key, Err: err, FirstViolation: -1}
-					continue
-				}
-				start := time.Now()
-				r := execute(engine, i, jobs[i])
-				r.Elapsed = time.Since(start)
-				out <- r
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
-}
-
-// Run executes the batch and returns one result per job, in submission
-// order, together with aggregate statistics. The returned error is the
-// context's error if the run was cancelled; per-job failures are reported
-// in the results, not as a run error.
-func Run(ctx context.Context, jobs []Job, opts Options) ([]JobResult, Stats, error) {
-	results := make([]JobResult, len(jobs))
-	for r := range Stream(ctx, jobs, opts) {
-		results[r.Index] = r
-	}
+	})
 	var stats Stats
 	for _, r := range results {
 		stats.add(r)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/rat"
@@ -45,7 +46,7 @@ func TestRunCollectsInSubmissionOrder(t *testing.T) {
 	jobs := seedJobs("order", 9, func(seed int64) Job {
 		return Job{Cfg: broadcastCfg(3, 4, seed)}
 	})
-	results, stats, err := Run(context.Background(), jobs, Options{Workers: 4})
+	results, stats, err := Run(context.Background(), jobs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestJobChecksAndVerdicts(t *testing.T) {
 		{Key: "bad-config", Cfg: &sim.Config{N: -1}},
 		{Key: "empty"},
 	}
-	results, stats, err := Run(context.Background(), jobs, Options{Workers: 2})
+	results, stats, err := Run(context.Background(), jobs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestTraceOnlyJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := []Job{{Key: "trace", Trace: sr.Trace, Xi: rat.FromInt(2)}}
-	results, _, err := Run(context.Background(), jobs, Options{})
+	results, _, err := Run(context.Background(), jobs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,21 +191,26 @@ func TestMapOrderAndErrors(t *testing.T) {
 			t.Errorf("Map[%d] = %d, want %d", i, v, i*i)
 		}
 	}
+	// Two tasks fail; whichever finishes first, the error of the lower
+	// index is the one returned.
 	mapErr := errors.New("task 7 failed")
 	_, err = Map(context.Background(), 20, 4, func(i int) (int, error) {
-		if i == 7 {
+		switch i {
+		case 7:
 			return 0, mapErr
+		case 13:
+			return 0, errors.New("task 13 failed")
 		}
 		return i, nil
 	})
 	if !errors.Is(err, mapErr) {
-		t.Errorf("Map error = %v", err)
+		t.Errorf("Map error = %v, want %v", err, mapErr)
 	}
 }
 
-// TestPoolSize pins the worker-count rule Stream and Map share: the
-// requested width, else GOMAXPROCS, never more than the batch size and
-// never less than one worker.
+// TestPoolSize pins the worker-count rule of the pool behind Run and
+// Map: the requested width, else GOMAXPROCS, never more than the batch
+// size and never less than one worker.
 func TestPoolSize(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	cases := []struct{ workers, jobs, want int }{
@@ -222,17 +228,21 @@ func TestPoolSize(t *testing.T) {
 	}
 }
 
-func TestStreamDeliversEveryJobExactlyOnce(t *testing.T) {
-	jobs := seedJobs("stream", 16, func(seed int64) Job {
-		return Job{Cfg: broadcastCfg(2, 3, seed)}
-	})
-	seen := make(map[int]int)
-	for r := range Stream(context.Background(), jobs, Options{Workers: 3}) {
-		seen[r.Index]++
+// TestPoolCallsEveryIndexExactlyOnce counts the calls the pool makes per
+// index through Map, over more indices than workers: each index must run
+// exactly once.
+func TestPoolCallsEveryIndexExactlyOnce(t *testing.T) {
+	const n = 64
+	var calls [n]atomic.Int32
+	if _, err := Map(context.Background(), n, 3, func(i int) (struct{}, error) {
+		calls[i].Add(1)
+		return struct{}{}, nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	for i := range jobs {
-		if seen[i] != 1 {
-			t.Errorf("job %d delivered %d times", i, seen[i])
+	for i := range calls {
+		if c := calls[i].Load(); c != 1 {
+			t.Errorf("index %d ran %d times", i, c)
 		}
 	}
 }

@@ -21,7 +21,7 @@ func TestFleetStressLargeBatchTinyPool(t *testing.T) {
 		n := 2 + int(seed%4)
 		return Job{Cfg: broadcastCfg(n, 3, seed)}
 	})
-	results, stats, err := Run(context.Background(), jobs, Options{Workers: 2})
+	results, stats, err := Run(context.Background(), jobs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFleetCancelledMidBatch(t *testing.T) {
 		return job
 	})
 
-	results, stats, err := Run(ctx, jobs, Options{Workers: 2})
+	results, stats, err := Run(ctx, jobs, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run error = %v, want context.Canceled", err)
 	}
@@ -108,7 +108,7 @@ func TestFleetCancelledBeforeStart(t *testing.T) {
 	jobs := seedJobs("dead", 50, func(seed int64) Job {
 		return Job{Cfg: broadcastCfg(2, 3, seed)}
 	})
-	results, stats, err := Run(ctx, jobs, Options{Workers: 4})
+	results, stats, err := Run(ctx, jobs, 4)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run error = %v", err)
 	}

@@ -44,7 +44,7 @@ func TestWatchJobs(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = Job{Key: "watch", Cfg: watchConfig(int64(i)), Xi: xi, Watch: true}
 	}
-	results, stats, err := Run(context.Background(), jobs, Options{Workers: 4})
+	results, stats, err := Run(context.Background(), jobs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestWatchJobValidation(t *testing.T) {
 		"trace-only":  {Key: "w", Trace: &sim.Trace{N: 1}, Watch: true, Xi: rat.FromInt(2)},
 		"own-monitor": {Key: "w", Cfg: &sim.Config{N: cfg.N, Spawn: cfg.Spawn, Delays: cfg.Delays, Monitor: func(*sim.Trace) error { return nil }}, Watch: true, Xi: rat.FromInt(2)},
 	} {
-		results, _, err := Run(context.Background(), []Job{job}, Options{Workers: 1})
+		results, _, err := Run(context.Background(), []Job{job}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestWatchJobValidation(t *testing.T) {
 func TestWatchWithRatio(t *testing.T) {
 	xi := rat.New(3, 2)
 	jobs := []Job{{Key: "w", Cfg: watchConfig(2), Xi: xi, Watch: true, Ratio: true}}
-	results, _, err := Run(context.Background(), jobs, Options{Workers: 1})
+	results, _, err := Run(context.Background(), jobs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func defaultJobs(t *testing.T, name string, opt workload.JobOptions) []runner.Jo
 
 func run(t *testing.T, jobs []runner.Job, workers int) []runner.JobResult {
 	t.Helper()
-	results, _, err := runner.Run(context.Background(), jobs, runner.Options{Workers: workers})
+	results, _, err := runner.Run(context.Background(), jobs, workers)
 	if err != nil {
 		t.Fatal(err)
 	}

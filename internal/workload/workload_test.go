@@ -281,7 +281,7 @@ func TestBroadcastSourceRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, stats, err := runner.Run(context.Background(), jobs, runner.Options{Workers: 2})
+	results, stats, err := runner.Run(context.Background(), jobs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
