@@ -1,11 +1,13 @@
 GO ?= go
 
 # Headline benchmarks guarded per-PR: the exact-arithmetic substrate and
-# its heaviest consumers. Keep in sync with .github/workflows/ci.yml.
+# its heaviest consumers — the admissibility checker, the critical-ratio
+# search, the incremental checker and the Theorem 2 cut check. Keep in
+# sync with .github/workflows/ci.yml.
 # BenchmarkSimulator's N=100k sparse cases are excluded from the smoke
 # (seconds per iteration). These are regression gates only; the
 # performance ledger is bench/run.sh (BENCHMARK.json).
-BENCH_SMOKE = BenchmarkChecker|BenchmarkMaxRelevantRatio|BenchmarkIncrementalChecker
+BENCH_SMOKE = BenchmarkChecker|BenchmarkMaxRelevantRatio|BenchmarkIncrementalChecker|BenchmarkCutSynchrony
 BENCH_SIM_SMOKE = BenchmarkSimulator/.*/^n=(8|100|10000)$$
 # The N=10^6 ring is seconds per iteration, so bench-smoke runs it alone,
 # once, under a hard time budget.
@@ -78,9 +80,10 @@ fleet-bench:
 # sweep, Ω leader recovery, Ω on a 4000-process ring (core overlay plus
 # relayed flooding), VLSI technology migration with a dead module, a
 # watched 64-process full mesh (deep causal chains through the
-# incremental checker over a sliding window), and the critical ratio of a
+# incremental checker over a sliding window), the critical ratio of a
 # 6.1·10^4-event ring broadcast (past where a graph-size strictness scale
-# overflowed int64).
+# overflowed int64), and a dense inadmissible ratio search (critical
+# ratio 3 on a 64-process mesh at Ξ = 3/2).
 cli-smoke:
 	$(GO) run ./cmd/abcsim -workload consensus -param algo=floodset -sweep faults=none,crash/1@0,crash/1@2 -runs 2
 	$(GO) run ./cmd/abcsim -workload clocksync -sweep faults=byz/1@20,byz/1@60 -runs 2
@@ -90,6 +93,7 @@ cli-smoke:
 	$(GO) run ./cmd/abcsim -workload vlsi -sweep scale=1,1/3 -param faults=crash/1 -runs 2
 	$(GO) run ./cmd/abcsim -workload broadcast -param n=64 -param target=20 -param trace=window/4096 -watch
 	$(GO) run ./cmd/abcsim -workload broadcast -param n=1000 -param topology=ring -param target=30
+	$(GO) run ./cmd/abcsim -workload broadcast -param n=64 -param target=10 -param max=10 -param xi=3/2
 
 # bench-module vets and tests the benchmark harness, a separate module
 # (bench/go.mod) that ./... does not reach, so an API change that breaks

@@ -16,11 +16,13 @@ import (
 	"repro/internal/causality"
 	"repro/internal/check"
 	"repro/internal/clocksync"
+	"repro/internal/core"
 	"repro/internal/cycles"
 	"repro/internal/experiments"
 	"repro/internal/rat"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // benchExperiment runs one paper experiment per iteration and fails the
@@ -140,10 +142,10 @@ func BenchmarkChecker(b *testing.B) {
 	bench("inadmissible/", g, rat.New(crit.Num()+crit.Den(), 2*crit.Den()), false)
 }
 
-// BenchmarkMaxRelevantRatio measures the exact Stern–Brocot critical-ratio
+// BenchmarkMaxRelevantRatio measures the exact witness-jump critical-ratio
 // search on BenchmarkChecker's inadmissible graph: its delays in [1, 10]
-// give a critical ratio well above 1, so the search descends instead of
-// stopping at one probe.
+// give a critical ratio well above 1, so the search jumps through several
+// violated probes instead of stopping at the first.
 func BenchmarkMaxRelevantRatio(b *testing.B) {
 	g := causality.Build(benchTrace(b, 8, 40, rat.FromInt(10)), causality.Options{})
 	b.ResetTimer()
@@ -152,6 +154,38 @@ func BenchmarkMaxRelevantRatio(b *testing.B) {
 			b.Fatalf("critical ratio: found=%v err=%v", found, err)
 		}
 	}
+}
+
+// BenchmarkCutSynchrony measures the Theorem 2 consistent-cut check on
+// E10's largest graph: Algorithm 1 at n=10, f=3 Byzantine, clocks to 12
+// (2648 nodes), the check on the evaluation's critical path.
+func BenchmarkCutSynchrony(b *testing.B) {
+	src, ok := workload.Lookup("clocksync")
+	if !ok {
+		b.Fatal("clocksync workload not registered")
+	}
+	v, err := src.Resolve(map[string]string{"n": "10", "f": "3", "xi": "2", "target": "12",
+		"faults": "byz/3", "faultseed": "42", "maxevents": "200000"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs, err := src.Jobs(v, []int64{10}, workload.JobOptions{NoVerdict: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := sim.Run(*jobs[0].Cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := causality.Build(res.Trace, causality.Options{})
+	bound := core.MustModel(rat.FromInt(2)).PrecisionBound()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := clocksync.CheckConsistentCutSynchrony(g, bound); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(g.NumNodes()), "nodes")
 }
 
 // benchTrace produces the reproducible broadcast trace behind the

@@ -290,7 +290,8 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		}
 	}
 	// Batches too large to hold, and seed ranges past int64, are usage
-	// errors before anything is allocated for them.
+	// errors before anything is allocated for them; mistyped fault
+	// policies are setup errors.
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -301,6 +302,9 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		{[]string{"-workload", "broadcast", "-runs", "9223372036854775807", "-sweep", "xi=2,3"}, "exceeds 1048576 jobs"},
 		{[]string{"-workload", "broadcast", "-seed", "9223372036854775807", "-runs", "2"}, "overflows int64"},
 		{[]string{"-workload", "broadcast", "-seed", "9223372036854775000", "-runs", "1000"}, "overflows int64"},
+		// Mistyped fault policies are errors without a recover/ clause too.
+		{[]string{"-workload", "broadcast", "-param", "inflight=hodl"}, `inflight="hodl": want drop or hold`},
+		{[]string{"-workload", "broadcast", "-param", "recovery=amnesai"}, `recovery="amnesai": want durable or amnesia`},
 	} {
 		var out, errOut strings.Builder
 		if err := run(tc.args, &out, &errOut); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -72,7 +72,7 @@ func ABC(g *causality.Graph, xi rat.Rat) (Verdict, error) {
 	if err != nil {
 		return Verdict{}, err
 	}
-	return p.probe(a, b, true)
+	return p.verdict(a, b)
 }
 
 // xiParts returns Ξ = a/b in lowest terms, rejecting Ξ <= 1 and a Ξ beyond
@@ -89,9 +89,8 @@ func xiParts(xi rat.Rat) (a, b int64, err error) {
 
 // sizeGuard is the one overflow rule of the pair arithmetic over a
 // constraint graph of v nodes at Ξ = a/b (a > b): every m value is a walk
-// sum, |m| <= 3·(v+1)·a within one solve, and warm starts and repair heap
-// keys add or subtract two such values. Guarding 4·(v+2)·a covers all of
-// them.
+// sum, |m| <= 3·(v+1)·a within one solve, and repair heap keys subtract
+// two such values. Guarding 4·(v+2)·a covers all of them.
 func sizeGuard(v, a, b int64) error {
 	if a > math.MaxInt64/4/(v+2) {
 		return fmt.Errorf("check: graph too large for exact int64 arithmetic (V=%d, Ξ=%d/%d)", v, a, b)
@@ -109,17 +108,12 @@ const (
 // prober is a reusable admissibility oracle for one execution graph. The
 // constraint digraph topology does not depend on the probed ratio — only
 // the edge weights do — so it is built once and re-weighted per probe.
-// This matters for the Stern–Brocot critical-ratio search, which issues
-// O(log² K) probes against the same graph.
+// This matters for the critical-ratio search, which probes the same graph
+// several times.
 type prober struct {
 	g  *causality.Graph
 	cg *graphutil.Digraph
 	v  int64 // execution nodes
-	// dist is the distance vector of the most recent feasible probe,
-	// reused to warm-start the next probe's Bellman–Ford: consecutive
-	// Stern–Brocot candidates are close, so the previous solution is
-	// nearly feasible for the new weights and the sweep count collapses.
-	dist []graphutil.Pair
 }
 
 // newProber validates the execution graph and builds the constraint
@@ -146,10 +140,10 @@ func newProber(g *causality.Graph) (*prober, error) {
 }
 
 // probe solves the strict constraint system for Ξ = a/b in x = b·t units.
-// wantCerts controls whether certificates (assignment/witness) are built.
-func (p *prober) probe(a, b int64, wantCerts bool) (Verdict, error) {
+// An infeasible result carries a negative cycle of the constraint digraph.
+func (p *prober) probe(a, b int64) (graphutil.BFResult, error) {
 	if err := sizeGuard(p.v, a, b); err != nil {
-		return Verdict{}, err
+		return graphutil.BFResult{}, err
 	}
 	for i, ce := range p.cg.Edges() {
 		switch ce.Label % 3 {
@@ -164,41 +158,28 @@ func (p *prober) probe(a, b int64, wantCerts bool) (Verdict, error) {
 			p.cg.SetWeight(i, 0)
 		}
 	}
+	return p.cg.BellmanFord(), nil
+}
 
-	// Warm start from the previous feasible probe's distances when their
-	// magnitude leaves the guard's headroom for this probe's walk sums.
-	var init []graphutil.Pair
-	if p.dist != nil {
-		if maxM, maxK := pairBounds(p.dist); max(maxM, maxK) <= math.MaxInt64-4*(p.v+2)*a {
-			init = p.dist
-		}
+// verdict probes Ξ = a/b and builds the verdict with its certificate: the
+// assignment when the system is feasible, the witness cycle when not.
+func (p *prober) verdict(a, b int64) (Verdict, error) {
+	res, err := p.probe(a, b)
+	if err != nil {
+		return Verdict{}, err
 	}
-
-	g := p.g
-	res := p.cg.BellmanFordFrom(init)
 	if res.Feasible {
-		p.dist = res.Dist
-		verdict := Verdict{Admissible: true}
-		if wantCerts {
-			asg, err := newAssignment(g, res.Dist, b, 1)
-			if err != nil {
-				return Verdict{}, err
-			}
-			verdict.Assignment = asg
-		}
-		return verdict, nil
-	}
-
-	verdict := Verdict{Admissible: false}
-	if wantCerts {
-		w, err := witnessFromNegativeCycle(g, res.NegativeCycle)
+		asg, err := newAssignment(p.g, res.Dist, b, 1)
 		if err != nil {
 			return Verdict{}, err
 		}
-		verdict.Witness = &w
-		verdict.WitnessClass = cycles.Classify(w)
+		return Verdict{Admissible: true, Assignment: asg}, nil
 	}
-	return verdict, nil
+	w, err := witnessFromNegativeCycle(p.g, res.NegativeCycle)
+	if err != nil {
+		return Verdict{}, err
+	}
+	return Verdict{Admissible: false, Witness: &w, WitnessClass: cycles.Classify(w)}, nil
 }
 
 // witnessFromNegativeCycle maps a negative cycle of the constraint digraph

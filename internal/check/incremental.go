@@ -263,7 +263,7 @@ func (inc *Incremental) fallback(g *causality.Graph) (Verdict, error) {
 	if err != nil {
 		return Verdict{}, err
 	}
-	v, err := p.probe(inc.a, inc.b, true)
+	v, err := p.verdict(inc.a, inc.b)
 	if err != nil {
 		return Verdict{}, err
 	}

@@ -1,9 +1,10 @@
 package check
 
 import (
-	"errors"
+	"fmt"
 
 	"repro/internal/causality"
+	"repro/internal/graphutil"
 	"repro/internal/rat"
 )
 
@@ -26,16 +27,8 @@ func Constrained(g *causality.Graph) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return p.constrained(k)
-}
-
-// constrained is Constrained for an already-built prober.
-func (p *prober) constrained(k int64) (bool, error) {
-	v, err := p.probe(k, k-1, false)
-	if err != nil {
-		return false, err
-	}
-	return !v.Admissible, nil
+	res, err := p.probe(k, k-1)
+	return err == nil && !res.Feasible, err
 }
 
 // MaxRelevantRatio computes the exact critical ratio of the execution
@@ -45,137 +38,112 @@ func (p *prober) constrained(k int64) (bool, error) {
 // which case the graph is admissible for every Ξ > 1 and imposes no
 // constraint (ratio-1 cycles never violate Definition 4 since Ξ > 1).
 //
-// The ratio is found without enumerating cycles: "some relevant ratio >= x"
-// is a monotone predicate decided by one Bellman–Ford run, and the answer
-// is a fraction with numerator and denominator bounded by the message
-// count K, so a Stern–Brocot descent with galloping locates it exactly
-// with O(log² K) oracle calls.
+// The ratio is found without enumerating cycles. Every relevant ratio is a
+// fraction whose numerator and denominator are at most the message count
+// K. A Bellman–Ford probe at Ξ is violated exactly when some relevant
+// ratio is >= Ξ, and then its negative cycle is a relevant cycle whose
+// label counts give such a ratio r (the witness ratio). The search is
+// Dinkelbach's iteration for ratio problems made exact by Farey
+// neighbours: probe K/(K−1), the smallest candidate above 1; while the
+// probe is violated, take its witness ratio r and probe the smallest
+// fraction above r whose numerator and denominator are at most K. An
+// admissible probe at that fraction rules out every relevant ratio above
+// r, and r itself belongs to a relevant cycle, so r is the answer. Each
+// violated probe yields a strictly larger witness, so the search ends; in
+// practice after a handful of probes (at most 5 per search on the
+// catalogue).
 //
-// The search's size limit is the probe's overflow guard, not its running
-// time. Probe weights are at most the galloping bound (K+2)² and carry no
-// graph-size factor, so path sums over V nodes grow like V·K², and the
-// guard 4·(V+2)·(K+2)² <= MaxInt64 holds for every K below the 2^20 cap
-// up to V ≈ 2·10^6. Past it the probe, and with it the search, fails with
-// "graph too large for exact int64 arithmetic".
+// Every probe's numerator and denominator are at most K <= V, so probe
+// walk sums grow like V·K and the overflow guard 4·(V+2)·K <= MaxInt64 is
+// the search's only size limit. Past it the probe, and with it the search,
+// fails with "graph too large for exact int64 arithmetic".
 func MaxRelevantRatio(g *causality.Graph) (ratio rat.Rat, found bool, err error) {
 	k := int64(g.MessageCount())
 	if k < 2 {
 		return rat.Zero, false, nil // a relevant cycle needs |Z+| >= 1 and |Z−| >= 1
 	}
-	if k > 1<<20 {
-		return rat.Zero, false, errors.New("check: graph too large for exact ratio search")
-	}
-	// maxNum caps probe numerators: the answer's numerator is at most k·den
-	// with den <= k, and Stern–Brocot neighbors stay within (k+2)², so the
-	// cap never cuts off a reachable answer; it only bounds galloping.
-	maxNum := (k + 2) * (k + 2)
 	// One prober serves every Bellman–Ford probe of the search: the
 	// constraint topology is fixed, only weights change per candidate.
 	p, err := newProber(g)
 	if err != nil {
 		return rat.Zero, false, err
 	}
-	violated := func(num, den int64) (bool, error) {
-		v, err := p.probe(num, den, false)
-		if err != nil {
-			return false, err
-		}
-		return !v.Admissible, nil
-	}
-
-	has, err := p.constrained(k)
-	if err != nil {
+	res, err := p.probe(k, k-1)
+	if err != nil || res.Feasible {
 		return rat.Zero, false, err
 	}
-	if !has {
-		return rat.Zero, false, nil
-	}
-
-	// Stern–Brocot descent over the interval [L, R) with the tree's
-	// boundary R = 1/0 (infinity). Invariants:
-	//   the answer lies in [L, R); not violated(R); violated(L) once L has
-	//   moved off its initial 1/1 (and it must move, since the answer
-	//   exceeds 1 strictly and has denominator <= k);
-	//   L and R are tree-adjacent: pl·qh − ph·ql = −1.
-	// Adjacency means the mediant is the unique minimum-denominator
-	// fraction strictly inside (L, R); once its denominator exceeds k, no
-	// candidate with denominator <= k remains inside and the answer is L.
-	pl, ql := int64(1), int64(1)
-	ph, qh := int64(1), int64(0)
-
-	const maxIters = 512 // defensive; the walk is O(log² k) in practice
-	for iter := 0; ql+qh <= k; iter++ {
-		if iter >= maxIters {
-			return rat.Zero, false, errors.New("check: Stern–Brocot descent did not converge")
+	n, d := witnessRatio(res.NegativeCycle)
+	for {
+		sn, sd, ok := nextAbove(n, d, k)
+		if !ok {
+			break // n/d = K/1, the largest candidate
 		}
-		v, err := violated(pl+ph, ql+qh)
-		if err != nil {
+		if res, err = p.probe(sn, sd); err != nil {
 			return rat.Zero, false, err
 		}
-		if v {
-			// Move L rightward through L_j = (pl+j·ph)/(ql+j·qh), galloping
-			// j while the step stays representable and violated.
-			ok := func(j int64) (bool, error) {
-				if ql+j*qh > k || pl+j*ph > maxNum {
-					return false, nil
-				}
-				return violated(pl+j*ph, ql+j*qh)
-			}
-			lo, err := gallop(ok)
-			if err != nil {
-				return rat.Zero, false, err
-			}
-			pl, ql = pl+lo*ph, ql+lo*qh
-		} else {
-			// Move R leftward through R_j = (ph+j·pl)/(qh+j·ql), galloping
-			// j while the step stays representable and not violated.
-			ok := func(j int64) (bool, error) {
-				if ph+j*pl > maxNum || qh+j*ql > maxNum {
-					return false, nil
-				}
-				v, err := violated(ph+j*pl, qh+j*ql)
-				if err != nil {
-					return false, err
-				}
-				return !v, nil
-			}
-			lo, err := gallop(ok)
-			if err != nil {
-				return rat.Zero, false, err
-			}
-			ph, qh = ph+lo*pl, qh+lo*ql
-		}
-	}
-	return rat.New(pl, ql), true, nil
-}
-
-// gallop finds the largest j >= 1 with ok(j), assuming ok(1) holds and ok
-// is monotone (once false, stays false). It doubles j and then binary
-// searches, using O(log j) probes.
-func gallop(ok func(int64) (bool, error)) (int64, error) {
-	j := int64(1)
-	for {
-		good, err := ok(j * 2)
-		if err != nil {
-			return 0, err
-		}
-		if !good {
+		if res.Feasible {
 			break
 		}
-		j *= 2
-	}
-	lo, hi := j, j*2 // ok(lo), !ok(hi)
-	for lo+1 < hi {
-		mid := lo + (hi-lo)/2
-		good, err := ok(mid)
-		if err != nil {
-			return 0, err
+		wn, wd := witnessRatio(res.NegativeCycle)
+		if wn*d <= n*wd { // both sides <= K², see nextAbove
+			return rat.Zero, false, fmt.Errorf(
+				"check: internal error: witness ratio %d/%d at Ξ=%d/%d does not exceed %d/%d", wn, wd, sn, sd, n, d)
 		}
-		if good {
-			lo = mid
-		} else {
-			hi = mid
+		n, d = wn, wd
+	}
+	return rat.New(n, d), true, nil
+}
+
+// witnessRatio returns |Z−|/|Z+| in lowest terms for the relevant cycle
+// behind a negative constraint cycle: its lower-bound arcs are Z−, its
+// upper-bound arcs Z+. Both counts are at most K, and |Z+| >= 1 because
+// lower-bound and local arcs alone run backward through a DAG.
+func witnessRatio(neg []graphutil.Edge) (num, den int64) {
+	for _, ce := range neg {
+		switch ce.Label % 3 {
+		case labelLower:
+			num++
+		case labelUpper:
+			den++
 		}
 	}
-	return lo, nil
+	g := gcd(num, den)
+	return num / g, den / g
+}
+
+func gcd(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// nextAbove returns the smallest fraction above n/d (lowest terms,
+// 1 <= d < n <= k) whose numerator and denominator are both at most k, or
+// ok == false when there is none (n/d = k/1). Its inverse a/b is the
+// predecessor of d/n in the Farey sequence F_k, so b·d − a·n = 1 with b the
+// largest value <= k congruent to d⁻¹ mod n.
+//
+// Every operand is at most k and every product at most k². That fits in
+// int64: MaxRelevantRatio calls this only after sizeGuard admitted
+// Ξ = k/(k−1) on V >= k nodes, so 4·(V+2)·k, and with it k², is below
+// MaxInt64.
+func nextAbove(n, d, k int64) (num, den int64, ok bool) {
+	// Extended Euclid on (d, n), keeping x·d ≡ r (mod n); |x| < n.
+	x, x1, r, r1 := int64(1), int64(0), d, n
+	for r1 != 0 {
+		q := r / r1
+		x, x1 = x1, x-q*x1
+		r, r1 = r1, r-q*r1
+	}
+	b := x % n // r == gcd(d, n) == 1, so b ≡ d⁻¹ (mod n)
+	if b < 0 {
+		b += n
+	}
+	b += (k - b) / n * n
+	a := (b*d - 1) / n
+	if a == 0 {
+		return 0, 0, false
+	}
+	return b, a, true
 }

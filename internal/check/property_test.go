@@ -9,7 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
-func randomTrace(seed int64) *sim.Trace {
+func randomTrace(seed int64) *sim.Trace { return randomBroadcastTrace(seed, 3, rat.FromInt(2)) }
+
+// randomBroadcastTrace runs 3 or 4 processes that broadcast in each of
+// their first steps steps under uniform delays in [1, maxDelay].
+func randomBroadcastTrace(seed int64, steps int, maxDelay rat.Rat) *sim.Trace {
 	if seed < 0 {
 		seed = -seed
 	}
@@ -17,12 +21,12 @@ func randomTrace(seed int64) *sim.Trace {
 		N: 3 + int(seed%2),
 		Spawn: func(p sim.ProcessID) sim.Process {
 			return sim.ProcessFunc(func(env *sim.Env, msg sim.Message) {
-				if env.StepIndex() < 3 {
+				if env.StepIndex() < steps {
 					env.Broadcast(env.StepIndex())
 				}
 			})
 		},
-		Delays: sim.UniformDelay{Min: rat.One, Max: rat.FromInt(2)},
+		Delays: sim.UniformDelay{Min: rat.One, Max: maxDelay},
 		Seed:   seed,
 	})
 	if err != nil {

@@ -149,30 +149,44 @@ func CheckCausalCone(t *sim.Trace, x int64) error {
 // available) plus every real-time cut. For each cut S containing an event
 // of every correct process, |Cp(S) − Cq(S)| <= bound.
 //
-// The cuts are checked serially — cones in node order, then real-time cuts
-// in order of first occurrence — and the reported error names the first
-// violating cut in that order. The check already runs on a fleet worker
-// (runner.Run), so it does not fan out itself.
+// The cuts are checked in order — cones in node order, then real-time cuts
+// in time order — and the reported error names the first violating cut in
+// that order. No cut is built; only frontiers are, one row of node IDs per
+// cut with a column per correct process. Node IDs are trace positions, so
+// every edge runs forward in node order (checked), and one forward pass
+// yields every cone's row: the column-wise maximum of its in-neighbours'
+// rows, plus the node itself in its process's column. That is
+// O((V+E)·c) for c correct processes, where a closure per cone costs
+// O(V·(V+E)). Trace order is also time order (checked), so the real-time
+// cuts follow from one more sweep that keeps each process's latest node.
 func CheckConsistentCutSynchrony(g *causality.Graph, bound int64) error {
 	t := g.Trace()
 	correct := t.CorrectProcesses()
-
-	// spread is max − min of the correct processes' frontier clocks; ok
-	// is false when the cut misses a correct process (not a consistent cut
-	// per Definition 5, so it is skipped).
-	spread := func(cut *causality.Cut) (s int, ok bool) {
+	c, v := len(correct), g.NumNodes()
+	node := func(id int) causality.Node { return g.Node(causality.NodeID(id)) }
+	col := make([]int, t.N) // a correct process's column, -1 for the rest
+	for p := range col {
+		col[p] = -1
+	}
+	for i, p := range correct {
+		col[p] = i
+	}
+	// clock[id] is the clock after node id; 0 for an unprocessed reception,
+	// which cannot be a correct process's frontier anyway.
+	clock := make([]int, v)
+	for id := range v {
+		clock[id], _ = clockOf(t.Events[node(id).TracePos])
+	}
+	// spread is max − min of the frontier clocks of a row; ok is false when
+	// the cut misses a correct process (not a consistent cut per
+	// Definition 5, so it is skipped).
+	spread := func(row []int32) (s int, ok bool) {
 		min, max := -1, -1
-		for _, p := range correct {
-			f := cut.Frontier(p)
+		for _, f := range row {
 			if f < 0 {
 				return 0, false
 			}
-			c, ok := clockOf(t.Events[g.Node(f).TracePos])
-			if !ok {
-				// Frontier is an unprocessed reception at a correct
-				// process; cannot happen, but treat as clock 0.
-				c = 0
-			}
+			c := clock[f]
 			if min == -1 || c < min {
 				min = c
 			}
@@ -183,21 +197,45 @@ func CheckConsistentCutSynchrony(g *causality.Graph, bound int64) error {
 		return max - min, min >= 0
 	}
 
-	for id := range causality.NodeID(g.NumNodes()) {
-		if s, ok := spread(g.CausalCone(id)); ok && int64(s) > bound {
-			return fmt.Errorf("clocksync: cut cone(%v) has spread %d > %d", g.Node(id), s, bound)
+	rows := make([]int32, v*c)
+	for id := range v {
+		row := rows[id*c : (id+1)*c]
+		for i := range row {
+			row[i] = -1
+		}
+		for _, eid := range g.In(causality.NodeID(id)) {
+			from := int(g.Edge(eid).From)
+			if from >= id {
+				return fmt.Errorf("clocksync: edge %v -> %v runs against trace order", node(from), node(id))
+			}
+			for i, f := range rows[from*c : (from+1)*c] {
+				row[i] = max(row[i], f)
+			}
+		}
+		if i := col[node(id).Proc]; i >= 0 {
+			row[i] = int32(id)
+		}
+		if s, ok := spread(row); ok && int64(s) > bound {
+			return fmt.Errorf("clocksync: cut cone(%v) has spread %d > %d", node(id), s, bound)
 		}
 	}
-	seen := map[string]bool{}
-	for id := range causality.NodeID(g.NumNodes()) {
-		ts := g.Node(id).Time
-		key := ts.String()
-		if seen[key] {
-			continue
+
+	last := make([]int32, c) // the latest node of each correct process so far
+	for i := range last {
+		last[i] = -1
+	}
+	for id := 0; id < v; {
+		ts := node(id).Time
+		for ; id < v && node(id).Time.Equal(ts); id++ {
+			if i := col[node(id).Proc]; i >= 0 {
+				last[i] = int32(id)
+			}
 		}
-		seen[key] = true
-		if s, ok := spread(g.CutAtTime(ts)); ok && int64(s) > bound {
-			return fmt.Errorf("clocksync: cut time %s has spread %d > %d", key, s, bound)
+		if id < v && node(id).Time.Less(ts) {
+			return fmt.Errorf("clocksync: node %v at time %v follows time %v", node(id), node(id).Time, ts)
+		}
+		if s, ok := spread(last); ok && int64(s) > bound {
+			return fmt.Errorf("clocksync: cut time %v has spread %d > %d", ts, s, bound)
 		}
 	}
 	return nil

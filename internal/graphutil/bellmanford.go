@@ -24,9 +24,9 @@ type BFResult struct {
 	// has weight sum <= 0.
 	Feasible bool
 	// Dist holds, for each node, the pair shortest-path distance from a
-	// virtual super-source connected to every node with an edge of the
-	// caller's initial label ((0, 0) on a cold start), every edge of
-	// weight w counting as (w, −1). Valid only when Feasible is true.
+	// virtual super-source connected to every node by a (0, 0) edge,
+	// every edge of weight w counting as (w, −1). Valid only when Feasible
+	// is true.
 	// For the strict difference-constraint system with edges u->v of
 	// weight w meaning x[v] − x[u] < w, x := M + K·ε is a solution for
 	// every small enough ε > 0: Dist[v] <= Dist[u] + (w, −1) for every
@@ -49,8 +49,8 @@ type BFResult struct {
 // From) by ascending tail, then backward edges by descending tail, each
 // stable in insertion order, so one pass is two flat scans. It depends
 // only on the topology — never on weights — so it is built once per
-// Digraph and reused across BellmanFordFrom runs (the Stern–Brocot ratio
-// search re-weights and re-solves the same graph O(log² K) times).
+// Digraph and reused across BellmanFord runs (the critical-ratio search
+// re-weights and re-solves the same graph once per probe).
 // AddEdge invalidates it.
 type bfPlan struct {
 	fwd, bwd []int32 // indices into Digraph.edges
@@ -87,14 +87,14 @@ func (g *Digraph) bfplan() *bfPlan {
 	return g.plan
 }
 
-// BellmanFordFrom solves the strict difference-constraint system of the
+// BellmanFord solves the strict difference-constraint system of the
 // graph — edge u->v of weight w means x[v] − x[u] < w — as single-source
-// shortest paths over pair weights (w, −1) from a virtual super-source,
-// detecting negative cycles. This formulation (rather than a caller-chosen
-// source) is the one needed for feasibility: the system is feasible if
-// and only if no cycle has a lexicographically negative pair sum
-// (equivalently, weight sum <= 0), and the distances from the
-// super-source form a concrete solution.
+// shortest paths over pair weights (w, −1) from a virtual super-source
+// joined to every node by a (0, 0) edge, detecting negative cycles. This
+// formulation (rather than a caller-chosen source) is the one needed for
+// feasibility: the system is feasible if and only if no cycle has a
+// lexicographically negative pair sum (equivalently, weight sum <= 0), and
+// the distances from the super-source form a concrete solution.
 // Strictness costs no scaling: the K component counts it exactly.
 //
 // The relaxation loop uses Yen's two-sweep improvement of the classic
@@ -112,30 +112,19 @@ func (g *Digraph) bfplan() *bfPlan {
 // Negative cycles are detected by walking the predecessor graph (each
 // node's parent is the tail of the edge that last lowered its label) after
 // every pass that relaxed an edge, and stopping at its first cycle. Any
-// such cycle is negative, whatever the initial labels: a parent arc (u,v)
-// of pair weight w keeps d(v) >= d(u)+w after it is set, since d(u) only
-// decreases, and the last arc set on the cycle lowered d(v) strictly
-// below its previous value, so summing around the cycle gives a negative
-// weight. Conversely, a relaxation in pass n+1 forces a predecessor cycle
-// (an acyclic predecessor graph bounds every label below by a simple path,
-// which n passes already reach), so an infeasible system stops by pass n+1
-// at the latest — usually after a handful of passes, where waiting for
-// pass n+1 would cost O(V·E).
-//
-// The super-source reaches node v with the initial label init[v] (nil
-// means all zero, the cold start). Any init is sound — negative-cycle
-// detection is unaffected and a feasible result still satisfies every
-// constraint — but an init close to a feasible
-// solution (e.g. the Dist of a previous probe of the same topology under
-// nearby weights) converges in far fewer passes. The caller must ensure
-// init magnitudes leave headroom for walk sums (|init| + 3·(n+1)·max|w|
-// must not overflow int64 in either component); init is not retained.
-func (g *Digraph) BellmanFordFrom(init []Pair) BFResult {
+// such cycle is negative: a parent arc (u,v) of pair weight w keeps
+// d(v) >= d(u)+w after it is set, since d(u) only decreases, and the last
+// arc set on the cycle lowered d(v) strictly below its previous value, so
+// summing around the cycle gives a negative weight. Conversely, a
+// relaxation in pass n+1 forces a predecessor cycle (an acyclic
+// predecessor graph bounds every label below by a simple path, which n
+// passes already reach), so an infeasible system stops by pass n+1 at the
+// latest — usually after a handful of passes, where waiting for pass n+1
+// would cost O(V·E). The caller bounds the weights so that walk sums fit
+// in int64.
+func (g *Digraph) BellmanFord() BFResult {
 	n := g.n
 	dist := make([]Pair, n)
-	if init != nil {
-		copy(dist, init)
-	}
 	pred := make([]int32, n) // index into g.edges of the relaxing edge
 	for i := range pred {
 		pred[i] = -1

@@ -20,7 +20,7 @@ type Edge struct {
 // weights. Parallel edges and self-loops are allowed. The zero value is an
 // empty graph with no nodes; use New to create a graph with nodes.
 //
-// A Digraph is not safe for concurrent use: BellmanFordFrom caches its
+// A Digraph is not safe for concurrent use: BellmanFord caches its
 // edge layout inside the graph on first use (SetWeight keeps the cache;
 // AddEdge invalidates it).
 type Digraph struct {
@@ -58,6 +58,6 @@ func (g *Digraph) Edges() []Edge { return g.edges }
 
 // SetWeight updates the weight of edge i (in insertion order). It allows
 // callers that probe the same topology under many weightings — like the
-// Stern–Brocot critical-ratio search — to reuse one graph instead of
-// rebuilding it per probe.
+// critical-ratio search — to reuse one graph instead of rebuilding it per
+// probe.
 func (g *Digraph) SetWeight(i int, weight int64) { g.edges[i].Weight = weight }

@@ -69,7 +69,7 @@ func TestBellmanFordFeasible(t *testing.T) {
 	g.AddEdge(0, 1, 3, 0)
 	g.AddEdge(1, 2, -2, 1)
 	g.AddEdge(0, 2, 5, 2)
-	res := g.BellmanFordFrom(nil)
+	res := g.BellmanFord()
 	if !res.Feasible {
 		t.Fatal("feasible system reported infeasible")
 	}
@@ -86,7 +86,7 @@ func TestBellmanFordNegativeCycle(t *testing.T) {
 	g.AddEdge(1, 2, -3, 11)
 	g.AddEdge(2, 1, 1, 12) // cycle 1->2->1 of weight -2
 	g.AddEdge(2, 3, 5, 13)
-	res := g.BellmanFordFrom(nil)
+	res := g.BellmanFord()
 	if res.Feasible {
 		t.Fatal("negative cycle not detected")
 	}
@@ -109,12 +109,12 @@ func TestBellmanFordZeroCycleInfeasible(t *testing.T) {
 	g := New(2)
 	g.AddEdge(0, 1, 2, 0)
 	g.AddEdge(1, 0, -2, 1)
-	res := g.BellmanFordFrom(nil)
+	res := g.BellmanFord()
 	if res.Feasible || cycleWeight(res.NegativeCycle) != 0 {
 		t.Errorf("zero-weight cycle: feasible=%v witness %v, want the zero cycle", res.Feasible, res.NegativeCycle)
 	}
 	g.SetWeight(1, -1)
-	if res := g.BellmanFordFrom(nil); !res.Feasible {
+	if res := g.BellmanFord(); !res.Feasible {
 		t.Error("weight-1 cycle reported infeasible")
 	}
 }
@@ -123,7 +123,7 @@ func TestBellmanFordSelfLoop(t *testing.T) {
 	for _, w := range []int64{-1, 0} {
 		g := New(1)
 		g.AddEdge(0, 0, w, 0)
-		res := g.BellmanFordFrom(nil)
+		res := g.BellmanFord()
 		if res.Feasible {
 			t.Errorf("self-loop of weight %d not detected", w)
 		}
@@ -133,18 +133,18 @@ func TestBellmanFordSelfLoop(t *testing.T) {
 	}
 	g := New(1)
 	g.AddEdge(0, 0, 1, 0)
-	if res := g.BellmanFordFrom(nil); !res.Feasible {
+	if res := g.BellmanFord(); !res.Feasible {
 		t.Error("positive self-loop reported infeasible")
 	}
 }
 
 func TestBellmanFordEmpty(t *testing.T) {
 	g := New(0)
-	if res := g.BellmanFordFrom(nil); !res.Feasible {
+	if res := g.BellmanFord(); !res.Feasible {
 		t.Error("empty graph infeasible")
 	}
 	g = New(5)
-	res := g.BellmanFordFrom(nil)
+	res := g.BellmanFord()
 	if !res.Feasible || len(res.Dist) != 5 {
 		t.Error("edgeless graph mishandled")
 	}
@@ -221,10 +221,9 @@ func checkResult(g *Digraph, res BFResult) error {
 	return nil
 }
 
-// Property: on random graphs of up to ~300 nodes, BellmanFordFrom(nil) either
+// Property: on random graphs of up to ~300 nodes, BellmanFord either
 // returns distances satisfying every strict constraint edge, or a simple
-// witness cycle of weight <= 0 — and the same holds warm-started from
-// adversarial labels, with the same verdict.
+// witness cycle of weight <= 0.
 func TestBellmanFordProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -240,15 +239,11 @@ func TestBellmanFordProperty(t *testing.T) {
 		if m == 0 {
 			return true
 		}
-		res := g.BellmanFordFrom(nil)
-		warm := g.BellmanFordFrom(adversarialInit(rng, n))
-		for _, r := range []BFResult{res, warm} {
-			if err := checkResult(g, r); err != nil {
-				t.Logf("seed %d (n=%d, m=%d): %v", seed, n, m, err)
-				return false
-			}
+		if err := checkResult(g, g.BellmanFord()); err != nil {
+			t.Logf("seed %d (n=%d, m=%d): %v", seed, n, m, err)
+			return false
 		}
-		return res.Feasible == warm.Feasible
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

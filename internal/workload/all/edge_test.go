@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -85,4 +86,37 @@ func runEdgeValues(src workload.Source, over map[string]string) (err error) {
 		}
 	}
 	return nil
+}
+
+// TestPolicyTyposRejectedEverySource pins that every source declaring
+// the recovery= and inflight= policies rejects a mistyped value at job
+// build under its default fault spec (faults=none), where no recover/
+// clause reads the policy.
+func TestPolicyTyposRejectedEverySource(t *testing.T) {
+	checked := 0
+	for _, name := range workload.Names() {
+		src := source(t, name)
+		for _, p := range src.Params {
+			var typo string
+			switch p.Name {
+			case "recovery":
+				typo = "amnesai"
+			case "inflight":
+				typo = "hodl"
+			default:
+				continue
+			}
+			v, err := src.Resolve(map[string]string{p.Name: typo})
+			if err != nil {
+				t.Fatalf("%s %s=%s: resolve: %v", name, p.Name, typo, err)
+			}
+			if _, err := src.Jobs(v, []int64{1}, workload.JobOptions{}); err == nil || !strings.Contains(err.Error(), p.Name) {
+				t.Errorf("%s %s=%s: err = %v, want a %s error", name, p.Name, typo, err, p.Name)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no source declares recovery= or inflight=")
+	}
 }

@@ -334,11 +334,10 @@ func ResolveFaults(v Values, n int, topo *sim.Links, byz ByzFactory) (map[sim.Pr
 	if err != nil {
 		return nil, nil, err
 	}
-	if clauses == nil {
-		return nil, nil, nil
-	}
+	// The policies are validated whatever the spec, so a mistyped value
+	// is an error even where no recover/ clause reads it.
 	recovery, inflight, err := resolvePolicies(v)
-	if err != nil {
+	if err != nil || clauses == nil {
 		return nil, nil, err
 	}
 

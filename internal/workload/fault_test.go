@@ -301,3 +301,20 @@ func TestResolveFaultsErrors(t *testing.T) {
 		t.Errorf("inflight=queue: %v", err)
 	}
 }
+
+// TestPolicyTyposRejectedWithoutFaults pins that recovery= and inflight=
+// are validated whatever the fault spec: with faults=none a mistyped
+// value used to run silently, since only recover/ clauses read it.
+func TestPolicyTyposRejectedWithoutFaults(t *testing.T) {
+	for _, tc := range []struct{ param, value, want string }{
+		{"recovery", "amnesai", "want durable or amnesia"},
+		{"inflight", "hodl", "want drop or hold"},
+	} {
+		for _, spec := range []string{"none", "crash/1", "drop/0.1"} {
+			v := faultValues(t, map[string]string{"faults": spec, tc.param: tc.value})
+			if _, _, err := ResolveFaults(v, 4, nil, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("faults=%s %s=%s: err = %v, want %q", spec, tc.param, tc.value, err, tc.want)
+			}
+		}
+	}
+}
