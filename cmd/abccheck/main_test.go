@@ -9,9 +9,12 @@ import (
 
 	"repro/internal/causality"
 	"repro/internal/check"
+	"repro/internal/parsync"
 	"repro/internal/rat"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/theta"
+	"repro/internal/variants"
 )
 
 // writeTrace serializes a trace to a temp file and returns its path.
@@ -193,16 +196,19 @@ const validTraceJSON = `{"n":2,"faulty":[false,false],
  {"id":1,"from":-1,"to":1,"sendStep":-1,"sendTime":"0","recvTime":"0","wakeup":true},
  {"id":2,"from":0,"to":1,"sendStep":0,"sendTime":"0","recvTime":"1"}]}`
 
-// malformedTraces edit one field of validTraceJSON each. Before the trace
-// reader checked them, the first panicked with an index out of range in
+// malformedTraces edit validTraceJSON once each. Before the trace reader
+// checked them, the first panicked with an index out of range in
 // causality, the second died of an out-of-memory allocation of N index
-// rows, and the third was accepted and checked without its message edge.
+// rows, the third was accepted and checked without its message edge, and
+// the fourth (message 2 received twice) was accepted with two edges for
+// one message.
 var malformedTraces = []struct {
 	name, old, new, wantErr string
 }{
 	{"sender-out-of-range", `"from":0,`, `"from":9,`, "sender 9 out of range"},
 	{"huge-n", `"n":2,`, `"n":1000000000000,`, "Faulty has length 2"},
 	{"dangling-send-step", `"sendStep":0,`, `"sendStep":99,`, "names send step 99"},
+	{"received-twice", `"time":"0","trigger":1,`, `"time":"1","trigger":2,`, "receives message 2 a second time"},
 }
 
 func writeJSON(t *testing.T, body string) string {
@@ -234,7 +240,9 @@ func TestRunRejectsMalformedTraces(t *testing.T) {
 }
 
 // FuzzReadJSON: any input is either rejected by the trace reader or
-// accepted as a trace that graph construction and the ABC checker handle
+// accepted as a trace that every analysis abccheck runs — graph
+// construction, the ABC check and ratio search, the static and dynamic
+// Θ-Model checks, ParSync and the ◇ABC stabilization search — handles
 // without panicking.
 func FuzzReadJSON(f *testing.F) {
 	f.Add(validTraceJSON)
@@ -246,9 +254,21 @@ func FuzzReadJSON(f *testing.F) {
 		if err != nil {
 			return
 		}
-		g := causality.Build(tr, causality.Options{})
-		if _, err := check.ABC(g, rat.FromInt(2)); err != nil && !strings.HasPrefix(err.Error(), "check: ") {
-			t.Fatalf("unexpected error class: %v", err)
+		checkErr := func(what string, err error) {
+			if err != nil && !strings.HasPrefix(err.Error(), "check: ") {
+				t.Fatalf("%s: unexpected error class: %v", what, err)
+			}
 		}
+		xi := rat.FromInt(2)
+		g := causality.Build(tr, causality.Options{})
+		_, err = check.ABC(g, xi)
+		checkErr("ABC", err)
+		_, _, err = check.MaxRelevantRatio(g)
+		checkErr("MaxRelevantRatio", err)
+		theta.CheckStatic(tr, rat.FromInt(3))
+		theta.CheckDynamic(tr, rat.FromInt(3))
+		parsync.Check(tr, 3, 3)
+		_, _, err = variants.FindGST(tr, xi)
+		checkErr("FindGST", err)
 	})
 }

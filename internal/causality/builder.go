@@ -26,10 +26,10 @@ import (
 // trace; the node set, node order, edge set, and all derived semantics
 // (cycles, cuts, verdicts) are identical.
 //
-// A node's ID is its trace position, as in Build, so the Builder finds a
-// message's sender in its own per-process node lists: it works on bare
-// prefix views of a trace (a sim.Trace value whose Events slice is
-// truncated), which lack the EventAt index.
+// A node's ID is its trace position, as in Build, and the Builder finds a
+// message's sender in its own per-process node lists, so it also works on
+// bare prefix views of a trace (a sim.Trace value whose Events slice is
+// truncated).
 //
 // The Builder reads the trace exclusively through the retention-safe
 // accessors (TotalEvents, EventByPos, TriggerOf), so it also consumes
@@ -87,11 +87,10 @@ func (b *Builder) Append() (int, error) {
 
 		id := NodeID(pos)
 		g.nodes = append(g.nodes, Node{
-			Proc:     ev.Proc,
-			Index:    ev.Index,
-			Time:     ev.Time,
-			TracePos: pos,
-			Wakeup:   m.IsWakeup(),
+			Proc:   ev.Proc,
+			Index:  ev.Index,
+			Time:   ev.Time,
+			Wakeup: m.IsWakeup(),
 		})
 		if pn := g.procNodes[ev.Proc]; len(pn) > 0 {
 			g.edges = append(g.edges, Edge{From: pn[len(pn)-1], To: id, Kind: Local, Msg: -1})

@@ -307,9 +307,11 @@ func TestNodesAndAccessors(t *testing.T) {
 		if g.NumNodes() != len(tr.Events) {
 			t.Fatalf("%s: %d nodes for %d events", name, g.NumNodes(), len(tr.Events))
 		}
-		for pos := range tr.Events {
-			if got := g.Node(NodeID(pos)).TracePos; got != pos {
-				t.Errorf("%s: Node(NodeID(%d)).TracePos = %d", name, pos, got)
+		for pos, ev := range tr.Events {
+			n := g.Node(NodeID(pos))
+			wake := tr.Msgs[ev.Trigger].IsWakeup()
+			if n.Proc != ev.Proc || n.Index != ev.Index || !n.Time.Equal(ev.Time) || n.Wakeup != wake {
+				t.Errorf("%s: Node(NodeID(%d)) = %+v, event %+v (wakeup %v)", name, pos, n, ev, wake)
 			}
 		}
 	}

@@ -26,8 +26,10 @@
 // finished trace in one shot, and Builder grows a graph event by event as
 // its trace is appended to (the substrate of the incremental admissibility
 // engine in internal/check). In both, every trace event is a node and a
-// node's ID is its position in Trace.Events: Node(NodeID(pos)).TracePos
-// == pos. Both store adjacency in a flat CSR layout
+// node's ID is its position in Trace.Events, so Node(NodeID(pos)) is the
+// node of Events[pos]. Both resolve a message's sending step through the
+// graph's own per-process node lists (NodesOf); the trace keeps no
+// per-process index. Both store adjacency in a flat CSR layout
 // (offsets + edge IDs) rather than per-node slices, so adjacency walks are
 // two contiguous array reads.
 package causality
@@ -47,8 +49,6 @@ type Node struct {
 	Proc  sim.ProcessID
 	Index int // the event's per-process index in the underlying trace
 	Time  sim.Time
-	// TracePos is the event's position in Trace.Events.
-	TracePos int
 	// Wakeup is true for the externally triggered initial event.
 	Wakeup bool
 }
@@ -146,11 +146,10 @@ func Build(t *sim.Trace, opts Options) *Graph {
 	for pos, ev := range t.Events {
 		m := t.Msgs[ev.Trigger]
 		g.nodes = append(g.nodes, Node{
-			Proc:     ev.Proc,
-			Index:    ev.Index,
-			Time:     ev.Time,
-			TracePos: pos,
-			Wakeup:   m.IsWakeup(),
+			Proc:   ev.Proc,
+			Index:  ev.Index,
+			Time:   ev.Time,
+			Wakeup: m.IsWakeup(),
 		})
 		g.procNodes[ev.Proc] = append(g.procNodes[ev.Proc], NodeID(pos))
 	}
@@ -164,17 +163,18 @@ func Build(t *sim.Trace, opts Options) *Graph {
 	}
 
 	// Pass 3: message edges for kept messages, from the sending step's
-	// node to the receive event's node.
+	// node (looked up in pass 1's per-process lists) to the receive
+	// event's node.
 	for pos, ev := range t.Events {
 		m := t.Msgs[ev.Trigger]
 		if m.IsWakeup() || dropped(t, opts, m) {
 			continue // external trigger or exempted: no message edge
 		}
-		sendPos := t.EventAt(m.From, m.SendStep)
-		if sendPos < 0 {
+		sent := g.procNodes[m.From]
+		if m.SendStep < 0 || m.SendStep >= len(sent) {
 			continue // scripted send without a step: dangling
 		}
-		g.edges = append(g.edges, Edge{From: NodeID(sendPos), To: NodeID(pos), Kind: Message, Msg: m.ID})
+		g.edges = append(g.edges, Edge{From: sent[m.SendStep], To: NodeID(pos), Kind: Message, Msg: m.ID})
 		g.msgCount++
 	}
 

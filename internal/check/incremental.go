@@ -170,7 +170,7 @@ func (inc *Incremental) Step() (Verdict, error) {
 				return Verdict{}, fmt.Errorf("check: unknown edge kind %v", e.Kind)
 			}
 			if !feasible {
-				inc.failedAt = g.Node(e.To).TracePos
+				inc.failedAt = int(e.To)
 				return inc.fallback(g)
 			}
 		}

@@ -59,8 +59,8 @@ func (a *Assignment) Retime() (*sim.Trace, error) {
 		if pos, ok := recvPosOf[m.ID]; ok {
 			nm.RecvTime = newTime[pos]
 		}
-		if sendPos := old.EventAt(m.From, m.SendStep); sendPos >= 0 {
-			nm.SendTime = newTime[sendPos]
+		if sent := a.g.NodesOf(m.From); m.SendStep >= 0 && m.SendStep < len(sent) {
+			nm.SendTime = newTime[sent[m.SendStep]]
 		}
 		if nm.RecvTime.Less(nm.SendTime) {
 			if !dropped {

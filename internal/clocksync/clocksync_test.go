@@ -101,7 +101,7 @@ func TestCutSynchronyReportsFirstViolatingCut(t *testing.T) {
 				lo = -1
 				break
 			}
-			c, _ := clockOf(tr.Events[g.Node(f).TracePos])
+			c, _ := clockOf(tr.Events[f])
 			if lo == -1 || c < lo {
 				lo = c
 			}

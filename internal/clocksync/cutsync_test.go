@@ -31,7 +31,7 @@ func referenceCuts(g *causality.Graph) []cutSpread {
 			if f < 0 {
 				return 0, false
 			}
-			c, _ := clockOf(t.Events[g.Node(f).TracePos])
+			c, _ := clockOf(t.Events[f])
 			if lo == -1 || c < lo {
 				lo = c
 			}

@@ -175,7 +175,7 @@ func CheckConsistentCutSynchrony(g *causality.Graph, bound int64) error {
 	// which cannot be a correct process's frontier anyway.
 	clock := make([]int, v)
 	for id := range v {
-		clock[id], _ = clockOf(t.Events[node(id).TracePos])
+		clock[id], _ = clockOf(t.Events[id])
 	}
 	// spread is max − min of the frontier clocks of a row; ok is false when
 	// the cut misses a correct process (not a consistent cut per
@@ -253,7 +253,7 @@ func CheckBoundedProgress(g *causality.Graph, rho int64) error {
 	dist := make(map[sim.ProcessID][]causality.NodeID)
 	for _, p := range correct {
 		for _, id := range g.NodesOf(p) {
-			n, ok := t.Events[g.Node(id).TracePos].Note.(Note)
+			n, ok := t.Events[id].Note.(Note)
 			if ok && n.Advanced && n.Broadcast {
 				dist[p] = append(dist[p], id)
 			}

@@ -80,26 +80,22 @@ func Check(t *sim.Trace, phi, delta int) Report {
 	}
 
 	// Message delays in ticks: from the sending step's tick to the receive
-	// event's tick.
-	for _, m := range t.Msgs {
-		if m.IsWakeup() || m.SendStep < 0 || !correct[m.From] || !correct[m.To] {
+	// event's tick. One pass over the receive events, each resolving its
+	// trigger's sending step through per-process position rows.
+	steps := make([][]int, t.N) // steps[p][k] is the position of p's k-th event
+	for i, ev := range t.Events {
+		steps[ev.Proc] = append(steps[ev.Proc], i)
+	}
+	for i, ev := range t.Events {
+		m := t.Msgs[ev.Trigger]
+		if m.IsWakeup() || m.SendStep < 0 || !correct[m.From] || !correct[m.To] || tickOf[i] < 0 {
 			continue
 		}
-		sendPos := t.EventAt(m.From, m.SendStep)
-		if sendPos < 0 || tickOf[sendPos] < 0 {
+		sent := steps[m.From]
+		if m.SendStep >= len(sent) || tickOf[sent[m.SendStep]] < 0 {
 			continue
 		}
-		var recvTick = -1
-		for i, ev := range t.Events {
-			if ev.Proc == m.To && ev.Trigger == m.ID {
-				recvTick = tickOf[i]
-				break
-			}
-		}
-		if recvTick < 0 {
-			continue
-		}
-		if d := recvTick - tickOf[sendPos]; d > r.MaxDelay {
+		if d := tickOf[i] - tickOf[sent[m.SendStep]]; d > r.MaxDelay {
 			r.MaxDelay = d
 		}
 	}

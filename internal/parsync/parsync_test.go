@@ -1,6 +1,7 @@
 package parsync
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -141,5 +142,138 @@ func TestCheckSkipsFaulty(t *testing.T) {
 	r := Check(b.MustBuild(), 10, 2)
 	if !r.Admissible {
 		t.Errorf("faulty process constrained ParSync check: %s", r.Reason)
+	}
+}
+
+// checkQuadratic is Check as it stood before the one-pass delay scan: for
+// each message it scans every event for the receive and resolves the
+// sending step by a linear search of the sender's events. It is the
+// reference of TestCheckMatchesQuadratic.
+func checkQuadratic(t *sim.Trace, phi, delta int) Report {
+	r := Report{Admissible: true}
+	correct := make([]bool, t.N)
+	for _, p := range t.CorrectProcesses() {
+		correct[p] = true
+	}
+	tickOf := make([]int, len(t.Events))
+	tick := 0
+	for i, ev := range t.Events {
+		if ev.Processed {
+			tickOf[i] = tick
+			tick++
+		} else {
+			tickOf[i] = -1
+		}
+	}
+	lastStep := make([]int, t.N)
+	for i, ev := range t.Events {
+		if tickOf[i] < 0 || !correct[ev.Proc] {
+			continue
+		}
+		if gap := tickOf[i] - lastStep[ev.Proc]; gap > r.MaxStepGap {
+			r.MaxStepGap = gap
+		}
+		lastStep[ev.Proc] = tickOf[i]
+	}
+	if r.MaxStepGap > phi {
+		r.Admissible = false
+		r.Reason = fmt.Sprintf("step gap %d exceeds Φ = %d", r.MaxStepGap, phi)
+	}
+	eventAt := func(p sim.ProcessID, index int) int {
+		for i, ev := range t.Events {
+			if ev.Proc == p && ev.Index == index {
+				return i
+			}
+		}
+		return -1
+	}
+	for _, m := range t.Msgs {
+		if m.IsWakeup() || m.SendStep < 0 || !correct[m.From] || !correct[m.To] {
+			continue
+		}
+		sendPos := eventAt(m.From, m.SendStep)
+		if sendPos < 0 || tickOf[sendPos] < 0 {
+			continue
+		}
+		recvTick := -1
+		for i, ev := range t.Events {
+			if ev.Proc == m.To && ev.Trigger == m.ID {
+				recvTick = tickOf[i]
+				break
+			}
+		}
+		if recvTick < 0 {
+			continue
+		}
+		if d := recvTick - tickOf[sendPos]; d > r.MaxDelay {
+			r.MaxDelay = d
+		}
+	}
+	if r.MaxDelay > delta {
+		r.Admissible = false
+		if r.Reason != "" {
+			r.Reason += "; "
+		}
+		r.Reason += fmt.Sprintf("message delay %d ticks exceeds Δ = %d", r.MaxDelay, delta)
+	}
+	return r
+}
+
+// TestCheckMatchesQuadratic pins Check's one-pass delay scan against the
+// quadratic reference: the whole Report, Reason included, on Fig. 8
+// witnesses, seeded broadcast runs with crashed processes, and a trace
+// with a faulty sender.
+func TestCheckMatchesQuadratic(t *testing.T) {
+	type tc struct {
+		name string
+		tr   *sim.Trace
+	}
+	var cases []tc
+	for _, adv := range []struct{ phi, delta int }{{2, 2}, {5, 3}, {20, 7}, {64, 200}} {
+		tr, err := ProverExecution(adv.phi, adv.delta, rat.FromInt(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, tc{fmt.Sprintf("prover Φ=%d Δ=%d", adv.phi, adv.delta), tr})
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		crashes := map[sim.ProcessID]sim.Fault{
+			sim.ProcessID(seed % 4): sim.Crash(int(seed % 3)),
+		}
+		if seed%2 == 0 {
+			crashes[sim.ProcessID((seed+1)%4)] = sim.Crash(0)
+		}
+		res, err := sim.Run(sim.Config{
+			N: 4,
+			Spawn: func(p sim.ProcessID) sim.Process {
+				return sim.ProcessFunc(func(env *sim.Env, msg sim.Message) {
+					if env.StepIndex() < 6 {
+						env.Broadcast(env.StepIndex())
+					}
+				})
+			},
+			Delays: sim.UniformDelay{Min: rat.One, Max: rat.FromInt(4)},
+			Faults: crashes,
+			Seed:   seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, tc{fmt.Sprintf("broadcast seed %d", seed), res.Trace})
+	}
+	b := sim.NewTraceBuilder(2)
+	b.SetFaulty(1)
+	b.WakeAll(rat.Zero)
+	b.MsgAt(0, 0, 1, 1, "x")
+	b.MsgAt(1, 1, 0, 40, "fromFaulty")
+	cases = append(cases, tc{"faulty sender", b.MustBuild()})
+
+	for _, c := range cases {
+		for _, bound := range []int{1, 3, 10, 1000} {
+			got, want := Check(c.tr, bound, bound), checkQuadratic(c.tr, bound, bound)
+			if got != want {
+				t.Errorf("%s, Φ=Δ=%d: Check = %+v, reference %+v", c.name, bound, got, want)
+			}
+		}
 	}
 }

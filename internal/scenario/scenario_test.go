@@ -82,7 +82,7 @@ func TestFig3Fig4Divergence(t *testing.T) {
 		t.Error("Fig.4: φ must precede ψ")
 	}
 	// The triggering payloads of ψ match ("pong2" closes the chain).
-	psiEv := f3.Trace.Events[f3.Graph.Node(f3.Psi).TracePos]
+	psiEv := f3.Trace.Events[f3.Psi]
 	if pl := f3.Trace.Msgs[psiEv.Trigger].Payload; pl != "pong2" {
 		t.Errorf("Fig.3 ψ triggered by %v, want pong2", pl)
 	}

@@ -125,7 +125,6 @@ func (b *TraceBuilder) Build() (*Trace, error) {
 		Msgs:   b.msgs,
 		Faulty: b.faulty,
 	}
-	t.indexEvents()
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}

@@ -17,14 +17,12 @@ import (
 // The point of an Engine over the one-shot Run is fan-out cost: the fleet
 // runner (internal/runner) executes thousands of short simulations per
 // worker, and the delivery queue, per-process scratch arrays, RNG, the
-// step environment (and its send buffer), the per-process event-index
-// rows, and — under bounded retention — the in-flight message store are
-// all reused across runs instead of reallocated. Everything that escapes
-// into the Result — the Trace and the process state machines — is freshly
-// allocated per run, so results from consecutive runs never alias:
-// full-retention event/message storage is freshly sized to the engine's
-// high-water marks, and the pooled index rows are compacted into a fresh
-// flat copy before the Result is returned.
+// step environment (and its send buffer) and — under bounded retention —
+// the in-flight message store are all reused across runs instead of
+// reallocated. Everything that escapes into the Result — the Trace and the
+// process state machines — is freshly allocated per run, so results from
+// consecutive runs never alias: full-retention event/message storage is
+// freshly sized to the engine's high-water marks.
 //
 // An Engine is not safe for concurrent use; give each goroutine its own.
 type Engine struct {
@@ -42,7 +40,6 @@ type Engine struct {
 	amnesia    []bool        // RecoverAmnesia: respawn on each recovery wake-up
 	out        []pendingSend // Env send buffer, recycled between steps
 	env        Env           // the one step environment, reused every step
-	posRows    [][]int32     // pooled eventPos rows; compacted out per run
 	lastEvents int           // high-water marks sizing the next full-retention run
 	lastMsgs   int
 	slots      slotStore // bounded retention: in-flight message store
@@ -362,16 +359,6 @@ func (e *Engine) reset(cfg Config) {
 	case RetainFullMode:
 		e.trace.Events = make([]Event, 0, e.lastEvents)
 		e.trace.Msgs = make([]Message, 0, e.lastMsgs)
-		if cap(e.posRows) < cfg.N {
-			e.posRows = make([][]int32, cfg.N)
-		}
-		e.posRows = e.posRows[:cfg.N]
-		for p := range e.posRows {
-			e.posRows[p] = e.posRows[p][:0]
-		}
-		// Live view during the run (monitors may call EventAt); replaced
-		// by a compacted fresh copy before the Result escapes.
-		e.trace.eventPos = e.posRows
 	case RetainWindowMode:
 		// The slide amortizes growth past the pre-size, so a window far
 		// larger than the run costs only what the run retains.
@@ -385,23 +372,13 @@ func (e *Engine) reset(cfg Config) {
 }
 
 // finishTrace seals the per-run trace before it escapes: full retention
-// compacts the pooled index rows into one fresh flat array (two
-// allocations) and refreshes the high-water marks; bounded retention
-// clears the slots a truncated run left occupied so the pooled store pins
-// no payloads between runs.
+// refreshes the high-water marks; bounded retention clears the slots a
+// truncated run left occupied so the pooled store pins no payloads between
+// runs.
 func (e *Engine) finishTrace() {
 	switch e.ret.Mode {
 	case RetainFullMode:
 		t := e.trace
-		flat := make([]int32, len(t.Events))
-		spine := make([][]int32, t.N)
-		off := 0
-		for p := range spine {
-			n := copy(flat[off:], e.posRows[p])
-			spine[p] = flat[off : off+n : off+n]
-			off += n
-		}
-		t.eventPos = spine
 		if len(t.Events) > e.lastEvents {
 			e.lastEvents = len(t.Events)
 		}
@@ -609,11 +586,7 @@ func (e *Engine) recordEvent(ev Event, m Message) {
 	t := e.trace
 	switch e.ret.Mode {
 	case RetainFullMode:
-		pos := len(t.Events)
 		t.Events = append(t.Events, ev)
-		// ev.Index == len(posRows[p]) by construction, so this appends the
-		// dense per-process index row.
-		e.posRows[ev.Proc] = append(e.posRows[ev.Proc], int32(pos))
 	case RetainWindowMode:
 		t.totalEvents++
 		t.digest.foldEvent(&ev)

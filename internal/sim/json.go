@@ -146,6 +146,5 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	t.indexEvents()
 	return t, nil
 }

@@ -107,13 +107,6 @@ type Trace struct {
 	// Faulty[p] is true when process p was configured with a fault
 	// (crash or Byzantine).
 	Faulty []bool
-	// eventPos[p][i] is the position in Events of process p's i-th receive
-	// event. Dense per-process rows replace the former (proc, index) hash
-	// map: the engine appends one entry per recorded event, and EventAt is
-	// two bounds checks and a load. int32 positions are ample — traces are
-	// memory-bound far below 2^31 events. Bounded-retention traces do not
-	// maintain it (positions slide).
-	eventPos [][]int32
 
 	// Bounded-retention bookkeeping; zero values describe a complete
 	// trace, so hand-built and reassembled traces need no setup. Under
@@ -130,8 +123,7 @@ type Trace struct {
 
 // Complete reports whether the trace retains the full execution record —
 // Events and Msgs hold everything and may be indexed absolutely. Only
-// complete traces may feed causality.Build, Hash, WriteJSON, and the
-// per-process index accessors.
+// complete traces may feed causality.Build, Hash and WriteJSON.
 func (t *Trace) Complete() bool { return t.mode == RetainFullMode }
 
 // Retention returns the trace's retention mode.
@@ -220,34 +212,6 @@ func (t *Trace) StreamHash() uint64 {
 	return d.sum()
 }
 
-// EventAt returns the position in Events of process p's index-th receive
-// event, or -1 if it does not exist.
-func (t *Trace) EventAt(p ProcessID, index int) int {
-	if p < 0 || int(p) >= len(t.eventPos) {
-		return -1
-	}
-	row := t.eventPos[p]
-	if index < 0 || index >= len(row) {
-		return -1
-	}
-	return int(row[index])
-}
-
-// indexEvents rebuilds eventPos from Events. Entries that are out of range
-// or not dense per process are skipped; Validate reports them.
-func (t *Trace) indexEvents() {
-	if t.N <= 0 {
-		return
-	}
-	t.eventPos = make([][]int32, t.N)
-	for i, ev := range t.Events {
-		if ev.Proc < 0 || int(ev.Proc) >= t.N || ev.Index != len(t.eventPos[ev.Proc]) {
-			continue
-		}
-		t.eventPos[ev.Proc] = append(t.eventPos[ev.Proc], int32(i))
-	}
-}
-
 // CorrectProcesses returns the IDs of all non-faulty processes.
 func (t *Trace) CorrectProcesses() []ProcessID {
 	var out []ProcessID
@@ -273,7 +237,7 @@ func (t *Trace) MaxTime() Time {
 
 // Reassemble builds a Trace from raw parts and validates it. It is used by
 // consumers that transform traces (e.g. the Theorem 9 retiming in
-// internal/check) and must therefore rebuild the event index.
+// internal/check).
 func Reassemble(n int, events []Event, msgs []Message, faulty []bool) (*Trace, error) {
 	t := &Trace{
 		N:      n,
@@ -284,7 +248,6 @@ func Reassemble(n int, events []Event, msgs []Message, faulty []bool) (*Trace, e
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	t.indexEvents()
 	return t, nil
 }
 
@@ -292,9 +255,9 @@ func Reassemble(n int, events []Event, msgs []Message, faulty []bool) (*Trace, e
 // dense and per-process increasing, message endpoints are in range, a
 // correct sender's delivered message names one of its events as the
 // sending step, message recv times are not before send times, and
-// triggers resolve. It is used by tests and by cmd/abccheck when loading
-// external traces, and allocates O(N) only once N is known to match
-// len(Faulty).
+// triggers resolve, each message triggering at most one event. It is used
+// by tests and by cmd/abccheck when loading external traces, and allocates
+// O(N) only once N is known to match len(Faulty).
 func (t *Trace) Validate() error {
 	if t.N <= 0 {
 		return fmt.Errorf("sim: trace has N = %d", t.N)
@@ -303,6 +266,7 @@ func (t *Trace) Validate() error {
 		return fmt.Errorf("sim: Faulty has length %d, want %d", len(t.Faulty), t.N)
 	}
 	next := make([]int, t.N)
+	received := make([]bool, len(t.Msgs))
 	for i, ev := range t.Events {
 		if ev.Proc < 0 || int(ev.Proc) >= t.N {
 			return fmt.Errorf("sim: event %d has process %d out of range", i, ev.Proc)
@@ -314,6 +278,10 @@ func (t *Trace) Validate() error {
 		if ev.Trigger < 0 || int(ev.Trigger) >= len(t.Msgs) {
 			return fmt.Errorf("sim: event %d has dangling trigger %d", i, ev.Trigger)
 		}
+		if received[ev.Trigger] {
+			return fmt.Errorf("sim: event %d receives message %d a second time", i, ev.Trigger)
+		}
+		received[ev.Trigger] = true
 		m := t.Msgs[ev.Trigger]
 		if m.To != ev.Proc {
 			return fmt.Errorf("sim: event %d at p%d triggered by message to p%d", i, ev.Proc, m.To)

@@ -427,12 +427,6 @@ func TestTraceAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.Trace
-	if pos := tr.EventAt(0, 0); pos < 0 || tr.Events[pos].Proc != 0 || tr.Events[pos].Index != 0 {
-		t.Errorf("EventAt(0,0) = %d", pos)
-	}
-	if pos := tr.EventAt(0, 99); pos != -1 {
-		t.Errorf("EventAt(0,99) = %d, want -1", pos)
-	}
 	if got := tr.CorrectProcesses(); len(got) != 2 {
 		t.Errorf("CorrectProcesses = %v", got)
 	}

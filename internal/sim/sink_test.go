@@ -243,28 +243,3 @@ func TestRetentionConfigErrors(t *testing.T) {
 		t.Fatalf("monitor+none: err = %v, want Monitor error", err)
 	}
 }
-
-// TestEventAtIndexedMatchesScan pins the engine's incrementally built
-// event index against one rebuilt from Events by indexEvents.
-func TestEventAtIndexedMatchesScan(t *testing.T) {
-	res, err := Run(sinkTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := res.Trace
-	if tr.eventPos == nil {
-		t.Fatal("engine trace lacks the event index")
-	}
-	shell := &Trace{N: tr.N, Events: tr.Events, Msgs: tr.Msgs, Faulty: tr.Faulty}
-	shell.indexEvents()
-	for p := ProcessID(0); int(p) < tr.N; p++ {
-		if a, b := len(tr.eventPos[p]), len(shell.eventPos[p]); a != b {
-			t.Fatalf("p%d: engine index has %d events, rebuilt %d", p, a, b)
-		}
-		for k := 0; k <= len(tr.eventPos[p]); k++ {
-			if a, b := tr.EventAt(p, k), shell.EventAt(p, k); a != b {
-				t.Fatalf("p%d: EventAt(%d) = %d (engine) vs %d (rebuilt)", p, k, a, b)
-			}
-		}
-	}
-}

@@ -115,13 +115,9 @@ func (l *XiLearner) Observe(g *causality.Graph) (raised bool, err error) {
 // when even the full exemption (i = len(events)) fails, which cannot
 // happen since an empty graph is vacuously admissible.
 func FindGST(t *sim.Trace, xi rat.Rat) (gstIndex int, ok bool, err error) {
+	sentBefore := dropSentBefore(t)
 	admissibleFrom := func(i int) (bool, error) {
-		g := causality.Build(t, causality.Options{
-			DropMessage: func(m sim.Message) bool {
-				pos := t.EventAt(m.From, m.SendStep)
-				return pos >= 0 && pos < i
-			},
-		})
+		g := causality.Build(t, causality.Options{DropMessage: sentBefore(i)})
 		v, err := check.ABC(g, xi)
 		if err != nil {
 			return false, err
@@ -149,6 +145,23 @@ func FindGST(t *sim.Trace, xi rat.Rat) (gstIndex int, ok bool, err error) {
 		}
 	}
 	return hi, true, nil
+}
+
+// dropSentBefore returns FindGST's exemption rule: dropSentBefore(t)(i)
+// drops every message whose sending step lies before global event index i
+// of t. The per-process position rows are built once, so the returned
+// function serves a whole search.
+func dropSentBefore(t *sim.Trace) func(i int) func(sim.Message) bool {
+	steps := make([][]int, t.N) // steps[p][k] is the position of p's k-th event
+	for pos, ev := range t.Events {
+		steps[ev.Proc] = append(steps[ev.Proc], pos)
+	}
+	return func(i int) func(sim.Message) bool {
+		return func(m sim.Message) bool {
+			sent := steps[m.From]
+			return m.SendStep >= 0 && m.SendStep < len(sent) && sent[m.SendStep] < i
+		}
+	}
 }
 
 // DoublingBoundary returns the round-boundary function for eventual

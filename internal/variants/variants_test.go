@@ -111,12 +111,7 @@ func TestFindGSTAfterViolation(t *testing.T) {
 	}
 	// Verify the defining property: admissible from idx, not from idx-1.
 	dropBefore := func(i int) bool {
-		g := causality.Build(fig.Trace, causality.Options{
-			DropMessage: func(m sim.Message) bool {
-				pos := fig.Trace.EventAt(m.From, m.SendStep)
-				return pos >= 0 && pos < i
-			},
-		})
+		g := causality.Build(fig.Trace, causality.Options{DropMessage: dropSentBefore(fig.Trace)(i)})
 		v, err := check.ABC(g, rat.FromInt(2))
 		if err != nil {
 			t.Fatal(err)
@@ -256,12 +251,7 @@ func TestUnknownEventualComposition(t *testing.T) {
 	}
 	// Build the post-GST graph and let a learner observe it: no bump
 	// needed beyond ratios present after stabilization.
-	g := causality.Build(fig.Trace, causality.Options{
-		DropMessage: func(m sim.Message) bool {
-			pos := fig.Trace.EventAt(m.From, m.SendStep)
-			return pos >= 0 && pos < gst
-		},
-	})
+	g := causality.Build(fig.Trace, causality.Options{DropMessage: dropSentBefore(fig.Trace)(gst)})
 	l, err := NewXiLearner(xi, rat.New(1, 10))
 	if err != nil {
 		t.Fatal(err)
