@@ -83,9 +83,12 @@ fleet-bench:
 # incremental checker over a sliding window), the critical ratio of a
 # 6.1·10^4-event ring broadcast (past where a graph-size strictness scale
 # overflowed int64), a dense inadmissible ratio search (critical ratio 3
-# on a 64-process mesh at Ξ = 3/2), and an abcsim → abccheck round trip:
-# a seeded clock-sync trace written to a temp file and read back through
-# every abccheck analysis (ABC, Θ-Model, ParSync, ◇ABC stabilization).
+# on a 64-process mesh at Ξ = 3/2), the same ring's critical ratio found
+# by a watched run's end-of-run search on the watcher's own constraint
+# store, a -dot export of a scenario run compared with the golden file of
+# cmd/abcsim, and an abcsim → abccheck round trip: a seeded clock-sync
+# trace written to a temp file and read back through every abccheck
+# analysis (ABC, Θ-Model, ParSync, ◇ABC stabilization).
 cli-smoke:
 	$(GO) run ./cmd/abcsim -workload consensus -param algo=floodset -sweep faults=none,crash/1@0,crash/1@2 -runs 2
 	$(GO) run ./cmd/abcsim -workload clocksync -sweep faults=byz/1@20,byz/1@60 -runs 2
@@ -96,6 +99,10 @@ cli-smoke:
 	$(GO) run ./cmd/abcsim -workload broadcast -param n=64 -param target=20 -param trace=window/4096 -watch
 	$(GO) run ./cmd/abcsim -workload broadcast -param n=1000 -param topology=ring -param target=30
 	$(GO) run ./cmd/abcsim -workload broadcast -param n=64 -param target=10 -param max=10 -param xi=3/2
+	$(GO) run ./cmd/abcsim -workload broadcast -param n=1000 -param topology=ring -param target=30 -param trace=window/4096 -watch | grep -q 'critical ratio: 4/3'
+	tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(GO) run ./cmd/abcsim -workload scenario -dot $$tmp && \
+	cmp $$tmp cmd/abcsim/testdata/scenario.dot
 	tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
 	$(GO) run ./cmd/abcsim -workload clocksync -param n=4 -param f=1 -param xi=2 -param target=10 -seed 1 -trace $$tmp && \
 	$(GO) run ./cmd/abccheck -xi 2 -theta 3 -phi 3 -delta 3 -gst $$tmp

@@ -78,7 +78,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "trace: %d processes, %d events, %d messages, %d graph nodes\n",
 		tr.N, len(tr.Events), len(tr.Msgs), g.NumNodes())
 
-	v, err := check.ABC(g, xi)
+	// One prober: the ratio search reuses the verdict's constraint store.
+	p, err := check.NewProber(g)
+	if err != nil {
+		return err
+	}
+	v, err := p.ABC(xi)
 	if err != nil {
 		return err
 	}
@@ -86,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !v.Admissible {
 		fmt.Fprintf(stdout, "  violating relevant cycle (|Z−|/|Z+| = %v):\n  %v\n",
 			v.WitnessClass.Ratio(), *v.Witness)
-	} else if ratio, found, err := check.MaxRelevantRatio(g); err != nil {
+	} else if ratio, found, err := p.MaxRelevantRatio(); err != nil {
 		return fmt.Errorf("ratio search: %w", err)
 	} else if found {
 		fmt.Fprintf(stdout, "  critical ratio: %v\n", ratio)

@@ -61,6 +61,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -74,7 +75,6 @@ import (
 	"time"
 
 	"repro/internal/causality"
-	"repro/internal/graphutil"
 	"repro/internal/runner"
 	"repro/internal/workload"
 
@@ -466,23 +466,30 @@ func reportSingle(stdout io.Writer, name string, v workload.Values, seed int64, 
 			return err
 		}
 		defer w.Close()
-		d := g.Digraph()
-		err = d.WriteDOT(w, graphutil.DOTOptions{
-			Name: "execution",
-			NodeLabel: func(v int) string {
-				return g.Node(causality.NodeID(v)).String()
-			},
-			EdgeAttr: func(i int, e graphutil.Edge) string {
-				if g.Edge(causality.EdgeID(e.Label)).Kind == causality.Local {
-					return "style=dashed"
-				}
-				return ""
-			},
-		})
-		if err != nil {
+		if err := writeDOT(w, g); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "DOT written to %s\n", dotOut)
 	}
 	return nil
+}
+
+// writeDOT renders the execution graph in Graphviz DOT: one node per
+// event, labelled with its process and per-process index, and one edge per
+// graph edge in edge order, local edges dashed.
+func writeDOT(w io.Writer, g *causality.Graph) error {
+	b := bufio.NewWriter(w)
+	b.WriteString("digraph execution {\n")
+	for v := 0; v < g.NumNodes(); v++ {
+		fmt.Fprintf(b, "  n%d [label=%q];\n", v, g.Node(causality.NodeID(v)).String())
+	}
+	for _, e := range g.Edges() {
+		attr := ""
+		if e.Kind == causality.Local {
+			attr = " [style=dashed]"
+		}
+		fmt.Fprintf(b, "  n%d -> n%d%s;\n", e.From, e.To, attr)
+	}
+	b.WriteString("}\n")
+	return b.Flush()
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -54,6 +55,37 @@ func TestRunTraceExportRoundTrips(t *testing.T) {
 	}
 	if tr.N != 3 || len(tr.Events) == 0 {
 		t.Errorf("exported trace malformed: N=%d events=%d", tr.N, len(tr.Events))
+	}
+}
+
+// TestRunDOTExportGolden pins `abcsim -workload scenario -dot` byte for
+// byte against testdata/scenario.dot: the graph name, one node per event
+// labelled with its process and index, every edge in edge order, and
+// local edges dashed while messages are plain.
+func TestRunDOTExportGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "graph.dot")
+	var out, errOut strings.Builder
+	if err := run([]string{"-workload", "scenario", "-dot", path}, &out, &errOut); err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
+	}
+	if !strings.Contains(out.String(), "DOT written to "+path) {
+		t.Errorf("missing export confirmation:\n%s", out.String())
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "scenario.dot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("DOT export differs from testdata/scenario.dot:\n%s", got)
+	}
+	for _, line := range []string{"digraph execution {", `  n0 [label="p0/0"];`, "  n1 -> n13 [style=dashed];", "  n0 -> n9;"} {
+		if !strings.Contains(string(got), line+"\n") {
+			t.Errorf("DOT export lacks the line %q", line)
+		}
 	}
 }
 

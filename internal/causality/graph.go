@@ -37,7 +37,6 @@ package causality
 import (
 	"fmt"
 
-	"repro/internal/graphutil"
 	"repro/internal/sim"
 )
 
@@ -292,16 +291,6 @@ func (g *Graph) IsDAG() bool {
 		}
 	}
 	return seen == n
-}
-
-// Digraph converts the execution graph to a graphutil.Digraph with edge
-// labels equal to edge IDs, for DOT export.
-func (g *Graph) Digraph() *graphutil.Digraph {
-	d := graphutil.New(len(g.nodes))
-	for i, e := range g.edges {
-		d.AddEdge(int(e.From), int(e.To), 0, int32(i))
-	}
-	return d
 }
 
 // String renders a node as "p3/7" (process 3, event index 7).

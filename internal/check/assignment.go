@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/causality"
-	"repro/internal/graphutil"
 	"repro/internal/rat"
 )
 
@@ -28,7 +27,7 @@ type Assignment struct {
 // ε = 1/s with s > max|K(u) − K(v)| keeps every strict inequality strict,
 // so s = 2·max|K| + 3 is derived from the live potential and the bound is
 // tight rather than worst-case: t(v) = sign·(M(v)·s + K(v)) / (b·s).
-func newAssignment(g *causality.Graph, d []graphutil.Pair, b, sign int64) (*Assignment, error) {
+func newAssignment(g *causality.Graph, d []Pair, b, sign int64) (*Assignment, error) {
 	maxM, maxK := pairBounds(d)
 	s := 2*maxK + 3
 	if maxM > (math.MaxInt64-maxK)/s || b > math.MaxInt64/s {
@@ -42,7 +41,7 @@ func newAssignment(g *causality.Graph, d []graphutil.Pair, b, sign int64) (*Assi
 }
 
 // pairBounds returns the largest |M| and |K| over d.
-func pairBounds(d []graphutil.Pair) (maxM, maxK int64) {
+func pairBounds(d []Pair) (maxM, maxK int64) {
 	for _, p := range d {
 		maxM = max(maxM, abs64(p.M))
 		maxK = max(maxK, abs64(p.K))

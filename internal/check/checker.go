@@ -21,10 +21,12 @@
 // lexicographic (m, k) pair weights: each strict bound x(v) − x(u) < w
 // becomes the pair bound (w, −1), where k counts tightenings by an
 // infinitesimal. A cycle violates the system exactly when its pair sum is
-// lexicographically negative. The batch prober and the streaming
-// Incremental share this one encoding (graphutil.Pair) and one overflow
-// rule (sizeGuard); newAssignment turns a pair solution into exact
-// rational times.
+// lexicographically negative. The batch Prober and the streaming
+// Incremental share this one encoding (Pair), one flat constraint store
+// per execution graph (store: the arcs with weight codes, solved by a
+// Yen-sweep Bellman–Ford in place for every Ξ) and one overflow rule
+// (sizeGuard); newAssignment turns a pair solution into exact rational
+// times.
 //
 // A negative cycle in the constraint digraph maps back to a relevant cycle
 // violating Definition 4: upper-bound edges are its forward messages,
@@ -39,7 +41,6 @@ import (
 
 	"repro/internal/causality"
 	"repro/internal/cycles"
-	"repro/internal/graphutil"
 	"repro/internal/rat"
 )
 
@@ -64,15 +65,11 @@ type Verdict struct {
 // ABC checks the execution graph against the ABC synchrony condition for
 // the given Ξ. It runs in O(V·E) time and is exact.
 func ABC(g *causality.Graph, xi rat.Rat) (Verdict, error) {
-	a, b, err := xiParts(xi)
+	p, err := NewProber(g)
 	if err != nil {
 		return Verdict{}, err
 	}
-	p, err := newProber(g)
-	if err != nil {
-		return Verdict{}, err
-	}
-	return p.verdict(a, b)
+	return p.ABC(xi)
 }
 
 // xiParts returns Ξ = a/b in lowest terms, rejecting Ξ <= 1 and a Ξ beyond
@@ -98,104 +95,79 @@ func sizeGuard(v, a, b int64) error {
 	return nil
 }
 
-// constraint edge label encoding: label = 3*edgeID + kind.
-const (
-	labelUpper = 0 // message upper bound, traversed forward
-	labelLower = 1 // message lower bound, traversed backward
-	labelLocal = 2 // local edge, traversed backward
-)
-
-// prober is a reusable admissibility oracle for one execution graph. The
-// constraint digraph topology does not depend on the probed ratio — only
-// the edge weights do — so it is built once and re-weighted per probe.
-// This matters for the critical-ratio search, which probes the same graph
-// several times.
-type prober struct {
-	g  *causality.Graph
-	cg *graphutil.Digraph
-	v  int64 // execution nodes
+// Prober is the reusable admissibility oracle of one execution graph: its
+// constraint store (see store) is built once and solved in place for
+// every Ξ probed, so a verdict and the critical-ratio search of the same
+// graph share one store, one relaxation plan and one set of Bellman–Ford
+// scratch. A Prober is not safe for concurrent use.
+type Prober struct {
+	g *causality.Graph
+	s *store
 }
 
-// newProber validates the execution graph and builds the constraint
-// digraph topology with placeholder weights. The DAG check runs directly
-// on the execution graph's CSR adjacency — no Digraph copy.
-func newProber(g *causality.Graph) (*prober, error) {
+// NewProber validates the execution graph and builds its constraint
+// store. The DAG check runs directly on the execution graph.
+func NewProber(g *causality.Graph) (*Prober, error) {
 	if !g.IsDAG() {
 		return nil, errors.New("check: execution graph is not a DAG")
 	}
-	edges := g.Edges()
-	cg := graphutil.New(g.NumNodes())
-	for i, edge := range edges {
-		switch edge.Kind {
-		case causality.Message:
-			cg.AddEdge(int(edge.From), int(edge.To), 0, int32(3*i+labelUpper))
-			cg.AddEdge(int(edge.To), int(edge.From), 0, int32(3*i+labelLower))
-		case causality.Local:
-			cg.AddEdge(int(edge.To), int(edge.From), 0, int32(3*i+labelLocal))
-		default:
-			return nil, fmt.Errorf("check: unknown edge kind %v", edge.Kind)
-		}
+	s, err := newStore(g)
+	if err != nil {
+		return nil, err
 	}
-	return &prober{g: g, cg: cg, v: int64(g.NumNodes())}, nil
+	return &Prober{g: g, s: s}, nil
+}
+
+// ABC checks the graph against the ABC synchrony condition for Ξ, like the
+// package-level ABC.
+func (p *Prober) ABC(xi rat.Rat) (Verdict, error) {
+	a, b, err := xiParts(xi)
+	if err != nil {
+		return Verdict{}, err
+	}
+	return p.verdict(a, b)
 }
 
 // probe solves the strict constraint system for Ξ = a/b in x = b·t units.
-// An infeasible result carries a negative cycle of the constraint digraph.
-func (p *prober) probe(a, b int64) (graphutil.BFResult, error) {
-	if err := sizeGuard(p.v, a, b); err != nil {
-		return graphutil.BFResult{}, err
+// An infeasible result carries a negative cycle of the store's arcs.
+func (p *Prober) probe(a, b int64) (bfResult, error) {
+	v := p.g.NumNodes()
+	if err := sizeGuard(int64(v), a, b); err != nil {
+		return bfResult{}, err
 	}
-	for i, ce := range p.cg.Edges() {
-		switch ce.Label % 3 {
-		case labelUpper:
-			// t(v) − t(u) < a/b  =>  x(v) − x(u) < a.
-			p.cg.SetWeight(i, a)
-		case labelLower:
-			// t(v) − t(u) > 1    =>  x(u) − x(v) < −b.
-			p.cg.SetWeight(i, -b)
-		case labelLocal:
-			// t(v) − t(u) > 0    =>  x(u) − x(v) < 0.
-			p.cg.SetWeight(i, 0)
-		}
-	}
-	return p.cg.BellmanFord(), nil
+	return p.s.bellmanFord(v, weights(a, b)), nil
 }
 
 // verdict probes Ξ = a/b and builds the verdict with its certificate: the
 // assignment when the system is feasible, the witness cycle when not.
-func (p *prober) verdict(a, b int64) (Verdict, error) {
+func (p *Prober) verdict(a, b int64) (Verdict, error) {
 	res, err := p.probe(a, b)
 	if err != nil {
 		return Verdict{}, err
 	}
-	if res.Feasible {
-		asg, err := newAssignment(p.g, res.Dist, b, 1)
+	if res.feasible {
+		asg, err := newAssignment(p.g, res.dist, b, 1)
 		if err != nil {
 			return Verdict{}, err
 		}
 		return Verdict{Admissible: true, Assignment: asg}, nil
 	}
-	w, err := witnessFromNegativeCycle(p.g, res.NegativeCycle)
+	w, err := p.witness(res.cycle)
 	if err != nil {
 		return Verdict{}, err
 	}
 	return Verdict{Admissible: false, Witness: &w, WitnessClass: cycles.Classify(w)}, nil
 }
 
-// witnessFromNegativeCycle maps a negative cycle of the constraint digraph
-// back to a violating relevant cycle of the execution graph.
-func witnessFromNegativeCycle(g *causality.Graph, neg []graphutil.Edge) (cycles.Cycle, error) {
+// witness maps a negative cycle of the store back to a violating relevant
+// cycle of the execution graph: upper arcs are forward messages, lower
+// and local arcs backward steps.
+func (p *Prober) witness(neg []int32) (cycles.Cycle, error) {
 	steps := make([]cycles.Step, len(neg))
-	for i, ce := range neg {
-		edgeID := causality.EdgeID(ce.Label / 3)
-		switch ce.Label % 3 {
-		case labelUpper:
-			steps[i] = cycles.Step{Edge: edgeID, Forward: true}
-		case labelLower, labelLocal:
-			steps[i] = cycles.Step{Edge: edgeID, Forward: false}
-		}
+	for i, id := range p.s.edgeOf(p.g, neg) {
+		steps[i] = cycles.Step{Edge: id, Forward: p.s.code[neg[i]] == wUpper}
 	}
-	c, err := cycles.NewCycle(g, steps)
+	c, err := cycles.NewCycle(p.g, steps)
 	if err != nil {
 		return cycles.Cycle{}, fmt.Errorf("check: internal error mapping witness: %w", err)
 	}

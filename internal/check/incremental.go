@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/causality"
-	"repro/internal/graphutil"
 	"repro/internal/rat"
 	"repro/internal/sim"
 )
@@ -16,7 +15,7 @@ import (
 //
 // The batch checker re-solves the full difference-constraint system with
 // Bellman–Ford (O(V·E)) on every call. Incremental instead keeps the
-// constraint digraph and a feasible potential alive across appends:
+// constraint store and a feasible potential alive across appends:
 //
 //   - Constraint weights are the package's lexicographic pairs (m, k) (see
 //     the package comment): m is the integer bound in x = b·t units (upper
@@ -25,8 +24,9 @@ import (
 //     weights never change once written, which is what makes the system
 //     append-only.
 //   - The potential is p = −x, the negated earliest schedule: arcs are
-//     stored reversed and a fresh node is seeded at the minimum over its
-//     incoming arcs, so only a message upper bound that binds violates it.
+//     traversed reversed (each node chains the arcs whose head it is) and
+//     a fresh node is seeded at the minimum over its incoming reversed
+//     arcs, so only a message upper bound that binds violates it.
 //     Such an arc is inserted with a Cotton–Maler repair (SAT-solver-style
 //     incremental difference-constraint propagation): the previous
 //     potential makes every old arc's reduced cost non-negative, so a
@@ -36,9 +36,13 @@ import (
 //     causal future, not back through history. Popping the new arc's tail
 //     proves a lexicographically negative cycle through the arc.
 //   - On infeasibility the engine falls back once to the exact batch
-//     Yen-sweep Bellman–Ford prober to extract the violating relevant
-//     cycle (Theorem 7 witness), then latches: the graph only grows, and
-//     inadmissibility is monotone under growth.
+//     Yen-sweep Bellman–Ford, run on its own constraint store, to extract
+//     the violating relevant cycle (Theorem 7 witness), then latches: the
+//     graph only grows, and inadmissibility is monotone under growth.
+//
+// The store always holds every arc of Graph() in the batch prober's order
+// (the fallback stores a failed batch's remaining arcs first), so a
+// watched run's end-of-run ratio search solves it in place.
 //
 // Arc insertions follow event order, so the first infeasible insertion
 // identifies the exact minimal trace prefix whose execution graph is
@@ -49,21 +53,19 @@ type Incremental struct {
 	bld  *causality.Builder
 	a, b int64
 
-	// The reversed constraint digraph, append-only and pointer-free: arc i
-	// runs to arcTo[i] with m = weight[arcW[i]] (every arc's k is −1), and
-	// head[x], arcNext[i] chain each node's out-arcs newest first (−1 ends
-	// a chain). dist is the feasible potential −x (nodes without arcs sit
-	// at (0, 0)).
-	head    []int32
-	arcTo   []int32
-	arcNext []int32
-	arcW    []uint8
-	weight  [3]int64
-	dist    []graphutil.Pair
+	// The append-only constraint store; first[x], next[i] chain the arcs
+	// whose head is x newest first (−1 ends a chain), x's out-arcs in the
+	// potential's reversed orientation. dist is the feasible potential −x
+	// (nodes without arcs sit at (0, 0)).
+	arcs   store
+	first  []int32
+	next   []int32
+	weight [3]int64
+	dist   []Pair
 
 	// Dijkstra repair scratch, generation-stamped so per-repair resets are
 	// O(affected), not O(V), and grown only once a repair starts.
-	cand    []graphutil.Pair
+	cand    []Pair
 	candGen []uint32
 	doneGen []uint32
 	gen     uint32
@@ -75,13 +77,6 @@ type Incremental struct {
 	failedAt   int
 }
 
-// Arc weight codes, indexing Incremental.weight.
-const (
-	wLocal uint8 = iota // 0: t(v) − t(u) > 0
-	wUpper              // +a: message upper bound
-	wLower              // −b: message lower bound
-)
-
 // RepairStats counts an Incremental's constraint work since creation.
 type RepairStats struct {
 	Inserted  int64 // constraint arcs inserted
@@ -91,7 +86,7 @@ type RepairStats struct {
 }
 
 type repairItem struct {
-	key  graphutil.Pair // γ = candidate − dist, lexicographically negative
+	key  Pair // γ = candidate − dist, lexicographically negative
 	node int32
 }
 
@@ -108,7 +103,7 @@ func NewIncremental(t *sim.Trace, xi rat.Rat, opts causality.Options) (*Incremen
 	if err != nil {
 		return nil, err
 	}
-	return &Incremental{bld: bld, a: a, b: b, weight: [3]int64{0, a, -b}, failedAt: -1}, nil
+	return &Incremental{bld: bld, a: a, b: b, weight: weights(a, b), failedAt: -1}, nil
 }
 
 // Step consumes the trace events appended since the last call and returns
@@ -131,8 +126,8 @@ func (inc *Incremental) Step() (Verdict, error) {
 	}
 
 	for int64(len(inc.dist)) < v {
-		inc.dist = append(inc.dist, graphutil.Pair{})
-		inc.head = append(inc.head, -1)
+		inc.dist = append(inc.dist, Pair{})
+		inc.first = append(inc.first, -1)
 	}
 
 	// New edges arrive grouped by their head — every edge's To is that
@@ -156,22 +151,25 @@ func (inc *Incremental) Step() (Verdict, error) {
 		}
 		for ; i < j; i++ {
 			e := edges[i]
+			u, v := int32(e.From), int32(e.To)
 			feasible := true
 			switch e.Kind {
 			case causality.Message:
-				// 1 < t(v) − t(u) < a/b: upper arc v→u with m=+a, lower
-				// arc u→v with m=−b.
-				feasible = inc.insert(int32(e.To), int32(e.From), wUpper) &&
-					inc.insert(int32(e.From), int32(e.To), wLower)
+				// Upper arc u→v, then lower arc v→u (see store.addEdge);
+				// a failed upper arc still stores its lower arc.
+				if feasible = inc.insert(u, v, wUpper); feasible {
+					feasible = inc.insert(v, u, wLower)
+				} else {
+					inc.arcs.add(v, u, wLower)
+				}
 			case causality.Local:
-				// t(v) − t(u) > 0: arc u→v with m=0.
-				feasible = inc.insert(int32(e.From), int32(e.To), wLocal)
+				feasible = inc.insert(v, u, wLocal)
 			default:
 				return Verdict{}, fmt.Errorf("check: unknown edge kind %v", e.Kind)
 			}
 			if !feasible {
 				inc.failedAt = int(e.To)
-				return inc.fallback(g)
+				return inc.fallback(g, edges[i+1:])
 			}
 		}
 	}
@@ -179,42 +177,43 @@ func (inc *Incremental) Step() (Verdict, error) {
 	return inc.verdict, nil
 }
 
-// insert links the constraint arc tail→to with weight code w and repairs
-// the potential. It reports false when the arc closes a lexicographically
-// negative cycle (the system became infeasible).
-func (inc *Incremental) insert(tail, to int32, w uint8) bool {
-	inc.arcTo = append(inc.arcTo, to)
-	inc.arcNext = append(inc.arcNext, inc.head[tail])
-	inc.arcW = append(inc.arcW, w)
-	inc.head[tail] = int32(len(inc.arcTo) - 1)
+// insert stores the arc tail→head, p(tail) <= p(head) + (w, −1) in the
+// potential, links it into head's chain and repairs the potential. It
+// reports false when the arc closes a lexicographically negative cycle
+// (the system became infeasible).
+func (inc *Incremental) insert(tail, head int32, w uint8) bool {
+	i := inc.arcs.add(tail, head, w)
+	inc.next = append(inc.next, inc.first[head])
+	inc.first[head] = i
 	inc.stats.Inserted++
-	nd := inc.dist[tail].Arc(inc.weight[w])
-	if !nd.Less(inc.dist[to]) {
+	nd := inc.dist[head].Arc(inc.weight[w])
+	if !nd.Less(inc.dist[tail]) {
 		return true // potential already satisfies the new arc
 	}
 	inc.stats.Repairs++
 	for len(inc.cand) < len(inc.dist) {
-		inc.cand = append(inc.cand, graphutil.Pair{})
+		inc.cand = append(inc.cand, Pair{})
 		inc.candGen = append(inc.candGen, 0)
 		inc.doneGen = append(inc.doneGen, 0)
 	}
-	return inc.repair(tail, to, nd)
+	return inc.repair(head, tail, nd)
 }
 
-// repair restores d(x) <= d(u) + w(u, x) for all arcs after inserting
-// tail→head with candidate head value nd < d(head). It is a Dijkstra over
-// reduced costs: for old arcs (x, y), w + d(x) − d(y) >= 0, so the
-// improvement γ(y) = cand(y) − d(y) is non-decreasing along propagation
-// paths and nodes finalize in γ order, each at most once. Reaching the
-// inserted arc's tail with an improvement means the new arc would relax
-// again — a negative cycle through it — and repair reports false.
-func (inc *Incremental) repair(tail, head int32, nd graphutil.Pair) bool {
+// repair restores d(y) <= d(x) + w for every stored arc y→x (x's chain)
+// after inserting the arc to→from, whose bound lowers to's candidate to
+// nd < d(to). It is a Dijkstra over reduced costs: for old arcs,
+// w + d(x) − d(y) >= 0, so the improvement γ(y) = cand(y) − d(y) is
+// non-decreasing along propagation paths and nodes finalize in γ order,
+// each at most once. Reaching from with an improvement means the new arc
+// would relax again — a negative cycle through it — and repair reports
+// false.
+func (inc *Incremental) repair(from, to int32, nd Pair) bool {
 	inc.gen++
 	gen := inc.gen
-	inc.cand[head] = nd
-	inc.candGen[head] = gen
+	inc.cand[to] = nd
+	inc.candGen[to] = gen
 	inc.heap = inc.heap[:0]
-	inc.push(repairItem{key: nd.Sub(inc.dist[head]), node: head})
+	inc.push(repairItem{key: nd.Sub(inc.dist[to]), node: to})
 
 	for len(inc.heap) > 0 {
 		it := inc.pop()
@@ -228,20 +227,20 @@ func (inc *Incremental) repair(tail, head int32, nd graphutil.Pair) bool {
 		if it.key != inc.cand[x].Sub(inc.dist[x]) {
 			continue
 		}
-		if x == tail {
+		if x == from {
 			return false // the new arc relaxes again: negative cycle
 		}
 		inc.doneGen[x] = gen
 		inc.dist[x] = inc.cand[x]
 		dx := inc.dist[x]
 		inc.stats.Finalized++
-		for i := inc.head[x]; i >= 0; i = inc.arcNext[i] {
+		for i := inc.first[x]; i >= 0; i = inc.next[i] {
 			inc.stats.Scanned++
-			y := inc.arcTo[i]
+			y := inc.arcs.tail[i]
 			if inc.doneGen[y] == gen {
 				continue
 			}
-			c := dx.Arc(inc.weight[inc.arcW[i]])
+			c := dx.Arc(inc.weight[inc.arcs.code[i]])
 			if !c.Less(inc.dist[y]) {
 				continue
 			}
@@ -256,14 +255,17 @@ func (inc *Incremental) repair(tail, head int32, nd graphutil.Pair) bool {
 	return true
 }
 
-// fallback extracts the witness cycle with the exact batch prober once the
-// incremental potential proves infeasibility, and latches the verdict.
-func (inc *Incremental) fallback(g *causality.Graph) (Verdict, error) {
-	p, err := newProber(g)
-	if err != nil {
-		return Verdict{}, err
+// fallback extracts the witness cycle once the incremental potential
+// proves infeasibility, and latches the verdict. It first stores the
+// batch's remaining arcs without repair, so the store is the full
+// constraint system of g, then solves it with the batch prober.
+func (inc *Incremental) fallback(g *causality.Graph, rest []causality.Edge) (Verdict, error) {
+	for _, e := range rest {
+		if err := inc.arcs.addEdge(e); err != nil {
+			return Verdict{}, err
+		}
 	}
-	v, err := p.verdict(inc.a, inc.b)
+	v, err := (&Prober{g: g, s: &inc.arcs}).verdict(inc.a, inc.b)
 	if err != nil {
 		return Verdict{}, err
 	}

@@ -349,6 +349,28 @@ func TestWatcherAbortsRun(t *testing.T) {
 	}
 }
 
+// TestWatcherEmptyRun pins what a watcher reports when Monitor never ran
+// (a run without events): an admissible verdict without certificates, no
+// violation, no graph and no constraining ratio.
+func TestWatcherEmptyRun(t *testing.T) {
+	w, err := NewWatcher(rat.FromInt(2), causality.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := w.Verdict(); !v.Admissible || v.Witness != nil || v.Assignment != nil {
+		t.Errorf("empty-run verdict = %+v, want Verdict{Admissible: true}", v)
+	}
+	if got := w.FirstViolation(); got != -1 {
+		t.Errorf("FirstViolation = %d, want -1", got)
+	}
+	if w.Graph() != nil {
+		t.Error("Graph is non-nil without a run")
+	}
+	if ratio, found, err := w.MaxRelevantRatio(); err != nil || found || ratio.Sign() != 0 {
+		t.Errorf("MaxRelevantRatio = %v, %v, %v; want 0, false, nil", ratio, found, err)
+	}
+}
+
 // TestWatcherReuseRejected pins the one-run-per-watcher contract.
 func TestWatcherReuseRejected(t *testing.T) {
 	w, err := NewWatcher(rat.FromInt(2), causality.Options{})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/causality"
-	"repro/internal/graphutil"
 	"repro/internal/rat"
 )
 
@@ -23,12 +22,12 @@ func Constrained(g *causality.Graph) (bool, error) {
 	if k < 2 {
 		return false, nil // a relevant cycle needs |Z+| >= 1 and |Z−| >= 1
 	}
-	p, err := newProber(g)
+	p, err := NewProber(g)
 	if err != nil {
 		return false, err
 	}
 	res, err := p.probe(k, k-1)
-	return err == nil && !res.Feasible, err
+	return err == nil && !res.feasible, err
 }
 
 // MaxRelevantRatio computes the exact critical ratio of the execution
@@ -42,7 +41,7 @@ func Constrained(g *causality.Graph) (bool, error) {
 // fraction whose numerator and denominator are at most the message count
 // K. A Bellman–Ford probe at Ξ is violated exactly when some relevant
 // ratio is >= Ξ, and then its negative cycle is a relevant cycle whose
-// label counts give such a ratio r (the witness ratio). The search is
+// arc counts give such a ratio r (the witness ratio). The search is
 // Dinkelbach's iteration for ratio problems made exact by Farey
 // neighbours: probe K/(K−1), the smallest candidate above 1; while the
 // probe is violated, take its witness ratio r and probe the smallest
@@ -58,21 +57,30 @@ func Constrained(g *causality.Graph) (bool, error) {
 // the search's only size limit. Past it the probe, and with it the search,
 // fails with "graph too large for exact int64 arithmetic".
 func MaxRelevantRatio(g *causality.Graph) (ratio rat.Rat, found bool, err error) {
-	k := int64(g.MessageCount())
-	if k < 2 {
+	if g.MessageCount() < 2 {
 		return rat.Zero, false, nil // a relevant cycle needs |Z+| >= 1 and |Z−| >= 1
 	}
-	// One prober serves every Bellman–Ford probe of the search: the
-	// constraint topology is fixed, only weights change per candidate.
-	p, err := newProber(g)
+	p, err := NewProber(g)
 	if err != nil {
 		return rat.Zero, false, err
 	}
+	return p.MaxRelevantRatio()
+}
+
+// MaxRelevantRatio runs the critical-ratio search of the package-level
+// MaxRelevantRatio on the prober's store: every probe re-solves the same
+// arcs, plan and scratch under a new weight vector, so a verdict and a
+// search of one graph build its constraints once.
+func (p *Prober) MaxRelevantRatio() (ratio rat.Rat, found bool, err error) {
+	k := int64(p.g.MessageCount())
+	if k < 2 {
+		return rat.Zero, false, nil // a relevant cycle needs |Z+| >= 1 and |Z−| >= 1
+	}
 	res, err := p.probe(k, k-1)
-	if err != nil || res.Feasible {
+	if err != nil || res.feasible {
 		return rat.Zero, false, err
 	}
-	n, d := witnessRatio(res.NegativeCycle)
+	n, d := p.s.witnessRatio(res.cycle)
 	for {
 		sn, sd, ok := nextAbove(n, d, k)
 		if !ok {
@@ -81,10 +89,10 @@ func MaxRelevantRatio(g *causality.Graph) (ratio rat.Rat, found bool, err error)
 		if res, err = p.probe(sn, sd); err != nil {
 			return rat.Zero, false, err
 		}
-		if res.Feasible {
+		if res.feasible {
 			break
 		}
-		wn, wd := witnessRatio(res.NegativeCycle)
+		wn, wd := p.s.witnessRatio(res.cycle)
 		if wn*d <= n*wd { // both sides <= K², see nextAbove
 			return rat.Zero, false, fmt.Errorf(
 				"check: internal error: witness ratio %d/%d at Ξ=%d/%d does not exceed %d/%d", wn, wd, sn, sd, n, d)
@@ -98,12 +106,12 @@ func MaxRelevantRatio(g *causality.Graph) (ratio rat.Rat, found bool, err error)
 // behind a negative constraint cycle: its lower-bound arcs are Z−, its
 // upper-bound arcs Z+. Both counts are at most K, and |Z+| >= 1 because
 // lower-bound and local arcs alone run backward through a DAG.
-func witnessRatio(neg []graphutil.Edge) (num, den int64) {
-	for _, ce := range neg {
-		switch ce.Label % 3 {
-		case labelLower:
+func (s *store) witnessRatio(neg []int32) (num, den int64) {
+	for _, a := range neg {
+		switch s.code[a] {
+		case wLower:
 			num++
-		case labelUpper:
+		case wUpper:
 			den++
 		}
 	}

@@ -58,7 +58,8 @@ func (w *Watcher) Monitor(t *sim.Trace) error {
 
 // Verdict returns the final verdict: the witness-carrying inadmissible
 // verdict if the run was aborted, otherwise the admissible verdict.
-// It returns a zero Verdict when Monitor never ran (an empty run).
+// An empty run, where Monitor never ran, is admissible: the verdict is
+// Verdict{Admissible: true}, without assignment or witness.
 func (w *Watcher) Verdict() Verdict {
 	if w.inc == nil {
 		return Verdict{Admissible: true}
@@ -74,6 +75,17 @@ func (w *Watcher) FirstViolation() int {
 		return -1
 	}
 	return w.inc.FailedAt()
+}
+
+// MaxRelevantRatio runs the critical-ratio search over the execution graph
+// built during the run on the watcher's own constraint store, so it needs
+// no second copy of the constraints; the result equals
+// MaxRelevantRatio(w.Graph()). An empty run has no relevant cycle.
+func (w *Watcher) MaxRelevantRatio() (ratio rat.Rat, found bool, err error) {
+	if w.inc == nil {
+		return rat.Zero, false, nil
+	}
+	return (&Prober{g: w.inc.Graph(), s: &w.inc.arcs}).MaxRelevantRatio()
 }
 
 // Graph returns the execution graph built during the run, or nil when

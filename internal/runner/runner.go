@@ -293,6 +293,10 @@ func execute(engine *sim.Engine, index int, job Job) JobResult {
 		return res
 	}
 
+	// One constraint store per analysed graph: a watched job's ratio
+	// search solves the watcher's own; a batch job's verdict and search
+	// share one prober.
+	var search func() (rat.Rat, bool, error)
 	if watcher != nil {
 		v := watcher.Verdict()
 		res.Verdict = &v
@@ -301,6 +305,7 @@ func execute(engine *sim.Engine, index int, job Job) JobResult {
 		if res.Graph == nil { // empty run: no event ever fired
 			res.Graph = causality.Build(res.Trace, causality.Options{})
 		}
+		search = watcher.MaxRelevantRatio
 	} else if job.Xi.Sign() > 0 || job.Ratio {
 		if !res.Trace.Complete() {
 			res.Err = fmt.Errorf("runner: job %d (%s): batch admissibility/ratio analysis needs a complete trace, got %v retention (use Watch for incremental checking, or full retention)",
@@ -308,17 +313,23 @@ func execute(engine *sim.Engine, index int, job Job) JobResult {
 			return res
 		}
 		res.Graph = causality.Build(res.Trace, causality.Options{})
-	}
-	if job.Xi.Sign() > 0 && watcher == nil {
-		v, err := check.ABC(res.Graph, job.Xi)
+		prober, err := check.NewProber(res.Graph)
 		if err != nil {
 			res.Err = fmt.Errorf("runner: job %d (%s): ABC check: %w", index, job.Key, err)
 			return res
 		}
-		res.Verdict = &v
+		if job.Xi.Sign() > 0 {
+			v, err := prober.ABC(job.Xi)
+			if err != nil {
+				res.Err = fmt.Errorf("runner: job %d (%s): ABC check: %w", index, job.Key, err)
+				return res
+			}
+			res.Verdict = &v
+		}
+		search = prober.MaxRelevantRatio
 	}
 	if job.Ratio {
-		ratio, found, err := check.MaxRelevantRatio(res.Graph)
+		ratio, found, err := search()
 		if err != nil {
 			res.Err = fmt.Errorf("runner: job %d (%s): ratio search: %w", index, job.Key, err)
 			return res

@@ -89,14 +89,18 @@ func (l *XiLearner) Bumps() int { return l.bumps }
 // contradicted, it raises Ξ̂ above the worst observed relevant ratio and
 // reports true.
 func (l *XiLearner) Observe(g *causality.Graph) (raised bool, err error) {
-	v, err := check.ABC(g, l.est)
+	p, err := check.NewProber(g)
+	if err != nil {
+		return false, err
+	}
+	v, err := p.ABC(l.est)
 	if err != nil {
 		return false, err
 	}
 	if v.Admissible {
 		return false, nil
 	}
-	worst, found, err := check.MaxRelevantRatio(g)
+	worst, found, err := p.MaxRelevantRatio()
 	if err != nil {
 		return false, err
 	}

@@ -156,12 +156,15 @@ func RunClockGeneration(c *Chip, xi rat.Rat, f, targetTick int, faults map[sim.P
 	if res.Truncated {
 		return ClockGenReport{}, fmt.Errorf("vlsi: clock generation truncated before tick %d", targetTick)
 	}
-	g := causality.Build(res.Trace, causality.Options{})
-	v, err := check.ABC(g, xi)
+	p, err := check.NewProber(causality.Build(res.Trace, causality.Options{}))
 	if err != nil {
 		return ClockGenReport{}, err
 	}
-	ratio, found, err := check.MaxRelevantRatio(g)
+	v, err := p.ABC(xi)
+	if err != nil {
+		return ClockGenReport{}, err
+	}
+	ratio, found, err := p.MaxRelevantRatio()
 	if err != nil {
 		return ClockGenReport{}, err
 	}
