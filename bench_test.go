@@ -471,32 +471,42 @@ func BenchmarkSimulator(b *testing.B) {
 }
 
 // BenchmarkClockSyncScale measures Algorithm 1 runs across system sizes
-// (message complexity grows with n²·ticks; see EXPERIMENTS.md).
+// and run lengths (message complexity grows with n²·ticks; see
+// EXPERIMENTS.md). A process keeps sender sets only for ticks at or above
+// its clock, so ns/event stays flat from target=10 to target=1000; a
+// per-step rescan of every tick ever received made it grow with the
+// target.
 func BenchmarkClockSyncScale(b *testing.B) {
-	for _, n := range []int{4, 7, 10, 13} {
-		f := (n - 1) / 3
-		b.Run(fmt.Sprintf("n=%d/f=%d", n, f), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(sim.Config{
-					N:         n,
-					Spawn:     clocksync.Spawner(n, f),
-					Delays:    sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
-					Seed:      int64(i),
-					Until:     clocksync.AllReached(10, nil),
-					MaxEvents: 500000,
-				})
-				if err != nil {
-					b.Fatal(err)
+	for _, target := range []int{10, 1000} {
+		for _, n := range []int{4, 7, 10, 13} {
+			f := (n - 1) / 3
+			b.Run(fmt.Sprintf("target=%d/n=%d/f=%d", target, n, f), func(b *testing.B) {
+				events := 0
+				for i := 0; i < b.N; i++ {
+					res, err := sim.Run(sim.Config{
+						N:         n,
+						Spawn:     clocksync.Spawner(n, f),
+						Delays:    sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
+						Seed:      int64(i),
+						Until:     clocksync.AllReached(target, nil),
+						MaxEvents: 500000,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Truncated {
+						b.Fatal("truncated")
+					}
+					events += res.Trace.TotalEvents()
 				}
-				if res.Truncated {
-					b.Fatal("truncated")
-				}
-			}
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			})
+		}
 	}
 }
 
-// BenchmarkGraphBuild measures execution-graph construction.
+// BenchmarkGraphBuild measures execution-graph construction. Build sizes
+// every array from a counting pass, so allocs/op is a constant.
 func BenchmarkGraphBuild(b *testing.B) {
 	res, err := sim.Run(sim.Config{
 		N: 6,

@@ -229,3 +229,50 @@ func TestBuilderValidation(t *testing.T) {
 		t.Error("NewBuilder accepted short Faulty")
 	}
 }
+
+// TestBuildAllocsConstant checks that Build sizes its graph from a
+// counting pass: the allocation count is the same constant at 10^3 and
+// 10^4 events (a slice grown by append would add about log2(growth)
+// allocations per tenfold), and it asks DropMessage at most once per
+// message.
+func TestBuildAllocsConstant(t *testing.T) {
+	var allocs []float64
+	for _, events := range []int{1000, 10000} {
+		res, err := sim.Run(sim.Config{
+			N: 6,
+			Spawn: func(p sim.ProcessID) sim.Process {
+				return sim.ProcessFunc(func(env *sim.Env, msg sim.Message) { env.Broadcast(nil) })
+			},
+			Faults:    map[sim.ProcessID]sim.Fault{5: {CrashAfter: 3}},
+			Delays:    sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
+			Seed:      1,
+			MaxEvents: events,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := res.Trace
+		if len(tr.Events) != events {
+			t.Fatalf("run recorded %d events, want %d", len(tr.Events), events)
+		}
+		asked := make(map[sim.MsgID]int)
+		opts := Options{DropMessage: func(m sim.Message) bool {
+			asked[m.ID]++
+			return m.To == 2 && m.From == 3
+		}}
+		g := Build(tr, opts)
+		for id, c := range asked {
+			if c > 1 {
+				t.Fatalf("%d events: DropMessage asked %d times about message %d", events, c, id)
+			}
+		}
+		if g.NumNodes() != events || g.MessageCount() == 0 {
+			t.Fatalf("%d events: graph has %d nodes, %d messages", events, g.NumNodes(), g.MessageCount())
+		}
+		opts.DropMessage = func(m sim.Message) bool { return m.To == 2 && m.From == 3 }
+		allocs = append(allocs, testing.AllocsPerRun(20, func() { Build(tr, opts) }))
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("Build allocates %v times at 10^3 events, %v at 10^4: something grows with the trace", allocs[0], allocs[1])
+	}
+}

@@ -132,26 +132,48 @@ func dropped(t *sim.Trace, opts Options, m sim.Message) bool {
 	return opts.DropMessage != nil && opts.DropMessage(m)
 }
 
-// Build constructs the execution graph of a trace.
+// Build constructs the execution graph of a trace. A counting pass sizes
+// every array exactly, so the graph costs a constant number of
+// allocations whatever the trace length.
 func Build(t *sim.Trace, opts Options) *Graph {
+	// Counting pass: each process's event count, which fixes the node
+	// lists' layout in one backing array.
+	start := make([]int, t.N+1)
+	for _, ev := range t.Events {
+		start[ev.Proc+1]++
+	}
+	for p := 0; p < t.N; p++ {
+		start[p+1] += start[p]
+	}
+	backing := make([]NodeID, len(t.Events))
 	g := &Graph{
 		trace:     t,
+		nodes:     make([]Node, len(t.Events)),
 		procNodes: make([][]NodeID, t.N),
+	}
+	locals := 0
+	for p := 0; p < t.N; p++ {
+		g.procNodes[p] = backing[start[p]:start[p]:start[p+1]]
+		if c := start[p+1] - start[p]; c > 1 {
+			locals += c - 1
+		}
 	}
 
 	// Pass 1: create a node for every receive event. Events triggered by
 	// dropped messages stay as nodes (see the package comment) but will
 	// get no incoming message edge.
+	wakeups := 0
 	for pos, ev := range t.Events {
-		m := t.Msgs[ev.Trigger]
-		g.nodes = append(g.nodes, Node{
-			Proc:   ev.Proc,
-			Index:  ev.Index,
-			Time:   ev.Time,
-			Wakeup: m.IsWakeup(),
-		})
+		wakeup := t.Msgs[ev.Trigger].IsWakeup()
+		if wakeup {
+			wakeups++
+		}
+		g.nodes[pos] = Node{Proc: ev.Proc, Index: ev.Index, Time: ev.Time, Wakeup: wakeup}
 		g.procNodes[ev.Proc] = append(g.procNodes[ev.Proc], NodeID(pos))
 	}
+
+	// Every non-wake-up event can carry at most one message edge.
+	g.edges = make([]Edge, 0, locals+len(t.Events)-wakeups)
 
 	// Pass 2: local edges between consecutive kept events of each process.
 	for p := 0; p < t.N; p++ {
@@ -187,28 +209,29 @@ func (g *Graph) ensureCSR() {
 	if g.csrNodes == len(g.nodes) && g.csrEdges == len(g.edges) {
 		return
 	}
+	// Each offset array has one spare slot: degrees are counted at v+2
+	// and prefix-summed, so off[v+1] starts as v's first slot and serves
+	// as its fill cursor, ending as v's end — the CSR offset of v+1.
 	n := len(g.nodes)
-	outOff := make([]int32, n+1)
-	inOff := make([]int32, n+1)
+	outOff := make([]int32, n+2)
+	inOff := make([]int32, n+2)
 	for _, e := range g.edges {
-		outOff[e.From+1]++
-		inOff[e.To+1]++
+		outOff[e.From+2]++
+		inOff[e.To+2]++
 	}
-	for i := 0; i < n; i++ {
-		outOff[i+1] += outOff[i]
-		inOff[i+1] += inOff[i]
+	for i := 2; i < n+2; i++ {
+		outOff[i] += outOff[i-1]
+		inOff[i] += inOff[i-1]
 	}
 	outIDs := make([]EdgeID, len(g.edges))
 	inIDs := make([]EdgeID, len(g.edges))
-	fillO := make([]int32, n)
-	fillI := make([]int32, n)
 	for i, e := range g.edges {
-		outIDs[outOff[e.From]+fillO[e.From]] = EdgeID(i)
-		fillO[e.From]++
-		inIDs[inOff[e.To]+fillI[e.To]] = EdgeID(i)
-		fillI[e.To]++
+		outIDs[outOff[e.From+1]] = EdgeID(i)
+		outOff[e.From+1]++
+		inIDs[inOff[e.To+1]] = EdgeID(i)
+		inOff[e.To+1]++
 	}
-	g.outOff, g.inOff, g.outIDs, g.inIDs = outOff, inOff, outIDs, inIDs
+	g.outOff, g.inOff, g.outIDs, g.inIDs = outOff[:n+1], inOff[:n+1], outIDs, inIDs
 	g.csrNodes, g.csrEdges = n, len(g.edges)
 }
 

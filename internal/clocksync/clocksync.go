@@ -8,6 +8,12 @@
 // l (at least one sender is correct); receiving n−f distinct (tick k)
 // messages lets it advance to k+1. Each (tick j) is broadcast at most once.
 //
+// A process's state is bounded by the ticks it can still act on: it keeps
+// a sender set only for tick values at or above its clock, drops a set as
+// soon as the clock passes it, and never rescans them — the catch-up rule
+// reads one running maximum (Proc.ready), so each reception costs O(1)
+// amortized however long the run.
+//
 // The theorems of Section 3 are implemented as trace monitors in
 // monitor.go: progress (Theorem 1), the causal-cone property (Lemma 4),
 // synchrony on consistent cuts (Theorem 2), real-time precision
@@ -51,12 +57,24 @@ type Note struct {
 
 // Proc is one Algorithm 1 process. Create with New; it implements
 // sim.Process.
+//
+// Its reception state is bounded: recv holds a sender set only for tick
+// values l >= k, and a set is deleted once k passes its
+// tick, because neither rule ever reads a tick below k again — catch-up
+// looks at l > k, advance at l = k, and k never decreases. ready is the
+// highest tick any set has seen from f+1 distinct senders. Sender sets
+// only grow, so the catch-up rule "some l > k has f+1 senders, take the
+// largest" holds exactly when ready > k, with l = ready.
 type Proc struct {
 	n, f int
 	k    int
 	sent int // highest tick broadcast so far ([once] guard); -1 before wake-up
-	// recv[l] is the set of distinct senders of (tick l) seen so far.
-	recv map[int]map[sim.ProcessID]bool
+	// recv[l] is the set of distinct senders of (tick l) seen so far, kept
+	// only while l >= k.
+	recv map[int]*senderSet
+	// ready is the highest tick received from f+1 distinct senders; -1
+	// before any. It never decreases.
+	ready int
 	// attach, when non-nil, is invoked right before broadcasting tick j to
 	// obtain piggybacked round data (used by internal/lockstep).
 	attach func(env *sim.Env, j int) *RoundData
@@ -69,6 +87,27 @@ type Proc struct {
 	onReceive func(from sim.ProcessID, rd *RoundData)
 }
 
+// senderSet is the set of distinct senders of one tick value: a bitset
+// over process IDs plus its population count.
+type senderSet struct {
+	bits  []uint64
+	count int
+}
+
+// add inserts q and reports whether it was new.
+func (s *senderSet) add(q sim.ProcessID) bool {
+	w, bit := int(q)>>6, uint64(1)<<(uint(q)&63)
+	for w >= len(s.bits) {
+		s.bits = append(s.bits, 0)
+	}
+	if s.bits[w]&bit != 0 {
+		return false
+	}
+	s.bits[w] |= bit
+	s.count++
+	return true
+}
+
 // New returns an Algorithm 1 process for an n-process system tolerating f
 // Byzantine faults. It panics unless n >= 3f+1 and f >= 0 — a misconfigured
 // resilience bound is a programming error, not a runtime condition.
@@ -77,11 +116,12 @@ func New(n, f int) *Proc {
 		panic(fmt.Sprintf("clocksync: need n >= 3f+1, got n=%d f=%d", n, f))
 	}
 	return &Proc{
-		n:    n,
-		f:    f,
-		k:    0,
-		sent: -1,
-		recv: make(map[int]map[sim.ProcessID]bool),
+		n:     n,
+		f:     f,
+		k:     0,
+		sent:  -1,
+		recv:  make(map[int]*senderSet),
+		ready: -1,
 	}
 }
 
@@ -114,6 +154,11 @@ func (p *Proc) SetEquivocatingPiggyback(
 
 // Step implements sim.Process.
 func (p *Proc) Step(env *sim.Env, msg sim.Message) {
+	env.SetNote(p.step(env, msg))
+}
+
+// step runs one computing step and returns the step's Note.
+func (p *Proc) step(env *sim.Env, msg sim.Message) Note {
 	advanced := false
 	broadcast := false
 
@@ -148,12 +193,9 @@ func (p *Proc) Step(env *sim.Env, msg sim.Message) {
 		if p.onReceive != nil && m.Round != nil {
 			p.onReceive(msg.From, m.Round)
 		}
-		senders := p.recv[m.K]
-		if senders == nil {
-			senders = make(map[sim.ProcessID]bool)
-			p.recv[m.K] = senders
+		if m.K >= p.k {
+			p.record(m.K, msg.From)
 		}
-		senders[msg.From] = true
 	}
 
 	// Apply catch-up and advance rules to fixpoint. Multiple rules can be
@@ -162,27 +204,23 @@ func (p *Proc) Step(env *sim.Env, msg sim.Message) {
 		progressed := false
 
 		// Catch-up rule (line 3): received (tick l) from f+1 distinct
-		// processes with l > k. Apply with the largest such l.
-		best := p.k
-		for l, senders := range p.recv {
-			if l > best && len(senders) >= p.f+1 {
-				best = l
-			}
-		}
-		if best > p.k {
+		// processes with l > k. Apply with the largest such l, which is
+		// ready whenever ready > k (see Proc).
+		if p.ready > p.k {
+			best := p.ready
 			for j := p.k + 1; j <= best; j++ {
 				send(j)
 			}
-			p.k = best
+			p.setClock(best)
 			advanced = true
 			progressed = true
 		}
 
 		// Advance rule (line 6): received (tick k) from n−f distinct
 		// processes.
-		if len(p.recv[p.k]) >= p.n-p.f {
+		if s := p.recv[p.k]; s != nil && s.count >= p.n-p.f {
 			send(p.k + 1)
-			p.k++
+			p.setClock(p.k + 1)
 			advanced = true
 			progressed = true
 		}
@@ -192,7 +230,30 @@ func (p *Proc) Step(env *sim.Env, msg sim.Message) {
 		}
 	}
 
-	env.SetNote(Note{Clock: p.k, Advanced: advanced, Broadcast: broadcast})
+	return Note{Clock: p.k, Advanced: advanced, Broadcast: broadcast}
+}
+
+// record adds sender q to the set of (tick l), l >= k, and raises ready
+// to l when the set reaches f+1 senders.
+func (p *Proc) record(l int, q sim.ProcessID) {
+	s := p.recv[l]
+	if s == nil {
+		s = &senderSet{bits: make([]uint64, (p.n+63)>>6)}
+		p.recv[l] = s
+	}
+	if s.add(q) && s.count == p.f+1 {
+		p.ready = l // l >= k >= ready: every step ends with ready <= k
+	}
+}
+
+// setClock raises k to k2, deleting the sender sets of the ticks it
+// passes. The loop is as long as the catch-up's send loop, so it adds no
+// asymptotic cost.
+func (p *Proc) setClock(k2 int) {
+	for l := p.k; l < k2; l++ {
+		delete(p.recv, l)
+	}
+	p.k = k2
 }
 
 // Spawner returns a sim.Config Spawn function creating Algorithm 1
