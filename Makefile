@@ -2,14 +2,15 @@ GO ?= go
 
 # Headline benchmarks guarded per-PR: the exact-arithmetic substrate and
 # its heaviest consumers — the admissibility checker, the critical-ratio
-# search, the incremental checker and the Theorem 2 cut check — plus
+# search, the incremental checker, the Theorem 2 cut check and the
+# Theorem 4 bounded-progress check on a long clocksync graph — plus
 # Algorithm 1 at two run lengths (flat ns/event) and execution-graph
 # construction (constant allocs/op). Keep in sync with
 # .github/workflows/ci.yml.
 # BenchmarkSimulator's N=100k sparse cases are excluded from the smoke
 # (seconds per iteration). These are regression gates only; the
 # performance ledger is bench/run.sh (BENCHMARK.json).
-BENCH_SMOKE = BenchmarkChecker|BenchmarkMaxRelevantRatio|BenchmarkIncrementalChecker|BenchmarkCutSynchrony|BenchmarkClockSyncScale|BenchmarkGraphBuild
+BENCH_SMOKE = BenchmarkChecker|BenchmarkMaxRelevantRatio|BenchmarkIncrementalChecker|BenchmarkCutSynchrony|BenchmarkBoundedProgress|BenchmarkClockSyncScale|BenchmarkGraphBuild
 BENCH_SIM_SMOKE = BenchmarkSimulator/.*/^n=(8|100|10000)$$
 # The N=10^6 ring is seconds per iteration, so bench-smoke runs it alone,
 # once, under a hard time budget.

@@ -11,28 +11,33 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	abc "repro"
-	"repro/internal/consensus"
-	"repro/internal/lockstep"
-	"repro/internal/sim"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	const n, f = 7, 2
 	model := abc.MustModel(abc.NewRat(2, 1))
 	inputs := []int{1, 0, 1, 0, 1, 0, 1}
 
 	faults := map[abc.ProcessID]abc.Fault{
 		6: abc.Silent(),
-		5: abc.ByzantineFault(consensus.NewTwoFaced(model, n, f,
-			consensus.SplitEIG(n, 5, 0, 1))),
+		5: abc.ByzantineFault(abc.NewTwoFaced(model, n, f,
+			abc.SplitEIG(n, 5, 0, 1))),
 	}
 
 	res, err := abc.Simulate(abc.Config{
 		N: n,
-		Spawn: abc.LockStepSpawner(model, n, f, func(p sim.ProcessID) lockstep.App {
+		Spawn: abc.LockStepSpawner(model, n, f, func(p abc.ProcessID) abc.App {
 			return abc.NewEIG(n, f, inputs[p])
 		}),
 		Faults:    faults,
@@ -42,16 +47,16 @@ func main() {
 		MaxEvents: 500000,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Theorem 5: no correct process started a round without the round
 	// messages of all correct peers.
 	if err := abc.CheckLockStep(res.Procs, faults); err != nil {
-		log.Fatalf("lock-step property violated: %v", err)
+		return fmt.Errorf("lock-step property violated: %w", err)
 	}
 
-	fmt.Println("process  input  decision")
+	fmt.Fprintln(out, "process  input  decision")
 	deciders := make([]abc.Decider, n)
 	init := make(map[abc.ProcessID]int)
 	for i, v := range inputs {
@@ -59,17 +64,18 @@ func main() {
 	}
 	for id := 0; id < n; id++ {
 		if _, bad := faults[abc.ProcessID(id)]; bad {
-			fmt.Printf("   p%d      %d    (faulty)\n", id, inputs[id])
+			fmt.Fprintf(out, "   p%d      %d    (faulty)\n", id, inputs[id])
 			continue
 		}
-		d := res.Procs[id].(*lockstep.Proc).App().(abc.Decider)
+		d := res.Procs[id].(*abc.LockStep).App().(abc.Decider)
 		deciders[id] = d
-		fmt.Printf("   p%d      %d      %d\n", id, inputs[id], d.Decision())
+		fmt.Fprintf(out, "   p%d      %d      %d\n", id, inputs[id], d.Decision())
 	}
 
 	spec := abc.ConsensusSpec{Initial: init, Faults: faults}
 	if err := spec.Check(deciders); err != nil {
-		log.Fatalf("consensus specification violated: %v", err)
+		return fmt.Errorf("consensus specification violated: %w", err)
 	}
-	fmt.Println("agreement, validity and termination verified")
+	fmt.Fprintln(out, "agreement, validity and termination verified")
+	return nil
 }

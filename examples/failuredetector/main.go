@@ -13,18 +13,18 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	abc "repro"
-	"repro/internal/detector"
-	"repro/internal/sim"
 )
 
-func runDetector(faults map[abc.ProcessID]abc.Fault, delays abc.DelayPolicy, seed int64) (*detector.Monitor, *abc.Trace) {
+func runDetector(faults map[abc.ProcessID]abc.Fault, delays abc.DelayPolicy, seed int64) (*abc.FailureMonitor, *abc.Trace, error) {
 	xi := abc.RatInt(2)
 	res, err := abc.Simulate(abc.Config{
 		N: 3,
-		Spawn: func(p sim.ProcessID) sim.Process {
+		Spawn: func(p abc.ProcessID) abc.Process {
 			if p == 0 {
 				return &abc.FailureMonitor{
 					Partner:  1,
@@ -40,30 +40,42 @@ func runDetector(faults map[abc.ProcessID]abc.Fault, delays abc.DelayPolicy, see
 		MaxEvents: 10000,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return nil, nil, err
 	}
-	return res.Procs[0].(*detector.Monitor), res.Trace
+	return res.Procs[0].(*abc.FailureMonitor), res.Trace, nil
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	xi := abc.RatInt(2)
 	normal := abc.UniformDelay{Min: abc.RatInt(1), Max: abc.NewRat(3, 2)}
 
 	// (a) Crashed target: completeness.
-	m, _ := runDetector(map[abc.ProcessID]abc.Fault{2: abc.Silent()}, normal, 1)
-	fmt.Printf("crashed target suspected: %v\n", m.Suspects(2))
+	m, _, err := runDetector(map[abc.ProcessID]abc.Fault{2: abc.Silent()}, normal, 1)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "crashed target suspected: %v\n", m.Suspects(2))
 
 	// (b) Correct target under admissible delays: accuracy.
-	m, tr := runDetector(nil, normal, 2)
+	m, tr, err := runDetector(nil, normal, 2)
+	if err != nil {
+		return err
+	}
 	g := abc.BuildGraph(tr)
 	v, err := abc.Check(g, xi)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("correct target suspected: %v (execution admissible: %v)\n",
+	fmt.Fprintf(out, "correct target suspected: %v (execution admissible: %v)\n",
 		m.Suspects(2), v.Admissible)
 	if m.Suspects(2) {
-		log.Fatal("accuracy violated in an admissible execution")
+		return fmt.Errorf("accuracy violated in an admissible execution")
 	}
 
 	// (c) Outside the model: the reply crawls while the chain races. The
@@ -72,21 +84,25 @@ func main() {
 	slowReply := abc.OverrideDelay{
 		Base: abc.ConstantDelay{D: abc.RatInt(1)},
 		Match: func(msg abc.Message) bool {
-			_, isReply := msg.Payload.(detector.Reply)
+			_, isReply := msg.Payload.(abc.DetectorReply)
 			return isReply
 		},
 		Override: abc.ConstantDelay{D: abc.RatInt(50)},
 	}
-	m, tr = runDetector(nil, slowReply, 3)
+	m, tr, err = runDetector(nil, slowReply, 3)
+	if err != nil {
+		return err
+	}
 	g = abc.BuildGraph(tr)
 	v, err = abc.Check(g, xi)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\noutside the model: suspected=%v, admissible=%v\n", m.Suspects(2), v.Admissible)
+	fmt.Fprintf(out, "\noutside the model: suspected=%v, admissible=%v\n", m.Suspects(2), v.Admissible)
 	if !v.Admissible {
-		fmt.Printf("violating relevant cycle (|Z−|/|Z+| = %v):\n  %v\n",
+		fmt.Fprintf(out, "violating relevant cycle (|Z−|/|Z+| = %v):\n  %v\n",
 			v.WitnessClass.Ratio(), *v.Witness)
 	}
-	fmt.Println("\nthe timeout is exactly as strong as the synchrony condition — Fig. 3 reproduced")
+	fmt.Fprintln(out, "\nthe timeout is exactly as strong as the synchrony condition — Fig. 3 reproduced")
+	return nil
 }

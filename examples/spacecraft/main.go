@@ -16,8 +16,6 @@ import (
 	"os"
 
 	abc "repro"
-	"repro/internal/fifo"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -41,7 +39,7 @@ func run(out io.Writer) error {
 	items := []any{"alpha", "beta", "gamma", "delta", "epsilon"}
 	res, err := abc.Simulate(abc.Config{
 		N: 3,
-		Spawn: func(p sim.ProcessID) sim.Process {
+		Spawn: func(p abc.ProcessID) abc.Process {
 			switch p {
 			case 0:
 				return &abc.FIFOSender{Receiver: 2, Helper: 1, Items: items, ChainLen: chain}
@@ -91,7 +89,7 @@ func run(out io.Writer) error {
 	}
 
 	// And FIFO order held without sequence numbers.
-	recv := res.Procs[2].(*fifo.Receiver)
+	recv := res.Procs[2].(*abc.FIFOReceiver)
 	fmt.Fprint(out, "received: ")
 	for _, it := range recv.Got {
 		fmt.Fprintf(out, "%v ", it.V)

@@ -93,7 +93,7 @@ type Graph struct {
 	edges []Edge
 	// msgCount is the number of Message edges, maintained at build time so
 	// MessageCount is O(1) (it is on the per-call path of every
-	// MaxRelevantRatio/Constrained invocation).
+	// MaxRelevantRatio invocation).
 	msgCount int
 	// CSR adjacency: outIDs[outOff[n]:outOff[n+1]] are the IDs of edges
 	// leaving n, inIDs likewise for edges entering n. Valid for the first

@@ -175,9 +175,11 @@ func TestAssignmentProperties(t *testing.T) {
 	}
 }
 
+// TestConstrained pins MaxRelevantRatio's found flag: true exactly when
+// some relevant cycle has ratio above 1, so some Ξ > 1 is violated.
 func TestConstrained(t *testing.T) {
 	fig := scenario.BuildFig1()
-	has, err := Constrained(fig.Graph)
+	_, has, err := MaxRelevantRatio(fig.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +193,7 @@ func TestConstrained(t *testing.T) {
 	b.MsgAt(0, 0, 1, 1, nil)
 	b.MsgAt(1, 1, 2, 2, nil)
 	g := causality.Build(b.MustBuild(), causality.Options{})
-	has, err = Constrained(g)
+	_, has, err = MaxRelevantRatio(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +206,7 @@ func TestConstrained(t *testing.T) {
 	b2.MsgAt(0, 0, 1, 1, nil)
 	b2.MsgAt(0, 0, 1, 2, nil)
 	g2 := causality.Build(b2.MustBuild(), causality.Options{})
-	has, err = Constrained(g2)
+	_, has, err = MaxRelevantRatio(g2)
 	if err != nil {
 		t.Fatal(err)
 	}

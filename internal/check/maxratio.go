@@ -7,29 +7,6 @@ import (
 	"repro/internal/rat"
 )
 
-// Constrained reports whether the execution graph contains a relevant
-// cycle with ratio |Z−|/|Z+| strictly above 1, i.e. whether any Ξ > 1
-// exists for which the graph is inadmissible. Graphs without such cycles
-// (isolated chains, pure one-way communication, or balanced cycles with
-// |Z+| = |Z−|) are ABC-admissible for every Ξ > 1 — the paper's point that
-// processes that do not exchange messages are entirely unconstrained.
-//
-// A relevant ratio is a fraction p/q with p, q bounded by the message
-// count K, so any ratio above 1 is at least K/(K−1); one Bellman–Ford run
-// at Ξ = K/(K−1) decides the question.
-func Constrained(g *causality.Graph) (bool, error) {
-	k := int64(g.MessageCount())
-	if k < 2 {
-		return false, nil // a relevant cycle needs |Z+| >= 1 and |Z−| >= 1
-	}
-	p, err := NewProber(g)
-	if err != nil {
-		return false, err
-	}
-	res, err := p.probe(k, k-1)
-	return err == nil && !res.feasible, err
-}
-
 // MaxRelevantRatio computes the exact critical ratio of the execution
 // graph: the maximum of |Z−|/|Z+| over all relevant cycles Z, provided it
 // exceeds 1. The graph is ABC-admissible for Ξ exactly when Ξ > this ratio

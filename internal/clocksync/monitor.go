@@ -144,6 +144,56 @@ func CheckCausalCone(t *sim.Trace, x int64) error {
 	return nil
 }
 
+// frontiers computes, in one forward pass over the nodes of g, every
+// causal cone's frontier row: rows[id*c+i] is the last node of the i-th
+// correct process in ⟨id⟩ (the node's causal past, inclusive), or -1 when
+// the cone has no event of that process; col maps a process to its column
+// and is -1 for faulty ones. Node IDs are trace positions, so every edge
+// runs forward in node order (checked), and a node's row is the
+// column-wise maximum of its in-neighbours' rows plus the node itself in
+// its process's column: O((V+E)·c) in all, where a left closure per node
+// costs O(V·(V+E)). Local edges chain each process's events, so a cone
+// holds exactly the events of process q up to its frontier node. On an
+// edge against node order the rows end before the edge's target node.
+func frontiers(g *causality.Graph, col []int, c int) ([]int32, error) {
+	v := g.NumNodes()
+	rows := make([]int32, v*c)
+	for id := range v {
+		row := rows[id*c : (id+1)*c]
+		for i := range row {
+			row[i] = -1
+		}
+		for _, eid := range g.In(causality.NodeID(id)) {
+			from := int(g.Edge(eid).From)
+			if from >= id {
+				return rows[:id*c], fmt.Errorf("clocksync: edge %v -> %v runs against trace order",
+					g.Node(causality.NodeID(from)), g.Node(causality.NodeID(id)))
+			}
+			for i, f := range rows[from*c : (from+1)*c] {
+				row[i] = max(row[i], f)
+			}
+		}
+		if i := col[g.Node(causality.NodeID(id)).Proc]; i >= 0 {
+			row[i] = int32(id)
+		}
+	}
+	return rows, nil
+}
+
+// columns returns the correct processes of t and the column of each
+// process in a frontier row: its index in that list, -1 when faulty.
+func columns(t *sim.Trace) (correct []sim.ProcessID, col []int) {
+	correct = t.CorrectProcesses()
+	col = make([]int, t.N)
+	for p := range col {
+		col[p] = -1
+	}
+	for i, p := range correct {
+		col[p] = i
+	}
+	return correct, col
+}
+
 // CheckConsistentCutSynchrony verifies Theorem 2 on a family of consistent
 // cuts: the causal cone of every node (the finest consistent cuts
 // available) plus every real-time cut. For each cut S containing an event
@@ -152,25 +202,14 @@ func CheckCausalCone(t *sim.Trace, x int64) error {
 // The cuts are checked in order — cones in node order, then real-time cuts
 // in time order — and the reported error names the first violating cut in
 // that order. No cut is built; only frontiers are, one row of node IDs per
-// cut with a column per correct process. Node IDs are trace positions, so
-// every edge runs forward in node order (checked), and one forward pass
-// yields every cone's row: the column-wise maximum of its in-neighbours'
-// rows, plus the node itself in its process's column. That is
-// O((V+E)·c) for c correct processes, where a closure per cone costs
-// O(V·(V+E)). Trace order is also time order (checked), so the real-time
+// cut with a column per correct process, the cones' rows in one pass
+// (frontiers). Trace order is also time order (checked), so the real-time
 // cuts follow from one more sweep that keeps each process's latest node.
 func CheckConsistentCutSynchrony(g *causality.Graph, bound int64) error {
 	t := g.Trace()
-	correct := t.CorrectProcesses()
+	correct, col := columns(t)
 	c, v := len(correct), g.NumNodes()
 	node := func(id int) causality.Node { return g.Node(causality.NodeID(id)) }
-	col := make([]int, t.N) // a correct process's column, -1 for the rest
-	for p := range col {
-		col[p] = -1
-	}
-	for i, p := range correct {
-		col[p] = i
-	}
 	// clock[id] is the clock after node id; 0 for an unprocessed reception,
 	// which cannot be a correct process's frontier anyway.
 	clock := make([]int, v)
@@ -197,27 +236,14 @@ func CheckConsistentCutSynchrony(g *causality.Graph, bound int64) error {
 		return max - min, min >= 0
 	}
 
-	rows := make([]int32, v*c)
-	for id := range v {
-		row := rows[id*c : (id+1)*c]
-		for i := range row {
-			row[i] = -1
-		}
-		for _, eid := range g.In(causality.NodeID(id)) {
-			from := int(g.Edge(eid).From)
-			if from >= id {
-				return fmt.Errorf("clocksync: edge %v -> %v runs against trace order", node(from), node(id))
-			}
-			for i, f := range rows[from*c : (from+1)*c] {
-				row[i] = max(row[i], f)
-			}
-		}
-		if i := col[node(id).Proc]; i >= 0 {
-			row[i] = int32(id)
-		}
-		if s, ok := spread(row); ok && int64(s) > bound {
+	rows, err := frontiers(g, col, c)
+	for id := 0; id*c < len(rows); id++ {
+		if s, ok := spread(rows[id*c : (id+1)*c]); ok && int64(s) > bound {
 			return fmt.Errorf("clocksync: cut cone(%v) has spread %d > %d", node(id), s, bound)
 		}
+	}
+	if err != nil {
+		return err
 	}
 
 	last := make([]int32, c) // the latest node of each correct process so far
@@ -245,38 +271,55 @@ func CheckConsistentCutSynchrony(g *causality.Graph, bound int64) error {
 // performs rho distinguished events (clock increment + broadcast) within a
 // consistent cut interval, every correct process performs at least one
 // distinguished event in that interval.
+//
+// The intervals checked are [⟨φ⟩, ⟨ψ⟩] = ⟨ψ⟩ \ ⟨φ⟩ (Definition 6) for each
+// correct p and each pair φ, ψ of p's distinguished events rho apart,
+// stepping by rho. Process q's events in the interval are its nodes after
+// its frontier in ⟨φ⟩ up to its frontier in ⟨ψ⟩ (frontiers), so a running
+// count of q's distinguished events answers each interval in O(1), and
+// the check costs O((V+E)·c) for c correct processes where two left
+// closures per interval would cost O(V+E) each. Like
+// CheckConsistentCutSynchrony, it rejects a graph with an edge against
+// trace order, which no engine trace has.
 func CheckBoundedProgress(g *causality.Graph, rho int64) error {
+	if rho < 1 {
+		return fmt.Errorf("clocksync: bounded progress needs rho >= 1, got %d", rho)
+	}
 	t := g.Trace()
-	correct := t.CorrectProcesses()
-
-	// Distinguished nodes per correct process, in local order.
-	dist := make(map[sim.ProcessID][]causality.NodeID)
-	for _, p := range correct {
+	correct, col := columns(t)
+	c := len(correct)
+	rows, err := frontiers(g, col, c)
+	if err != nil {
+		return err
+	}
+	// done[id] counts the distinguished events of id's process up to and
+	// including id; dist lists each correct process's distinguished nodes.
+	done := make([]int32, g.NumNodes())
+	dist := make([][]causality.NodeID, c)
+	for i, p := range correct {
 		for _, id := range g.NodesOf(p) {
-			n, ok := t.Events[id].Note.(Note)
-			if ok && n.Advanced && n.Broadcast {
-				dist[p] = append(dist[p], id)
+			if n, ok := t.Events[id].Note.(Note); ok && n.Advanced && n.Broadcast {
+				dist[i] = append(dist[i], id)
 			}
+			done[id] = int32(len(dist[i]))
 		}
 	}
+	count := func(id causality.NodeID, i int) int32 {
+		if f := rows[int(id)*c+i]; f >= 0 {
+			return done[f]
+		}
+		return 0
+	}
 
-	for _, p := range correct {
-		ds := dist[p]
-		for i := 0; int64(i)+rho < int64(len(ds)); i += int(rho) {
-			phi, phiPrime := ds[i], ds[i+int(rho)]
-			inner := g.Interval(phi, phiPrime) // contains ds[i+1..i+rho]: rho events
-			for _, q := range correct {
-				found := false
-				for _, e := range dist[q] {
-					if inner.Contains(e) {
-						found = true
-						break
-					}
-				}
-				if !found {
+	for i, p := range correct {
+		ds := dist[i]
+		for k := 0; int64(len(ds)-k) > rho; k += int(rho) {
+			phi, psi := ds[k], ds[k+int(rho)]
+			for j, q := range correct {
+				if count(psi, j) == count(phi, j) {
 					return fmt.Errorf(
 						"clocksync: p%d performed %d distinguished events in [⟨%v⟩,⟨%v⟩] but p%d performed none",
-						p, rho, g.Node(phi), g.Node(phiPrime), q)
+						p, rho, g.Node(phi), g.Node(psi), q)
 				}
 			}
 		}

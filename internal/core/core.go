@@ -68,19 +68,6 @@ func (m Model) PrecisionBound() int64 { return m.PhasesPerRound() }
 // least one.
 func (m Model) BoundedProgressRho() int64 { return 2*m.PhasesPerRound() + 1 }
 
-// MinProcesses returns the smallest system size tolerating f Byzantine
-// faults, n = 3f + 1.
-func MinProcesses(f int) int { return 3*f + 1 }
-
-// MaxFaults returns the largest f tolerated by an n-process system,
-// f = ⌊(n−1)/3⌋.
-func MaxFaults(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n - 1) / 3
-}
-
 // Admissible checks the execution graph against Definition 4.
 func (m Model) Admissible(g *causality.Graph) (check.Verdict, error) {
 	return check.ABC(g, m.xi)

@@ -56,18 +56,6 @@ func TestDerivedConstants(t *testing.T) {
 	}
 }
 
-func TestResilienceBounds(t *testing.T) {
-	if MinProcesses(1) != 4 || MinProcesses(0) != 1 || MinProcesses(3) != 10 {
-		t.Error("MinProcesses wrong")
-	}
-	tests := []struct{ n, f int }{{0, 0}, {1, 0}, {3, 0}, {4, 1}, {6, 1}, {7, 2}, {10, 3}}
-	for _, tt := range tests {
-		if got := MaxFaults(tt.n); got != tt.f {
-			t.Errorf("MaxFaults(%d) = %d, want %d", tt.n, got, tt.f)
-		}
-	}
-}
-
 func TestRunVerified(t *testing.T) {
 	m := MustModel(rat.FromInt(2))
 	// Θ = 3/2 < Ξ: a Θ-Model schedule, hence ABC-admissible (Theorem 6).

@@ -77,7 +77,7 @@ func TestProverWinsGame(t *testing.T) {
 				adv.phi, adv.delta, xi, v.Witness)
 		}
 		// Genuinely constrained: it has a relevant cycle with ratio > 1.
-		constrained, err := check.Constrained(g)
+		_, constrained, err := check.MaxRelevantRatio(g)
 		if err != nil {
 			t.Fatal(err)
 		}

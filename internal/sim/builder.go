@@ -119,16 +119,7 @@ func (b *TraceBuilder) Build() (*Trace, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	t := &Trace{
-		N:      b.n,
-		Events: b.events,
-		Msgs:   b.msgs,
-		Faulty: b.faulty,
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return Reassemble(b.n, b.events, b.msgs, b.faulty)
 }
 
 // MustBuild is Build, panicking on error. For tests and examples.

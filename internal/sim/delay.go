@@ -39,18 +39,6 @@ func (u UniformDelay) Delay(_ Message, rng *rand.Rand) Time {
 	return u.Min.Add(span.Mul(rat.New(k, quantSteps)))
 }
 
-// compiledUniform is UniformDelay with the policy-constant span hoisted out
-// of the per-message path. It draws from the rng exactly like UniformDelay,
-// so compiled and uncompiled runs of the same seed produce identical
-// traces.
-type compiledUniform struct{ min, span Time }
-
-// Delay implements DelayPolicy.
-func (u compiledUniform) Delay(_ Message, rng *rand.Rand) Time {
-	k := rng.Int63n(quantSteps + 1)
-	return u.min.Add(u.span.Mul(rat.New(k, quantSteps)))
-}
-
 // GrowingDelay models systems whose delays increase without bound, like the
 // paper's spacecraft clusters drifting apart (Section 5.3): a message sent
 // at time t is delayed Base·(1 + Rate·t) scaled by a uniform factor in
@@ -72,17 +60,6 @@ func (g GrowingDelay) Delay(m Message, rng *rand.Rand) Time {
 	k := rng.Int63n(quantSteps + 1)
 	factor := rat.One.Add(spread.Sub(rat.One).Mul(rat.New(k, quantSteps)))
 	return base.Mul(factor)
-}
-
-// compiledGrowing is GrowingDelay with the spread clamp and the constant
-// spread−1 hoisted out of the per-message path; same rng draw sequence.
-type compiledGrowing struct{ base, rate, spreadM1 Time }
-
-// Delay implements DelayPolicy.
-func (g compiledGrowing) Delay(m Message, rng *rand.Rand) Time {
-	base := g.base.Mul(rat.One.Add(g.rate.Mul(m.SendTime)))
-	k := rng.Int63n(quantSteps + 1)
-	return base.Mul(rat.One.Add(g.spreadM1.Mul(rat.New(k, quantSteps))))
 }
 
 // PerLinkDelay selects a policy per directed link, falling back to Default.
@@ -127,71 +104,45 @@ type DelayFunc func(m Message, rng *rand.Rand) Time
 // Delay implements DelayPolicy.
 func (f DelayFunc) Delay(m Message, rng *rand.Rand) Time { return f(m, rng) }
 
-// compileDelays validates p and returns an equivalent policy with
-// per-policy constants (UniformDelay's span, GrowingDelay's clamped
-// spread) computed once instead of per message. Composite policies are
-// compiled recursively. The returned policy draws from the rng in exactly
-// the same sequence as the original, so seeded runs are bit-identical.
-// sim.Run applies it to Config.Delays; unknown policy types pass through
-// untouched.
-//
-// A built-in policy whose bounds admit a negative delay — a ConstantDelay
-// below zero, a UniformDelay with Min < 0 or Max < Min — is a
-// configuration error, reported here at setup instead of as a panic at
-// the first send that draws a negative value.
-func compileDelays(p DelayPolicy) (DelayPolicy, error) {
+// validateDelays reports a built-in policy whose bounds admit a negative
+// delay — a ConstantDelay below zero, a UniformDelay with Min < 0 or
+// Max < Min — as a configuration error at setup, instead of a panic at
+// the first send that draws a negative value. Composite policies are
+// checked recursively; other policy types are not checked.
+func validateDelays(p DelayPolicy) error {
 	switch q := p.(type) {
 	case ConstantDelay:
 		if q.D.Sign() < 0 {
-			return nil, fmt.Errorf("sim: constant delay %v is negative", q.D)
+			return fmt.Errorf("sim: constant delay %v is negative", q.D)
 		}
-		return q, nil
 	case UniformDelay:
 		if q.Min.Sign() < 0 {
-			return nil, fmt.Errorf("sim: uniform delay [%v, %v] has negative minimum", q.Min, q.Max)
+			return fmt.Errorf("sim: uniform delay [%v, %v] has negative minimum", q.Min, q.Max)
 		}
 		if q.Max.Less(q.Min) {
-			return nil, fmt.Errorf("sim: uniform delay [%v, %v] has maximum below minimum", q.Min, q.Max)
+			return fmt.Errorf("sim: uniform delay [%v, %v] has maximum below minimum", q.Min, q.Max)
 		}
-		return compiledUniform{min: q.Min, span: q.Max.Sub(q.Min)}, nil
-	case GrowingDelay:
-		spread := q.Spread
-		if spread.Less(rat.One) {
-			spread = rat.One
-		}
-		return compiledGrowing{base: q.Base, rate: q.Rate, spreadM1: spread.Sub(rat.One)}, nil
 	case PerLinkDelay:
-		def, err := compileDelays(q.Default)
-		if err != nil {
-			return nil, err
+		if err := validateDelays(q.Default); err != nil {
+			return err
 		}
-		links := make(map[Link]DelayPolicy, len(q.Links))
 		// Report the lowest failing link, so the error text does not
 		// depend on map iteration order.
 		var bad *Link
 		var badErr error
 		for l, lp := range q.Links {
-			c, err := compileDelays(lp)
-			if err != nil && (bad == nil || l.From < bad.From || l.From == bad.From && l.To < bad.To) {
+			if err := validateDelays(lp); err != nil && (bad == nil || l.From < bad.From || l.From == bad.From && l.To < bad.To) {
 				bad, badErr = &l, err
 			}
-			links[l] = c
 		}
 		if bad != nil {
-			return nil, fmt.Errorf("%w (link %d->%d)", badErr, bad.From, bad.To)
+			return fmt.Errorf("%w (link %d->%d)", badErr, bad.From, bad.To)
 		}
-		return PerLinkDelay{Default: def, Links: links}, nil
 	case OverrideDelay:
-		base, err := compileDelays(q.Base)
-		if err != nil {
-			return nil, err
+		if err := validateDelays(q.Base); err != nil {
+			return err
 		}
-		over, err := compileDelays(q.Override)
-		if err != nil {
-			return nil, err
-		}
-		return OverrideDelay{Base: base, Match: q.Match, Override: over}, nil
-	default:
-		return p, nil
+		return validateDelays(q.Override)
 	}
+	return nil
 }

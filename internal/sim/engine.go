@@ -201,11 +201,9 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		maxEvents = defaultMaxEvents
 	}
 
-	delays, err := compileDelays(cfg.Delays)
-	if err != nil {
+	if err := validateDelays(cfg.Delays); err != nil {
 		return nil, err
 	}
-	cfg.Delays = delays
 	e.ret = ret
 	e.reset(cfg)
 	e.net = cfg.Net
@@ -355,6 +353,7 @@ func (e *Engine) reset(cfg Config) {
 	// nothing.
 	e.trace = &Trace{N: cfg.N, Faulty: make([]bool, cfg.N), mode: e.ret.Mode}
 	e.procs = make([]Process, cfg.N)
+	e.trace.digest.init()
 	switch e.ret.Mode {
 	case RetainFullMode:
 		e.trace.Events = make([]Event, 0, e.lastEvents)
@@ -365,9 +364,6 @@ func (e *Engine) reset(cfg Config) {
 		size := 2 * min(e.ret.Window, maxWindowPresize)
 		e.trace.Events = make([]Event, 0, size)
 		e.trace.Msgs = make([]Message, 0, size)
-		e.trace.digest.init()
-	case RetainNoneMode:
-		e.trace.digest.init()
 	}
 }
 
@@ -444,18 +440,18 @@ func (e *Engine) nextSeq() int64 {
 // its delivery carries: the ID under full retention, which indexes
 // Trace.Msgs; under bounded retention a slot of the pooled in-flight
 // store, where the message waits until takeDelivery frees the slot. The
-// stream digest folds a bounded-retention message immediately — in ID
-// order, matching the on-demand digest of a complete trace.
+// stream digest folds the message here, in ID order, under every
+// retention mode.
 func (e *Engine) recordMessage(m Message) (ref int) {
 	m.ID = e.nextMsg
 	e.nextMsg++
+	e.trace.digest.foldMessage(&m)
 	switch e.ret.Mode {
 	case RetainFullMode:
 		e.trace.Msgs = append(e.trace.Msgs, m)
 		ref = int(m.ID)
 	default:
 		e.trace.totalMsgs++
-		e.trace.digest.foldMessage(&m)
 		// A dropped message is never delivered, so it takes no slot.
 		if !m.Dropped {
 			ref = e.slots.put(&m)
@@ -580,16 +576,17 @@ func (e *Engine) takeDelivery(d delivery) Message {
 	return e.slots.take(d.ref)
 }
 
-// recordEvent appends one finalized receive event per the retention mode.
-// m is the event's trigger message (already resolved by takeDelivery).
+// recordEvent folds one finalized receive event into the stream digest and
+// appends it per the retention mode. m is the event's trigger message
+// (already resolved by takeDelivery).
 func (e *Engine) recordEvent(ev Event, m Message) {
 	t := e.trace
+	t.digest.foldEvent(&ev)
 	switch e.ret.Mode {
 	case RetainFullMode:
 		t.Events = append(t.Events, ev)
 	case RetainWindowMode:
 		t.totalEvents++
-		t.digest.foldEvent(&ev)
 		t.Events = append(t.Events, ev)
 		t.Msgs = append(t.Msgs, m) // parallel trigger store
 		// len-k >= k, not len >= 2k: 2k overflows for K near MaxInt.
@@ -606,7 +603,6 @@ func (e *Engine) recordEvent(ev Event, m Message) {
 		}
 	case RetainNoneMode:
 		t.totalEvents++
-		t.digest.foldEvent(&ev)
 	}
 	if e.cb != nil {
 		// Copy for the interface call, as in recordMessage.

@@ -101,12 +101,8 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	if err := json.NewDecoder(r).Decode(&jt); err != nil {
 		return nil, fmt.Errorf("sim: decoding trace: %w", err)
 	}
-	t := &Trace{
-		N:      jt.N,
-		Faulty: jt.Faulty,
-		Events: make([]Event, len(jt.Events)),
-		Msgs:   make([]Message, len(jt.Msgs)),
-	}
+	events := make([]Event, len(jt.Events))
+	msgs := make([]Message, len(jt.Msgs))
 	for i, je := range jt.Events {
 		tm, err := rat.Parse(je.Time)
 		if err != nil {
@@ -116,7 +112,7 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 		if je.Note != "" {
 			note = je.Note
 		}
-		t.Events[i] = Event{
+		events[i] = Event{
 			Proc: ProcessID(je.Proc), Index: je.Index, Time: tm,
 			Trigger: MsgID(je.Trigger), Processed: je.Processed, Note: note,
 		}
@@ -137,14 +133,11 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 		if jm.Wakeup {
 			payload = Wakeup{}
 		}
-		t.Msgs[i] = Message{
+		msgs[i] = Message{
 			ID: MsgID(jm.ID), From: ProcessID(jm.From), To: ProcessID(jm.To),
 			SendStep: jm.SendStep, SendTime: st, RecvTime: rt, Payload: payload,
 			Dropped: jm.Dropped,
 		}
 	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return Reassemble(jt.N, events, msgs, jt.Faulty)
 }

@@ -192,24 +192,19 @@ func (t *Trace) TriggerOf(pos int) (Message, bool) {
 
 // StreamHash returns the FNV-64a digest of the run's event and message
 // streams (structure and exact times; payloads and notes excluded — see
-// streamDigest). It is maintained incrementally under bounded retention
-// and computed on demand for complete traces, so runs of the same Config
-// under different retention modes hash equal. It is unrelated to Hash,
-// which digests the canonical JSON of a complete trace including
-// payloads.
+// streamDigest), so runs of the same Config under different retention
+// modes hash equal. Engine.Run folds every event and message as it
+// records it; Reassemble (and with it TraceBuilder.Build and ReadJSON)
+// folds the complete record once, so a built or read-back trace hashes
+// like the run that recorded the same streams. A trace made any other
+// way, such as a Trace literal, has folded nothing and returns 0. It is
+// unrelated to Hash, which digests the canonical JSON of a complete trace
+// including payloads.
 func (t *Trace) StreamHash() uint64 {
-	if t.mode != RetainFullMode {
-		return t.digest.sum()
+	if t.digest == (streamDigest{}) {
+		return 0
 	}
-	var d streamDigest
-	d.init()
-	for i := range t.Events {
-		d.foldEvent(&t.Events[i])
-	}
-	for i := range t.Msgs {
-		d.foldMessage(&t.Msgs[i])
-	}
-	return d.sum()
+	return t.digest.sum()
 }
 
 // CorrectProcesses returns the IDs of all non-faulty processes.
@@ -235,9 +230,10 @@ func (t *Trace) MaxTime() Time {
 	return max
 }
 
-// Reassemble builds a Trace from raw parts and validates it. It is used by
-// consumers that transform traces (e.g. the Theorem 9 retiming in
-// internal/check).
+// Reassemble builds a complete Trace from raw parts, validates it and
+// folds its stream digest (StreamHash). TraceBuilder.Build and ReadJSON
+// end here, as do consumers that transform traces (e.g. the Theorem 9
+// retiming in internal/check).
 func Reassemble(n int, events []Event, msgs []Message, faulty []bool) (*Trace, error) {
 	t := &Trace{
 		N:      n,
@@ -247,6 +243,13 @@ func Reassemble(n int, events []Event, msgs []Message, faulty []bool) (*Trace, e
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
+	}
+	t.digest.init()
+	for i := range events {
+		t.digest.foldEvent(&events[i])
+	}
+	for i := range msgs {
+		t.digest.foldMessage(&msgs[i])
 	}
 	return t, nil
 }

@@ -103,10 +103,9 @@ func ParseRetention(spec string) (Sink, error) {
 
 // streamDigest is a pair of running FNV-64a accumulators over the
 // execution record: one folding events in record order, one folding
-// messages in ID (send) order. It is maintained incrementally by the
-// engine under bounded retention and recomputed on demand for complete
-// traces, so RetainAll and RetainNone runs of the same Config digest
-// equal (the sink-equivalence contract). Payloads and notes are
+// messages in ID (send) order. The engine maintains it incrementally
+// under every retention mode, so RetainAll and RetainNone runs of the
+// same Config digest equal (the sink-equivalence contract). Payloads and notes are
 // deliberately excluded: folding them would force a reflective rendering
 // allocation per event on the throughput path, and the delivery schedule
 // already pins every structural choice the engine makes.
@@ -120,14 +119,28 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
+// fnvUint64 folds the 8 little-endian bytes of v. A zero byte's step is a
+// bare multiply by the prime, so the zero bytes above v's highest set byte
+// (most of them: IDs, indices and times are small) fold as one multiply
+// by a power of the prime.
 func fnvUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
+	i := 0
+	for ; v != 0; i++ {
 		h ^= v & 0xff
 		h *= fnvPrime64
 		v >>= 8
 	}
-	return h
+	return h * fnvPrimePow[8-i]
 }
+
+// fnvPrimePow[k] is fnvPrime64^k (mod 2^64).
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
+	}
+	return p
+}()
 
 func fnvString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {

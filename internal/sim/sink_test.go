@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -105,6 +106,9 @@ func checkRetentionEquivalence(t *testing.T, build func() Config, truncated bool
 	}
 	if len(ft.Events) < 40 {
 		t.Fatalf("test run too small: %d events", len(ft.Events))
+	}
+	if got, want := ft.StreamHash(), foldRecord(ft); got != want {
+		t.Fatalf("engine digest %016x, reference fold of the complete record %016x", got, want)
 	}
 
 	const k = 16
@@ -241,5 +245,85 @@ func TestRetentionConfigErrors(t *testing.T) {
 	cfg.Monitor = func(*Trace) error { return nil }
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "Monitor") {
 		t.Fatalf("monitor+none: err = %v, want Monitor error", err)
+	}
+}
+
+// foldRecord is the reference stream digest of a complete trace: every
+// event in record order, then every message in ID order, folded after the
+// fact. The engine folds the same streams as it records them.
+func foldRecord(t *Trace) uint64 {
+	var d streamDigest
+	d.init()
+	for i := range t.Events {
+		d.foldEvent(&t.Events[i])
+	}
+	for i := range t.Msgs {
+		d.foldMessage(&t.Msgs[i])
+	}
+	return d.sum()
+}
+
+// TestStreamHashOfUnrecordedTraces pins StreamHash for traces Engine.Run
+// did not record: a trace rebuilt with Reassemble or TraceBuilder.Build,
+// or read back with ReadJSON, hashes like the run whose streams it holds;
+// a Trace literal has folded nothing and returns 0.
+func TestStreamHashOfUnrecordedTraces(t *testing.T) {
+	res, err := Run(sinkTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := res.Trace
+	want := ft.StreamHash()
+	re, err := Reassemble(ft.N, ft.Events, ft.Msgs, ft.Faulty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := re.StreamHash(); got != want {
+		t.Errorf("Reassemble: stream hash %016x, want %016x", got, want)
+	}
+	var buf bytes.Buffer
+	if err := ft.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.StreamHash(); got != want {
+		t.Errorf("ReadJSON: stream hash %016x, want %016x", got, want)
+	}
+
+	built := NewTraceBuilder(2).WakeAll(rat.Zero).MsgAt(0, 0, 1, 1, nil).MustBuild()
+	if got, ref := built.StreamHash(), foldRecord(built); got != ref || got == 0 {
+		t.Errorf("TraceBuilder.Build: stream hash %016x, want the reference fold %016x", got, ref)
+	}
+	literal := &Trace{N: built.N, Events: built.Events, Msgs: built.Msgs, Faulty: built.Faulty}
+	if got := literal.StreamHash(); got != 0 {
+		t.Errorf("Trace literal: stream hash %016x, want 0", got)
+	}
+}
+
+// TestFNVUint64MatchesBytewise checks the zero-byte shortcut of fnvUint64
+// against the plain eight-step FNV-1a fold for values whose highest set
+// byte is at every position, and for negative values (-1, -7) as uint64.
+func TestFNVUint64MatchesBytewise(t *testing.T) {
+	bytewise := func(h, v uint64) uint64 {
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= fnvPrime64
+			v >>= 8
+		}
+		return h
+	}
+	vals := []uint64{0, 1, 0xff, 0x100, 0x8000, 1 << 63, ^uint64(0), ^uint64(6)}
+	for k := 0; k < 64; k += 7 {
+		vals = append(vals, 1<<k, 1<<k|0xa5)
+	}
+	for _, h := range []uint64{fnvOffset64, 0, 12345} {
+		for _, v := range vals {
+			if got, want := fnvUint64(h, v), bytewise(h, v); got != want {
+				t.Errorf("fnvUint64(%#x, %#x) = %#x, want %#x", h, v, got, want)
+			}
+		}
 	}
 }

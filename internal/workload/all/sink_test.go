@@ -62,6 +62,15 @@ func TestSinkEquivalenceAllSources(t *testing.T) {
 			if ft.TotalEvents() == 0 {
 				t.Fatal("default run recorded no events")
 			}
+			// Reassemble folds the complete record after the fact; the
+			// engine folded it while recording.
+			re, err := sim.Reassemble(ft.N, ft.Events, ft.Msgs, ft.Faulty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if re.StreamHash() != ft.StreamHash() {
+				t.Fatalf("engine digest %016x, folded record %016x", ft.StreamHash(), re.StreamHash())
+			}
 			const k = 64
 			for _, tc := range []struct {
 				mode string
