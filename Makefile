@@ -116,9 +116,9 @@ cli-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# cover reports runner and sim coverage per function.
+# cover reports runner, sim and causality coverage per function.
 cover:
-	$(GO) test -cover -coverprofile=cover.out ./internal/runner ./internal/sim
+	$(GO) test -cover -coverprofile=cover.out ./internal/runner ./internal/sim ./internal/causality
 	$(GO) tool cover -func=cover.out
 
 # ci runs the steps of the single CI job (.github/workflows/ci.yml), which

@@ -41,7 +41,6 @@ var testOnlyAllowed = map[string]string{
 	"vlsi.Chip.Modules":                      "one-line accessor",
 	"vlsi.Chip.Wire":                         "reads back SetWire and Migrate in the vlsi tests",
 	"variants.XiLearner.Bumps":               "one-line accessor",
-	"causality.Builder.Consumed":             "one-line accessor",
 	"causality.Graph.CausalCone":             "cut-by-cut reference of TestCutSynchronyMatchesReference for the one-pass Theorem 2 check",
 	"causality.Graph.CutAtTime":              "cut-by-cut reference of TestCutSynchronyMatchesReference for the one-pass Theorem 2 check",
 	"causality.Cut.Frontier":                 "reads C_p(S) off the reference cuts of TestCutSynchronyMatchesReference",

@@ -37,10 +37,12 @@ import (
 // often enough that no unconsumed event slides out of the window, which
 // any per-event Monitor guarantees. A consumed-then-evicted event is
 // fine; an evicted-before-consumption event is an error.
+//
+// Node IDs are trace positions and every consumed event becomes exactly
+// one node, so the graph's node count is the number of events consumed.
 type Builder struct {
-	g        *Graph
-	opts     Options
-	consumed int
+	g    *Graph
+	opts Options
 }
 
 // NewBuilder returns a Builder over t that has consumed no events yet;
@@ -63,11 +65,12 @@ func NewBuilder(t *sim.Trace, opts Options) (*Builder, error) {
 
 // Append consumes every trace event recorded since the last call,
 // appending one node per event plus its local and (kept) message edges.
-// It returns the number of events consumed. On error the graph is left at
-// the last fully consumed event.
+// It returns the number of events consumed. Every check runs before an
+// event's node or edges are appended, so on error the graph is left at
+// the last fully consumed event and a retry reports the same error.
 func (b *Builder) Append() (int, error) {
 	g, t := b.g, b.g.trace
-	start := b.consumed
+	start := len(g.nodes)
 	for pos := start; pos < t.TotalEvents(); pos++ {
 		ev, ok := t.EventByPos(pos)
 		if !ok {
@@ -84,6 +87,17 @@ func (b *Builder) Append() (int, error) {
 			return pos - start, fmt.Errorf("causality: event %d at p%d has index %d, want %d (builder requires dense per-process order)",
 				pos, ev.Proc, ev.Index, len(g.procNodes[ev.Proc]))
 		}
+		// A kept message's sending step must already be a node; a scripted
+		// send without a step stays dangling, like in Build.
+		sender := NodeID(-1)
+		if !m.IsWakeup() && !dropped(t, b.opts, m) && m.SendStep >= 0 {
+			sent := g.procNodes[m.From]
+			if m.SendStep >= len(sent) {
+				return pos - start, fmt.Errorf("causality: event %d received before its sending step p%d/%d (builder requires causal delivery order)",
+					pos, m.From, m.SendStep)
+			}
+			sender = sent[m.SendStep]
+		}
 
 		id := NodeID(pos)
 		g.nodes = append(g.nodes, Node{
@@ -96,39 +110,15 @@ func (b *Builder) Append() (int, error) {
 			g.edges = append(g.edges, Edge{From: pn[len(pn)-1], To: id, Kind: Local, Msg: -1})
 		}
 		g.procNodes[ev.Proc] = append(g.procNodes[ev.Proc], id)
-
-		if !m.IsWakeup() && !dropped(t, b.opts, m) {
-			if m.SendStep < 0 {
-				// Scripted send without a step: dangling, like Build.
-				b.consumed = pos + 1
-				continue
-			}
-			sent := g.procNodes[m.From]
-			if m.SendStep >= len(sent) {
-				return pos - start, fmt.Errorf("causality: event %d received before its sending step p%d/%d (builder requires causal delivery order)",
-					pos, m.From, m.SendStep)
-			}
-			g.edges = append(g.edges, Edge{From: sent[m.SendStep], To: id, Kind: Message, Msg: m.ID})
+		if sender >= 0 {
+			g.edges = append(g.edges, Edge{From: sender, To: id, Kind: Message, Msg: m.ID})
 			g.msgCount++
 		}
-		b.consumed = pos + 1
 	}
-	return b.consumed - start, nil
+	return len(g.nodes) - start, nil
 }
-
-// Consumed returns the number of trace events consumed so far.
-func (b *Builder) Consumed() int { return b.consumed }
 
 // Graph returns the graph under construction. It is a live view: later
-// Append calls grow it in place, and its adjacency accessors (Out/In,
-// IsDAG's slow path) rebuild the CSR layout on demand. Confine it to the
-// building goroutine until Finalize.
+// Append calls grow it in place. Reads never write to it, so it is safe
+// for concurrent reads while no Append interleaves with them.
 func (b *Builder) Graph() *Graph { return b.g }
-
-// Finalize rebuilds the CSR adjacency for everything consumed so far and
-// returns the graph, which is then safe for concurrent reads — provided
-// no further Append follows.
-func (b *Builder) Finalize() *Graph {
-	b.g.ensureCSR()
-	return b.g
-}

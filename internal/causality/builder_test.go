@@ -2,6 +2,9 @@ package causality
 
 import (
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/rat"
@@ -23,6 +26,42 @@ func edgeSet(g *Graph) map[edgeKey]int {
 		set[edgeKey{e.From, e.To, e.Kind, e.Msg}]++
 	}
 	return set
+}
+
+// edgePreds reads each node's predecessors off g.Edges() and fails if a
+// node has more than one local or more than one message in-edge.
+func edgePreds(t *testing.T, g *Graph) []Pred {
+	t.Helper()
+	preds := make([]Pred, g.NumNodes())
+	for i := range preds {
+		preds[i] = Pred{Local: -1, Msg: -1}
+	}
+	for _, e := range g.Edges() {
+		slot := &preds[e.To].Local
+		if e.Kind == Message {
+			slot = &preds[e.To].Msg
+		}
+		if *slot >= 0 {
+			t.Fatalf("node %v has a second %v in-edge (from %v and %v)", g.Node(e.To), e.Kind, g.Node(*slot), g.Node(e.From))
+		}
+		*slot = e.From
+	}
+	return preds
+}
+
+// checkPreds asserts that g.Preds() is the predecessor list read off
+// g.Edges().
+func checkPreds(t *testing.T, ctx string, g *Graph) {
+	t.Helper()
+	got, want := g.Preds(), edgePreds(t, g)
+	for id := range want {
+		if got[id] != want[id] {
+			t.Fatalf("%s: Preds()[%v] = %+v, edges say %+v", ctx, g.Node(NodeID(id)), got[id], want[id])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: Preds() has %d entries for %d nodes", ctx, len(got), len(want))
+	}
 }
 
 func equalEdgeSets(a, b map[edgeKey]int) bool {
@@ -58,21 +97,11 @@ func checkMatchesBatch(t *testing.T, ctx string, inc, batch *Graph) {
 	if !equalEdgeSets(edgeSet(inc), edgeSet(batch)) {
 		t.Fatalf("%s: edge sets differ", ctx)
 	}
-	// Adjacency views agree with the edge list.
-	for id := NodeID(0); int(id) < inc.NumNodes(); id++ {
-		for _, eid := range inc.Out(id) {
-			if inc.Edge(eid).From != id {
-				t.Fatalf("%s: out edge %d not from %d", ctx, eid, id)
-			}
-		}
-		for _, eid := range inc.In(id) {
-			if inc.Edge(eid).To != id {
-				t.Fatalf("%s: in edge %d not to %d", ctx, eid, id)
-			}
-		}
-		if len(inc.Out(id))+len(inc.In(id)) != len(batch.Out(id))+len(batch.In(id)) {
-			t.Fatalf("%s: degree of %d differs", ctx, id)
-		}
+	// Predecessors agree between the constructions and with the edges.
+	checkPreds(t, ctx+" Builder", inc)
+	checkPreds(t, ctx+" Build", batch)
+	if !slices.Equal(inc.Preds(), batch.Preds()) {
+		t.Fatalf("%s: Builder and Build predecessors differ", ctx)
 	}
 	if !inc.IsDAG() {
 		t.Fatalf("%s: incremental graph not a DAG", ctx)
@@ -126,7 +155,7 @@ func TestBuilderMatchesBatchBuild(t *testing.T) {
 				t.Fatalf("consumed %d of %d events", consumed, len(tr.Events))
 			}
 			ctx := fmt.Sprintf("seed=%d faulty=%v", seed, faulty)
-			checkMatchesBatch(t, ctx, b.Finalize(), Build(tr, opts))
+			checkMatchesBatch(t, ctx, b.Graph(), Build(tr, opts))
 		}
 	}
 }
@@ -148,8 +177,8 @@ func TestBuilderIncrementalPrefixes(t *testing.T) {
 		if _, err := b.Append(); err != nil {
 			t.Fatal(err)
 		}
-		if b.Consumed() != j {
-			t.Fatalf("consumed %d, want %d", b.Consumed(), j)
+		if b.Graph().NumNodes() != j {
+			t.Fatalf("consumed %d, want %d", b.Graph().NumNodes(), j)
 		}
 		events := make([]sim.Event, j)
 		copy(events, tr.Events[:j])
@@ -194,6 +223,146 @@ func TestBuilderRejectsNonCausalOrder(t *testing.T) {
 	if _, err := b.Append(); err == nil {
 		t.Fatal("Append accepted a trace out of causal delivery order")
 	}
+}
+
+// TestBuilderErrorLeavesWholeEvents checks that a rejected event leaves
+// no trace in the graph: after the causal-order error on the reordered
+// trace, the graph holds exactly p1's wake-up (one node, no edge), and a
+// retry fails on the same event with the same error instead of a
+// per-process index mismatch.
+func TestBuilderErrorLeavesWholeEvents(t *testing.T) {
+	b, err := NewBuilder(reorderedTrace(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, first := b.Append()
+	if first == nil || !strings.Contains(first.Error(), "received before its sending step") {
+		t.Fatalf("Append: consumed %d, error %v; want a causal-order error", n, first)
+	}
+	if g := b.Graph(); n != 1 || g.NumNodes() != 1 || g.NumEdges() != 0 || g.MessageCount() != 0 {
+		t.Fatalf("after the error: consumed %d, %d nodes, %d edges, %d messages; want 1, 1, 0, 0",
+			n, g.NumNodes(), g.NumEdges(), g.MessageCount())
+	}
+	n, again := b.Append()
+	if n != 0 || again == nil || again.Error() != first.Error() {
+		t.Fatalf("retry: consumed %d, error %v; want 0 and %q", n, again, first)
+	}
+}
+
+// TestPredsAcrossTraceKinds compares Preds from Build and from the
+// Builder against the predecessors read off Edges, on traces with a
+// crash, faulty-sent messages, DropMessage-exempted messages, scripted
+// Byzantine sends and the reordered trace. The Builder stops at the
+// reordered trace's first out-of-order event, so there its predecessors
+// must equal a prefix of Build's.
+func TestPredsAcrossTraceKinds(t *testing.T) {
+	faultySent := sim.NewTraceBuilder(3)
+	faultySent.SetFaulty(1)
+	faultySent.WakeAll(rat.Zero)
+	faultySent.MsgAt(0, 0, 1, 1, "m1")
+	faultySent.MsgAt(1, 1, 2, 2, "m2")
+	scripted, err := sim.Run(sim.Config{
+		N: 3,
+		Spawn: func(p sim.ProcessID) sim.Process {
+			return sim.ProcessFunc(func(env *sim.Env, msg sim.Message) {
+				if env.StepIndex() < 3 {
+					env.Broadcast(nil)
+				}
+			})
+		},
+		Delays: sim.ConstantDelay{D: rat.One},
+		Faults: map[sim.ProcessID]sim.Fault{2: {CrashAfter: sim.NeverCrash, Script: []sim.ScriptedSend{
+			{At: rat.FromInt(2), To: 0, Payload: "scripted"},
+			{At: rat.FromInt(3), To: 1, Payload: "scripted"},
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(scripted.Trace.Events, func(ev sim.Event) bool {
+		return scripted.Trace.Msgs[ev.Trigger].SendStep == sim.SendStepScripted
+	}) {
+		t.Fatal("no scripted send was received")
+	}
+	dropTo1 := Options{DropMessage: func(m sim.Message) bool { return m.To == 1 }}
+	cases := []struct {
+		name    string
+		tr      *sim.Trace
+		opts    Options
+		partial bool // the Builder rejects an event and stops
+	}{
+		{"crash", randomTrace(t, 3, 4, true), Options{}, false},
+		{"faulty-sent", faultySent.MustBuild(), Options{}, false},
+		{"dropped", randomTrace(t, 5, 4, false), dropTo1, false},
+		{"scripted", scripted.Trace, Options{}, false},
+		{"reordered", reorderedTrace(t), Options{}, true},
+	}
+	for _, tc := range cases {
+		batch := Build(tc.tr, tc.opts)
+		checkPreds(t, tc.name+" Build", batch)
+		b, err := NewBuilder(tc.tr, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, appendErr := b.Append()
+		if (appendErr != nil) != tc.partial {
+			t.Fatalf("%s: Append: %v", tc.name, appendErr)
+		}
+		inc := b.Graph()
+		checkPreds(t, tc.name+" Builder", inc)
+		bp, ip := batch.Preds(), inc.Preds()
+		if len(ip) > len(bp) || !slices.Equal(ip, bp[:len(ip)]) {
+			t.Fatalf("%s: Builder predecessors %v are not a prefix of Build's %v", tc.name, ip, bp)
+		}
+		if !tc.partial && len(ip) != len(bp) {
+			t.Fatalf("%s: Builder has %d nodes, Build %d", tc.name, len(ip), len(bp))
+		}
+	}
+}
+
+// TestBuilderGraphConcurrentReads reads one Builder graph, never
+// finalized, from several goroutines at once; run under the race
+// detector it fails if any read writes to the graph. The Build graph of
+// the reordered trace sends IsDAG down its Kahn path.
+func TestBuilderGraphConcurrentReads(t *testing.T) {
+	tr := randomTrace(t, 7, 4, true)
+	b, err := NewBuilder(tr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Append(); err != nil {
+		t.Fatal(err)
+	}
+	g := b.Graph()
+	reordered, err := NewBuilder(reorderedTrace(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reordered.Append(); err == nil {
+		t.Fatal("Append accepted the reordered trace")
+	}
+	kahn := Build(reorderedTrace(t), Options{})
+	// The reference closure comes from a separate graph, so every read
+	// of g happens inside the goroutines.
+	last := NodeID(g.NumNodes() - 1)
+	want := len(Build(tr, Options{}).LeftClosure(last).Nodes())
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !g.IsDAG() || !reordered.Graph().IsDAG() || !kahn.IsDAG() {
+				t.Error("acyclic graph reported cyclic")
+			}
+			if len(g.Preds()) != g.NumNodes() || len(reordered.Graph().Preds()) != 1 {
+				t.Error("Preds length differs from the node count")
+			}
+			if c := g.LeftClosure(last); len(c.Nodes()) != want || !c.IsLeftClosed() {
+				t.Error("concurrent LeftClosure differs")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestIsDAGKahnFallback exercises the slow path: the reordered trace's
@@ -274,5 +443,10 @@ func TestBuildAllocsConstant(t *testing.T) {
 	}
 	if allocs[0] != allocs[1] {
 		t.Fatalf("Build allocates %v times at 10^3 events, %v at 10^4: something grows with the trace", allocs[0], allocs[1])
+	}
+	// The graph itself, its node and edge arrays, the node lists with
+	// their backing array, and the counting pass's offsets: no index.
+	if allocs[0] > 6 {
+		t.Fatalf("Build allocates %v times, want at most 6", allocs[0])
 	}
 }

@@ -112,10 +112,13 @@ func TestFaultyMessageDropping(t *testing.T) {
 	}
 	// m2's receive event exists but has no incoming message edge.
 	recv := g.NodesOf(2)[1]
-	for _, eid := range g.In(recv) {
-		if g.Edge(eid).Kind == Message {
+	for _, e := range g.Edges() {
+		if e.To == recv && e.Kind == Message {
 			t.Error("dropped message still has a message edge")
 		}
+	}
+	if p := g.Preds()[recv]; p.Msg != -1 || p.Local != g.NodesOf(2)[0] {
+		t.Errorf("Preds of the dropped message's receive = %+v", p)
 	}
 }
 
@@ -282,19 +285,6 @@ func TestNodesAndAccessors(t *testing.T) {
 	if n.String() != "p1/0" {
 		t.Errorf("String = %q", n.String())
 	}
-	// In/Out adjacency is mutually consistent.
-	for id := NodeID(0); int(id) < g.NumNodes(); id++ {
-		for _, eid := range g.Out(id) {
-			if g.Edge(eid).From != id {
-				t.Errorf("out edge %d not from %d", eid, id)
-			}
-		}
-		for _, eid := range g.In(id) {
-			if g.Edge(eid).To != id {
-				t.Errorf("in edge %d not to %d", eid, id)
-			}
-		}
-	}
 	// A node's ID is its trace position, in both constructions.
 	b, err := NewBuilder(tr, Options{})
 	if err != nil {
@@ -303,7 +293,7 @@ func TestNodesAndAccessors(t *testing.T) {
 	if _, err := b.Append(); err != nil {
 		t.Fatal(err)
 	}
-	for name, g := range map[string]*Graph{"Build": g, "Builder": b.Finalize()} {
+	for name, g := range map[string]*Graph{"Build": g, "Builder": b.Graph()} {
 		if g.NumNodes() != len(tr.Events) {
 			t.Fatalf("%s: %d nodes for %d events", name, g.NumNodes(), len(tr.Events))
 		}
@@ -319,7 +309,8 @@ func TestNodesAndAccessors(t *testing.T) {
 
 // Every receive event node has at most one incoming message edge and at
 // most one incoming local edge — the structural fact behind "every cycle
-// has at least one local edge" (see DESIGN.md).
+// has at least one local edge" (see DESIGN.md) and behind Preds, which
+// keeps one predecessor of each kind.
 func TestInDegreeInvariant(t *testing.T) {
 	res, err := sim.Run(sim.Config{
 		N: 4,
@@ -337,18 +328,19 @@ func TestInDegreeInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := Build(res.Trace, Options{})
-	for id := NodeID(0); int(id) < g.NumNodes(); id++ {
-		msgs, locals := 0, 0
-		for _, eid := range g.In(id) {
-			switch g.Edge(eid).Kind {
-			case Message:
-				msgs++
-			case Local:
-				locals++
-			}
+	msgs := make([]int, g.NumNodes())
+	locals := make([]int, g.NumNodes())
+	for _, e := range g.Edges() {
+		switch e.Kind {
+		case Message:
+			msgs[e.To]++
+		case Local:
+			locals[e.To]++
 		}
-		if msgs > 1 || locals > 1 {
-			t.Fatalf("node %v has %d message and %d local in-edges", g.Node(id), msgs, locals)
+	}
+	for id := range msgs {
+		if msgs[id] > 1 || locals[id] > 1 {
+			t.Fatalf("node %v has %d message and %d local in-edges", g.Node(NodeID(id)), msgs[id], locals[id])
 		}
 	}
 	if !g.IsDAG() {

@@ -49,14 +49,13 @@ func (c *Cut) Minus(d *Cut) *Cut {
 // each of its members (closure under the reflexive-transitive predecessor
 // relation of the execution graph).
 func (c *Cut) IsLeftClosed() bool {
+	preds := c.g.Preds()
 	for i, b := range c.in {
 		if !b {
 			continue
 		}
-		for _, eid := range c.g.In(NodeID(i)) {
-			if !c.in[c.g.Edge(eid).From] {
-				return false
-			}
+		if p := preds[i]; p.Local >= 0 && !c.in[p.Local] || p.Msg >= 0 && !c.in[p.Msg] {
+			return false
 		}
 	}
 	return true
@@ -102,23 +101,22 @@ func (c *Cut) Frontier(p sim.ProcessID) NodeID {
 // containing the given nodes — their joint causal past, inclusive.
 func (g *Graph) LeftClosure(nodes ...NodeID) *Cut {
 	c := NewCut(g)
+	preds := g.Preds()
 	stack := make([]NodeID, 0, len(nodes))
-	for _, n := range nodes {
-		if !c.in[n] {
+	visit := func(n NodeID) {
+		if n >= 0 && !c.in[n] {
 			c.in[n] = true
 			stack = append(stack, n)
 		}
 	}
+	for _, n := range nodes {
+		visit(n)
+	}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, eid := range g.In(v) {
-			u := g.Edge(eid).From
-			if !c.in[u] {
-				c.in[u] = true
-				stack = append(stack, u)
-			}
-		}
+		visit(preds[v].Local)
+		visit(preds[v].Msg)
 	}
 	return c
 }

@@ -29,9 +29,10 @@
 // node's ID is its position in Trace.Events, so Node(NodeID(pos)) is the
 // node of Events[pos]. Both resolve a message's sending step through the
 // graph's own per-process node lists (NodesOf); the trace keeps no
-// per-process index. Both store adjacency in a flat CSR layout
-// (offsets + edge IDs) rather than per-node slices, so adjacency walks are
-// two contiguous array reads.
+// per-process index. Neither keeps an adjacency index: a node has at most
+// one local and one message in-edge, so backward walks read Preds, one
+// pass over the edges per call. No read writes to a graph, so any graph is
+// safe for concurrent reads while no Builder.Append interleaves.
 package causality
 
 import (
@@ -84,9 +85,10 @@ type Edge struct {
 	Msg sim.MsgID
 }
 
-// Graph is the execution graph G_α. Graphs returned by Build (and
-// Builder.Finalize) are immutable and safe for concurrent reads; a graph
-// still being grown by a Builder must be confined to one goroutine.
+// Graph is the execution graph G_α: its nodes, its edges and each
+// process's node list. No method writes to it, so a graph from Build, or
+// one a Builder grows, is safe for concurrent reads as long as no
+// Builder.Append interleaves with them.
 type Graph struct {
 	trace *sim.Trace
 	nodes []Node
@@ -95,13 +97,6 @@ type Graph struct {
 	// MessageCount is O(1) (it is on the per-call path of every
 	// MaxRelevantRatio invocation).
 	msgCount int
-	// CSR adjacency: outIDs[outOff[n]:outOff[n+1]] are the IDs of edges
-	// leaving n, inIDs likewise for edges entering n. Valid for the first
-	// csrNodes nodes and csrEdges edges; a Builder append invalidates the
-	// layout and the next adjacency access rebuilds it.
-	outOff, inOff      []int32
-	outIDs, inIDs      []EdgeID
-	csrNodes, csrEdges int
 	// procNodes lists each process's kept nodes in local order.
 	procNodes [][]NodeID
 }
@@ -199,40 +194,7 @@ func Build(t *sim.Trace, opts Options) *Graph {
 		g.msgCount++
 	}
 
-	g.ensureCSR()
 	return g
-}
-
-// ensureCSR (re)builds the flat adjacency arrays when nodes or edges were
-// appended since the last build. It is a no-op on finalized graphs.
-func (g *Graph) ensureCSR() {
-	if g.csrNodes == len(g.nodes) && g.csrEdges == len(g.edges) {
-		return
-	}
-	// Each offset array has one spare slot: degrees are counted at v+2
-	// and prefix-summed, so off[v+1] starts as v's first slot and serves
-	// as its fill cursor, ending as v's end — the CSR offset of v+1.
-	n := len(g.nodes)
-	outOff := make([]int32, n+2)
-	inOff := make([]int32, n+2)
-	for _, e := range g.edges {
-		outOff[e.From+2]++
-		inOff[e.To+2]++
-	}
-	for i := 2; i < n+2; i++ {
-		outOff[i] += outOff[i-1]
-		inOff[i] += inOff[i-1]
-	}
-	outIDs := make([]EdgeID, len(g.edges))
-	inIDs := make([]EdgeID, len(g.edges))
-	for i, e := range g.edges {
-		outIDs[outOff[e.From+1]] = EdgeID(i)
-		outOff[e.From+1]++
-		inIDs[inOff[e.To+1]] = EdgeID(i)
-		inOff[e.To+1]++
-	}
-	g.outOff, g.inOff, g.outIDs, g.inIDs = outOff[:n+1], inOff[:n+1], outIDs, inIDs
-	g.csrNodes, g.csrEdges = n, len(g.edges)
 }
 
 // Trace returns the underlying trace.
@@ -253,18 +215,6 @@ func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
 // Edges returns all edges. The caller must not modify the result.
 func (g *Graph) Edges() []Edge { return g.edges }
 
-// Out returns the IDs of edges leaving n. The caller must not modify it.
-func (g *Graph) Out(n NodeID) []EdgeID {
-	g.ensureCSR()
-	return g.outIDs[g.outOff[n]:g.outOff[n+1]]
-}
-
-// In returns the IDs of edges entering n. The caller must not modify it.
-func (g *Graph) In(n NodeID) []EdgeID {
-	g.ensureCSR()
-	return g.inIDs[g.inOff[n]:g.inOff[n+1]]
-}
-
 // NodesOf returns process p's kept nodes in local order.
 func (g *Graph) NodesOf(p sim.ProcessID) []NodeID { return g.procNodes[p] }
 
@@ -272,11 +222,37 @@ func (g *Graph) NodesOf(p sim.ProcessID) []NodeID { return g.procNodes[p] }
 // count is maintained at build time.
 func (g *Graph) MessageCount() int { return g.msgCount }
 
+// Pred holds a node's two possible predecessors in the execution graph:
+// Local is the previous event of its process and Msg the sending step of
+// its message edge, each -1 when the node has no such in-edge.
+type Pred struct {
+	Local, Msg NodeID
+}
+
+// Preds returns every node's predecessors, read off Edges in one pass. A
+// receive event is triggered by exactly one message, so a node has at
+// most one in-edge of each kind. The result belongs to the caller.
+func (g *Graph) Preds() []Pred {
+	preds := make([]Pred, len(g.nodes))
+	for i := range preds {
+		preds[i] = Pred{Local: -1, Msg: -1}
+	}
+	for _, e := range g.edges {
+		if e.Kind == Local {
+			preds[e.To].Local = e.From
+		} else {
+			preds[e.To].Msg = e.From
+		}
+	}
+	return preds
+}
+
 // IsDAG reports whether the graph is acyclic. Graphs of traces in causal
 // delivery order — everything the simulator or TraceBuilder produces —
 // have every edge pointing from a lower to a higher node ID, which a
 // single scan certifies; only externally loaded traces with reordered
-// events pay for a Kahn topological sort over the CSR adjacency.
+// events pay for a Kahn topological sort, which removes sinks first and
+// walks predecessors (Preds).
 func (g *Graph) IsDAG() bool {
 	ordered := true
 	for _, e := range g.edges {
@@ -288,28 +264,30 @@ func (g *Graph) IsDAG() bool {
 	if ordered {
 		return true
 	}
-	g.ensureCSR()
 	n := len(g.nodes)
-	indeg := make([]int32, n)
+	outdeg := make([]int32, n)
 	for _, e := range g.edges {
-		indeg[e.To]++
+		outdeg[e.From]++
 	}
-	queue := make([]int32, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, int32(v))
+	queue := make([]NodeID, 0, n)
+	for v := range n {
+		if outdeg[v] == 0 {
+			queue = append(queue, NodeID(v))
 		}
 	}
+	preds := g.Preds()
 	seen := 0
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		seen++
-		for _, eid := range g.outIDs[g.outOff[v]:g.outOff[v+1]] {
-			w := g.edges[eid].To
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, int32(w))
+		for _, u := range [2]NodeID{preds[v].Local, preds[v].Msg} {
+			if u < 0 {
+				continue
+			}
+			outdeg[u]--
+			if outdeg[u] == 0 {
+				queue = append(queue, u)
 			}
 		}
 	}

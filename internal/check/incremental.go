@@ -303,10 +303,10 @@ func (inc *Incremental) Verdict() Verdict { return inc.verdict }
 // whose prefix graph is inadmissible, or -1 while the graph is admissible.
 func (inc *Incremental) FailedAt() int { return inc.failedAt }
 
-// Graph returns the execution graph built so far, with its adjacency
-// finalized so the snapshot is safe to read concurrently — as long as no
-// further Step interleaves with those reads.
-func (inc *Incremental) Graph() *causality.Graph { return inc.bld.Finalize() }
+// Graph returns the execution graph built so far. It is the builder's
+// live graph, safe to read concurrently as long as no further Step
+// interleaves with those reads.
+func (inc *Incremental) Graph() *causality.Graph { return inc.bld.Graph() }
 
 // Trace returns the monitored trace.
 func (inc *Incremental) Trace() *sim.Trace { return inc.bld.Graph().Trace() }

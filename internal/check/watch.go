@@ -89,7 +89,8 @@ func (w *Watcher) MaxRelevantRatio() (ratio rat.Rat, found bool, err error) {
 }
 
 // Graph returns the execution graph built during the run, or nil when
-// Monitor never ran.
+// Monitor never ran. It is the monitor's own graph, not a copy: safe for
+// concurrent reads once the run is over, and it adds no index of its own.
 func (w *Watcher) Graph() *causality.Graph {
 	if w.inc == nil {
 		return nil

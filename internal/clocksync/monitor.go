@@ -150,26 +150,30 @@ func CheckCausalCone(t *sim.Trace, x int64) error {
 // the cone has no event of that process; col maps a process to its column
 // and is -1 for faulty ones. Node IDs are trace positions, so every edge
 // runs forward in node order (checked), and a node's row is the
-// column-wise maximum of its in-neighbours' rows plus the node itself in
-// its process's column: O((V+E)·c) in all, where a left closure per node
+// column-wise maximum of its predecessors' rows (Graph.Preds: the local
+// one first, then the message sender) plus the node itself in its
+// process's column: O((V+E)·c) in all, where a left closure per node
 // costs O(V·(V+E)). Local edges chain each process's events, so a cone
 // holds exactly the events of process q up to its frontier node. On an
 // edge against node order the rows end before the edge's target node.
 func frontiers(g *causality.Graph, col []int, c int) ([]int32, error) {
 	v := g.NumNodes()
+	preds := g.Preds()
 	rows := make([]int32, v*c)
 	for id := range v {
 		row := rows[id*c : (id+1)*c]
 		for i := range row {
 			row[i] = -1
 		}
-		for _, eid := range g.In(causality.NodeID(id)) {
-			from := int(g.Edge(eid).From)
-			if from >= id {
-				return rows[:id*c], fmt.Errorf("clocksync: edge %v -> %v runs against trace order",
-					g.Node(causality.NodeID(from)), g.Node(causality.NodeID(id)))
+		for _, from := range [2]causality.NodeID{preds[id].Local, preds[id].Msg} {
+			if from < 0 {
+				continue
 			}
-			for i, f := range rows[from*c : (from+1)*c] {
+			if int(from) >= id {
+				return rows[:id*c], fmt.Errorf("clocksync: edge %v -> %v runs against trace order",
+					g.Node(from), g.Node(causality.NodeID(id)))
+			}
+			for i, f := range rows[int(from)*c : (int(from)+1)*c] {
 				row[i] = max(row[i], f)
 			}
 		}
@@ -180,18 +184,36 @@ func frontiers(g *causality.Graph, col []int, c int) ([]int32, error) {
 	return rows, nil
 }
 
-// columns returns the correct processes of t and the column of each
-// process in a frontier row: its index in that list, -1 when faulty.
-func columns(t *sim.Trace) (correct []sim.ProcessID, col []int) {
-	correct = t.CorrectProcesses()
-	col = make([]int, t.N)
-	for p := range col {
-		col[p] = -1
+// cones holds the frontier rows of every causal cone of one graph
+// (frontiers), computed once for both the Theorem 2 and Theorem 4 checks.
+// A row has a column per correct process, in CorrectProcesses order; col
+// maps a process to its column, -1 when faulty.
+type cones struct {
+	g       *causality.Graph
+	correct []sim.ProcessID
+	col     []int
+	rows    []int32
+	err     error // an edge against trace order: rows end before its target
+}
+
+func newCones(g *causality.Graph) cones {
+	k := cones{g: g, correct: g.Trace().CorrectProcesses(), col: make([]int, g.Trace().N)}
+	for p := range k.col {
+		k.col[p] = -1
 	}
-	for i, p := range correct {
-		col[p] = i
+	for i, p := range k.correct {
+		k.col[p] = i
 	}
-	return correct, col
+	k.rows, k.err = frontiers(g, k.col, len(k.correct))
+	return k
+}
+
+// CheckCutsAndProgress runs CheckConsistentCutSynchrony(g, bound) and
+// CheckBoundedProgress(g, rho) on one computation of the graph's frontier
+// rows and returns their errors, unchanged, in that order.
+func CheckCutsAndProgress(g *causality.Graph, bound, rho int64) (cuts, progress error) {
+	k := newCones(g)
+	return k.cutSynchrony(bound), k.boundedProgress(rho)
 }
 
 // CheckConsistentCutSynchrony verifies Theorem 2 on a family of consistent
@@ -206,9 +228,12 @@ func columns(t *sim.Trace) (correct []sim.ProcessID, col []int) {
 // (frontiers). Trace order is also time order (checked), so the real-time
 // cuts follow from one more sweep that keeps each process's latest node.
 func CheckConsistentCutSynchrony(g *causality.Graph, bound int64) error {
-	t := g.Trace()
-	correct, col := columns(t)
-	c, v := len(correct), g.NumNodes()
+	return newCones(g).cutSynchrony(bound)
+}
+
+func (k cones) cutSynchrony(bound int64) error {
+	g, t, col, rows := k.g, k.g.Trace(), k.col, k.rows
+	c, v := len(k.correct), g.NumNodes()
 	node := func(id int) causality.Node { return g.Node(causality.NodeID(id)) }
 	// clock[id] is the clock after node id; 0 for an unprocessed reception,
 	// which cannot be a correct process's frontier anyway.
@@ -236,14 +261,13 @@ func CheckConsistentCutSynchrony(g *causality.Graph, bound int64) error {
 		return max - min, min >= 0
 	}
 
-	rows, err := frontiers(g, col, c)
 	for id := 0; id*c < len(rows); id++ {
 		if s, ok := spread(rows[id*c : (id+1)*c]); ok && int64(s) > bound {
 			return fmt.Errorf("clocksync: cut cone(%v) has spread %d > %d", node(id), s, bound)
 		}
 	}
-	if err != nil {
-		return err
+	if k.err != nil {
+		return k.err
 	}
 
 	last := make([]int32, c) // the latest node of each correct process so far
@@ -282,16 +306,18 @@ func CheckConsistentCutSynchrony(g *causality.Graph, bound int64) error {
 // CheckConsistentCutSynchrony, it rejects a graph with an edge against
 // trace order, which no engine trace has.
 func CheckBoundedProgress(g *causality.Graph, rho int64) error {
+	return newCones(g).boundedProgress(rho)
+}
+
+func (k cones) boundedProgress(rho int64) error {
 	if rho < 1 {
 		return fmt.Errorf("clocksync: bounded progress needs rho >= 1, got %d", rho)
 	}
-	t := g.Trace()
-	correct, col := columns(t)
-	c := len(correct)
-	rows, err := frontiers(g, col, c)
-	if err != nil {
-		return err
+	if k.err != nil {
+		return k.err
 	}
+	g, t, correct, rows := k.g, k.g.Trace(), k.correct, k.rows
+	c := len(correct)
 	// done[id] counts the distinguished events of id's process up to and
 	// including id; dist lists each correct process's distinguished nodes.
 	done := make([]int32, g.NumNodes())

@@ -107,8 +107,9 @@ func clockSyncVerdict(v workload.Values, r *runner.JobResult) error {
 	if g == nil {
 		g = causality.Build(r.Trace, causality.Options{})
 	}
-	if err := CheckConsistentCutSynchrony(g, x); err != nil {
-		return err
+	cuts, progress := CheckCutsAndProgress(g, x, 2*x+1)
+	if cuts != nil {
+		return cuts
 	}
-	return CheckBoundedProgress(g, 2*x+1)
+	return progress
 }
