@@ -61,8 +61,9 @@ bench-smoke: fleet-bench
 # fuzz-smoke gives each fuzz target a short budget (FUZZTIME): the rat
 # differentials, whose seed corpus already pins the int64 overflow
 # boundary, so even 10s runs cross the promotion/demotion paths; the
-# fault grammar; the topology grammar; and the JSON trace reader behind
-# abccheck.
+# fault grammar; the topology grammar; the JSON trace reader behind
+# abccheck; and every String parameter of every registered workload
+# through Resolve and Jobs.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzArith -fuzztime=$(FUZZTIME) ./internal/rat
@@ -70,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseFaults -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzParseTopology -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzReadJSON -fuzztime=$(FUZZTIME) ./cmd/abccheck
+	$(GO) test -run=NONE -fuzz=FuzzResolveJobs -fuzztime=$(FUZZTIME) ./internal/workload/all
 
 # fleet-bench records the wall-clock of the full E1–E18 evaluation through
 # the runner at one worker and at eight (DESIGN.md decision 5 has the

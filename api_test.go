@@ -2,8 +2,10 @@ package abc
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -14,12 +16,12 @@ import (
 	"testing"
 )
 
-// testOnlyAllowed lists the exported functions and methods under internal/
-// that no production file calls but that stay anyway, each with the reason.
-// Keys are "pkg.Func" or "pkg.Type.Method". Everything else exported must
-// have a non-test caller: an export that only tests reach is either wired
-// into the experiment that owns its claim or deleted (DESIGN.md decision
-// 13).
+// testOnlyAllowed lists the exported declarations under internal/ that no
+// production file uses but that stay anyway, each with the reason. Keys are
+// "pkg.Func", "pkg.Type", "pkg.Type.Method" or "pkg.Type.Field".
+// Everything else exported must have a non-test use: an export that only
+// tests reach is either wired into the experiment that owns its claim or
+// deleted (DESIGN.md decision 13).
 var testOnlyAllowed = map[string]string{
 	"check.MaxRelevantRatioExhaustive":       "oracle of TestCheckerDifferential",
 	"check.Exhaustive":                       "enumeration oracle of the check tests",
@@ -45,26 +47,40 @@ var testOnlyAllowed = map[string]string{
 	"causality.Graph.CutAtTime":              "cut-by-cut reference of TestCutSynchronyMatchesReference for the one-pass Theorem 2 check",
 	"causality.Cut.Frontier":                 "reads C_p(S) off the reference cuts of TestCutSynchronyMatchesReference",
 	"causality.Graph.Interval":               "Definition 6 reference of TestBoundedProgressMatchesIntervals for the frontier-count Theorem 4 check",
+	"causality.Cut.Contains":                 "one-line accessor through which the scenario, clocksync and causality tests read the reference cuts",
+	"runner.Job.Check":                       "no production code sets it, but bench/trace.go reads it, and bench/ stays frozen until ROADMAP item 1 removes it",
 }
 
-// TestNoTestOnlyExports fails when an exported function or method declared
-// in a non-test file under internal/ is referenced by no non-test file of
-// the repository (bench/ included), and when an allowlist entry gains a
-// caller or no longer exists. Package-level functions are matched by
-// import path and name; methods by name alone, since resolving receiver
-// types needs a type checker, so a method counts as used when any
-// non-test selector on a value (not on an imported package) names it.
+// TestNoTestOnlyExports type-checks every non-test Go file of the
+// repository (cmd/, examples/ and the bench/ module included) and fails
+// when an exported declaration under internal/ has no non-test use, and
+// when an allowlist entry gains a use or names no declaration. Names are
+// resolved by type, not matched by spelling:
+//
+//   - A function, method or type is used when a non-test identifier
+//     outside its own declaration and its methods' receivers refers to
+//     it. A method also counts as used when non-test code selects an
+//     interface method of the same name and signature, through which it
+//     may be dispatched. String and Error are exempt.
+//   - An exported field of an exported struct type is used when non-test
+//     code writes it: a keyed or positional composite literal, an
+//     assignment to it or through it (x.F[i] = v), ++/--, or &x.F. A
+//     field only tests set is a knob whose production value is always
+//     zero. Embedded fields are exempt.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
-	type decl struct {
-		key, pkg, name string
-		method         bool
-		pos            token.Position
+	l := &loader{
+		fset:  fset,
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		std:   importer.ForCompiler(fset, "gc", nil),
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
 	}
-	var decls []decl
-	funcRefs := map[string]bool{}  // "importpath.Name"
-	selectors := map[string]bool{} // selector names on values, for methods
-
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -82,88 +98,237 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		self := "repro/" + dir // import path of internal/ packages; a unique key elsewhere
-		imports := map[string]string{}
-		for _, imp := range f.Imports {
-			ip, _ := strconv.Unquote(imp.Path.Value)
-			name := path.Base(ip)
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = ip
-		}
-		declNames := map[*ast.Ident]bool{}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declNames[fd.Name] = true
-			if !fd.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
-				continue
-			}
-			pkg := path.Base(dir)
-			key := pkg + "." + fd.Name.Name
-			if fd.Recv != nil {
-				recv := receiverType(fd.Recv.List[0].Type)
-				if !ast.IsExported(recv) {
-					continue // reachable only through an interface or its package
-				}
-				key = pkg + "." + recv + "." + fd.Name.Name
-			}
-			decls = append(decls, decl{key, self, fd.Name.Name, fd.Recv != nil, fset.Position(fd.Pos())})
-		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if ip, ok := imports[x.Name]; ok {
-						funcRefs[ip+"."+n.Sel.Name] = true
-						return false
-					}
-				}
-				selectors[n.Sel.Name] = true
-				ast.Inspect(n.X, visit)
-				return false // n.Sel names a field or method, not a package-level func
-			case *ast.Ident:
-				if !declNames[n] {
-					funcRefs[self+"."+n.Name] = true
-				}
-			}
-			return true
-		}
-		ast.Inspect(f, visit)
+		// The root module is "repro" and bench/'s is "repro/bench", so
+		// one rule maps every directory to its import path.
+		ip := path.Join("repro", filepath.ToSlash(filepath.Dir(p)))
+		l.files[ip] = append(l.files[ip], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	found := map[string]bool{}
-	var unused []string
-	for _, d := range decls {
-		found[d.key] = true
-		used := funcRefs[d.pkg+"."+d.name]
-		if d.method {
-			used = selectors[d.name]
+	for ip := range l.files {
+		if _, err := l.Import(ip); err != nil {
+			t.Fatal(err)
 		}
-		_, allowed := testOnlyAllowed[d.key]
+	}
+
+	// The exported declarations under internal/, keyed as in testOnlyAllowed.
+	declared := map[types.Object]string{}
+	for ip, p := range l.pkgs {
+		if !strings.HasPrefix(ip, "repro/internal/") {
+			continue
+		}
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			key := p.Name() + "." + name
+			switch obj := obj.(type) {
+			case *types.Func:
+				declared[obj] = key
+			case *types.TypeName:
+				declared[obj] = key
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				for m := range named.Methods() {
+					if m.Exported() && m.Name() != "String" && m.Name() != "Error" {
+						declared[m] = key + "." + m.Name()
+					}
+				}
+				if st, ok := named.Underlying().(*types.Struct); ok {
+					for f := range st.Fields() {
+						if f.Exported() && !f.Embedded() {
+							declared[f] = key + "." + f.Name()
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// A declaration's own span, and its methods' receivers, do not count
+	// as uses of it.
+	type span struct{ pos, end token.Pos }
+	own := map[types.Object][]span{}
+	used := map[types.Object]bool{}
+	var ifaceSelections []*types.Func
+	markWrites := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if sel := l.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					used[sel.Obj().(*types.Var).Origin()] = true
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	for _, files := range l.files {
+		for _, f := range files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					own[l.info.Defs[d.Name]] = append(own[l.info.Defs[d.Name]], span{d.Pos(), d.End()})
+					if d.Recv != nil {
+						r := d.Recv.List[0].Type
+						if recv := l.receiver(r); recv != nil {
+							own[recv] = append(own[recv], span{r.Pos(), r.End()})
+						}
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						if ts, ok := s.(*ast.TypeSpec); ok {
+							obj := l.info.Defs[ts.Name]
+							own[obj] = append(own[obj], span{ts.Pos(), ts.End()})
+						}
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := l.info.Types[n].Type
+					if p, ok := typ.(*types.Pointer); ok {
+						typ = p.Elem() // an elided &T{...} in a []*T literal
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if f, ok := l.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								used[f.Origin()] = true
+							}
+						} else {
+							used[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						markWrites(lhs)
+					}
+				case *ast.IncDecStmt:
+					markWrites(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						markWrites(n.X)
+					}
+				case *ast.SelectorExpr:
+					if sel := l.info.Selections[n]; sel != nil && sel.Kind() != types.FieldVal && types.IsInterface(sel.Recv()) {
+						ifaceSelections = append(ifaceSelections, sel.Obj().(*types.Func))
+					}
+				}
+				return true
+			})
+		}
+	}
+	for id, obj := range l.info.Uses {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			continue // fields count only when written
+		}
+		if _, ok := declared[obj]; !ok {
+			continue
+		}
+		inOwn := false
+		for _, s := range own[obj] {
+			inOwn = inOwn || s.pos <= id.Pos() && id.Pos() < s.end
+		}
+		used[obj] = used[obj] || !inOwn
+	}
+	for obj := range declared {
+		m, ok := obj.(*types.Func)
+		if !ok || used[m] || m.Type().(*types.Signature).Recv() == nil {
+			continue
+		}
+		for _, im := range ifaceSelections {
+			if im.Name() == m.Name() && types.Identical(im.Type(), m.Type()) {
+				used[m] = true
+				break
+			}
+		}
+	}
+
+	var unused []string
+	found := map[string]bool{}
+	for obj, key := range declared {
+		found[key] = true
+		_, allowed := testOnlyAllowed[key]
 		switch {
-		case !used && !allowed:
-			unused = append(unused, d.key+" ("+d.pos.String()+")")
-		case used && allowed:
-			t.Errorf("%s now has a non-test caller; drop it from testOnlyAllowed", d.key)
+		case !used[obj] && !allowed:
+			unused = append(unused, key+" ("+fset.Position(obj.Pos()).String()+")")
+		case used[obj] && allowed:
+			t.Errorf("%s now has a non-test use; drop it from testOnlyAllowed", key)
 		}
 	}
 	sort.Strings(unused)
 	for _, u := range unused {
-		t.Errorf("exported but referenced only by tests: %s", u)
+		t.Errorf("exported but used only by tests: %s", u)
 	}
 	for key := range testOnlyAllowed {
 		if !found[key] {
 			t.Errorf("testOnlyAllowed names %s, which is not an exported declaration under internal/", key)
+		}
+	}
+}
+
+// loader type-checks the repository's non-test files package by package,
+// on demand, and the standard library from its export data.
+type loader struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // by import path
+	pkgs  map[string]*types.Package
+	std   types.Importer
+	info  *types.Info // shared by every package
+}
+
+func (l *loader) Import(ip string) (*types.Package, error) {
+	files, ok := l.files[ip]
+	if !ok {
+		return l.std.Import(ip)
+	}
+	if p := l.pkgs[ip]; p != nil {
+		return p, nil
+	}
+	conf := types.Config{Importer: l}
+	p, err := conf.Check(ip, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[ip] = p
+	return p, nil
+}
+
+// receiver returns the type named by a method receiver expression.
+func (l *loader) receiver(e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return l.info.Uses[x]
+		default:
+			return nil
 		}
 	}
 }
@@ -303,22 +468,4 @@ func facadeRefs(f *ast.File, n ast.Node, used map[string]bool) {
 		}
 		return true
 	})
-}
-
-// receiverType returns the type name of a method receiver expression.
-func receiverType(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
 }

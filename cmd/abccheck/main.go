@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		xiStr    = fs.String("xi", "2", "ABC parameter Ξ (rational)")
 		thetaStr = fs.String("theta", "", "also check the Θ-Model for this Θ")
 		phi      = fs.Int("phi", 0, "also check ParSync with this Φ (needs -delta)")
-		delta    = fs.Int("delta", 0, "ParSync Δ")
+		delta    = fs.Int("delta", 0, "ParSync Δ (needs -phi)")
 		gst      = fs.Bool("gst", false, "also locate the ◇ABC stabilization index")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -58,6 +58,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: abccheck [flags] trace.json")
+	}
+	// Model parameters are checked before the trace is read.
+	var th rat.Rat
+	if *thetaStr != "" {
+		var err error
+		if th, err = rat.Parse(*thetaStr); err != nil {
+			return err
+		}
+		if th.Less(rat.One) {
+			return fmt.Errorf("Θ = %v must be at least 1", th)
+		}
+	}
+	if (*phi != 0 || *delta != 0) && (*phi < 1 || *delta < 1) {
+		return fmt.Errorf("-phi and -delta must be set together, each at least 1 (got Φ = %d, Δ = %d)", *phi, *delta)
 	}
 
 	file, err := os.Open(fs.Arg(0))
@@ -98,10 +112,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *thetaStr != "" {
-		th, err := rat.Parse(*thetaStr)
-		if err != nil {
-			return err
-		}
 		st := theta.CheckStatic(tr, th)
 		dy := theta.CheckDynamic(tr, th)
 		fmt.Fprintf(stdout, "Θ-Model(Θ=%v): static=%v dynamic=%v", th, st.Admissible, dy.Admissible)

@@ -182,6 +182,26 @@ func TestRunUsageErrors(t *testing.T) {
 	if err := run([]string{"/no/such/file.json"}, &out, &errOut); err == nil {
 		t.Error("nonexistent file accepted")
 	}
+	// Meaningless model parameters are usage errors, raised before the
+	// trace is read: the file named here does not exist. Each of these
+	// used to print a verdict against the bad parameter.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-theta", "0"}, "Θ = 0 must be at least 1"},
+		{[]string{"-theta", "-1"}, "Θ = -1 must be at least 1"},
+		{[]string{"-theta", "1/2"}, "Θ = 1/2 must be at least 1"},
+		{[]string{"-phi", "3", "-delta", "-1"}, "(got Φ = 3, Δ = -1)"},
+		{[]string{"-phi", "3"}, "(got Φ = 3, Δ = 0)"},
+		{[]string{"-delta", "3"}, "(got Φ = 0, Δ = 3)"},
+		{[]string{"-phi", "-2", "-delta", "3"}, "(got Φ = -2, Δ = 3)"},
+	} {
+		err := run(append(tc.args, "/no/such/file.json"), &out, &errOut)
+		if err == nil || errors.Is(err, errInadmissible) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want a usage error containing %q", tc.args, err, tc.want)
+		}
+	}
 }
 
 // validTraceJSON is a hand-written 2-process trace: both processes wake

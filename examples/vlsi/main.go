@@ -31,10 +31,6 @@ func run(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	chip.SetName(0, "tickgen-NW")
-	chip.SetName(1, "tickgen-NE")
-	chip.SetName(2, "tickgen-SW")
-	chip.SetName(3, "tickgen-SE")
 	// The diagonal wires are longer.
 	if err := chip.SetWire(0, 3, abc.NewRat(5, 4), abc.NewRat(15, 8)); err != nil {
 		return err

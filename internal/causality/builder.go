@@ -100,12 +100,7 @@ func (b *Builder) Append() (int, error) {
 		}
 
 		id := NodeID(pos)
-		g.nodes = append(g.nodes, Node{
-			Proc:   ev.Proc,
-			Index:  ev.Index,
-			Time:   ev.Time,
-			Wakeup: m.IsWakeup(),
-		})
+		g.nodes = append(g.nodes, Node{Proc: ev.Proc, Index: ev.Index, Time: ev.Time})
 		if pn := g.procNodes[ev.Proc]; len(pn) > 0 {
 			g.edges = append(g.edges, Edge{From: pn[len(pn)-1], To: id, Kind: Local, Msg: -1})
 		}

@@ -42,9 +42,9 @@ func edgePreds(t *testing.T, g *Graph) []Pred {
 			slot = &preds[e.To].Msg
 		}
 		if *slot >= 0 {
-			t.Fatalf("node %v has a second %v in-edge (from %v and %v)", g.Node(e.To), e.Kind, g.Node(*slot), g.Node(e.From))
+			t.Fatalf("node %v has a second %v in-edge (from %v and %v)", g.Node(e.To), e.Kind, g.Node(NodeID(*slot)), g.Node(e.From))
 		}
-		*slot = e.From
+		*slot = int32(e.From)
 	}
 	return preds
 }
@@ -345,7 +345,7 @@ func TestBuilderGraphConcurrentReads(t *testing.T) {
 	// The reference closure comes from a separate graph, so every read
 	// of g happens inside the goroutines.
 	last := NodeID(g.NumNodes() - 1)
-	want := len(Build(tr, Options{}).LeftClosure(last).Nodes())
+	want := len(members(Build(tr, Options{}).LeftClosure(last)))
 	var wg sync.WaitGroup
 	for range 4 {
 		wg.Add(1)
@@ -357,7 +357,7 @@ func TestBuilderGraphConcurrentReads(t *testing.T) {
 			if len(g.Preds()) != g.NumNodes() || len(reordered.Graph().Preds()) != 1 {
 				t.Error("Preds length differs from the node count")
 			}
-			if c := g.LeftClosure(last); len(c.Nodes()) != want || !c.IsLeftClosed() {
+			if c := g.LeftClosure(last); len(members(c)) != want || !c.IsLeftClosed() {
 				t.Error("concurrent LeftClosure differs")
 			}
 		}()

@@ -117,7 +117,7 @@ func TestFaultyMessageDropping(t *testing.T) {
 			t.Error("dropped message still has a message edge")
 		}
 	}
-	if p := g.Preds()[recv]; p.Msg != -1 || p.Local != g.NodesOf(2)[0] {
+	if p := g.Preds()[recv]; p.Msg != -1 || NodeID(p.Local) != g.NodesOf(2)[0] {
 		t.Errorf("Preds of the dropped message's receive = %+v", p)
 	}
 }
@@ -171,7 +171,7 @@ func TestLeftClosureAndCuts(t *testing.T) {
 	cone := g.CausalCone(e2)
 	// Causal past of e2: e2 itself, p2's wake-up, e1, p1's wake-up, p0's
 	// wake-up. Not p2's event 2 (m3 receive).
-	if n := len(cone.Nodes()); n != 5 {
+	if n := len(members(cone)); n != 5 {
 		t.Errorf("cone size = %d, want 5", n)
 	}
 	if !cone.IsLeftClosed() {
@@ -183,9 +183,9 @@ func TestLeftClosureAndCuts(t *testing.T) {
 
 	// Removing an interior node breaks left-closure.
 	broken := NewCut(g)
-	for _, n := range cone.Nodes() {
+	for _, n := range members(cone) {
 		if n != g.NodesOf(1)[0] {
-			broken.Add(n)
+			broken.in[n] = true
 		}
 	}
 	if broken.IsLeftClosed() {
@@ -231,7 +231,7 @@ func TestCutAtTime(t *testing.T) {
 	g := Build(tr, Options{})
 	c := g.CutAtTime(rat.FromInt(1))
 	// At time 1: all wake-ups (t=0) + receive of m1 (t=1).
-	if n := len(c.Nodes()); n != 4 {
+	if n := len(members(c)); n != 4 {
 		t.Errorf("cut at t=1 has %d nodes, want 4", n)
 	}
 	// Real-time cuts are always left-closed.
@@ -250,7 +250,7 @@ func TestInterval(t *testing.T) {
 	e2 := g.NodesOf(2)[1]
 	iv := g.Interval(w0, e2)
 	// ⟨e2⟩ has 5 nodes, ⟨w0⟩ has 1; the interval has 4.
-	if n := len(iv.Nodes()); n != 4 {
+	if n := len(members(iv)); n != 4 {
 		t.Errorf("interval size = %d, want 4", n)
 	}
 	if iv.Contains(w0) {
@@ -264,11 +264,12 @@ func TestInterval(t *testing.T) {
 func TestCloseInPlace(t *testing.T) {
 	tr := chainTrace(t)
 	g := Build(tr, Options{})
+	// Closing a one-node cut adds that node's causal past.
 	c := NewCut(g)
-	c.Add(g.NodesOf(2)[1])
-	c.Close()
-	if !c.IsLeftClosed() || len(c.Nodes()) != 5 {
-		t.Errorf("Close: leftClosed=%v size=%d", c.IsLeftClosed(), len(c.Nodes()))
+	c.in[g.NodesOf(2)[1]] = true
+	c = g.LeftClosure(members(c)...)
+	if !c.IsLeftClosed() || len(members(c)) != 5 {
+		t.Errorf("closure: leftClosed=%v size=%d", c.IsLeftClosed(), len(members(c)))
 	}
 }
 
@@ -278,9 +279,10 @@ func TestNodesAndAccessors(t *testing.T) {
 	if g.Trace() != tr {
 		t.Error("Trace accessor wrong")
 	}
-	n := g.Node(g.NodesOf(1)[0])
-	if n.Proc != 1 || n.Index != 0 || !n.Wakeup {
-		t.Errorf("node = %+v", n)
+	id := g.NodesOf(1)[0]
+	n := g.Node(id)
+	if n.Proc != 1 || n.Index != 0 || !tr.Msgs[tr.Events[id].Trigger].IsWakeup() {
+		t.Errorf("node = %+v, trigger %+v", n, tr.Msgs[tr.Events[id].Trigger])
 	}
 	if n.String() != "p1/0" {
 		t.Errorf("String = %q", n.String())
@@ -299,9 +301,8 @@ func TestNodesAndAccessors(t *testing.T) {
 		}
 		for pos, ev := range tr.Events {
 			n := g.Node(NodeID(pos))
-			wake := tr.Msgs[ev.Trigger].IsWakeup()
-			if n.Proc != ev.Proc || n.Index != ev.Index || !n.Time.Equal(ev.Time) || n.Wakeup != wake {
-				t.Errorf("%s: Node(NodeID(%d)) = %+v, event %+v (wakeup %v)", name, pos, n, ev, wake)
+			if n.Proc != ev.Proc || n.Index != ev.Index || !n.Time.Equal(ev.Time) {
+				t.Errorf("%s: Node(NodeID(%d)) = %+v, event %+v", name, pos, n, ev)
 			}
 		}
 	}
@@ -346,4 +347,15 @@ func TestInDegreeInvariant(t *testing.T) {
 	if !g.IsDAG() {
 		t.Error("simulated execution graph not a DAG")
 	}
+}
+
+// members returns the cut's nodes in ascending NodeID order.
+func members(c *Cut) []NodeID {
+	var out []NodeID
+	for i, in := range c.in {
+		if in {
+			out = append(out, NodeID(i))
+		}
+	}
+	return out
 }

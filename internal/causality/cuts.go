@@ -20,20 +20,6 @@ func NewCut(g *Graph) *Cut {
 // Contains reports whether n is in the cut.
 func (c *Cut) Contains(n NodeID) bool { return c.in[n] }
 
-// Add inserts n into the cut.
-func (c *Cut) Add(n NodeID) { c.in[n] = true }
-
-// Nodes returns the cut's members in ascending NodeID order.
-func (c *Cut) Nodes() []NodeID {
-	var out []NodeID
-	for i, b := range c.in {
-		if b {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
 // Minus returns the set difference c \ d as a cut (not necessarily
 // consistent). Used for consistent cut intervals (Definition 6):
 // [⟨φ⟩, ⟨ψ⟩] = ⟨ψ⟩ \ ⟨φ⟩.
@@ -115,17 +101,9 @@ func (g *Graph) LeftClosure(nodes ...NodeID) *Cut {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		visit(preds[v].Local)
-		visit(preds[v].Msg)
+		visit(NodeID(preds[v].Local))
+		visit(NodeID(preds[v].Msg))
 	}
-	return c
-}
-
-// Close left-closes the cut in place, adding the causal past of all
-// members, and returns the receiver.
-func (c *Cut) Close() *Cut {
-	closed := c.g.LeftClosure(c.Nodes()...)
-	copy(c.in, closed.in)
 	return c
 }
 

@@ -49,8 +49,6 @@ type Node struct {
 	Proc  sim.ProcessID
 	Index int // the event's per-process index in the underlying trace
 	Time  sim.Time
-	// Wakeup is true for the externally triggered initial event.
-	Wakeup bool
 }
 
 // EdgeKind distinguishes local edges from messages (non-local edges).
@@ -159,11 +157,10 @@ func Build(t *sim.Trace, opts Options) *Graph {
 	// get no incoming message edge.
 	wakeups := 0
 	for pos, ev := range t.Events {
-		wakeup := t.Msgs[ev.Trigger].IsWakeup()
-		if wakeup {
+		if t.Msgs[ev.Trigger].IsWakeup() {
 			wakeups++
 		}
-		g.nodes[pos] = Node{Proc: ev.Proc, Index: ev.Index, Time: ev.Time, Wakeup: wakeup}
+		g.nodes[pos] = Node{Proc: ev.Proc, Index: ev.Index, Time: ev.Time}
 		g.procNodes[ev.Proc] = append(g.procNodes[ev.Proc], NodeID(pos))
 	}
 
@@ -224,9 +221,11 @@ func (g *Graph) MessageCount() int { return g.msgCount }
 
 // Pred holds a node's two possible predecessors in the execution graph:
 // Local is the previous event of its process and Msg the sending step of
-// its message edge, each -1 when the node has no such in-edge.
+// its message edge, each -1 when the node has no such in-edge. They hold
+// NodeIDs in 32 bits, as trace positions are int32; callers convert with
+// NodeID(p.Local).
 type Pred struct {
-	Local, Msg NodeID
+	Local, Msg int32
 }
 
 // Preds returns every node's predecessors, read off Edges in one pass. A
@@ -239,9 +238,9 @@ func (g *Graph) Preds() []Pred {
 	}
 	for _, e := range g.edges {
 		if e.Kind == Local {
-			preds[e.To].Local = e.From
+			preds[e.To].Local = int32(e.From)
 		} else {
-			preds[e.To].Msg = e.From
+			preds[e.To].Msg = int32(e.From)
 		}
 	}
 	return preds
@@ -281,13 +280,13 @@ func (g *Graph) IsDAG() bool {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		seen++
-		for _, u := range [2]NodeID{preds[v].Local, preds[v].Msg} {
+		for _, u := range [2]int32{preds[v].Local, preds[v].Msg} {
 			if u < 0 {
 				continue
 			}
 			outdeg[u]--
 			if outdeg[u] == 0 {
-				queue = append(queue, u)
+				queue = append(queue, NodeID(u))
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/causality"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/rat"
 	"repro/internal/sim"
@@ -47,7 +48,7 @@ func TestFaultFreeProgress(t *testing.T) {
 	model := core.MustModel(rat.FromInt(2))
 	tr, g := runSync(t, 4, 1, nil, 20, rat.New(3, 2), 1)
 
-	v, err := model.Admissible(g)
+	v, err := check.ABC(g, model.Xi())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestWithCrashFault(t *testing.T) {
 	faults := map[sim.ProcessID]sim.Fault{3: sim.Crash(5)}
 	tr, g := runSync(t, 4, 1, faults, 12, rat.New(3, 2), 3)
 
-	v, err := model.Admissible(g)
+	v, err := check.ABC(g, model.Xi())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestWithByzantineAdversaries(t *testing.T) {
 			faults := Adversaries(tc.n, tc.f, uint64(tc.seed))
 			tr, g := runSync(t, tc.n, tc.f, faults, 10, rat.New(3, 2), tc.seed)
 
-			v, err := model.Admissible(g)
+			v, err := check.ABC(g, model.Xi())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +214,7 @@ func TestRationalXi(t *testing.T) {
 		t.Fatalf("X = %d, want 3", x)
 	}
 	tr, g := runSync(t, 4, 1, nil, 10, rat.New(5, 4), 8)
-	v, err := model.Admissible(g)
+	v, err := check.ABC(g, model.Xi())
 	if err != nil {
 		t.Fatal(err)
 	}

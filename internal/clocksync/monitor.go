@@ -165,13 +165,13 @@ func frontiers(g *causality.Graph, col []int, c int) ([]int32, error) {
 		for i := range row {
 			row[i] = -1
 		}
-		for _, from := range [2]causality.NodeID{preds[id].Local, preds[id].Msg} {
+		for _, from := range [2]int32{preds[id].Local, preds[id].Msg} {
 			if from < 0 {
 				continue
 			}
 			if int(from) >= id {
 				return rows[:id*c], fmt.Errorf("clocksync: edge %v -> %v runs against trace order",
-					g.Node(from), g.Node(causality.NodeID(id)))
+					g.Node(causality.NodeID(from)), g.Node(causality.NodeID(id)))
 			}
 			for i, f := range rows[int(from)*c : (int(from)+1)*c] {
 				row[i] = max(row[i], f)

@@ -68,11 +68,6 @@ func (m Model) PrecisionBound() int64 { return m.PhasesPerRound() }
 // least one.
 func (m Model) BoundedProgressRho() int64 { return 2*m.PhasesPerRound() + 1 }
 
-// Admissible checks the execution graph against Definition 4.
-func (m Model) Admissible(g *causality.Graph) (check.Verdict, error) {
-	return check.ABC(g, m.xi)
-}
-
 // RunVerified runs the simulation and verifies the resulting trace is
 // ABC-admissible for this model, returning the trace, its execution graph,
 // and the checker verdict. A non-admissible result is not an error — the

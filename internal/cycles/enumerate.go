@@ -105,15 +105,3 @@ func (e *enumerator) extend(v causality.NodeID) bool {
 	}
 	return true
 }
-
-// Relevant returns the relevant cycles of g, up to limit enumerated cycles;
-// complete is false when enumeration was truncated.
-func Relevant(g *causality.Graph, limit int) (relevant []Cycle, complete bool) {
-	all, complete := Enumerate(g, limit)
-	for _, c := range all {
-		if Classify(c).Relevant {
-			relevant = append(relevant, c)
-		}
-	}
-	return relevant, complete
-}

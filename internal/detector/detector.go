@@ -63,9 +63,6 @@ var _ sim.Process = (*Monitor)(nil)
 // Suspects returns whether the target is currently suspected.
 func (m *Monitor) Suspects(q sim.ProcessID) bool { return m.suspected[q] }
 
-// Done reports whether the chain has completed.
-func (m *Monitor) Done() bool { return m.done }
-
 // Step implements sim.Process.
 func (m *Monitor) Step(env *sim.Env, msg sim.Message) {
 	if m.replied == nil {

@@ -52,7 +52,7 @@ func TestCompletenessCrashedTargetSuspected(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := res.Procs[0].(*Monitor)
-	if !m.Done() {
+	if !m.done {
 		t.Fatal("chain never completed")
 	}
 	if !m.Suspects(2) {

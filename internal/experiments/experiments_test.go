@@ -59,19 +59,10 @@ func TestRunAllWidthIndependent(t *testing.T) {
 		}
 	}
 	for _, r := range serial {
-		if r.Failed() {
-			t.Errorf("%s failed", r.ID)
+		for _, row := range r.Rows {
+			if !row.OK {
+				t.Errorf("%s/%s failed", r.ID, row.Name)
+			}
 		}
-	}
-}
-
-func TestResultFailed(t *testing.T) {
-	r := Result{Rows: []Row{{OK: true}, {OK: true}}}
-	if r.Failed() {
-		t.Error("all-ok result reported failed")
-	}
-	r.Rows = append(r.Rows, Row{OK: false})
-	if !r.Failed() {
-		t.Error("failing row not reported")
 	}
 }

@@ -140,9 +140,6 @@ func (p *Proc) take(r int) []any {
 // Round returns the highest round this process has started.
 func (p *Proc) Round() int { return p.r }
 
-// Clock exposes the underlying Algorithm 1 clock.
-func (p *Proc) Clock() int { return p.cs.Clock() }
-
 // App returns the application state machine.
 func (p *Proc) App() App { return p.app }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/causality"
+	"repro/internal/check"
 	"repro/internal/clocksync"
 	"repro/internal/core"
 	"repro/internal/rat"
@@ -73,7 +74,7 @@ func TestLockStepAdmissible(t *testing.T) {
 	m := core.MustModel(rat.FromInt(2))
 	res := runLockstep(t, 4, 1, 4, nil, 2)
 	g := causality.Build(res.Trace, causality.Options{})
-	v, err := m.Admissible(g)
+	v, err := check.ABC(g, m.Xi())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,10 +196,6 @@ func TestDifferentialUnary(t *testing.T) {
 	for i := 0; i < opsPerProperty; i++ {
 		a := genPair(t, rng)
 		agree(t, "Neg", a.r.Neg(), new(big.Rat).Neg(a.o))
-		agree(t, "Abs", a.r.Abs(), new(big.Rat).Abs(a.o))
-		if a.o.Sign() != 0 {
-			agree(t, "Inv", a.r.Inv(), new(big.Rat).Inv(a.o))
-		}
 		if got, want := a.r.Sign(), a.o.Sign(); got != want {
 			t.Fatalf("Sign(%s) = %d, oracle %d", a.o.RatString(), got, want)
 		}

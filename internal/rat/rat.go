@@ -349,32 +349,6 @@ func (x Rat) Neg() Rat {
 	return demote(new(big.Rat).Neg(x.br))
 }
 
-// Inv returns 1/x. It panics if x is zero.
-func (x Rat) Inv() Rat {
-	if x.Sign() == 0 {
-		panic("rat: inverse of zero")
-	}
-	if x.br == nil {
-		if x.num < 0 {
-			return Rat{num: -x.den, den: -x.num}
-		}
-		return Rat{num: x.den, den: x.num}
-	}
-	return demote(new(big.Rat).Inv(x.br))
-}
-
-// Abs returns |x|.
-func (x Rat) Abs() Rat {
-	if x.br == nil {
-		n, d := x.parts()
-		if n < 0 {
-			n = -n
-		}
-		return Rat{num: n, den: d}
-	}
-	return demote(new(big.Rat).Abs(x.br))
-}
-
 // MulInt returns x * n.
 func (x Rat) MulInt(n int64) Rat { return x.Mul(FromInt(n)) }
 

@@ -64,8 +64,6 @@ func TestArithmetic(t *testing.T) {
 		{"mul", half.Mul(third), New(1, 6)},
 		{"div", half.Div(third), New(3, 2)},
 		{"neg", half.Neg(), New(-1, 2)},
-		{"inv", third.Inv(), FromInt(3)},
-		{"abs", New(-7, 3).Abs(), New(7, 3)},
 		{"mulint", third.MulInt(6), FromInt(2)},
 	}
 	for _, tt := range tests {

@@ -31,7 +31,6 @@ func TestZeroValueEveryMethod(t *testing.T) {
 		{"Mul-zero-rhs", two.Mul(z).String(), "0"},
 		{"Div", z.Div(two).String(), "0"},
 		{"Neg", z.Neg().String(), "0"},
-		{"Abs", z.Abs().String(), "0"},
 		{"MulInt", z.MulInt(7).String(), "0"},
 		{"Cmp", z.Cmp(Zero), 0},
 		{"Cmp-vs-one", z.Cmp(One), -1},
@@ -57,20 +56,13 @@ func TestZeroValueEveryMethod(t *testing.T) {
 		}
 	}
 
-	// Div and Inv by/of the zero value must panic like division by zero.
-	for name, f := range map[string]func(){
-		"Div-by-zero": func() { One.Div(z) },
-		"Inv":         func() { z.Inv() },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on zero value did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
+	// Division by the zero value must panic like division by zero.
+	defer func() {
+		if recover() == nil {
+			t.Error("division by the zero value did not panic")
+		}
+	}()
+	One.Div(z)
 }
 
 // TestConcurrentSharedRat shares single Rat values — one per
@@ -104,7 +96,6 @@ func TestConcurrentSharedRat(t *testing.T) {
 					_ = x.Mul(y)
 					_ = x.Div(y)
 					_ = x.Neg()
-					_ = x.Abs()
 					_ = x.Cmp(y)
 					_ = x.Sign()
 					_ = x.IsInt()

@@ -98,12 +98,6 @@ func (o OverrideDelay) Delay(m Message, rng *rand.Rand) Time {
 	return o.Base.Delay(m, rng)
 }
 
-// DelayFunc adapts a function to the DelayPolicy interface.
-type DelayFunc func(m Message, rng *rand.Rand) Time
-
-// Delay implements DelayPolicy.
-func (f DelayFunc) Delay(m Message, rng *rand.Rand) Time { return f(m, rng) }
-
 // validateDelays reports a built-in policy whose bounds admit a negative
 // delay — a ConstantDelay below zero, a UniformDelay with Min < 0 or
 // Max < Min — as a configuration error at setup, instead of a panic at

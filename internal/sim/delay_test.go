@@ -88,13 +88,6 @@ func TestOverrideDelay(t *testing.T) {
 	}
 }
 
-func TestDelayFunc(t *testing.T) {
-	p := DelayFunc(func(m Message, rng *rand.Rand) Time { return m.SendTime })
-	if d := p.Delay(Message{SendTime: rat.FromInt(9)}, nil); !d.Equal(rat.FromInt(9)) {
-		t.Errorf("got %v", d)
-	}
-}
-
 // Property: uniform delays always land inside the configured interval.
 func TestUniformDelayProperty(t *testing.T) {
 	f := func(seed int64, a, b uint16) bool {

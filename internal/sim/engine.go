@@ -54,7 +54,7 @@ type Engine struct {
 	nextMsg    MsgID
 	monitorErr error
 	net        *NetFaults // cfg.Net; nil draws nothing from the RNG
-	partSides  [][]int8   // per-partition side vectors, built at Run setup
+	partSides  [][]bool   // per-partition side vectors (true: side A), built at Run setup
 }
 
 // maxWindowPresize bounds the window retention pre-size: windows up to
@@ -84,9 +84,6 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Delays == nil {
 		return nil, errors.New("sim: Delays is required")
-	}
-	if cfg.StartTimes != nil && len(cfg.StartTimes) != cfg.N {
-		return nil, fmt.Errorf("sim: StartTimes has length %d, want %d", len(cfg.StartTimes), cfg.N)
 	}
 	ret := Retention{Mode: RetainFullMode}
 	if cfg.Sink != nil {
@@ -159,9 +156,8 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	}
 	// The message-level fault layer is validated up front, like scripted
 	// sends: probabilities in range, spike penalties non-negative, and
-	// every partition a real cut of the configured topology within the run
-	// horizon.
-	var partSides [][]int8
+	// every partition a real cut of the configured topology.
+	var partSides [][]bool
 	if nf := cfg.Net; nf != nil {
 		if nf.Drop < 0 || nf.Drop > 1 {
 			return nil, fmt.Errorf("sim: drop probability %v outside [0, 1]", nf.Drop)
@@ -175,16 +171,13 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		if nf.Spike.Prob > 0 && nf.Spike.Extra.Sign() < 0 {
 			return nil, fmt.Errorf("sim: spike adds negative delay %v", nf.Spike.Extra)
 		}
-		partSides = make([][]int8, len(nf.Partitions))
+		partSides = make([][]bool, len(nf.Partitions))
 		for i, pt := range nf.Partitions {
 			if pt.From.Sign() < 0 {
 				return nil, fmt.Errorf("sim: partition %d starts at negative time %v", i, pt.From)
 			}
 			if !pt.From.Less(pt.Until) {
 				return nil, fmt.Errorf("sim: partition %d interval is empty: [%v, %v)", i, pt.From, pt.Until)
-			}
-			if cfg.MaxTime.Sign() > 0 && pt.Until.Greater(cfg.MaxTime) {
-				return nil, fmt.Errorf("sim: partition %d ends at %v, beyond the run horizon %v", i, pt.Until, cfg.MaxTime)
 			}
 			sides, err := partitionSides(pt, cfg.N)
 			if err != nil {
@@ -242,9 +235,6 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	// before their first spawn took a step).
 	for p := ProcessID(0); int(p) < cfg.N; p++ {
 		at := rat.Zero
-		if cfg.StartTimes != nil {
-			at = cfg.StartTimes[p]
-		}
 		for _, iv := range e.down[p] {
 			// Forward scan: adjacent intervals cascade the deferral.
 			if iv.Contains(at) {
@@ -483,8 +473,7 @@ func (e *Engine) sendMessage(from ProcessID, sendStep int, sendTime Time, to Pro
 		for i := range e.net.Partitions {
 			pt := &e.net.Partitions[i]
 			sides := e.partSides[i]
-			if sides[from] != 0 && sides[to] != 0 && sides[from] != sides[to] &&
-				!sendTime.Less(pt.From) && sendTime.Less(pt.Until) {
+			if sides[from] != sides[to] && !sendTime.Less(pt.From) && sendTime.Less(pt.Until) {
 				e.dropMessage(m)
 				return
 			}
@@ -547,17 +536,14 @@ func (e *Engine) deliver(m Message) {
 
 // partitionCutsLink reports whether a partition's side vector severs at
 // least one link of the topology (nil: fully connected).
-func partitionCutsLink(sides []int8, topo *Links) bool {
+func partitionCutsLink(sides []bool, topo *Links) bool {
 	if topo == nil {
 		// Full mesh: two non-empty sides always cut links.
 		return true
 	}
 	for p, side := range sides {
-		if side == 0 {
-			continue
-		}
 		for _, q := range topo.Out(ProcessID(p)) {
-			if sides[q] != 0 && sides[q] != side {
+			if sides[q] != side {
 				return true
 			}
 		}
@@ -618,9 +604,6 @@ func (e *Engine) loop(maxEvents int) (truncated bool) {
 		}
 		d := e.queue.pop()
 		m := e.takeDelivery(d)
-		if e.cfg.MaxTime.Sign() > 0 && m.RecvTime.Greater(e.cfg.MaxTime) {
-			return true
-		}
 		p := m.To
 
 		// A process is not taking steps while permanently crashed or inside

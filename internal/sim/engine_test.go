@@ -59,8 +59,7 @@ func engineTestConfigs() map[string]Config {
 				},
 				Override: UniformDelay{Min: rat.FromInt(4), Max: rat.FromInt(6)},
 			},
-			StartTimes: []Time{rat.Zero, rat.One, rat.New(1, 2), rat.FromInt(2)},
-			Seed:       42, MaxEvents: 20000,
+			Seed: 42, MaxEvents: 20000,
 		},
 	}
 }

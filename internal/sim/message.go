@@ -218,18 +218,6 @@ func (t *Trace) CorrectProcesses() []ProcessID {
 	return out
 }
 
-// MaxTime returns the occurrence time of the last event, or 0 for an empty
-// trace.
-func (t *Trace) MaxTime() Time {
-	var max Time
-	for _, ev := range t.Events {
-		if ev.Time.Greater(max) {
-			max = ev.Time
-		}
-	}
-	return max
-}
-
 // Reassemble builds a complete Trace from raw parts, validates it and
 // folds its stream digest (StreamHash). TraceBuilder.Build and ReadJSON
 // end here, as do consumers that transform traces (e.g. the Theorem 9

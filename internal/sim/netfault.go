@@ -3,8 +3,7 @@ package sim
 import "fmt"
 
 // Interval is a half-open span [From, Until) of simulated time. It is the
-// unit of the recoverable-fault schedule (Fault.Down) and of transient
-// partitions (Partition embeds one per side-pair).
+// unit of the recoverable-fault schedule (Fault.Down).
 type Interval struct {
 	From  Time
 	Until Time
@@ -83,27 +82,24 @@ type SpikeRule struct {
 	Extra Time
 }
 
-// Partition cuts every link between side A and side B for simulated
-// times in [From, Until). B == nil means "the complement of A", the
-// common two-way split. Sends inside one side, or entirely outside
-// A ∪ B, are unaffected; self-sends are never cut. Validation at Run
-// setup mirrors scripted sends: endpoints must be within the run
-// horizon (when MaxTime is set), sides must be disjoint non-empty
-// in-range process sets, and the cut must sever at least one link of
-// the configured topology (a partition that cuts nothing is a spec
-// error, not a no-op).
+// Partition cuts every link between side A and the rest of the system
+// for simulated times in [From, Until). Sends inside one side are
+// unaffected; self-sends are never cut. Validation at Run setup mirrors
+// scripted sends: A must be a non-empty set of in-range processes that
+// leaves at least one process out, and the cut must sever at least one
+// link of the configured topology (a partition that cuts nothing is a
+// spec error, not a no-op).
 type Partition struct {
 	From  Time
 	Until Time
 	A     []ProcessID
-	B     []ProcessID
 }
 
-// partitionSides flattens a Partition into a per-process side vector:
-// 1 for side A, 2 for side B (or the complement when B is nil), 0 for
-// unaffected processes. Returns a validation error naming the defect.
-func partitionSides(pt Partition, n int) ([]int8, error) {
-	sides := make([]int8, n)
+// partitionSides flattens a Partition into a per-process side vector,
+// true for side A and false for the complement. Returns a validation
+// error naming the defect.
+func partitionSides(pt Partition, n int) ([]bool, error) {
+	sides := make([]bool, n)
 	if len(pt.A) == 0 {
 		return nil, fmt.Errorf("sim: partition side A is empty")
 	}
@@ -111,38 +107,13 @@ func partitionSides(pt Partition, n int) ([]int8, error) {
 		if int(p) < 0 || int(p) >= n {
 			return nil, fmt.Errorf("sim: partition side A has process %d outside [0, %d)", p, n)
 		}
-		if sides[p] != 0 {
+		if sides[p] {
 			return nil, fmt.Errorf("sim: partition side A lists process %d twice", p)
 		}
-		sides[p] = 1
+		sides[p] = true
 	}
-	if pt.B == nil {
-		rest := 0
-		for p := range sides {
-			if sides[p] == 0 {
-				sides[p] = 2
-				rest++
-			}
-		}
-		if rest == 0 {
-			return nil, fmt.Errorf("sim: partition side A covers every process, nothing to cut off")
-		}
-		return sides, nil
-	}
-	if len(pt.B) == 0 {
-		return nil, fmt.Errorf("sim: partition side B is empty")
-	}
-	for _, p := range pt.B {
-		if int(p) < 0 || int(p) >= n {
-			return nil, fmt.Errorf("sim: partition side B has process %d outside [0, %d)", p, n)
-		}
-		switch sides[p] {
-		case 1:
-			return nil, fmt.Errorf("sim: process %d is on both partition sides", p)
-		case 2:
-			return nil, fmt.Errorf("sim: partition side B lists process %d twice", p)
-		}
-		sides[p] = 2
+	if len(pt.A) == n {
+		return nil, fmt.Errorf("sim: partition side A covers every process, nothing to cut off")
 	}
 	return sides, nil
 }

@@ -30,8 +30,6 @@ type Config struct {
 	// MaxEvents bounds the number of receive events; 0 means the default
 	// of 200000. Exceeding the bound stops the run (Result.Truncated).
 	MaxEvents int
-	// MaxTime, when positive, stops the run once simulated time exceeds it.
-	MaxTime Time
 	// Until, when non-nil, is evaluated after every computing step; the run
 	// stops once it returns true. It receives the process state machines
 	// (indexable by ProcessID) for inspection.
@@ -42,8 +40,6 @@ type Config struct {
 	// is the run's own growing trace — monitors must not mutate it, and
 	// anything retained from it aliases the returned Result.Trace.
 	Monitor func(t *Trace) error
-	// StartTimes optionally staggers wake-up times; nil means all zero.
-	StartTimes []Time
 	// Sink, when non-nil, observes each finalized Event and Message and
 	// selects the trace-retention policy (see RetainAll, RetainWindow,
 	// RetainNone). nil keeps the complete trace — identical to the
@@ -58,8 +54,8 @@ type Result struct {
 	Trace *Trace
 	// Procs are the final process state machines, indexable by ProcessID.
 	Procs []Process
-	// Truncated is true when the run stopped due to MaxEvents or MaxTime
-	// rather than quiescence or the Until predicate.
+	// Truncated is true when the run stopped due to MaxEvents rather than
+	// quiescence, the Until predicate or the Monitor.
 	Truncated bool
 	// MonitorErr is the error with which Config.Monitor stopped the run,
 	// nil when no monitor was set or it never objected.

@@ -49,9 +49,9 @@ func TestParseRetention(t *testing.T) {
 // level: the same Config run under full, window, and none retention agrees
 // on every total, on the stream digest, and on truncation, and the
 // window's retained suffix is exactly the tail of the complete record. The
-// truncated cases cut a lossy run mid-stream (MaxEvents) and a
-// partitioned one at a time horizon (MaxTime), so the bounded modes must
-// also stop at exactly the full-retention run's event.
+// truncated cases cut a lossy run and a partitioned one mid-stream
+// (MaxEvents), so the bounded modes must also stop at exactly the
+// full-retention run's event.
 func TestRetentionEquivalence(t *testing.T) {
 	cases := map[string]struct {
 		cfg       func() Config
@@ -69,7 +69,7 @@ func TestRetentionEquivalence(t *testing.T) {
 				Topology: Ring(24), Seed: 9, MaxEvents: 300,
 			}
 		}, truncated: true},
-		"partition-max-time": {cfg: func() Config {
+		"partition-max-events": {cfg: func() Config {
 			return Config{
 				N: 16, Spawn: broadcastSpawn(20),
 				Delays: UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
@@ -77,7 +77,7 @@ func TestRetentionEquivalence(t *testing.T) {
 					From: rat.FromInt(2), Until: rat.FromInt(4),
 					A: []ProcessID{0, 1, 2, 3, 4, 5, 6, 7},
 				}}},
-				Topology: Ring(16), Seed: 13, MaxTime: rat.FromInt(5),
+				Topology: Ring(16), Seed: 13, MaxEvents: 120,
 			}
 		}, truncated: true},
 	}

@@ -19,7 +19,6 @@ package vlsi
 
 import (
 	"fmt"
-	"maps"
 
 	"repro/internal/causality"
 	"repro/internal/check"
@@ -37,7 +36,6 @@ type Wire struct {
 // usable; create with NewChip.
 type Chip struct {
 	n     int
-	names map[sim.ProcessID]string // SetName overrides of the default "M<id>"
 	wires map[sim.Link]Wire
 	// Default applies to links without an explicit wire.
 	def Wire
@@ -53,21 +51,9 @@ func NewChip(n int, defaultMin, defaultMax rat.Rat) (*Chip, error) {
 	}
 	return &Chip{
 		n:     n,
-		names: make(map[sim.ProcessID]string),
 		wires: make(map[sim.Link]Wire),
 		def:   Wire{Min: defaultMin, Max: defaultMax},
 	}, nil
-}
-
-// SetName labels a module.
-func (c *Chip) SetName(m sim.ProcessID, name string) { c.names[m] = name }
-
-// Name returns a module's label: the one SetName gave it, else "M<id>".
-func (c *Chip) Name(m sim.ProcessID) string {
-	if name, ok := c.names[m]; ok {
-		return name
-	}
-	return fmt.Sprintf("M%d", m)
 }
 
 // Modules returns the module count.
@@ -100,7 +86,6 @@ func (c *Chip) Migrate(factor rat.Rat) (*Chip, error) {
 	}
 	out := &Chip{
 		n:     c.n,
-		names: maps.Clone(c.names),
 		wires: make(map[sim.Link]Wire, len(c.wires)),
 		def:   Wire{Min: c.def.Min.Mul(factor), Max: c.def.Max.Mul(factor)},
 	}

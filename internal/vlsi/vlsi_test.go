@@ -28,17 +28,6 @@ func TestNewChipValidation(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	c, _ := NewChip(2, rat.One, rat.One)
-	if c.Name(0) != "M0" {
-		t.Errorf("default name %q", c.Name(0))
-	}
-	c.SetName(0, "tickgen")
-	if c.Name(0) != "tickgen" {
-		t.Error("SetName failed")
-	}
-}
-
 func TestWireLookup(t *testing.T) {
 	c, _ := NewChip(3, rat.One, rat.FromInt(2))
 	if err := c.SetWire(0, 1, rat.FromInt(3), rat.FromInt(4)); err != nil {

@@ -215,9 +215,9 @@ func TestResolveFaultsNet(t *testing.T) {
 	if !pt.From.Equal(rat.FromInt(2)) || !pt.Until.Equal(rat.FromInt(5)) {
 		t.Errorf("partition over [%v, %v), want [2, 5)", pt.From, pt.Until)
 	}
-	// halves at n=6: side A is 0..2, side B the complement.
-	if len(pt.A) != 3 || pt.A[0] != 0 || pt.A[2] != 2 || pt.B != nil {
-		t.Errorf("halves sides A=%v B=%v, want A=[0 1 2] B=nil", pt.A, pt.B)
+	// halves at n=6: side A is 0..2, cut off from the complement.
+	if len(pt.A) != 3 || pt.A[0] != 0 || pt.A[2] != 2 {
+		t.Errorf("halves side A=%v, want [0 1 2]", pt.A)
 	}
 
 	// pI partitions isolate one process; spike's default extra is 1.
