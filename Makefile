@@ -61,7 +61,9 @@ bench-smoke: fleet-bench
 # fuzz-smoke gives each fuzz target a short budget (FUZZTIME): the rat
 # differentials, whose seed corpus already pins the int64 overflow
 # boundary, so even 10s runs cross the promotion/demotion paths; the
-# fault grammar; the topology grammar; the JSON trace reader behind
+# fault grammar; the topology grammar; the engine configuration
+# (topology, delays, faults, retention and MaxEvents on both sides of the
+# delivery queue's mode threshold); the JSON trace reader behind
 # abccheck; and every String parameter of every registered workload
 # through Resolve and Jobs.
 FUZZTIME ?= 10s
@@ -70,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/rat
 	$(GO) test -run=NONE -fuzz=FuzzParseFaults -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzParseTopology -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run=NONE -fuzz=FuzzEngineConfig -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzReadJSON -fuzztime=$(FUZZTIME) ./cmd/abccheck
 	$(GO) test -run=NONE -fuzz=FuzzResolveJobs -fuzztime=$(FUZZTIME) ./internal/workload/all
 

@@ -1,13 +1,17 @@
 package abc
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"sort"
@@ -73,7 +77,6 @@ func TestNoTestOnlyExports(t *testing.T) {
 		fset:  fset,
 		files: map[string][]*ast.File{},
 		pkgs:  map[string]*types.Package{},
-		std:   importer.ForCompiler(fset, "gc", nil),
 		info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
@@ -105,6 +108,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 		return nil
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if l.std, err = stdImporter(fset, l.files); err != nil {
 		t.Fatal(err)
 	}
 	for ip := range l.files {
@@ -313,6 +319,46 @@ func (l *loader) Import(ip string) (*types.Package, error) {
 	}
 	l.pkgs[ip] = p
 	return p, nil
+}
+
+// stdImporter returns an importer for the packages outside the repository
+// that the given files import (the standard library), reading the export
+// data that one batched `go list -export -deps` call locates, where the gc
+// importer's default lookup starts a go command per package.
+func stdImporter(fset *token.FileSet, files map[string][]*ast.File) (types.Importer, error) {
+	args := []string{"list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}"}
+	seen := map[string]bool{}
+	for _, pkgFiles := range files {
+		for _, f := range pkgFiles {
+			for _, imp := range f.Imports {
+				ip, _ := strconv.Unquote(imp.Path.Value)
+				if _, local := files[ip]; !local && !seen[ip] {
+					seen[ip] = true
+					args = append(args, ip)
+				}
+			}
+		}
+	}
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			err = fmt.Errorf("%v: %s", err, ee.Stderr)
+		}
+		return nil, fmt.Errorf("go list -export: %v", err)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		ip, file, _ := strings.Cut(line, "=")
+		exports[ip] = file
+	}
+	return importer.ForCompiler(fset, "gc", func(ip string) (io.ReadCloser, error) {
+		file := exports[ip]
+		if file == "" {
+			return nil, fmt.Errorf("go list -export located no export data for %q", ip)
+		}
+		return os.Open(file)
+	}), nil
 }
 
 // receiver returns the type named by a method receiver expression.

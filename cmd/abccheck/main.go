@@ -60,9 +60,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("usage: abccheck [flags] trace.json")
 	}
 	// Model parameters are checked before the trace is read.
+	xi, err := rat.Parse(*xiStr)
+	if err != nil {
+		return err
+	}
+	if !xi.Greater(rat.One) {
+		return fmt.Errorf("Ξ = %v must be a rational > 1", xi)
+	}
+	if _, _, ok := xi.Inline(); !ok {
+		return fmt.Errorf("Ξ = %v: numerator or denominator overflows int64", xi)
+	}
 	var th rat.Rat
 	if *thetaStr != "" {
-		var err error
 		if th, err = rat.Parse(*thetaStr); err != nil {
 			return err
 		}
@@ -80,10 +89,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	defer file.Close()
 	tr, err := sim.ReadJSON(file)
-	if err != nil {
-		return err
-	}
-	xi, err := rat.Parse(*xiStr)
 	if err != nil {
 		return err
 	}

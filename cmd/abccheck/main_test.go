@@ -183,12 +183,19 @@ func TestRunUsageErrors(t *testing.T) {
 		t.Error("nonexistent file accepted")
 	}
 	// Meaningless model parameters are usage errors, raised before the
-	// trace is read: the file named here does not exist. Each of these
-	// used to print a verdict against the bad parameter.
+	// trace is read: the file named here does not exist. The Θ, Φ and Δ
+	// cases used to print a verdict against the bad parameter; the Ξ
+	// cases failed only after the whole trace was read and its graph
+	// built.
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
+		{[]string{"-xi", "1"}, "Ξ = 1 must be a rational > 1"},
+		{[]string{"-xi", "0"}, "Ξ = 0 must be a rational > 1"},
+		{[]string{"-xi", "-3/2"}, "Ξ = -3/2 must be a rational > 1"},
+		{[]string{"-xi", "99999999999999999999/3"}, "overflows int64"},
+		{[]string{"-xi", "x"}, `cannot parse "x"`},
 		{[]string{"-theta", "0"}, "Θ = 0 must be at least 1"},
 		{[]string{"-theta", "-1"}, "Θ = -1 must be at least 1"},
 		{[]string{"-theta", "1/2"}, "Θ = 1/2 must be at least 1"},

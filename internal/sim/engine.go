@@ -28,9 +28,7 @@ import (
 type Engine struct {
 	// Pooled across runs.
 	rng        *rand.Rand
-	heapQ      heapQueue
-	wheelQ     *bucketQueue
-	queue      eventQueue // points at heapQ or wheelQ by system size
+	queue      bucketQueue
 	crashAfter []int
 	stepCount  []int // computing steps executed per process
 	eventCount []int // receive events recorded per process
@@ -308,16 +306,7 @@ func (e *Engine) reset(cfg Config) {
 			e.cb = cfg.Sink
 		}
 	}
-	if cfg.N >= autoBucketN {
-		if e.wheelQ == nil {
-			e.wheelQ = newBucketQueue()
-		}
-		e.wheelQ.reset(cfg.N)
-		e.queue = e.wheelQ
-	} else {
-		e.heapQ = e.heapQ[:0]
-		e.queue = &e.heapQ
-	}
+	e.queue.reset(cfg.N)
 	if e.rng == nil {
 		e.rng = rand.New(rand.NewSource(cfg.Seed))
 	} else {

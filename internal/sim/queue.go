@@ -28,22 +28,28 @@ func (d delivery) before(o delivery) bool {
 	return d.seq < o.seq
 }
 
-// cmpDelivery is the (key, at, seq) comparison for slices.SortFunc: the
-// cached float key decides almost every comparison in one branch, falling
-// back to the exact rational comparison only on float ties. seq is unique
-// per delivery, so the order is total and every correct sort produces the
-// identical sequence.
-func cmpDelivery(a, b delivery) int {
+// cmpDelivery is the one (key, at, seq) comparison, behind the heap's
+// less and every drain sort: the cached float key decides almost every
+// comparison in one branch, falling back to the exact rational comparison
+// only on float ties. seq is unique per delivery, so the order is total
+// and every correct sort produces the identical sequence. It takes
+// pointers so that the heap's sift loops copy no deliveries.
+func cmpDelivery(a, b *delivery) int {
 	switch {
 	case a.key < b.key:
 		return -1
 	case a.key > b.key:
 		return 1
-	case a.before(b):
+	case a.before(*b):
 		return -1
 	default:
 		return 1
 	}
+}
+
+// sortDeliveries sorts s by cmpDelivery.
+func sortDeliveries(s []delivery) {
+	slices.SortFunc(s, func(a, b delivery) int { return cmpDelivery(&a, &b) })
 }
 
 // deliveryKey clamps the monotone float64 image of t into the finite
@@ -59,31 +65,16 @@ func deliveryKey(t Time) float64 {
 	return f
 }
 
-// eventQueue is the delivery scheduler: push in any order, pop in the
-// exact (at, seq) order. Both implementations — heapQueue and bucketQueue
-// — realize the identical total order, so which one a run uses never
-// changes its trace (pinned by TestQueueImplementationsAgree and the
-// golden determinism grid).
-type eventQueue interface {
-	push(d delivery)
-	pop() delivery
-	len() int
-}
-
-// heapQueue is a hand-rolled binary min-heap ordered by (key, at, seq).
-// It deliberately avoids container/heap: boxing every delivery through
-// the heap.Interface `any` parameters cost one allocation per push and
-// pop, which at sparse scale was a measurable slice of the engine's
-// allocation volume. Pop order is the unique (at, seq) total order, so
-// the heap's internal layout never influences results.
+// heapQueue is a hand-rolled binary min-heap ordered by cmpDelivery: the
+// calendar's overflow store, and the whole queue in windowless mode. It
+// deliberately avoids container/heap: boxing every delivery through the
+// heap.Interface `any` parameters cost one allocation per push and pop,
+// which at sparse scale was a measurable slice of the engine's allocation
+// volume. Pop order is the unique (at, seq) total order, so the heap's
+// internal layout never influences results.
 type heapQueue []delivery
 
-func (q heapQueue) less(i, j int) bool {
-	if q[i].key != q[j].key {
-		return q[i].key < q[j].key
-	}
-	return q[i].before(q[j])
-}
+func (q heapQueue) less(i, j int) bool { return cmpDelivery(&q[i], &q[j]) < 0 }
 
 func (q *heapQueue) push(d delivery) {
 	*q = append(*q, d)
@@ -101,8 +92,6 @@ func (q *heapQueue) pop() delivery {
 	}
 	return d
 }
-
-func (q *heapQueue) len() int { return len(*q) }
 
 func (q heapQueue) up(i int) {
 	for i > 0 {
@@ -134,13 +123,22 @@ func (q heapQueue) down(i int) {
 	}
 }
 
-// Calendar sizing. The wheel starts at 1024 buckets and grows with the
-// system size (one bucket per two processes, capped) so the expected
-// bucket population stays a handful of deliveries from N ≈ 10^3 to 10^6.
-// Bucket count is pure performance tuning: routing is monotone in the
-// float key at any width, so the pop order — and therefore every trace —
-// is identical for any wheel size.
+// Calendar sizing. Below autoBucketN processes the queue is windowless:
+// the wheel has zero buckets and every delivery goes straight through the
+// overflow heap. From there the wheel starts at 1024 buckets and grows
+// with the system size (one bucket per two processes, capped) so the
+// expected bucket population stays a handful of deliveries from N ≈ 10^3
+// to 10^6. Bucket count is pure performance tuning: routing is monotone
+// in the float key at any width, so the pop order — and therefore every
+// trace — is identical for any wheel size, zero included.
+//
+// The windowless mode stays because of memory at small N: with a window
+// at every N, the wake-ups at t = 0 give watch-dense (N = 64) a width-1
+// first window that lands ~10^5 deliveries in one bucket, and its peak
+// RSS rose from 53 to 68 MiB, while the heap at every N costs ring
+// (N = 5·10^4) 31–54% more wall time (DESIGN.md decision 8).
 const (
+	autoBucketN           = 4096
 	bucketQueueMinBuckets = 1024
 	bucketQueueMaxBuckets = 1 << 19
 	// bucketSortThreshold is the run length above which the drain sort
@@ -149,8 +147,12 @@ const (
 	bucketSortThreshold = 64
 )
 
-// bucketsFor returns the wheel size for a system of n processes.
+// bucketsFor returns the wheel size for a system of n processes: 0 (the
+// windowless mode) below autoBucketN.
 func bucketsFor(n int) int {
+	if n < autoBucketN {
+		return 0
+	}
 	b := bucketQueueMinBuckets
 	for b < bucketQueueMaxBuckets && b < n/2 {
 		b <<= 1
@@ -158,14 +160,18 @@ func bucketsFor(n int) int {
 	return b
 }
 
-// bucketQueue is a calendar ("event wheel") queue: deliveries are binned
-// by their float key into a window of equal-width buckets; the bucket
-// being drained is sorted once by the exact (at, seq) order, later
-// arrivals merge into the sorted run by binary insertion, and deliveries
-// beyond the window wait in an overflow heap that re-seeds the window when
-// it empties. At sparse scale the heap's O(log n) rational-flavored sift
-// per operation becomes the engine bottleneck; the calendar amortizes to
-// O(1) routing per push and a small exact sort per bucket.
+// bucketQueue is the engine's delivery queue: push in any order, pop in
+// the exact (at, seq) order. It is a calendar ("event wheel") queue with
+// an overflow heap (Brown, "Calendar queues", CACM 31(10), 1988):
+// deliveries are binned by their float key into a window of equal-width
+// buckets; the bucket being drained is sorted once by the exact (at, seq)
+// order, later arrivals merge into the sorted run by binary insertion, and
+// deliveries beyond the window wait in the overflow heap that re-seeds the
+// window when it empties. At sparse scale the heap's O(log n)
+// rational-flavored sift per operation becomes the engine bottleneck; the
+// calendar amortizes to O(1) routing per push and a small exact sort per
+// bucket. With zero buckets (the windowless mode, and the zero value)
+// push and pop go straight to the overflow heap.
 //
 // Exactness: bucket routing is a monotone function of the (monotone) float
 // key, so an earlier bucket never holds a delivery that must pop after one
@@ -205,17 +211,15 @@ type bucketQueue struct {
 	counts []int32    // counting-sort bin offsets, recycled across drains
 
 	size   int
-	primed bool
+	primed bool // a window exists; never set in windowless mode
 }
 
-func newBucketQueue() *bucketQueue {
-	return &bucketQueue{buckets: make([][]delivery, bucketQueueMinBuckets)}
-}
-
-// reset clears the queue for reuse, retaining bucket storage. n is the
-// system size the next run schedules for; the wheel grows to match.
+// reset clears the queue for reuse, retaining bucket storage while the
+// wheel size stays. n is the system size the next run schedules for; the
+// wheel is resized to exactly bucketsFor(n), so a queue reused after a
+// large run does not keep scanning that run's wheel.
 func (q *bucketQueue) reset(n int) {
-	if want := bucketsFor(n); want > len(q.buckets) {
+	if want := bucketsFor(n); want != len(q.buckets) {
 		q.buckets = make([][]delivery, want)
 	}
 	for i := range q.buckets {
@@ -298,6 +302,10 @@ func (q *bucketQueue) insertCur(d delivery) {
 }
 
 func (q *bucketQueue) pop() delivery {
+	if len(q.buckets) == 0 {
+		q.size--
+		return q.over.pop()
+	}
 	for q.curIdx >= len(q.cur) {
 		q.advance()
 	}
@@ -340,7 +348,7 @@ func (q *bucketQueue) advance() {
 func (q *bucketQueue) sortRun() {
 	run := q.cur
 	if len(run) <= bucketSortThreshold {
-		slices.SortFunc(run, cmpDelivery)
+		sortDeliveries(run)
 		return
 	}
 	lo, hi := run[0].key, run[0].key
@@ -357,7 +365,7 @@ func (q *bucketQueue) sortRun() {
 	if !(width > 0) || math.IsInf(width, 0) {
 		// Keys indistinguishable (or span overflow): comparison sort
 		// settles it on (at, seq).
-		slices.SortFunc(run, cmpDelivery)
+		sortDeliveries(run)
 		return
 	}
 	if cap(q.counts) < nbins {
@@ -388,7 +396,7 @@ func (q *bucketQueue) sortRun() {
 	start := 0
 	for _, end := range counts {
 		if int(end)-start > 1 {
-			slices.SortFunc(sorted[start:end], cmpDelivery)
+			sortDeliveries(sorted[start:end])
 		}
 		start = int(end)
 	}

@@ -8,10 +8,11 @@ import (
 )
 
 // BenchmarkDeliveryQueue is the 10^7-event scheduler microbenchmark behind
-// the calendar-queue tuning: prime the queue with an engine-like in-flight
-// population, then run a hold pattern — every pop schedules a successor a
-// small random delay later — until ten million deliveries have passed
-// through, and drain.
+// the calendar-queue tuning, run on both modes of the delivery queue (the
+// windowless overflow heap and the calendar): prime the queue with an
+// engine-like in-flight population, then run a hold pattern — every pop
+// schedules a successor a small random delay later — until ten million
+// deliveries have passed through, and drain.
 //
 // The spread load starts deliveries across a wide key range (steady-state
 // traffic). The degenerate-start load is the wheel's historical failure
@@ -21,26 +22,22 @@ import (
 // the sortRun key refinement (now a counting sort) and the size-adaptive
 // wheel (bucketsFor), that one bucket cost a single reflective sort of
 // 10^5+ deliveries per drain; with them the drain stays near-linear,
-// which this benchmark pins against the heap baseline. Drains take the bucket's storage as the current run without
-// copying and recycle the previous run's storage as a spare, which the
-// counting sort also writes into: the calendar rows' B/op is the
-// in-flight working set plus its growth (38–40 MB per iteration on a
-// 2-CPU x86-64 host, where per-drain copies and per-bin appends cost
-// 2.1–2.7 GB).
+// which this benchmark pins against the windowless baseline. Drains take
+// the bucket's storage as the current run without copying and recycle the
+// previous run's storage as a spare, which the counting sort also writes
+// into: the calendar rows' B/op is the in-flight working set plus its
+// growth (38–40 MB per iteration on a 2-CPU x86-64 host, where per-drain
+// copies and per-bin appends cost 2.1–2.7 GB).
 func BenchmarkDeliveryQueue(b *testing.B) {
 	const total = 10_000_000
 	const inflight = 1 << 17
 
-	impls := []struct {
+	modes := []struct {
 		name string
-		mk   func(n int) eventQueue
+		n    int // system size passed to reset, which picks the mode
 	}{
-		{"heap", func(int) eventQueue { return new(heapQueue) }},
-		{"calendar", func(n int) eventQueue {
-			q := newBucketQueue()
-			q.reset(n)
-			return q
-		}},
+		{"windowless", 0},
+		{"calendar", inflight},
 	}
 	loads := []struct {
 		name      string
@@ -49,12 +46,13 @@ func BenchmarkDeliveryQueue(b *testing.B) {
 		{"spread", false},
 		{"degenerate-start", true},
 	}
-	for _, impl := range impls {
+	for _, mode := range modes {
 		for _, load := range loads {
-			b.Run(impl.name+"/"+load.name, func(b *testing.B) {
+			b.Run(mode.name+"/"+load.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					q := impl.mk(inflight)
+					var q bucketQueue
+					q.reset(mode.n)
 					rng := rand.New(rand.NewSource(1))
 					seq := int64(0)
 					push := func(at Time) {

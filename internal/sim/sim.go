@@ -80,13 +80,3 @@ func Run(cfg Config) (*Result, error) {
 // Wakeup is the payload of the external message that triggers each
 // process's first computing step.
 type Wakeup struct{}
-
-// autoBucketN is the system size at which the Engine switches from the
-// binary heap to the bucketed calendar queue. Each kind wins on one
-// benchmark workload: the calendar at every N costs watch-dense (N=64)
-// about 20% more peak RSS, because its wake-ups at t=0 give a width-1
-// window that lands ~10^5 deliveries in one bucket, and the heap at
-// every N costs ring (N=5·10^4) 5–16% more wall time (DESIGN.md
-// decision 8). The choice never affects results: both realize the same
-// exact (time, seq) delivery order.
-const autoBucketN = 4096

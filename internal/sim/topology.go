@@ -182,12 +182,17 @@ func ScaleFree(n, m int, seed int64) *Links {
 	if m < 1 {
 		panic(fmt.Sprintf("sim: ScaleFree(n=%d, m=%d) needs m >= 1", n, m))
 	}
+	if m >= n-1 {
+		// Every node attaches to all earlier ones whatever the draws: the
+		// complete graph. Rejection sampling would take Θ(n² log n) draws
+		// to collect every earlier node (about 10 s at n = 4096).
+		return Islands(n, 1)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	adj := make([][]ProcessID, n)
 	// repeated lists every endpoint once per incident edge; sampling from
-	// it is degree-proportional selection. A node attaches to at most n-1
-	// others, so m is clamped there to keep the capacity in range.
-	repeated := make([]ProcessID, 0, 2*min(m, n-1)*n)
+	// it is degree-proportional selection.
+	repeated := make([]ProcessID, 0, 2*m*n)
 	for v := 1; v < n; v++ {
 		k := m
 		if v < m {

@@ -31,6 +31,7 @@ func FuzzParseTopology(f *testing.F) {
 		{"torus/x", 4},
 		{"mesh", 4},
 		{"//", 4},
+		{"scalefree/9223372036854775807", 4096}, // m >= n-1: the complete graph at the largest n
 	} {
 		f.Add(tc.spec, tc.n, int64(1))
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -92,6 +93,18 @@ func TestScaleFreeStructure(t *testing.T) {
 	}
 	if a, b := ScaleFree(60, 2, 3), ScaleFree(60, 2, 3); !sameLinks(a, b) {
 		t.Error("ScaleFree not deterministic for a fixed seed")
+	}
+}
+
+// TestScaleFreeSaturatedIsComplete: with m >= n-1 every node attaches to
+// all earlier ones, so ScaleFree is the complete graph, Islands(n, 1).
+func TestScaleFreeSaturatedIsComplete(t *testing.T) {
+	for n := 1; n <= 30; n++ {
+		for _, m := range []int{max(1, n-1), n, math.MaxInt} {
+			if !sameLinks(ScaleFree(n, m, 5), Islands(n, 1)) {
+				t.Fatalf("ScaleFree(%d, %d) is not the complete graph", n, m)
+			}
+		}
 	}
 }
 
@@ -344,13 +357,14 @@ func TestTopologySizeMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestEngineReuseAcrossQueueKinds: one pooled Engine alternating between
-// N=10 (heap queue) and N=5000 (calendar queue) runs stays hermetic —
-// every run matches a fresh engine's trace.
+// TestEngineReuseAcrossQueueKinds: one pooled Engine cycling through
+// N=10 (windowless queue), N=5000 (calendar queue) and N=4095 and 4096,
+// on either side of the mode threshold, stays hermetic — every run matches
+// a fresh engine's trace.
 func TestEngineReuseAcrossQueueKinds(t *testing.T) {
 	e := NewEngine()
-	for i := 0; i < 6; i++ {
-		n := []int{10, 5000}[i%2]
+	for i := 0; i < 8; i++ {
+		n := []int{10, 5000, 4095, 4096}[i%4]
 		cfg := Config{
 			N: n, Spawn: broadcastSpawn(3),
 			Topology: Ring(n),
