@@ -287,6 +287,23 @@ func BenchmarkIncrementalChecker(b *testing.B) {
 	b.Run("dense", func(b *testing.B) {
 		benchEachEvent(b, benchTrace(b, 64, 5, rat.New(3, 2)), xi)
 	})
+	// ring appends a 5000-process ring one event at a time: the sparse,
+	// shallow graph of a watched large system, where B/op is mostly the
+	// graph's and checker's bytes per node.
+	b.Run("ring", func(b *testing.B) {
+		res, err := sim.Run(sim.Config{
+			N:         5000,
+			Topology:  sim.Ring(5000),
+			Spawn:     benchSpawner(5),
+			Delays:    sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
+			Seed:      1,
+			MaxEvents: 1 << 20,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchEachEvent(b, res.Trace, xi)
+	})
 	// repair replays a trace whose message upper bounds bind, so arc
 	// insertion runs the Dijkstra repair and its adjacency scan.
 	b.Run("repair", func(b *testing.B) {

@@ -205,11 +205,13 @@ func TestRunTopologyOverflowSpecs(t *testing.T) {
 	}
 }
 
-// TestRunEngineSetupLimits pins two engine-setup inputs that panicked: a
+// TestRunEngineSetupLimits pins engine-setup inputs at the limits: a
 // retention window near MaxInt runs like any window larger than the run
-// (its pre-size and slide test overflowed int), and a system size beyond
-// the engine's int32 position rows is a setup error, not a failed
-// allocation.
+// (its pre-size and slide test overflowed int, and panicked); a system
+// size beyond the engine's int32 position rows is a setup error, not a
+// failed allocation; and so is an event budget beyond int32 positions,
+// which the execution graph's node IDs are, rejected before the run
+// starts.
 func TestRunEngineSetupLimits(t *testing.T) {
 	for _, k := range []string{"4611686018427387904", "9223372036854775807"} {
 		var out, errOut strings.Builder
@@ -225,6 +227,14 @@ func TestRunEngineSetupLimits(t *testing.T) {
 	args := []string{"-workload", "broadcast", "-param", "n=99999999999999"}
 	if err := run(args, &out, &errOut); err == nil || !strings.Contains(err.Error(), "exceeds the engine's limit") {
 		t.Errorf("n=99999999999999: err %v, want an engine-limit setup error", err)
+	}
+	out.Reset()
+	args = []string{"-workload", "broadcast", "-param", "maxevents=2147483648"}
+	if err := run(args, &out, &errOut); err == nil || !strings.Contains(err.Error(), "MaxEvents = 2147483648 exceeds the engine's limit") {
+		t.Errorf("maxevents=2147483648: err %v, want an engine-limit setup error", err)
+	}
+	if strings.Contains(out.String(), "events") {
+		t.Errorf("maxevents=2147483648 ran:\n%s", out.String())
 	}
 }
 

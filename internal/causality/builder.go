@@ -2,6 +2,7 @@ package causality
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -40,6 +41,7 @@ import (
 //
 // Node IDs are trace positions and every consumed event becomes exactly
 // one node, so the graph's node count is the number of events consumed.
+// Node IDs are int32, so Append rejects a position beyond that range.
 type Builder struct {
 	g    *Graph
 	opts Options
@@ -72,6 +74,10 @@ func (b *Builder) Append() (int, error) {
 	g, t := b.g, b.g.trace
 	start := len(g.nodes)
 	for pos := start; pos < t.TotalEvents(); pos++ {
+		id, err := nodeID(pos)
+		if err != nil {
+			return pos - start, err
+		}
 		ev, ok := t.EventByPos(pos)
 		if !ok {
 			return pos - start, fmt.Errorf("causality: event %d was evicted by bounded retention before consumption (widen the window or consume more often)", pos)
@@ -99,18 +105,26 @@ func (b *Builder) Append() (int, error) {
 			sender = sent[m.SendStep]
 		}
 
-		id := NodeID(pos)
-		g.nodes = append(g.nodes, Node{Proc: ev.Proc, Index: ev.Index, Time: ev.Time})
+		g.nodes = append(g.nodes, nodeRec{proc: int32(ev.Proc), index: int32(ev.Index)})
 		if pn := g.procNodes[ev.Proc]; len(pn) > 0 {
-			g.edges = append(g.edges, Edge{From: pn[len(pn)-1], To: id, Kind: Local, Msg: -1})
+			g.edges = append(g.edges, Edge{From: pn[len(pn)-1], To: id, Kind: Local})
 		}
 		g.procNodes[ev.Proc] = append(g.procNodes[ev.Proc], id)
 		if sender >= 0 {
-			g.edges = append(g.edges, Edge{From: sender, To: id, Kind: Message, Msg: m.ID})
+			g.edges = append(g.edges, Edge{From: sender, To: id, Kind: Message})
 			g.msgCount++
 		}
 	}
 	return len(g.nodes) - start, nil
+}
+
+// nodeID returns the node ID of trace position pos, or an error when pos
+// is beyond the int32 range of node IDs.
+func nodeID(pos int) (NodeID, error) {
+	if pos > math.MaxInt32 {
+		return -1, fmt.Errorf("causality: event %d is beyond the graph's int32 node IDs", pos)
+	}
+	return NodeID(pos), nil
 }
 
 // Graph returns the graph under construction. It is a live view: later

@@ -2,10 +2,13 @@ package causality
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rat"
 	"repro/internal/sim"
@@ -13,7 +16,9 @@ import (
 
 // edgeKey is an order-independent identity for comparing edge sets: the
 // Builder interleaves local and message edges in event order while Build
-// groups them, so IDs differ but the sets must match exactly.
+// groups them, so IDs differ but the sets must match exactly. Msg is a
+// message edge's message, the trigger of its target event, and -1 for a
+// local edge.
 type edgeKey struct {
 	From, To NodeID
 	Kind     EdgeKind
@@ -23,7 +28,11 @@ type edgeKey struct {
 func edgeSet(g *Graph) map[edgeKey]int {
 	set := make(map[edgeKey]int, g.NumEdges())
 	for _, e := range g.Edges() {
-		set[edgeKey{e.From, e.To, e.Kind, e.Msg}]++
+		msg := sim.MsgID(-1)
+		if e.Kind == Message {
+			msg = g.Trace().Events[e.To].Trigger
+		}
+		set[edgeKey{e.From, e.To, e.Kind, msg}]++
 	}
 	return set
 }
@@ -42,9 +51,9 @@ func edgePreds(t *testing.T, g *Graph) []Pred {
 			slot = &preds[e.To].Msg
 		}
 		if *slot >= 0 {
-			t.Fatalf("node %v has a second %v in-edge (from %v and %v)", g.Node(e.To), e.Kind, g.Node(NodeID(*slot)), g.Node(e.From))
+			t.Fatalf("node %v has a second %v in-edge (from %v and %v)", g.Node(e.To), e.Kind, g.Node(*slot), g.Node(e.From))
 		}
-		*slot = int32(e.From)
+		*slot = e.From
 	}
 	return preds
 }
@@ -396,6 +405,51 @@ func TestBuilderValidation(t *testing.T) {
 	}
 	if _, err := NewBuilder(&sim.Trace{N: 2, Faulty: []bool{false}}, Options{}); err == nil {
 		t.Error("NewBuilder accepted short Faulty")
+	}
+	// Node IDs are int32: Append turns the last position that fits into a
+	// node ID and rejects the next one instead of wrapping.
+	if id, err := nodeID(math.MaxInt32); err != nil || id != math.MaxInt32 {
+		t.Errorf("nodeID(MaxInt32) = %d, %v", id, err)
+	}
+	if id, err := nodeID(math.MaxInt32 + 1); err == nil {
+		t.Errorf("nodeID(MaxInt32+1) = %d, want an error", id)
+	}
+}
+
+// TestGraphRecordsPointerFree pins the execution graph's storage: 8 B per
+// node record and 12 B per edge, with no pointer in either, so the
+// graph's node and edge arrays are memory the garbage collector never
+// scans.
+func TestGraphRecordsPointerFree(t *testing.T) {
+	if s := unsafe.Sizeof(nodeRec{}); s != 8 {
+		t.Errorf("node record is %d B, want 8", s)
+	}
+	if s := unsafe.Sizeof(Edge{}); s != 12 {
+		t.Errorf("Edge is %d B, want 12", s)
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(nodeRec{}), reflect.TypeOf(Edge{})} {
+		if hasPointers(typ) {
+			t.Errorf("%v holds a pointer", typ)
+		}
+	}
+}
+
+// hasPointers reports whether a value of typ holds anything the garbage
+// collector scans: a pointer, slice, map, channel, function, interface or
+// string, directly or in a field or array element.
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if hasPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return typ.Len() > 0 && hasPointers(typ.Elem())
+	default:
+		return typ.Kind() > reflect.Complex128 // Bool through Complex128 are scalars
 	}
 }
 

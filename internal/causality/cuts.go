@@ -101,19 +101,21 @@ func (g *Graph) LeftClosure(nodes ...NodeID) *Cut {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		visit(NodeID(preds[v].Local))
-		visit(NodeID(preds[v].Msg))
+		visit(preds[v].Local)
+		visit(preds[v].Msg)
 	}
 	return c
 }
 
-// CutAtTime returns the real-time cut at time t: all nodes with occurrence
-// time <= t. Real-time cuts are always left-closed (messages are never
-// received before they are sent), which is the transfer used by Theorem 3.
+// CutAtTime returns the real-time cut at time t: all nodes whose event
+// occurs at time <= t, read off the trace's events, so the graph must be
+// over a fully retained trace. Real-time cuts are always left-closed
+// (messages are never received before they are sent), which is the
+// transfer used by Theorem 3.
 func (g *Graph) CutAtTime(t sim.Time) *Cut {
 	c := NewCut(g)
 	for i := range g.nodes {
-		if g.nodes[i].Time.LessEq(t) {
+		if g.trace.Events[i].Time.LessEq(t) {
 			c.in[i] = true
 		}
 	}

@@ -41,14 +41,23 @@ import (
 	"repro/internal/sim"
 )
 
-// NodeID indexes a node (receive event) within a Graph.
-type NodeID int
+// NodeID indexes a node (receive event) within a Graph. It is the node's
+// trace position, and trace positions are int32 (the engine caps N and
+// MaxEvents there; Builder.Append rejects a position beyond it).
+type NodeID int32
 
-// Node is a receive event kept in the execution graph.
+// Node is a receive event kept in the execution graph. The graph needs no
+// event time or message identity (Definition 1 is a property of the
+// space–time diagram alone); read them off Trace.Events[id] when needed.
 type Node struct {
 	Proc  sim.ProcessID
 	Index int // the event's per-process index in the underlying trace
-	Time  sim.Time
+}
+
+// nodeRec is a node as the graph stores it: 8 bytes, no pointers, so a
+// graph's node array is memory the garbage collector never scans.
+type nodeRec struct {
+	proc, index int32
 }
 
 // EdgeKind distinguishes local edges from messages (non-local edges).
@@ -75,12 +84,13 @@ func (k EdgeKind) String() string {
 // EdgeID indexes an edge within a Graph.
 type EdgeID int
 
-// Edge is a directed edge of the execution graph.
+// Edge is a directed edge of the execution graph: 12 bytes, no pointers.
+// A Message edge's message is the trigger of its target's receive event,
+// Trace.Msgs[Trace.Events[e.To].Trigger]: a node's only message in-edge is
+// its own trigger's.
 type Edge struct {
 	From, To NodeID
 	Kind     EdgeKind
-	// Msg is the underlying message for Message edges, -1 for local edges.
-	Msg sim.MsgID
 }
 
 // Graph is the execution graph G_α: its nodes, its edges and each
@@ -89,7 +99,7 @@ type Edge struct {
 // Builder.Append interleaves with them.
 type Graph struct {
 	trace *sim.Trace
-	nodes []Node
+	nodes []nodeRec
 	edges []Edge
 	// msgCount is the number of Message edges, maintained at build time so
 	// MessageCount is O(1) (it is on the per-call path of every
@@ -141,7 +151,7 @@ func Build(t *sim.Trace, opts Options) *Graph {
 	backing := make([]NodeID, len(t.Events))
 	g := &Graph{
 		trace:     t,
-		nodes:     make([]Node, len(t.Events)),
+		nodes:     make([]nodeRec, len(t.Events)),
 		procNodes: make([][]NodeID, t.N),
 	}
 	locals := 0
@@ -160,7 +170,7 @@ func Build(t *sim.Trace, opts Options) *Graph {
 		if t.Msgs[ev.Trigger].IsWakeup() {
 			wakeups++
 		}
-		g.nodes[pos] = Node{Proc: ev.Proc, Index: ev.Index, Time: ev.Time}
+		g.nodes[pos] = nodeRec{proc: int32(ev.Proc), index: int32(ev.Index)}
 		g.procNodes[ev.Proc] = append(g.procNodes[ev.Proc], NodeID(pos))
 	}
 
@@ -171,7 +181,7 @@ func Build(t *sim.Trace, opts Options) *Graph {
 	for p := 0; p < t.N; p++ {
 		nodes := g.procNodes[p]
 		for i := 1; i < len(nodes); i++ {
-			g.edges = append(g.edges, Edge{From: nodes[i-1], To: nodes[i], Kind: Local, Msg: -1})
+			g.edges = append(g.edges, Edge{From: nodes[i-1], To: nodes[i], Kind: Local})
 		}
 	}
 
@@ -187,7 +197,7 @@ func Build(t *sim.Trace, opts Options) *Graph {
 		if m.SendStep < 0 || m.SendStep >= len(sent) {
 			continue // scripted send without a step: dangling
 		}
-		g.edges = append(g.edges, Edge{From: sent[m.SendStep], To: NodeID(pos), Kind: Message, Msg: m.ID})
+		g.edges = append(g.edges, Edge{From: sent[m.SendStep], To: NodeID(pos), Kind: Message})
 		g.msgCount++
 	}
 
@@ -204,7 +214,10 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // Node returns the node with the given ID.
-func (g *Graph) Node(id NodeID) Node { return g.nodes[id] }
+func (g *Graph) Node(id NodeID) Node {
+	r := g.nodes[id]
+	return Node{Proc: sim.ProcessID(r.proc), Index: int(r.index)}
+}
 
 // Edge returns the edge with the given ID.
 func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
@@ -221,11 +234,9 @@ func (g *Graph) MessageCount() int { return g.msgCount }
 
 // Pred holds a node's two possible predecessors in the execution graph:
 // Local is the previous event of its process and Msg the sending step of
-// its message edge, each -1 when the node has no such in-edge. They hold
-// NodeIDs in 32 bits, as trace positions are int32; callers convert with
-// NodeID(p.Local).
+// its message edge, each -1 when the node has no such in-edge.
 type Pred struct {
-	Local, Msg int32
+	Local, Msg NodeID
 }
 
 // Preds returns every node's predecessors, read off Edges in one pass. A
@@ -238,9 +249,9 @@ func (g *Graph) Preds() []Pred {
 	}
 	for _, e := range g.edges {
 		if e.Kind == Local {
-			preds[e.To].Local = int32(e.From)
+			preds[e.To].Local = e.From
 		} else {
-			preds[e.To].Msg = int32(e.From)
+			preds[e.To].Msg = e.From
 		}
 	}
 	return preds
@@ -280,13 +291,13 @@ func (g *Graph) IsDAG() bool {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		seen++
-		for _, u := range [2]int32{preds[v].Local, preds[v].Msg} {
+		for _, u := range [2]NodeID{preds[v].Local, preds[v].Msg} {
 			if u < 0 {
 				continue
 			}
 			outdeg[u]--
 			if outdeg[u] == 0 {
-				queue = append(queue, NodeID(u))
+				queue = append(queue, u)
 			}
 		}
 	}

@@ -112,7 +112,7 @@ func TestRealTimeCutsConsistentProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomExec(seed)
 		for i := 0; i < g.NumNodes(); i += 3 {
-			cut := g.CutAtTime(g.Node(NodeID(i)).Time)
+			cut := g.CutAtTime(g.Trace().Events[i].Time)
 			if !cut.IsLeftClosed() {
 				return false
 			}
@@ -147,5 +147,53 @@ func TestFrontierMaximalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: a message edge's message is the trigger of its target event,
+// the identity that lets an Edge carry no message ID. On random traces
+// with a crashed sender and a DropMessage option, in both constructions,
+// every message edge's trigger m is kept (neither a wake-up nor dropped)
+// and e.From is m's sending step; and there are exactly as many message
+// edges as events whose trigger is kept and names a recorded step.
+func TestMessageEdgeIsTriggerProperty(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := randomTrace(t, seed, 3+rng.Intn(3), seed%3 != 0)
+		to, from := sim.ProcessID(rng.Intn(tr.N)), sim.ProcessID(rng.Intn(tr.N))
+		opts := Options{DropMessage: func(m sim.Message) bool {
+			return m.To == to || m.From == from && m.SendStep%2 == 1
+		}}
+		b, err := NewBuilder(tr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Append(); err != nil {
+			t.Fatal(err)
+		}
+		for name, g := range map[string]*Graph{"Build": Build(tr, opts), "Builder": b.Graph()} {
+			for _, e := range g.Edges() {
+				if e.Kind != Message {
+					continue
+				}
+				m := tr.Msgs[tr.Events[e.To].Trigger]
+				if m.IsWakeup() || dropped(tr, opts, m) {
+					t.Fatalf("seed %d %s: edge %v -> %v carries trigger %+v, which is not kept", seed, name, g.Node(e.From), g.Node(e.To), m)
+				}
+				if sent := g.NodesOf(m.From)[m.SendStep]; sent != e.From {
+					t.Fatalf("seed %d %s: edge %v -> %v, but its trigger was sent at %v", seed, name, g.Node(e.From), g.Node(e.To), g.Node(sent))
+				}
+			}
+			kept := 0
+			for _, ev := range tr.Events {
+				m := tr.Msgs[ev.Trigger]
+				if !m.IsWakeup() && !dropped(tr, opts, m) && m.SendStep >= 0 && m.SendStep < len(g.NodesOf(m.From)) {
+					kept++
+				}
+			}
+			if kept != g.MessageCount() {
+				t.Fatalf("seed %d %s: %d message edges for %d kept triggers", seed, name, g.MessageCount(), kept)
+			}
+		}
 	}
 }

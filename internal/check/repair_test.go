@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -95,11 +96,11 @@ func TestIncrementalCertifyDenseMesh(t *testing.T) {
 	}
 }
 
-// TestWatcherAllocsPerEvent is the storage regression for the checker's
-// flat arc arrays: watching the 64-process full mesh one event at a time
-// must cost amortized slice growth only, not heap objects per node or
-// arc (a slice of arcs per node costs about 2.2 per event).
-func TestWatcherAllocsPerEvent(t *testing.T) {
+// meshTrace simulates the 64-process full-mesh broadcast for 5
+// broadcasting steps per process with delays in [1, 3/2], admissible at
+// Ξ = 2 throughout.
+func meshTrace(t *testing.T) *sim.Trace {
+	t.Helper()
 	proc := sim.ProcessFunc(func(env *sim.Env, msg sim.Message) {
 		if env.StepIndex() < 5 {
 			env.Broadcast(env.StepIndex())
@@ -115,23 +116,60 @@ func TestWatcherAllocsPerEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := res.Trace
-	allocs := testing.AllocsPerRun(1, func() {
-		w, err := check.NewWatcher(rat.FromInt(2), causality.Options{})
-		if err != nil {
+	return res.Trace
+}
+
+// watchEachEvent feeds tr to a new Watcher at Ξ = 2 one event at a time,
+// as a per-event Monitor does, and returns the watcher.
+func watchEachEvent(t *testing.T, tr *sim.Trace) *check.Watcher {
+	t.Helper()
+	w, err := check.NewWatcher(rat.FromInt(2), causality.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shell := &sim.Trace{N: tr.N, Msgs: tr.Msgs, Faulty: tr.Faulty}
+	for j := 1; j <= len(tr.Events); j++ {
+		shell.Events = tr.Events[:j]
+		if err := w.Monitor(shell); err != nil {
 			t.Fatal(err)
 		}
-		shell := &sim.Trace{N: tr.N, Msgs: tr.Msgs, Faulty: tr.Faulty}
-		for j := 1; j <= len(tr.Events); j++ {
-			shell.Events = tr.Events[:j]
-			if err := w.Monitor(shell); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
+	}
+	return w
+}
+
+// TestWatcherAllocsPerEvent is the storage regression for the checker's
+// flat arc arrays: watching the 64-process full mesh one event at a time
+// must cost amortized slice growth only, not heap objects per node or
+// arc (a slice of arcs per node costs about 2.2 per event).
+func TestWatcherAllocsPerEvent(t *testing.T) {
+	tr := meshTrace(t)
+	allocs := testing.AllocsPerRun(1, func() { watchEachEvent(t, tr) })
 	per := allocs / float64(len(tr.Events))
 	t.Logf("%d events, %.0f allocations, %.3f per event", len(tr.Events), allocs, per)
 	if per > 0.1 {
 		t.Fatalf("%.3f allocations per consumed event, want <= 0.1", per)
+	}
+}
+
+// TestWatcherBytesPerEvent is the byte budget of a watched run: the live
+// heap that watching the 64-process full mesh leaves behind, graph plus
+// checker, per consumed event. The execution graph stores 8 B per node
+// and 12 B per edge, neither with a pointer; a node that also held its
+// event time (a 24-byte rational) and an edge that held its message ID
+// cost about 193 B per event here.
+func TestWatcherBytesPerEvent(t *testing.T) {
+	tr := meshTrace(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w := watchEachEvent(t, tr)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(w)
+	runtime.KeepAlive(tr)
+	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(len(tr.Events))
+	t.Logf("%d events: %.1f B of live heap per event", len(tr.Events), per)
+	if per > 130 {
+		t.Fatalf("watching left %.1f B of live heap per consumed event, want <= 130", per)
 	}
 }

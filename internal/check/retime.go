@@ -33,11 +33,12 @@ func (a *Assignment) Retime() (*sim.Trace, error) {
 
 	// Rebuild messages with shifted send/recv times. Messages without a
 	// message edge in the execution graph (faulty-sent or exempted) carry
-	// no delay constraints and may need clamping.
+	// no delay constraints and may need clamping. A message edge's message
+	// is its target event's trigger.
 	kept := make(map[sim.MsgID]bool)
 	for _, e := range a.g.Edges() {
 		if e.Kind == causality.Message {
-			kept[e.Msg] = true
+			kept[old.Events[e.To].Trigger] = true
 		}
 	}
 	msgs := make([]sim.Message, len(old.Msgs))

@@ -47,7 +47,7 @@ func referenceCuts(g *causality.Graph) []cutSpread {
 	}
 	seen := map[string]bool{}
 	for id := range causality.NodeID(g.NumNodes()) {
-		ts := g.Node(id).Time
+		ts := g.Trace().Events[id].Time
 		if key := ts.String(); !seen[key] {
 			seen[key] = true
 			if s, ok := spread(g.CutAtTime(ts)); ok {

@@ -156,29 +156,29 @@ func CheckCausalCone(t *sim.Trace, x int64) error {
 // costs O(V·(V+E)). Local edges chain each process's events, so a cone
 // holds exactly the events of process q up to its frontier node. On an
 // edge against node order the rows end before the edge's target node.
-func frontiers(g *causality.Graph, col []int, c int) ([]int32, error) {
+func frontiers(g *causality.Graph, col []int, c int) ([]causality.NodeID, error) {
 	v := g.NumNodes()
 	preds := g.Preds()
-	rows := make([]int32, v*c)
-	for id := range v {
-		row := rows[id*c : (id+1)*c]
+	rows := make([]causality.NodeID, v*c)
+	for id := range causality.NodeID(v) {
+		row := rows[int(id)*c : int(id+1)*c]
 		for i := range row {
 			row[i] = -1
 		}
-		for _, from := range [2]int32{preds[id].Local, preds[id].Msg} {
+		for _, from := range [2]causality.NodeID{preds[id].Local, preds[id].Msg} {
 			if from < 0 {
 				continue
 			}
-			if int(from) >= id {
-				return rows[:id*c], fmt.Errorf("clocksync: edge %v -> %v runs against trace order",
-					g.Node(causality.NodeID(from)), g.Node(causality.NodeID(id)))
+			if from >= id {
+				return rows[:int(id)*c], fmt.Errorf("clocksync: edge %v -> %v runs against trace order",
+					g.Node(from), g.Node(id))
 			}
-			for i, f := range rows[int(from)*c : (int(from)+1)*c] {
+			for i, f := range rows[int(from)*c : int(from+1)*c] {
 				row[i] = max(row[i], f)
 			}
 		}
-		if i := col[g.Node(causality.NodeID(id)).Proc]; i >= 0 {
-			row[i] = int32(id)
+		if i := col[g.Node(id).Proc]; i >= 0 {
+			row[i] = id
 		}
 	}
 	return rows, nil
@@ -192,7 +192,7 @@ type cones struct {
 	g       *causality.Graph
 	correct []sim.ProcessID
 	col     []int
-	rows    []int32
+	rows    []causality.NodeID
 	err     error // an edge against trace order: rows end before its target
 }
 
@@ -244,7 +244,7 @@ func (k cones) cutSynchrony(bound int64) error {
 	// spread is max − min of the frontier clocks of a row; ok is false when
 	// the cut misses a correct process (not a consistent cut per
 	// Definition 5, so it is skipped).
-	spread := func(row []int32) (s int, ok bool) {
+	spread := func(row []causality.NodeID) (s int, ok bool) {
 		min, max := -1, -1
 		for _, f := range row {
 			if f < 0 {
@@ -270,19 +270,21 @@ func (k cones) cutSynchrony(bound int64) error {
 		return k.err
 	}
 
-	last := make([]int32, c) // the latest node of each correct process so far
+	// The real-time sweep reads each node's time off its trace event.
+	at := func(id int) sim.Time { return t.Events[id].Time }
+	last := make([]causality.NodeID, c) // the latest node of each correct process so far
 	for i := range last {
 		last[i] = -1
 	}
 	for id := 0; id < v; {
-		ts := node(id).Time
-		for ; id < v && node(id).Time.Equal(ts); id++ {
+		ts := at(id)
+		for ; id < v && at(id).Equal(ts); id++ {
 			if i := col[node(id).Proc]; i >= 0 {
-				last[i] = int32(id)
+				last[i] = causality.NodeID(id)
 			}
 		}
-		if id < v && node(id).Time.Less(ts) {
-			return fmt.Errorf("clocksync: node %v at time %v follows time %v", node(id), node(id).Time, ts)
+		if id < v && at(id).Less(ts) {
+			return fmt.Errorf("clocksync: node %v at time %v follows time %v", node(id), at(id), ts)
 		}
 		if s, ok := spread(last); ok && int64(s) > bound {
 			return fmt.Errorf("clocksync: cut time %v has spread %d > %d", ts, s, bound)

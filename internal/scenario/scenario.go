@@ -194,7 +194,7 @@ func BuildFig2() Fig2 {
 			if e.Kind != causality.Message {
 				continue
 			}
-			if s, ok := tr.Msgs[e.Msg].Payload.(string); ok && s == name {
+			if s, ok := tr.Msgs[tr.Events[e.To].Trigger].Payload.(string); ok && s == name {
 				return causality.EdgeID(i)
 			}
 		}

@@ -77,6 +77,10 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		// Each process's wake-up is an event, and event positions are int32.
 		return nil, fmt.Errorf("sim: N = %d exceeds the engine's limit of %d processes", cfg.N, math.MaxInt32)
 	}
+	if cfg.MaxEvents > math.MaxInt32 {
+		// Event positions are also the execution graph's int32 node IDs.
+		return nil, fmt.Errorf("sim: MaxEvents = %d exceeds the engine's limit of %d events", cfg.MaxEvents, math.MaxInt32)
+	}
 	if cfg.Spawn == nil {
 		return nil, errors.New("sim: Spawn is required")
 	}
