@@ -4,14 +4,16 @@ GO ?= go
 # its heaviest consumers — the admissibility checker, the critical-ratio
 # search, the incremental checker, the Theorem 2 cut check and the
 # Theorem 4 bounded-progress check on a long clocksync graph — plus
-# Algorithm 1 at two run lengths (flat ns/event) and execution-graph
-# construction (constant allocs/op). Keep in sync with
+# Algorithm 1 at two run lengths (flat ns/event), execution-graph
+# construction (constant allocs/op) and the delivery queue's calendar
+# rows (B/op: the queue's in-flight working set). Keep in sync with
 # .github/workflows/ci.yml.
-# BenchmarkSimulator's N=100k sparse cases are excluded from the smoke
-# (seconds per iteration). These are regression gates only; the
+# BenchmarkSimulator's N=100k sparse cases and BenchmarkDeliveryQueue's
+# windowless rows are excluded from the smoke (seconds per iteration). These are regression gates only; the
 # performance ledger is bench/run.sh (BENCHMARK.json).
 BENCH_SMOKE = BenchmarkChecker|BenchmarkMaxRelevantRatio|BenchmarkIncrementalChecker|BenchmarkCutSynchrony|BenchmarkBoundedProgress|BenchmarkClockSyncScale|BenchmarkGraphBuild
 BENCH_SIM_SMOKE = BenchmarkSimulator/.*/^n=(8|100|10000)$$
+BENCH_QUEUE_SMOKE = BenchmarkDeliveryQueue/calendar/
 # The N=10^6 ring is seconds per iteration, so bench-smoke runs it alone,
 # once, under a hard time budget.
 BENCH_SIM_SCALE = BenchmarkSimulator/topo=ring/^n=1000000$$
@@ -47,6 +49,7 @@ bench:
 	$(GO) run ./cmd/abcbench $(if $(CPUPROFILE),-cpuprofile $(CPUPROFILE)) $(if $(MEMPROFILE),-memprofile $(MEMPROFILE))
 
 # bench-smoke runs the headline benchmarks, the simulator grid, the
+# delivery queue's two calendar rows (once each, about 5 s on 2 vCPU), the
 # fleet evaluation (fleet-bench) and the E18 cross-workload matrix
 # briefly — enough to catch order-of-magnitude regressions, not to
 # replace a real benchstat comparison — then one N=10^6 RetainNone ring
@@ -55,6 +58,7 @@ bench:
 bench-smoke: fleet-bench
 	$(GO) test -run=NONE -bench='$(BENCH_SMOKE)' -benchmem -benchtime=10x .
 	$(GO) test -run=NONE -bench='$(BENCH_SIM_SMOKE)' -benchmem -benchtime=10x .
+	$(GO) test -run=NONE -bench='$(BENCH_QUEUE_SMOKE)' -benchmem -benchtime=1x ./internal/sim
 	$(GO) test -run=NONE -bench='BenchmarkE18_CrossWorkload' -benchtime=1x .
 	$(GO) test -run=NONE -bench='$(BENCH_SIM_SCALE)' -benchmem -benchtime=1x -timeout 15m .
 

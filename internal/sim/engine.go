@@ -248,7 +248,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			From: External, To: p, SendStep: SendStepExternal,
 			SendTime: at, RecvTime: at, Payload: Wakeup{},
 		})
-		e.queue.push(delivery{at: at, key: deliveryKey(at), seq: e.nextSeq(), ref: ref})
+		e.queue.push(delivery{key: deliveryKey(at), seq: e.nextSeq(), ref: ref})
 	}
 	// Recovery wake-ups for amnesia processes: one external wake-up at the
 	// end of each down interval, so the respawned machine re-executes its
@@ -267,7 +267,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 				From: External, To: p, SendStep: SendStepExternal,
 				SendTime: iv.Until, RecvTime: iv.Until, Payload: Wakeup{},
 			})
-			e.queue.push(delivery{at: iv.Until, key: deliveryKey(iv.Until), seq: e.nextSeq(), ref: ref})
+			e.queue.push(delivery{key: deliveryKey(iv.Until), seq: e.nextSeq(), ref: ref})
 		}
 	}
 	// Scripted Byzantine sends, in process order for determinism (map
@@ -287,6 +287,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	res := &Result{Trace: e.trace, Procs: e.procs, Truncated: truncated, MonitorErr: e.monitorErr}
 	// Drop the escaping references so pooled state never aliases a result.
 	e.trace, e.procs, e.cfg, e.cb, e.monitorErr = nil, nil, Config{}, nil, nil
+	e.queue.times = recvTimes{} // it points into the escaping trace
 	e.net, e.partSides = nil, nil
 	for p := range e.down {
 		e.down[p] = nil // Fault.Down slices are config-owned; do not pin them
@@ -310,7 +311,6 @@ func (e *Engine) reset(cfg Config) {
 			e.cb = cfg.Sink
 		}
 	}
-	e.queue.reset(cfg.N)
 	if e.rng == nil {
 		e.rng = rand.New(rand.NewSource(cfg.Seed))
 	} else {
@@ -337,10 +337,16 @@ func (e *Engine) reset(cfg Config) {
 	e.trace = &Trace{N: cfg.N, Faulty: make([]bool, cfg.N), mode: e.ret.Mode}
 	e.procs = make([]Process, cfg.N)
 	e.trace.digest.init()
+	// The queue reads receive times where the messages are stored: the
+	// trace's message store under full retention, the in-flight slot
+	// store under bounded retention (where Trace.Msgs is the window's
+	// trigger store, not indexed by ref).
+	times := recvTimes{slots: &e.slots}
 	switch e.ret.Mode {
 	case RetainFullMode:
 		e.trace.Events = make([]Event, 0, e.lastEvents)
 		e.trace.Msgs = make([]Message, 0, e.lastMsgs)
+		times = recvTimes{msgs: &e.trace.Msgs}
 	case RetainWindowMode:
 		// The slide amortizes growth past the pre-size, so a window far
 		// larger than the run costs only what the run retains.
@@ -348,6 +354,7 @@ func (e *Engine) reset(cfg Config) {
 		e.trace.Events = make([]Event, 0, size)
 		e.trace.Msgs = make([]Message, 0, size)
 	}
+	e.queue.reset(cfg.N, times)
 }
 
 // finishTrace seals the per-run trace before it escapes: full retention
@@ -524,7 +531,7 @@ func (e *Engine) deliver(m Message) {
 	}
 	m.RecvTime = recv
 	ref := e.recordMessage(m)
-	e.queue.push(delivery{at: recv, key: deliveryKey(recv), seq: e.nextSeq(), ref: ref})
+	e.queue.push(delivery{key: deliveryKey(recv), seq: e.nextSeq(), ref: ref})
 }
 
 // partitionCutsLink reports whether a partition's side vector severs at

@@ -11,7 +11,10 @@ import (
 // arbitrary configurations: system sizes on both sides of the delivery
 // queue's mode threshold (1..4100; past 64 processes the dense topologies
 // become rings),
-// constant and uniform delays (zero and negative bounds included),
+// constant and uniform delays (zero and negative bounds included), a
+// link-dependent delay of 1 or 1 + 2^−60 whose distinct receive times share
+// float keys, so the delivery queue orders them by reading the exact
+// times from the message store (Trace.Msgs or the in-flight slot store),
 // message drops, duplicates, delay spikes and a partition, a crash and a
 // down interval under each recovery and in-flight policy, the three
 // retention modes and MaxEvents. Run must return an error or a result,
@@ -46,6 +49,9 @@ func FuzzEngineConfig(f *testing.F) {
 		{n: 10, topo: 0, steps: 1, delay: 0, dMin: 1, faults: 2, downFrom: -3},                                                                  // down interval at negative time
 		{n: 4096, topo: 100, steps: 1, delay: 1, dMin: 1, dSpan: 65, net: 7, faults: 0x1b, downFrom: 4, maxEvents: 9102, window: 40, seed: -61}, // two 2048-cliques: 8.4M messages before the cap
 		{n: 4100, topo: 3, steps: 3, delay: 1, dMin: 1, dSpan: 5, net: 7, faults: 0x1b, downFrom: 4, maxEvents: 9000, window: 40, seed: 7},
+		{n: 4095, topo: 0, steps: 3, delay: 2, window: 16, seed: 8}, // float-key collisions, windowless
+		{n: 4096, topo: 0, steps: 3, delay: 2, window: 16, seed: 9}, // float-key collisions, calendar
+		{n: 30, topo: 5, steps: 2, delay: 2, net: 4, faults: 0x0e, downFrom: 1, seed: 10},
 	} {
 		f.Add(tc.n, tc.topo, tc.steps, tc.delay, tc.dMin, tc.dSpan, tc.net, tc.faults, tc.downFrom, tc.maxEvents, tc.window, tc.seed)
 	}
@@ -70,10 +76,20 @@ func FuzzEngineConfig(f *testing.F) {
 				MaxEvents: int(maxEvents) % 20000,
 			}
 			lo := rat.New(int64(dMin), 2)
-			if delay%2 == 0 {
+			switch delay % 3 {
+			case 0:
 				cfg.Delays = ConstantDelay{D: lo}
-			} else {
+			case 1:
 				cfg.Delays = UniformDelay{Min: lo, Max: lo.Add(rat.New(int64(dSpan), 3))}
+			default:
+				// Links with an odd endpoint sum take 1 + 2^−60, whose
+				// float64 image is 1: sums of the two delays are distinct
+				// times with equal keys.
+				cfg.Delays = OverrideDelay{
+					Base:     ConstantDelay{D: rat.One},
+					Match:    func(m Message) bool { return (m.From+m.To)%2 != 0 },
+					Override: ConstantDelay{D: rat.New(1<<60+1, 1<<60)},
+				}
 			}
 			if net != 0 {
 				nf := &NetFaults{}

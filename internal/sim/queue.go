@@ -5,14 +5,17 @@ import (
 	"slices"
 )
 
-// delivery is a scheduled message reception. key is the float64 image of
-// at under rat.Float64 (clamped to ±MaxFloat64): the conversion is
+// delivery is a scheduled message reception: a pointer-free 24-byte
+// record, so queue storage is neither scanned by the garbage collector
+// nor written under write barriers. It keeps no copy of its receive time
+// — the message it refers to holds that as RecvTime, and recvTimes reads
+// it on a float-key tie. key is the float64 image of the receive
+// time under rat.Float64 (clamped to ±MaxFloat64): the conversion is
 // correctly rounded and therefore monotone — a < b implies key(a) <=
 // key(b), and equal times have equal keys — so float comparisons and
 // bucket assignments can never contradict the exact order, they can only
 // fail to distinguish values the exact (at, seq) comparison then settles.
 type delivery struct {
-	at  Time
 	key float64
 	seq int64 // insertion order; total tie-break for determinism
 	// ref locates the message: its ID (an index into Trace.Msgs) under
@@ -20,36 +23,57 @@ type delivery struct {
 	ref int
 }
 
-// before is the exact total delivery order (at, seq).
-func (d delivery) before(o delivery) bool {
-	if c := d.at.Cmp(o.at); c != 0 {
+// recvTimes resolves a queued delivery's ref to its message's exact
+// receive time: through Trace.Msgs under full retention (msgs non-nil),
+// through the in-flight slot store under bounded retention. The engine
+// sets it once per run. The read is exact because a delivery is compared
+// only while its message is queued, and a queued message's slot is
+// neither freed nor rewritten: takeDelivery frees a slot only after pop
+// returns, and insertCur searches only the unpopped part of the run.
+type recvTimes struct {
+	msgs  *[]Message // full retention: the trace's message store
+	slots *slotStore // bounded retention: the in-flight store
+}
+
+// at returns the receive time of the message ref locates.
+func (t *recvTimes) at(ref int) *Time {
+	if t.msgs != nil {
+		return &(*t.msgs)[ref].RecvTime
+	}
+	return &t.slots.at(ref).RecvTime
+}
+
+// before is the exact total delivery order (at, seq), behind the heap's
+// sift, the current run's binary insertion and every drain sort. The
+// cached float key decides almost every comparison in one branch; only on
+// a float tie are the messages' exact receive times read and compared.
+// seq is unique per delivery, so the order is total and every correct
+// sort produces the identical sequence. It takes pointers so that the
+// heap's sift loops copy no deliveries.
+func (t *recvTimes) before(a, b *delivery) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return t.tieBefore(a, b)
+}
+
+// tieBefore orders two deliveries with equal float keys by their exact
+// receive times, then seq. Kept out of before, so before inlines.
+func (t *recvTimes) tieBefore(a, b *delivery) bool {
+	if c := t.at(a.ref).Cmp(*t.at(b.ref)); c != 0 {
 		return c < 0
 	}
-	return d.seq < o.seq
+	return a.seq < b.seq
 }
 
-// cmpDelivery is the one (key, at, seq) comparison, behind the heap's
-// less and every drain sort: the cached float key decides almost every
-// comparison in one branch, falling back to the exact rational comparison
-// only on float ties. seq is unique per delivery, so the order is total
-// and every correct sort produces the identical sequence. It takes
-// pointers so that the heap's sift loops copy no deliveries.
-func cmpDelivery(a, b *delivery) int {
-	switch {
-	case a.key < b.key:
-		return -1
-	case a.key > b.key:
+// sortDeliveries sorts s by the exact (at, seq) order.
+func (t *recvTimes) sortDeliveries(s []delivery) {
+	slices.SortFunc(s, func(a, b delivery) int {
+		if t.before(&a, &b) {
+			return -1
+		}
 		return 1
-	case a.before(*b):
-		return -1
-	default:
-		return 1
-	}
-}
-
-// sortDeliveries sorts s by cmpDelivery.
-func sortDeliveries(s []delivery) {
-	slices.SortFunc(s, func(a, b delivery) int { return cmpDelivery(&a, &b) })
+	})
 }
 
 // deliveryKey clamps the monotone float64 image of t into the finite
@@ -65,7 +89,8 @@ func deliveryKey(t Time) float64 {
 	return f
 }
 
-// heapQueue is a hand-rolled binary min-heap ordered by cmpDelivery: the
+// heapQueue is a hand-rolled binary min-heap in the exact (at, seq)
+// order, read through the recvTimes each operation is given: the
 // calendar's overflow store, and the whole queue in windowless mode. It
 // deliberately avoids container/heap: boxing every delivery through the
 // heap.Interface `any` parameters cost one allocation per push and pop,
@@ -74,29 +99,27 @@ func deliveryKey(t Time) float64 {
 // internal layout never influences results.
 type heapQueue []delivery
 
-func (q heapQueue) less(i, j int) bool { return cmpDelivery(&q[i], &q[j]) < 0 }
-
-func (q *heapQueue) push(d delivery) {
+func (q *heapQueue) push(d delivery, t *recvTimes) {
 	*q = append(*q, d)
-	q.up(len(*q) - 1)
+	q.up(len(*q)-1, t)
 }
 
-func (q *heapQueue) pop() delivery {
+func (q *heapQueue) pop(t *recvTimes) delivery {
 	h := *q
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
 	d := h[n]
 	*q = h[:n]
 	if n > 0 {
-		h[:n].down(0)
+		h[:n].down(0, t)
 	}
 	return d
 }
 
-func (q heapQueue) up(i int) {
+func (q heapQueue) up(i int, t *recvTimes) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !t.before(&q[i], &q[parent]) {
 			return
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -104,7 +127,7 @@ func (q heapQueue) up(i int) {
 	}
 }
 
-func (q heapQueue) down(i int) {
+func (q heapQueue) down(i int, t *recvTimes) {
 	n := len(q)
 	for {
 		l := 2*i + 1
@@ -112,10 +135,10 @@ func (q heapQueue) down(i int) {
 			return
 		}
 		j := l
-		if r := l + 1; r < n && q.less(r, l) {
+		if r := l + 1; r < n && t.before(&q[r], &q[l]) {
 			j = r
 		}
-		if !q.less(j, i) {
+		if !t.before(&q[j], &q[i]) {
 			return
 		}
 		q[i], q[j] = q[j], q[i]
@@ -135,7 +158,7 @@ func (q heapQueue) down(i int) {
 // The windowless mode stays because of memory at small N: with a window
 // at every N, the wake-ups at t = 0 give watch-dense (N = 64) a width-1
 // first window that lands ~10^5 deliveries in one bucket, and its peak
-// RSS rose from 53 to 68 MiB, while the heap at every N costs ring
+// RSS rose from 41 to 46 MiB, while the heap at every N costs ring
 // (N = 5·10^4) 31–54% more wall time (DESIGN.md decision 8).
 const (
 	autoBucketN           = 4096
@@ -198,6 +221,7 @@ func bucketsFor(n int) int {
 // at one bucket per time unit the 10^5-entry buffers circulate instead of
 // being regrown, and a warm engine's drains allocate nothing.
 type bucketQueue struct {
+	times   recvTimes // resolves refs to exact receive times on key ties
 	buckets [][]delivery
 	over    heapQueue // beyond the window (or before it is primed)
 	overMax float64   // max key ever pushed to over since last rebuild
@@ -217,8 +241,10 @@ type bucketQueue struct {
 // reset clears the queue for reuse, retaining bucket storage while the
 // wheel size stays. n is the system size the next run schedules for; the
 // wheel is resized to exactly bucketsFor(n), so a queue reused after a
-// large run does not keep scanning that run's wheel.
-func (q *bucketQueue) reset(n int) {
+// large run does not keep scanning that run's wheel. times is where the
+// next run's messages, and so their receive times, are stored.
+func (q *bucketQueue) reset(n int, times recvTimes) {
+	q.times = times
 	if want := bucketsFor(n); want != len(q.buckets) {
 		q.buckets = make([][]delivery, want)
 	}
@@ -243,7 +269,7 @@ func (q *bucketQueue) pushOver(d delivery) {
 	if d.key > q.overMax {
 		q.overMax = d.key
 	}
-	q.over.push(d)
+	q.over.push(d, &q.times)
 }
 
 func (q *bucketQueue) push(d delivery) {
@@ -285,12 +311,13 @@ func (q *bucketQueue) pushBucket(i int, d delivery) {
 // The insertion point is always at or after curIdx: everything already
 // popped is (at, seq)-before any new delivery, because sends never
 // schedule earlier than the reception being processed and seq grows
-// monotonically.
+// monotonically. The search never reads the popped entries before curIdx,
+// whose slots the engine may already have freed and reused.
 func (q *bucketQueue) insertCur(d delivery) {
 	lo, hi := q.curIdx, len(q.cur)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if d.before(q.cur[mid]) {
+		if q.times.before(&d, &q.cur[mid]) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -304,7 +331,7 @@ func (q *bucketQueue) insertCur(d delivery) {
 func (q *bucketQueue) pop() delivery {
 	if len(q.buckets) == 0 {
 		q.size--
-		return q.over.pop()
+		return q.over.pop(&q.times)
 	}
 	for q.curIdx >= len(q.cur) {
 		q.advance()
@@ -343,12 +370,12 @@ func (q *bucketQueue) advance() {
 // place. The sorted copy — in the spare when it is large enough —
 // becomes the current run and the unsorted run's storage the spare.
 // Key-identical runs (where no float width can discriminate) fall
-// through to the comparison sort, which resolves them on the cheap seq
-// tie-break.
+// through to the comparison sort, which settles them on the exact
+// receive times and then seq.
 func (q *bucketQueue) sortRun() {
 	run := q.cur
 	if len(run) <= bucketSortThreshold {
-		sortDeliveries(run)
+		q.times.sortDeliveries(run)
 		return
 	}
 	lo, hi := run[0].key, run[0].key
@@ -365,7 +392,7 @@ func (q *bucketQueue) sortRun() {
 	if !(width > 0) || math.IsInf(width, 0) {
 		// Keys indistinguishable (or span overflow): comparison sort
 		// settles it on (at, seq).
-		sortDeliveries(run)
+		q.times.sortDeliveries(run)
 		return
 	}
 	if cap(q.counts) < nbins {
@@ -396,7 +423,7 @@ func (q *bucketQueue) sortRun() {
 	start := 0
 	for _, end := range counts {
 		if int(end)-start > 1 {
-			sortDeliveries(sorted[start:end])
+			q.times.sortDeliveries(sorted[start:end])
 		}
 		start = int(end)
 	}
@@ -431,7 +458,7 @@ func (q *bucketQueue) rebuild() {
 		if !(o < float64(len(q.buckets))) {
 			break
 		}
-		q.pushBucket(int(o), q.over.pop())
+		q.pushBucket(int(o), q.over.pop(&q.times))
 	}
 	if len(q.over) == 0 {
 		q.overMax = math.Inf(-1)

@@ -1,31 +1,119 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rat"
 )
 
-// refQueue is the reference the delivery queue is checked against: a
-// slice kept sorted by the exact (at, seq) order alone, with no float key.
-type refQueue []delivery
-
-func (r *refQueue) push(d delivery) {
-	i, _ := slices.BinarySearchFunc(*r, d, func(a, b delivery) int {
-		if a.before(b) {
-			return -1
-		}
-		return 1
-	})
-	*r = slices.Insert(*r, i, d)
+// refEntry is one delivery as the reference sees it: its exact receive
+// time and its seq, with no float key and no store to resolve.
+type refEntry struct {
+	at  Time
+	seq int64
 }
 
-func (r *refQueue) pop() delivery {
-	d := (*r)[0]
+// refQueue is the reference the delivery queue is checked against: a
+// slice kept sorted by the exact (at, seq) order alone.
+type refQueue []refEntry
+
+func (r *refQueue) push(at Time, seq int64) {
+	i, _ := slices.BinarySearchFunc(*r, seq, func(e refEntry, seq int64) int {
+		if c := e.at.Cmp(at); c != 0 {
+			return c
+		}
+		return int(e.seq - seq)
+	})
+	*r = slices.Insert(*r, i, refEntry{at, seq})
+}
+
+func (r *refQueue) pop() refEntry {
+	e := (*r)[0]
 	*r = (*r)[1:]
-	return d
+	return e
+}
+
+// queueHarness drives a bucketQueue as the engine does, keeping the
+// messages — whose receive times the queue reads on a float-key tie — in
+// either of the engine's two stores: an append-only table indexed by ref,
+// like Trace.Msgs under full retention, or the slot store of bounded
+// retention, where each pop frees its slot for a later push to reuse.
+// Every push also goes to the reference, and pop checks the queue
+// against it.
+type queueHarness struct {
+	q     bucketQueue
+	ref   refQueue
+	msgs  []Message
+	slots *slotStore // nil: the append-only table
+	seq   int64
+	label string // names the case in failure messages
+}
+
+// queueStores names the two stores a queueHarness can keep messages in.
+var queueStores = []string{"trace", "slots"}
+
+func newQueueHarness(store string) *queueHarness {
+	h := &queueHarness{}
+	if store == "slots" {
+		h.slots = &slotStore{}
+	}
+	return h
+}
+
+// reset empties the harness and resets the queue for a system of n
+// processes, which picks its mode; label names the case that follows.
+func (h *queueHarness) reset(n int, label string) {
+	h.ref, h.msgs, h.seq, h.label = h.ref[:0], h.msgs[:0], 0, label
+	if h.slots != nil {
+		h.slots.reset()
+		h.q.reset(n, recvTimes{slots: h.slots})
+		return
+	}
+	h.q.reset(n, recvTimes{msgs: &h.msgs})
+}
+
+func (h *queueHarness) push(at Time) {
+	h.seq++
+	m := Message{RecvTime: at}
+	ref := len(h.msgs)
+	if h.slots != nil {
+		ref = h.slots.put(&m)
+	} else {
+		h.msgs = append(h.msgs, m)
+	}
+	h.ref.push(at, h.seq)
+	h.q.push(delivery{key: deliveryKey(at), seq: h.seq, ref: ref})
+}
+
+// pop pops the queue and the reference, failing t unless both give the
+// same delivery, and returns the reference's entry. The message leaves
+// its slot after the pop, as in the engine's takeDelivery.
+func (h *queueHarness) pop(t *testing.T) refEntry {
+	t.Helper()
+	want, d := h.ref.pop(), h.q.pop()
+	var at Time
+	if h.slots != nil {
+		at = h.slots.take(d.ref).RecvTime
+	} else {
+		at = h.msgs[d.ref].RecvTime
+	}
+	if d.seq != want.seq || !at.Equal(want.at) {
+		t.Fatalf("%s: queue popped seq %d at %v, reference seq %d at %v", h.label, d.seq, at, want.seq, want.at)
+	}
+	return want
+}
+
+// checkLen fails t unless the queue and the reference hold as many.
+func (h *queueHarness) checkLen(t *testing.T) {
+	t.Helper()
+	if len(h.ref) != h.q.len() {
+		t.Fatalf("%s: reference holds %d, queue %d", h.label, len(h.ref), h.q.len())
+	}
 }
 
 // queueModes are the ranges of system sizes [lo, lo+span) that put a
@@ -39,66 +127,50 @@ var queueModes = []struct {
 	{"calendar", autoBucketN, autoBucketN},
 }
 
-// TestQueueImplementationsAgree checks both modes of the delivery queue
-// against the sorted-slice reference on an engine-like push/pop stream:
-// each must pop the identical exact (at, seq) order. Pushes land at or
-// after the last popped time, as the engine's do, with zero delays (equal
-// keys), delays from a tiny set (float key ties across pushes), promoted
-// times whose float keys tie with an integer time while the exact values
-// differ, and far jumps that overflow the calendar window and force
-// rebuilds.
+// TestQueueImplementationsAgree checks both modes of the delivery queue,
+// with its messages in either store, against the sorted-slice reference
+// on an engine-like push/pop stream: each must pop the identical exact
+// (at, seq) order. Pushes land at or after the last popped time, as the
+// engine's do, with zero delays (equal keys), delays from a tiny set
+// (float key ties across pushes), promoted times whose float keys tie
+// with an integer time while the exact values differ, and far jumps that
+// overflow the calendar window and force rebuilds.
 func TestQueueImplementationsAgree(t *testing.T) {
 	huge := rat.MustParse("100000000000000000000000")
-	for _, mode := range queueModes {
-		for seed := int64(0); seed < 24; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			var q bucketQueue
-			q.reset(mode.lo + rng.Intn(mode.span))
-			ref := refQueue{}
-			now := rat.Zero
-			seq := int64(0)
-			push := func(at Time) {
-				seq++
-				d := delivery{at: at, key: deliveryKey(at), seq: seq, ref: int(seq)}
-				ref.push(d)
-				q.push(d)
-			}
-			for i := 0; i < 200; i++ {
-				push(rat.Zero) // a wake-up burst at t = 0
-			}
-			for op := 0; op < 10000; op++ {
-				if len(ref) != q.len() {
-					t.Fatalf("%s seed %d op %d: reference len %d, queue len %d", mode.name, seed, op, len(ref), q.len())
+	for _, store := range queueStores {
+		h := newQueueHarness(store)
+		for _, mode := range queueModes {
+			for seed := int64(0); seed < 24; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				h.reset(mode.lo+rng.Intn(mode.span), fmt.Sprintf("%s/%s seed %d", store, mode.name, seed))
+				now := rat.Zero
+				for i := 0; i < 200; i++ {
+					h.push(rat.Zero) // a wake-up burst at t = 0
 				}
-				if len(ref) > 0 && rng.Intn(2) == 0 {
-					r, d := ref.pop(), q.pop()
-					if r.seq != d.seq {
-						t.Fatalf("%s seed %d op %d: reference popped seq %d at %v, queue seq %d at %v", mode.name, seed, op, r.seq, r.at, d.seq, d.at)
+				for op := 0; op < 10000; op++ {
+					h.checkLen(t)
+					if len(h.ref) > 0 && rng.Intn(2) == 0 {
+						now = h.pop(t).at
+						continue
 					}
-					now = r.at
-					continue
+					at := now
+					switch rng.Intn(5) {
+					case 0: // zero delay
+					case 1:
+						at = now.Add(rat.New(int64(1+rng.Intn(3)), 2))
+					case 2: // promoted: ⌈now⌉ + 1/(10^23 + r), a float-key tie with ⌈now⌉
+						at = rat.FromInt(now.Ceil()).Add(rat.One.Div(huge.Add(rat.FromInt(rng.Int63n(1000)))))
+					case 3:
+						at = now.Add(rat.New(rng.Int63n(1000), 7))
+					default: // far jump beyond the calendar window
+						at = now.Add(rat.FromInt(rng.Int63n(1_000_000)))
+					}
+					h.push(at)
 				}
-				at := now
-				switch rng.Intn(5) {
-				case 0: // zero delay
-				case 1:
-					at = now.Add(rat.New(int64(1+rng.Intn(3)), 2))
-				case 2: // promoted: ⌈now⌉ + 1/(10^23 + r), a float-key tie with ⌈now⌉
-					at = rat.FromInt(now.Ceil()).Add(rat.One.Div(huge.Add(rat.FromInt(rng.Int63n(1000)))))
-				case 3:
-					at = now.Add(rat.New(rng.Int63n(1000), 7))
-				default: // far jump beyond the calendar window
-					at = now.Add(rat.FromInt(rng.Int63n(1_000_000)))
+				for len(h.ref) > 0 {
+					h.pop(t)
 				}
-				push(at)
-			}
-			for len(ref) > 0 {
-				if r, d := ref.pop(), q.pop(); r.seq != d.seq {
-					t.Fatalf("%s seed %d drain: reference seq %d, queue seq %d", mode.name, seed, r.seq, d.seq)
-				}
-			}
-			if q.len() != 0 {
-				t.Fatalf("%s seed %d: queue holds %d after the reference drained", mode.name, seed, q.len())
+				h.checkLen(t)
 			}
 		}
 	}
@@ -109,53 +181,99 @@ func TestQueueImplementationsAgree(t *testing.T) {
 // the first rebuild a zero key span (width 1), so every later drain takes
 // a bucket of thousands of distinct keys — past bucketSortThreshold,
 // through the counting sort — and the population swells and shrinks so
-// buckets both swap into the spare and outgrow it. One queue is reused
-// across resets that cycle through the windowless mode and two wheel
-// sizes, so stale storage from another mode and wheel is in play.
+// buckets both swap into the spare and outgrow it. One queue per store is
+// reused across resets that cycle through the windowless mode and two
+// wheel sizes, so stale storage from another mode and wheel is in play.
 func TestQueueLargeDrainsAgree(t *testing.T) {
-	var q bucketQueue
-	for seed := int64(0); seed < 9; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		q.reset([]int{100, autoBucketN, 1 << 14}[seed%3])
-		ref := refQueue{}
-		seq := int64(0)
-		push := func(at Time) {
-			seq++
-			d := delivery{at: at, key: deliveryKey(at), seq: seq, ref: int(seq)}
-			ref.push(d)
-			q.push(d)
+	for _, store := range queueStores {
+		h := newQueueHarness(store)
+		for seed := int64(0); seed < 9; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			h.reset([]int{100, autoBucketN, 1 << 14}[seed%3], fmt.Sprintf("%s seed %d", store, seed))
+			for i := 0; i < 2000+rng.Intn(3000); i++ {
+				h.push(rat.Zero)
+			}
+			for op := 0; len(h.ref) > 0 && op < 60000; op++ {
+				now := h.pop(t).at
+				// Each delivery schedules 0–2 successors a fine-grained
+				// delay in [1, 3/2] later (mean 1.1 for the first half of
+				// the ops, 0.9 after: the population swells, then tapers),
+				// now and then one at zero delay (a merge into the current
+				// run) or far beyond the window (a rebuild).
+				successors := 1
+				switch r := rng.Intn(10); {
+				case r == 0:
+					successors = 2
+				case r <= 2 && op >= 30000:
+					successors = 0
+				}
+				for k := 0; k < successors; k++ {
+					h.push(now.Add(rat.New(1000+rng.Int63n(501), 1000)))
+				}
+				switch rng.Intn(200) {
+				case 0:
+					h.push(now)
+				case 1:
+					h.push(now.Add(rat.FromInt(5000 + rng.Int63n(5000))))
+				}
+				h.checkLen(t)
+			}
 		}
-		for i := 0; i < 2000+rng.Intn(3000); i++ {
-			push(rat.Zero)
-		}
-		for op := 0; len(ref) > 0 && op < 60000; op++ {
-			want, got := ref.pop(), q.pop()
-			if want.seq != got.seq {
-				t.Fatalf("seed %d op %d: reference popped seq %d at %v, queue seq %d at %v", seed, op, want.seq, want.at, got.seq, got.at)
-			}
-			// Each delivery schedules 0–2 successors a fine-grained delay
-			// in [1, 3/2] later (mean 1.1 for the first half of the ops,
-			// 0.9 after: the population swells, then tapers), now and then
-			// one at zero delay (a merge into the current run) or far
-			// beyond the window (a rebuild).
-			successors := 1
-			switch r := rng.Intn(10); {
-			case r == 0:
-				successors = 2
-			case r <= 2 && op >= 30000:
-				successors = 0
-			}
-			for k := 0; k < successors; k++ {
-				push(want.at.Add(rat.New(1000+rng.Int63n(501), 1000)))
-			}
-			switch rng.Intn(200) {
-			case 0:
-				push(want.at)
-			case 1:
-				push(want.at.Add(rat.FromInt(5000 + rng.Int63n(5000))))
-			}
-			if len(ref) != q.len() {
-				t.Fatalf("seed %d op %d: reference len %d, queue len %d", seed, op, len(ref), q.len())
+	}
+}
+
+// TestQueueFloatKeyCollisions pins the exact tie-break on distinct
+// receive times that share a float64 key: k/2 − 2^−61, k/2 and
+// k/2 + 2^−61 all round to k/2, so only the times read through the
+// message store can order them. Pushes run against seq — within a burst
+// the later times are pushed first — so a tie-break on seq alone pops
+// them in the wrong order. Both modes run with both stores. In the
+// calendar the first window is degenerate (every primed key is 1), so the
+// first bucket's drain is a comparison sort of equal keys, successors in
+// the same family merge into the current run by binary insertion, and
+// later buckets of two families go through the counting sort.
+func TestQueueFloatKeyCollisions(t *testing.T) {
+	// family f's member j is f/2 + j·2^−61, f in [2, 7], j in {−1, 0, 1}.
+	const minFamily, maxFamily = 2, 7
+	colliding := func(f, j int) Time { return rat.New(int64(f)<<60+int64(j), 1<<61) }
+	if k := deliveryKey(colliding(2, 1)); k != deliveryKey(colliding(2, -1)) || k != 1 {
+		t.Fatalf("key of 1 + 2^-61 is %v, want a collision with 1 - 2^-61 at 1", k)
+	}
+	for _, store := range queueStores {
+		h := newQueueHarness(store)
+		for _, mode := range queueModes {
+			for seed := int64(0); seed < 8; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				h.reset(mode.lo+rng.Intn(mode.span), fmt.Sprintf("%s/%s seed %d", store, mode.name, seed))
+				pushed := [][2]int{{}} // seq → (family, member)
+				push := func(fj [2]int) {
+					h.push(colliding(fj[0], fj[1]))
+					pushed = append(pushed, fj)
+				}
+				for i := 0; i < 150; i++ {
+					push([2]int{minFamily, 1 - i%3}) // descending times, ascending seq
+				}
+				// Each delivery of member j in family f schedules 0–2
+				// successors at a member no earlier than itself in the same
+				// family or one of the next two, the later time first.
+				for len(h.ref) > 0 {
+					e := h.pop(t)
+					f, j := pushed[e.seq][0], pushed[e.seq][1]
+					var succ [][2]int
+					for k := rng.Intn(5) / 2; k > 0; k-- {
+						sf := min(f+rng.Intn(3), maxFamily)
+						sj := -1 + rng.Intn(3)
+						if sf == f {
+							sj = j + rng.Intn(2-j)
+						}
+						succ = append(succ, [2]int{sf, sj})
+					}
+					slices.SortFunc(succ, func(a, b [2]int) int { return colliding(b[0], b[1]).Cmp(colliding(a[0], a[1])) })
+					for _, s := range succ {
+						push(s)
+					}
+					h.checkLen(t)
+				}
 			}
 		}
 	}
@@ -164,20 +282,38 @@ func TestQueueLargeDrainsAgree(t *testing.T) {
 // TestQueueResetSizesWheel: reset sizes the wheel to exactly bucketsFor(n)
 // in both directions, so a queue reused after a large run neither keeps
 // nor scans that run's wheel, and the zero value is a working windowless
-// queue.
+// queue for deliveries whose keys differ (a key tie needs the receive
+// times reset provides).
 func TestQueueResetSizesWheel(t *testing.T) {
 	var q bucketQueue
-	q.push(delivery{at: rat.One, key: 1, seq: 2})
-	q.push(delivery{at: rat.Zero, key: 0, seq: 1})
+	q.push(delivery{key: 1, seq: 2})
+	q.push(delivery{key: 0, seq: 1})
 	if d := q.pop(); d.seq != 1 || q.len() != 1 {
 		t.Fatalf("zero-value queue popped seq %d, %d left", d.seq, q.len())
 	}
 	for _, tc := range []struct{ n, buckets int }{
 		{1 << 20, 1 << 19}, {5000, 4096}, {autoBucketN - 1, 0}, {autoBucketN, 2048}, {1 << 14, 8192}, {0, 0},
 	} {
-		q.reset(tc.n)
+		q.reset(tc.n, recvTimes{})
 		if got, want := len(q.buckets), bucketsFor(tc.n); got != want || got != tc.buckets {
 			t.Fatalf("reset(%d): %d buckets, want bucketsFor = %d = %d", tc.n, got, want, tc.buckets)
+		}
+	}
+}
+
+// TestDeliveryRecordPointerFree pins the delivery queue's entry: 24 B
+// with no pointer, so the queue's buckets, spare and overflow heap are
+// memory the garbage collector never scans and writes to them need no
+// write barrier.
+func TestDeliveryRecordPointerFree(t *testing.T) {
+	if s := unsafe.Sizeof(delivery{}); s != 24 {
+		t.Errorf("delivery is %d B, want 24", s)
+	}
+	typ := reflect.TypeOf(delivery{})
+	for i := range typ.NumField() {
+		// Bool through Complex128 are the scalar kinds.
+		if f := typ.Field(i); f.Type.Kind() > reflect.Complex128 {
+			t.Errorf("delivery.%s is a %v, which holds a pointer", f.Name, f.Type)
 		}
 	}
 }

@@ -29,6 +29,9 @@ type Config struct {
 	Seed int64
 	// MaxEvents bounds the number of receive events; 0 means the default
 	// of 200000. Exceeding the bound stops the run (Result.Truncated).
+	// It counts receive events, not the messages their steps send, so a
+	// capped run still holds every message sent and not yet delivered:
+	// its in-flight memory grows with the fan-out of its steps.
 	MaxEvents int
 	// Until, when non-nil, is evaluated after every computing step; the run
 	// stops once it returns true. It receives the process state machines

@@ -46,10 +46,15 @@ func (s *slotStore) put(m *Message) int {
 	return i
 }
 
+// at returns the message waiting in slot i; it stays there until take.
+func (s *slotStore) at(i int) *Message {
+	return &s.chunks[i>>slotShift][i&(slotChunk-1)]
+}
+
 // take returns the message in slot i, zeroes the slot so it pins no
 // payload, and frees it.
 func (s *slotStore) take(i int) Message {
-	slot := &s.chunks[i>>slotShift][i&(slotChunk-1)]
+	slot := s.at(i)
 	m := *slot
 	*slot = Message{}
 	s.free = append(s.free, int32(i))
