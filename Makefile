@@ -125,9 +125,9 @@ cli-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# cover reports runner, sim and causality coverage per function.
+# cover reports runner, sim, causality and workload coverage per function.
 cover:
-	$(GO) test -cover -coverprofile=cover.out ./internal/runner ./internal/sim ./internal/causality
+	$(GO) test -cover -coverprofile=cover.out ./internal/runner ./internal/sim ./internal/causality ./internal/workload
 	$(GO) tool cover -func=cover.out
 
 # ci runs the steps of the single CI job (.github/workflows/ci.yml), which

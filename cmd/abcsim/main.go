@@ -146,13 +146,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var axes []runner.Axis
+	var axes []workload.Axis
 	for _, kv := range sweeps {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok || v == "" {
 			return fmt.Errorf("-sweep %q: want name=v1,v2,...", kv)
 		}
-		axes = append(axes, runner.Axis{Param: k, Values: strings.Split(v, ",")})
+		axes = append(axes, workload.Axis{Param: k, Values: strings.Split(v, ",")})
 	}
 
 	if *runs < 1 {
@@ -186,13 +186,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	opt := workload.JobOptions{Watch: *watch, Ratio: true}
-	seeds := runner.Seeds(*seed, *runs)
-	var jobs []runner.Job
-	if len(axes) > 0 {
-		jobs, err = src.Grid(base, axes, seeds, opt)
-	} else {
-		jobs, err = src.Jobs(base, seeds, opt)
-	}
+	jobs, points, err := src.Grid(base, axes, runner.Seeds(*seed, *runs), opt)
 	if err != nil {
 		return err
 	}
@@ -210,7 +204,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *jsonOut {
-		return reportJSON(stdout, *name, base, seeds, axes, jobs, results, stats, *workers, wall)
+		return reportJSON(stdout, *name, jobs, points, results, stats, *workers, wall)
 	}
 	if single {
 		return reportSingle(stdout, *name, base, *seed, results[0], jobs[0].Post != nil, *traceOut, *dotOut)
@@ -292,25 +286,17 @@ type fleetRecord struct {
 }
 
 // reportJSON renders the batch as NDJSON: one "job" record per result in
-// grid order, then one "fleet" footer. Each job's parameter point is the
-// resolved base overlaid with its sweep-cell assignment, recomputed from
-// the job index by mirroring ParamGrid's row-major expansion (first axis
-// outermost, seeds innermost).
-func reportJSON(stdout io.Writer, name string, base workload.Values, seeds []int64, axes []runner.Axis, jobs []runner.Job, results []runner.JobResult, stats runner.Stats, workers int, wall time.Duration) error {
+// grid order, then one "fleet" footer. Each job's parameter point and seed
+// are the ones Source.Grid built it from.
+func reportJSON(stdout io.Writer, name string, jobs []runner.Job, points []workload.Point, results []runner.JobResult, stats runner.Stats, workers int, wall time.Duration) error {
 	enc := json.NewEncoder(stdout)
 	for _, r := range results {
-		params := base.Map()
-		for i, cell := len(axes)-1, r.Index/len(seeds); i >= 0; i-- {
-			n := len(axes[i].Values)
-			params[axes[i].Param] = axes[i].Values[cell%n]
-			cell /= n
-		}
 		rec := jobRecord{
 			Kind:           "job",
 			Workload:       name,
 			Key:            r.Key,
-			Params:         params,
-			Seed:           seeds[r.Index%len(seeds)], // seeds are the innermost grid axis
+			Params:         points[r.Index].Values.Map(),
+			Seed:           points[r.Index].Seed,
 			FirstViolation: r.FirstViolation,
 		}
 		if r.Xi.Sign() > 0 {

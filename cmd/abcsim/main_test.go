@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -298,6 +299,43 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
+// TestRunJSONMultiAxis pins each record's parameter point on a two-axis
+// sweep: its params and seed are the ones its key names, in row-major
+// order (first axis outermost) with seeds innermost.
+func TestRunJSONMultiAxis(t *testing.T) {
+	var out, errOut strings.Builder
+	args := []string{"-workload", "broadcast", "-param", "n=3", "-param", "target=3",
+		"-sweep", "n=3,4", "-sweep", "xi=3/2,2", "-runs", "2", "-workers", "2", "-json"}
+	if err := run(args, &out, &errOut); err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
+	}
+	want := []string{
+		"broadcast/n=3/xi=3/2/seed=1", "broadcast/n=3/xi=3/2/seed=2",
+		"broadcast/n=3/xi=2/seed=1", "broadcast/n=3/xi=2/seed=2",
+		"broadcast/n=4/xi=3/2/seed=1", "broadcast/n=4/xi=3/2/seed=2",
+		"broadcast/n=4/xi=2/seed=1", "broadcast/n=4/xi=2/seed=2",
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != len(want)+1 {
+		t.Fatalf("got %d NDJSON lines, want %d:\n%s", len(lines), len(want)+1, out.String())
+	}
+	for i, line := range lines[:len(want)] {
+		var rec jobRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad job record %q: %v", line, err)
+		}
+		if rec.Key != want[i] {
+			t.Errorf("record %d: key %q, want %q", i, rec.Key, want[i])
+		}
+		if got := fmt.Sprintf("broadcast/n=%s/xi=%s/seed=%d", rec.Params["n"], rec.Params["xi"], rec.Seed); got != rec.Key {
+			t.Errorf("record %d: params and seed name %q, key is %q", i, got, rec.Key)
+		}
+		if rec.Params["target"] != "3" || rec.Xi != rec.Params["xi"] {
+			t.Errorf("record %d: target=%q xi=%q, want base target 3 and the cell's Ξ %q", i, rec.Params["target"], rec.Xi, rec.Params["xi"])
+		}
+	}
+}
+
 func TestRunRejectsBadUsage(t *testing.T) {
 	cases := [][]string{
 		{"-workload", "no-such-workload"},
@@ -311,6 +349,7 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		{"-sweep", "ghost=1,2"},
 		{"-sweep", "xi"},
 		{"-sweep", "xi=2,3", "-sweep", "xi=5/4"},   // duplicate axis
+		{"-sweep", "xi=2,2"},                       // duplicate value: two jobs under one key
 		{"-workload", "scenario", "-param", "n=4"}, // scenario declares no n
 		{"-workload", "scenario", "-param", "fig=fig77"},
 		// Delay bounds admitting a negative delay are setup errors, not

@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"testing"
 
 	"repro/internal/rat"
@@ -57,69 +56,67 @@ func goldenJobs(t testing.TB) []Job {
 		}
 		return from
 	}
-	grid := ParamGrid{
-		Name: "golden",
-		Axes: []Axis{
-			// All but "full" are CSR generators parsed by
-			// sim.ParseTopology, including a disconnected one (islands/2).
-			{Param: "topology", Values: []string{"full", "ring", "torus", "regular/1", "scalefree/1", "islands/2"}},
-			{Param: "fault", Values: []string{"none", "mixed"}},
-			{Param: "delay", Values: []string{"uniform", "growing", "perlink", "override"}},
-			{Param: "n", Values: []string{"2", "5"}},
-		},
-		Seeds: Seeds(0, 4),
-		Make: func(p map[string]string, seed int64) (Job, error) {
-			n, err := strconv.Atoi(p["n"])
-			if err != nil {
-				return Job{}, err
+	golden := func(topology, fault, delay string, n int, seed int64) Job {
+		cfg := sim.Config{
+			N:         n,
+			Spawn:     spawn(5),
+			Seed:      seed,
+			MaxEvents: 50000,
+		}
+		switch delay {
+		case "uniform":
+			cfg.Delays = sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)}
+		case "growing":
+			cfg.Delays = sim.GrowingDelay{Base: rat.One, Rate: rat.New(1, 20), Spread: rat.New(6, 5)}
+		case "perlink":
+			cfg.Delays = sim.PerLinkDelay{
+				Default: sim.UniformDelay{Min: rat.One, Max: rat.FromInt(2)},
+				Links: map[sim.Link]sim.DelayPolicy{
+					{From: 0, To: 1}: sim.ConstantDelay{D: rat.New(1, 2)},
+				},
 			}
-			cfg := sim.Config{
-				N:         n,
-				Spawn:     spawn(5),
-				Seed:      seed,
-				MaxEvents: 50000,
+		case "override":
+			cfg.Delays = sim.OverrideDelay{
+				Base: sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
+				Match: func(m sim.Message) bool {
+					v, ok := m.Payload.(int)
+					return ok && v == 1
+				},
+				Override: sim.UniformDelay{Min: rat.FromInt(3), Max: rat.FromInt(5)},
 			}
-			switch p["delay"] {
-			case "uniform":
-				cfg.Delays = sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)}
-			case "growing":
-				cfg.Delays = sim.GrowingDelay{Base: rat.One, Rate: rat.New(1, 20), Spread: rat.New(6, 5)}
-			case "perlink":
-				cfg.Delays = sim.PerLinkDelay{
-					Default: sim.UniformDelay{Min: rat.One, Max: rat.FromInt(2)},
-					Links: map[sim.Link]sim.DelayPolicy{
-						{From: 0, To: 1}: sim.ConstantDelay{D: rat.New(1, 2)},
-					},
-				}
-			case "override":
-				cfg.Delays = sim.OverrideDelay{
-					Base: sim.UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
-					Match: func(m sim.Message) bool {
-						v, ok := m.Payload.(int)
-						return ok && v == 1
-					},
-					Override: sim.UniformDelay{Min: rat.FromInt(3), Max: rat.FromInt(5)},
-				}
+		}
+		topo, err := sim.ParseTopology(topology, n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Topology = topo
+		if fault == "mixed" {
+			cfg.Faults = map[sim.ProcessID]sim.Fault{
+				0: sim.Crash(3),
+				1: {CrashAfter: sim.NeverCrash, Script: []sim.ScriptedSend{
+					{At: rat.FromInt(2), To: legalTarget(cfg.Topology, 1), Payload: "forged"},
+				}},
 			}
-			topo, err := sim.ParseTopology(p["topology"], n, seed)
-			if err != nil {
-				return Job{}, err
-			}
-			cfg.Topology = topo
-			if p["fault"] == "mixed" {
-				cfg.Faults = map[sim.ProcessID]sim.Fault{
-					0: sim.Crash(3),
-					1: {CrashAfter: sim.NeverCrash, Script: []sim.ScriptedSend{
-						{At: rat.FromInt(2), To: legalTarget(cfg.Topology, 1), Payload: "forged"},
-					}},
-				}
-			}
-			return Job{Cfg: &cfg}, nil
-		},
+		}
+		return Job{
+			Key: fmt.Sprintf("golden/topology=%s/fault=%s/delay=%s/n=%d/seed=%d", topology, fault, delay, n, seed),
+			Cfg: &cfg,
+		}
 	}
-	jobs, err := grid.Jobs()
-	if err != nil {
-		t.Fatal(err)
+	// Row-major, the first axis outermost and seeds innermost. All
+	// topologies but "full" are CSR generators parsed by
+	// sim.ParseTopology, including a disconnected one (islands/2).
+	var jobs []Job
+	for _, topology := range []string{"full", "ring", "torus", "regular/1", "scalefree/1", "islands/2"} {
+		for _, fault := range []string{"none", "mixed"} {
+			for _, delay := range []string{"uniform", "growing", "perlink", "override"} {
+				for _, n := range []int{2, 5} {
+					for _, seed := range Seeds(0, 4) {
+						jobs = append(jobs, golden(topology, fault, delay, n, seed))
+					}
+				}
+			}
+		}
 	}
 	for _, seed := range Seeds(0, 4) {
 		jobs = append(jobs, Job{

@@ -167,6 +167,15 @@ func pool(n, workers int, newWorker func() func(i int)) {
 	wg.Wait()
 }
 
+// Seeds returns the contiguous seed range [from, from+count).
+func Seeds(from int64, count int) []int64 {
+	out := make([]int64, count)
+	for i := range out {
+		out[i] = from + int64(i)
+	}
+	return out
+}
+
 // Stats aggregates a completed batch.
 type Stats struct {
 	// Jobs is the number of submitted jobs; Errored counts jobs with a

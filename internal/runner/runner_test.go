@@ -139,46 +139,6 @@ func TestTraceOnlyJobs(t *testing.T) {
 	}
 }
 
-// TestParamGridKeyNoCollisions pins the name=value segment format of
-// ParamGrid keys. A bare-value join would make distinct cells collide once
-// axis values contain "/" — exactly what generated topology specs like
-// "torus/4x4" do — because a slash inside a value would be
-// indistinguishable from a segment separator.
-func TestParamGridKeyNoCollisions(t *testing.T) {
-	g := ParamGrid{
-		Name: "g",
-		Axes: []Axis{
-			{Param: "delay", Values: []string{"a/b", "a"}},
-			{Param: "fault", Values: []string{"", "b", "torus"}},
-			{Param: "topology", Values: []string{"", "b", "torus/4x4", "4x4"}},
-		},
-		Seeds: []int64{1},
-		Make:  func(map[string]string, int64) (Job, error) { return Job{}, nil },
-	}
-	jobs, err := g.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 24 {
-		t.Fatalf("got %d jobs, want 24", len(jobs))
-	}
-	seen := make(map[string]bool, len(jobs))
-	for _, j := range jobs {
-		if seen[j.Key] {
-			t.Errorf("key %q collides", j.Key)
-		}
-		seen[j.Key] = true
-	}
-	for _, want := range []string{
-		"g/delay=a/fault=/topology=torus/4x4/seed=1",
-		"g/delay=a/fault=torus/topology=4x4/seed=1",
-	} {
-		if !seen[want] {
-			t.Errorf("no job keyed %q", want)
-		}
-	}
-}
-
 func TestMapOrderAndErrors(t *testing.T) {
 	got, err := Map(context.Background(), 20, 4, func(i int) (int, error) {
 		return i * i, nil

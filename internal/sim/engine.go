@@ -289,9 +289,7 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	e.trace, e.procs, e.cfg, e.cb, e.monitorErr = nil, nil, Config{}, nil, nil
 	e.queue.times = recvTimes{} // it points into the escaping trace
 	e.net, e.partSides = nil, nil
-	for p := range e.down {
-		e.down[p] = nil // Fault.Down slices are config-owned; do not pin them
-	}
+	clear(e.down) // Fault.Down slices are config-owned; do not pin them
 	e.env = Env{}
 	return res, nil
 }
@@ -316,13 +314,13 @@ func (e *Engine) reset(cfg Config) {
 	} else {
 		e.rng.Seed(cfg.Seed)
 	}
-	e.crashAfter = resizeInts(e.crashAfter, cfg.N)
-	e.stepCount = resizeInts(e.stepCount, cfg.N)
-	e.eventCount = resizeInts(e.eventCount, cfg.N)
-	e.wakeTime = resizeTimes(e.wakeTime, cfg.N)
-	e.down = resizeDowns(e.down, cfg.N)
-	e.hold = resizeBools(e.hold, cfg.N)
-	e.amnesia = resizeBools(e.amnesia, cfg.N)
+	e.crashAfter = resize(e.crashAfter, cfg.N)
+	e.stepCount = resize(e.stepCount, cfg.N)
+	e.eventCount = resize(e.eventCount, cfg.N)
+	e.wakeTime = resize(e.wakeTime, cfg.N)
+	e.down = resize(e.down, cfg.N)
+	e.hold = resize(e.hold, cfg.N)
+	e.amnesia = resize(e.amnesia, cfg.N)
 	for p := 0; p < cfg.N; p++ {
 		e.crashAfter[p] = NeverCrash
 	}
@@ -376,47 +374,14 @@ func (e *Engine) finishTrace() {
 	}
 }
 
-func resizeInts(s []int, n int) []int {
+// resize returns s with length n and every element zeroed, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeTimes(s []Time, n int) []Time {
-	if cap(s) < n {
-		return make([]Time, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = rat.Zero
-	}
-	return s
-}
-
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
-func resizeDowns(s [][]Interval, n int) [][]Interval {
-	if cap(s) < n {
-		return make([][]Interval, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = nil
-	}
+	clear(s)
 	return s
 }
 
@@ -650,7 +615,7 @@ func (e *Engine) loop(maxEvents int) (truncated bool) {
 			// Keep the (possibly grown) send buffer, cleared of payload
 			// references so pooled storage does not pin process data.
 			e.out = e.env.out[:0]
-			clearSends(e.env.out)
+			clear(e.env.out)
 		}
 		e.recordEvent(ev, m)
 
@@ -679,10 +644,4 @@ func downAt(down []Interval, t Time) bool {
 		}
 	}
 	return false
-}
-
-func clearSends(s []pendingSend) {
-	for i := range s {
-		s[i] = pendingSend{}
-	}
 }

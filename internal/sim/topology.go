@@ -287,7 +287,7 @@ func IslandOf(n, k int, p ProcessID) int {
 //	islands/K     K disjoint fully-connected components (disconnected)
 //
 // Note that generated names contain '/' — axis labels must therefore use
-// explicit key=value segments (as runner.ParamGrid keys do).
+// explicit key=value segments (as workload.Source.Grid keys do).
 func ParseTopology(spec string, n int, seed int64) (*Links, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sim: topology %q needs n > 0, got %d", spec, n)

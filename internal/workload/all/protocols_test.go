@@ -174,12 +174,12 @@ func TestProtocolFaultGrids(t *testing.T) {
 		name   string
 		source string
 		base   map[string]string
-		axis   runner.Axis
+		axis   workload.Axis
 	}{
 		{"crash-sweep", "consensus", map[string]string{"algo": "floodset"},
-			runner.Axis{Param: "faults", Values: []string{"none", "crash/1@0", "crash/1@2"}}},
+			workload.Axis{Param: "faults", Values: []string{"none", "crash/1@0", "crash/1@2"}}},
 		{"byz-budget", "clocksync", nil,
-			runner.Axis{Param: "faults", Values: []string{"byz/1@20", "byz/1@40", "byz/1@60"}}},
+			workload.Axis{Param: "faults", Values: []string{"byz/1@20", "byz/1@40", "byz/1@60"}}},
 	}
 	for _, g := range grids {
 		g := g
@@ -189,7 +189,7 @@ func TestProtocolFaultGrids(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			jobs, err := s.Grid(base, []runner.Axis{g.axis}, conformanceSeeds, workload.JobOptions{})
+			jobs, _, err := s.Grid(base, []workload.Axis{g.axis}, conformanceSeeds, workload.JobOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

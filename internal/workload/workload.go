@@ -9,7 +9,7 @@
 // a declared parameter space (Params), a job generator mapping one
 // parameter point and seed to a runner.Job, and an optional domain
 // verdict running the scenario's theorem-level checks on the completed
-// result. Everything above the domain layer is generic: runner.ParamGrid
+// result. Everything above the domain layer is generic: Source.Grid
 // expands parameter axes into job batches, the fleet executes them with
 // deterministic per-seed replay, cmd/abcsim sweeps any registered
 // workload from the command line, and the conformance suite (in
@@ -342,65 +342,114 @@ func (s Source) checkXi(v Values) error {
 	return nil
 }
 
+// Axis is one named dimension of a Grid sweep.
+type Axis struct {
+	// Param is the declared parameter the axis varies.
+	Param string
+	// Values are the distinct settings to sweep, in sweep order.
+	Values []string
+}
+
+// Point is the parameter point and seed one Grid job was built from.
+type Point struct {
+	Values Values
+	Seed   int64
+}
+
 // Jobs expands one parameter point across seeds into decorated fleet jobs:
-// Xi/Watch/Ratio per opt, the domain verdict wired into Job.Post, keys
-// "name/seed=N".
+// Grid with no axes, keys "name/seed=N".
 func (s Source) Jobs(v Values, seeds []int64, opt JobOptions) ([]runner.Job, error) {
+	jobs, _, err := s.Grid(v, nil, seeds, opt)
+	return jobs, err
+}
+
+// Grid expands a parameter sweep into decorated fleet jobs — Xi, Watch and
+// Ratio per opt, the domain verdict wired into Job.Post — and returns the
+// point each job was built from. Each axis varies one declared parameter
+// over distinct values that parse; base supplies every other value. Cells
+// expand row-major, the first axis outermost and seeds innermost, so job
+// order is a pure function of the sweep. Keys are
+// "name/param=value/.../seed=N" with one segment per multi-valued axis; an
+// empty seed list means seed 0.
+func (s Source) Grid(base Values, axes []Axis, seeds []int64, opt JobOptions) ([]runner.Job, []Point, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{0}
 	}
-	if err := s.checkXi(v); err != nil {
-		return nil, err
+	// A cell is one point of the sweep, grown one axis at a time: its
+	// values, its key prefix, and the name its job errors carry.
+	type cell struct {
+		v          Values
+		key, label string
 	}
-	jobs := make([]runner.Job, 0, len(seeds))
-	for _, seed := range seeds {
-		job, err := s.Job(v, seed)
-		if err != nil {
-			return nil, fmt.Errorf("workload: %s seed=%d: %w", s.Name, seed, err)
-		}
-		if job, err = s.decorate(job, v, opt); err != nil {
-			return nil, err
-		}
-		if job.Key == "" {
-			job.Key = fmt.Sprintf("%s/seed=%d", s.Name, seed)
-		}
-		jobs = append(jobs, job)
-	}
-	return jobs, nil
-}
-
-// Grid expands a multi-valued parameter sweep through runner.ParamGrid:
-// each axis varies one declared parameter, base supplies every other
-// value, seeds are the innermost axis. Jobs are decorated as in Jobs.
-func (s Source) Grid(base Values, axes []runner.Axis, seeds []int64, opt JobOptions) ([]runner.Job, error) {
-	for _, ax := range axes {
+	cells := []cell{{base, s.Name, s.Name}}
+	for i, ax := range axes {
 		if !base.Has(ax.Param) {
-			return nil, fmt.Errorf("workload: %s has no param %q", s.Name, ax.Param)
+			return nil, nil, fmt.Errorf("workload: %s has no param %q", s.Name, ax.Param)
+		}
+		if len(ax.Values) == 0 {
+			return nil, nil, fmt.Errorf("workload: %s sweeps %q over no values", s.Name, ax.Param)
+		}
+		for _, prior := range axes[:i] {
+			if prior.Param == ax.Param {
+				// The later axis would win while the keys name both values.
+				return nil, nil, fmt.Errorf("workload: %s sweeps %q twice", s.Name, ax.Param)
+			}
+		}
+		seen := make(map[string]bool, len(ax.Values))
+		for _, val := range ax.Values {
+			if seen[val] {
+				// Two cells would run the same jobs under the same keys.
+				return nil, nil, fmt.Errorf("workload: %s sweeps %s=%s twice", s.Name, ax.Param, val)
+			}
+			seen[val] = true
+		}
+		next := make([]cell, 0, len(cells)*len(ax.Values))
+		for _, c := range cells {
+			for _, val := range ax.Values {
+				v, err := c.v.Set(ax.Param, val)
+				if err != nil {
+					return nil, nil, fmt.Errorf("workload: %s: %w", s.Name, err)
+				}
+				key := c.key
+				if len(ax.Values) > 1 {
+					key += "/" + ax.Param + "=" + val
+				}
+				next = append(next, cell{v, key, c.label + " " + ax.Param + "=" + val})
+			}
+		}
+		cells = next
+	}
+
+	// Job errors name the cell and the seed. A plain batch's only cell is
+	// base, whose Ξ and retention errors name the offending value already.
+	sweepErr := func(c cell, seed int64, err error) error {
+		if len(axes) == 0 {
+			return err
+		}
+		return fmt.Errorf("workload: %s seed=%d: %w", c.label, seed, err)
+	}
+	jobs := make([]runner.Job, 0, len(cells)*len(seeds))
+	points := make([]Point, 0, len(cells)*len(seeds))
+	for _, c := range cells {
+		if err := s.checkXi(c.v); err != nil {
+			return nil, nil, sweepErr(c, seeds[0], err)
+		}
+		for _, seed := range seeds {
+			job, err := s.Job(c.v, seed)
+			if err != nil {
+				return nil, nil, fmt.Errorf("workload: %s seed=%d: %w", c.label, seed, err)
+			}
+			if job, err = s.decorate(job, c.v, opt); err != nil {
+				return nil, nil, sweepErr(c, seed, err)
+			}
+			if job.Key == "" {
+				job.Key = fmt.Sprintf("%s/seed=%d", c.key, seed)
+			}
+			jobs = append(jobs, job)
+			points = append(points, Point{Values: c.v, Seed: seed})
 		}
 	}
-	g := runner.ParamGrid{
-		Name:  s.Name,
-		Axes:  axes,
-		Seeds: seeds,
-		Make: func(params map[string]string, seed int64) (runner.Job, error) {
-			v := base
-			var err error
-			for name, value := range params {
-				if v, err = v.Set(name, value); err != nil {
-					return runner.Job{}, err
-				}
-			}
-			if err := s.checkXi(v); err != nil {
-				return runner.Job{}, err
-			}
-			job, err := s.Job(v, seed)
-			if err != nil {
-				return runner.Job{}, err
-			}
-			return s.decorate(job, v, opt)
-		},
-	}
-	return g.Jobs()
+	return jobs, points, nil
 }
 
 // registry is the process-wide source table, written from package inits.
