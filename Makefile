@@ -5,15 +5,15 @@ GO ?= go
 # search, the incremental checker, the Theorem 2 cut check and the
 # Theorem 4 bounded-progress check on a long clocksync graph — plus
 # Algorithm 1 at two run lengths (flat ns/event), execution-graph
-# construction (constant allocs/op) and the delivery queue's calendar
-# rows (B/op: the queue's in-flight working set). Keep in sync with
+# construction (constant allocs/op) and the delivery queue (B/op: the
+# queue's in-flight working set). Keep in sync with
 # .github/workflows/ci.yml.
-# BenchmarkSimulator's N=100k sparse cases and BenchmarkDeliveryQueue's
-# windowless rows are excluded from the smoke (seconds per iteration). These are regression gates only; the
+# BenchmarkSimulator's N=100k sparse cases are excluded from the smoke
+# (seconds per iteration). These are regression gates only; the
 # performance ledger is bench/run.sh (BENCHMARK.json).
 BENCH_SMOKE = BenchmarkChecker|BenchmarkMaxRelevantRatio|BenchmarkIncrementalChecker|BenchmarkCutSynchrony|BenchmarkBoundedProgress|BenchmarkClockSyncScale|BenchmarkGraphBuild
 BENCH_SIM_SMOKE = BenchmarkSimulator/.*/^n=(8|100|10000)$$
-BENCH_QUEUE_SMOKE = BenchmarkDeliveryQueue/calendar/
+BENCH_QUEUE_SMOKE = BenchmarkDeliveryQueue
 # The N=10^6 ring is seconds per iteration, so bench-smoke runs it alone,
 # once, under a hard time budget.
 BENCH_SIM_SCALE = BenchmarkSimulator/topo=ring/^n=1000000$$
@@ -25,8 +25,11 @@ all: build
 build:
 	$(GO) build ./...
 
+# vet also type-checks every package and test for a 32-bit target, where
+# int is 32 bits and a constant that only fits int64 fails to compile.
 vet:
 	$(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
 
 # fmt fails when gofmt would reformat any Go file; the walk from the root
 # covers the bench/ module too.
@@ -49,7 +52,7 @@ bench:
 	$(GO) run ./cmd/abcbench $(if $(CPUPROFILE),-cpuprofile $(CPUPROFILE)) $(if $(MEMPROFILE),-memprofile $(MEMPROFILE))
 
 # bench-smoke runs the headline benchmarks, the simulator grid, the
-# delivery queue's two calendar rows (once each, about 5 s on 2 vCPU), the
+# delivery queue's two rows (once each, about 5 s on 2 vCPU), the
 # fleet evaluation (fleet-bench) and the E18 cross-workload matrix
 # briefly — enough to catch order-of-magnitude regressions, not to
 # replace a real benchstat comparison — then one N=10^6 RetainNone ring
@@ -66,8 +69,9 @@ bench-smoke: fleet-bench
 # differentials, whose seed corpus already pins the int64 overflow
 # boundary, so even 10s runs cross the promotion/demotion paths; the
 # fault grammar; the topology grammar; the engine configuration
-# (topology, delays, faults, retention and MaxEvents on both sides of the
-# delivery queue's mode threshold); the JSON trace reader behind
+# (topology, delays, faults, retention and MaxEvents over system sizes
+# that span the delivery queue's three smallest wheels, with message
+# conservation checked on every run); the JSON trace reader behind
 # abccheck; and every String parameter of every registered workload
 # through Resolve and Jobs.
 FUZZTIME ?= 10s

@@ -383,6 +383,9 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		{[]string{"-workload", "broadcast", "-runs", "9223372036854775807", "-sweep", "xi=2,3"}, "exceeds 1048576 jobs"},
 		{[]string{"-workload", "broadcast", "-seed", "9223372036854775807", "-runs", "2"}, "overflows int64"},
 		{[]string{"-workload", "broadcast", "-seed", "9223372036854775000", "-runs", "1000"}, "overflows int64"},
+		// An empty sweep value would rerun the faults=none cell under the
+		// key faults=.
+		{[]string{"-workload", "broadcast", "-sweep", "faults=none,", "-json"}, "sweeps faults over an empty value"},
 		// Mistyped fault policies are errors without a recover/ clause too.
 		{[]string{"-workload", "broadcast", "-param", "inflight=hodl"}, `inflight="hodl": want drop or hold`},
 		{[]string{"-workload", "broadcast", "-param", "recovery=amnesai"}, `recovery="amnesai": want durable or amnesia`},

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -411,8 +412,12 @@ func TestBuilderValidation(t *testing.T) {
 	if id, err := nodeID(math.MaxInt32); err != nil || id != math.MaxInt32 {
 		t.Errorf("nodeID(MaxInt32) = %d, %v", id, err)
 	}
-	if id, err := nodeID(math.MaxInt32 + 1); err == nil {
-		t.Errorf("nodeID(MaxInt32+1) = %d, want an error", id)
+	// A position past int32 only exists where int is 64 bits.
+	if strconv.IntSize == 64 {
+		over := int64(math.MaxInt32) + 1
+		if id, err := nodeID(int(over)); err == nil {
+			t.Errorf("nodeID(MaxInt32+1) = %d, want an error", id)
+		}
 	}
 }
 

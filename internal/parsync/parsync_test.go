@@ -2,6 +2,7 @@ package parsync
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -122,8 +123,9 @@ func TestProverExecutionValidation(t *testing.T) {
 		t.Error("Ξ = 1 accepted")
 	}
 	// Witnesses past the event budget are refused before allocation: Φ
-	// itself too large, and L + 2k + 3 too large at Φ = 10^5, Ξ = 2.
-	for _, phi := range []int{1 << 62, 100000} {
+	// itself too large (a quarter of the int range), and L + 2k + 3 too
+	// large at Φ = 10^5, Ξ = 2.
+	for _, phi := range []int{1 << (strconv.IntSize - 2), 100000} {
 		if _, err := ProverExecution(phi, 3, rat.FromInt(2)); err == nil || !strings.Contains(err.Error(), "exceeds") {
 			t.Errorf("Φ = %d: err = %v, want the event-budget error", phi, err)
 		}

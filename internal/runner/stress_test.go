@@ -43,7 +43,10 @@ func TestFleetStressLargeBatchTinyPool(t *testing.T) {
 
 // TestFleetCancelledMidBatch cancels the context from inside an early
 // job's check. Every submitted job must still produce exactly one result:
-// completed jobs a valid one, unstarted jobs a context error.
+// completed jobs a valid one, unstarted jobs a context error. The jobs
+// after the cancelling one wait for the cancellation in their own checks,
+// so however the workers are scheduled, no worker can run the rest of the
+// batch before it lands and some job is always skipped.
 func TestFleetCancelledMidBatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -52,10 +55,16 @@ func TestFleetCancelledMidBatch(t *testing.T) {
 	var cancelled atomic.Bool
 	jobs := seedJobs("cancel", batch, func(seed int64) Job {
 		job := Job{Cfg: broadcastCfg(2, 3, seed)}
-		if seed == 3 {
+		switch {
+		case seed == 3:
 			job.Check = func(*sim.Result) error {
 				cancel()
 				cancelled.Store(true)
+				return nil
+			}
+		case seed > 3:
+			job.Check = func(*sim.Result) error {
+				<-ctx.Done()
 				return nil
 			}
 		}

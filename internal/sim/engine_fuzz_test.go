@@ -8,21 +8,24 @@ import (
 )
 
 // FuzzEngineConfig drives the engine with broadcast processes over
-// arbitrary configurations: system sizes on both sides of the delivery
-// queue's mode threshold (1..4100; past 64 processes the dense topologies
-// become rings),
-// constant and uniform delays (zero and negative bounds included), a
-// link-dependent delay of 1 or 1 + 2^−60 whose distinct receive times share
-// float keys, so the delivery queue orders them by reading the exact
-// times from the message store (Trace.Msgs or the in-flight slot store),
-// message drops, duplicates, delay spikes and a partition, a crash and a
-// down interval under each recovery and in-flight policy, the three
-// retention modes and MaxEvents. Run must return an error or a result,
-// never panic, and must reject a configuration under every retention mode
-// or under none. An accepted configuration must give equal totals,
-// truncation and stream digest under full, window and none retention, and
-// its full trace must pass Validate and survive a WriteJSON/ReadJSON round
-// trip with equal Hash and StreamHash.
+// arbitrary configurations: system sizes 1..4100, which span the delivery
+// queue's three smallest wheels (past 64 processes the dense topologies
+// become rings), constant and uniform delays (zero and negative bounds
+// included), a link-dependent delay of 1 or 1 + 2^−60 whose distinct
+// receive times share float keys, so the delivery queue orders them by
+// reading the exact times from the message store (Trace.Msgs or the
+// in-flight slot store), message drops, duplicates, delay spikes and a
+// partition, a crash and a down interval under each recovery and in-flight
+// policy, the three retention modes and MaxEvents. Run must return an
+// error or a result, never panic, and must reject a configuration under
+// every retention mode or under none. An accepted configuration must give
+// equal totals, truncation and stream digest under full, window and none
+// retention, and its full trace must pass Validate and survive a
+// WriteJSON/ReadJSON round trip with equal Hash and StreamHash. Every
+// accepted run must also conserve messages: each one sent (wake-ups
+// included) was delivered as a receive event, dropped by the network, or
+// is still pending in the delivery queue when the run stops, and every
+// retention mode leaves the same number pending.
 func FuzzEngineConfig(f *testing.F) {
 	for _, tc := range []struct {
 		n                  uint16
@@ -37,7 +40,7 @@ func FuzzEngineConfig(f *testing.F) {
 		{n: 8, topo: 5, steps: 3, delay: 1, dMin: 2, dSpan: 1, seed: 1},
 		{n: 4095, topo: 0, steps: 2, delay: 1, dMin: 2, dSpan: 3, window: 16, seed: 2},
 		{n: 4096, topo: 0, steps: 2, delay: 1, dMin: 2, dSpan: 3, window: 16, seed: 2},
-		{n: 4099, topo: 2, steps: 1, delay: 0, dMin: 0, seed: 3},                  // zero constant delay, calendar mode
+		{n: 4099, topo: 2, steps: 1, delay: 0, dMin: 0, seed: 3},                  // zero constant delay, 4096-bucket wheel
 		{n: 63, topo: 5, steps: 2, delay: 0, dMin: 0, maxEvents: 500},             // zero delay, full mesh, truncated
 		{n: 40, topo: 0, steps: 3, delay: 1, dMin: 1, dSpan: 4, net: 15, seed: 4}, // drop+dup+spike+partition
 		{n: 16, topo: 1, steps: 3, delay: 1, dMin: 2, dSpan: 2, faults: 0x17, downFrom: 1, seed: 5},
@@ -49,8 +52,8 @@ func FuzzEngineConfig(f *testing.F) {
 		{n: 10, topo: 0, steps: 1, delay: 0, dMin: 1, faults: 2, downFrom: -3},                                                                  // down interval at negative time
 		{n: 4096, topo: 100, steps: 1, delay: 1, dMin: 1, dSpan: 65, net: 7, faults: 0x1b, downFrom: 4, maxEvents: 9102, window: 40, seed: -61}, // two 2048-cliques: 8.4M messages before the cap
 		{n: 4100, topo: 3, steps: 3, delay: 1, dMin: 1, dSpan: 5, net: 7, faults: 0x1b, downFrom: 4, maxEvents: 9000, window: 40, seed: 7},
-		{n: 4095, topo: 0, steps: 3, delay: 2, window: 16, seed: 8}, // float-key collisions, windowless
-		{n: 4096, topo: 0, steps: 3, delay: 2, window: 16, seed: 9}, // float-key collisions, calendar
+		{n: 4095, topo: 0, steps: 3, delay: 2, window: 16, seed: 8}, // float-key collisions, 2048-bucket wheel
+		{n: 4096, topo: 0, steps: 3, delay: 2, window: 16, seed: 9}, // float-key collisions, 2048-bucket wheel
 		{n: 30, topo: 5, steps: 2, delay: 2, net: 4, faults: 0x0e, downFrom: 1, seed: 10},
 	} {
 		f.Add(tc.n, tc.topo, tc.steps, tc.delay, tc.dMin, tc.dSpan, tc.net, tc.faults, tc.downFrom, tc.maxEvents, tc.window, tc.seed)
@@ -127,7 +130,9 @@ func FuzzEngineConfig(f *testing.F) {
 			return cfg
 		}
 
-		full, err := Run(build())
+		fe := NewEngine()
+		full, err := fe.Run(build())
+		pending := fe.queue.len()
 		e := NewEngine()
 		for _, sink := range []Sink{RetainWindow(1 + int(window%64)), RetainNone()} {
 			cfg := build()
@@ -146,11 +151,24 @@ func FuzzEngineConfig(f *testing.F) {
 					sink.Retention().Mode, bt.TotalEvents(), bt.TotalMsgs(), bt.StreamHash(), res.Truncated,
 					ft.TotalEvents(), ft.TotalMsgs(), ft.StreamHash(), full.Truncated)
 			}
+			if got := e.queue.len(); got != pending {
+				t.Fatalf("%v retention: %d deliveries pending, full retention: %d", sink.Retention().Mode, got, pending)
+			}
 		}
 		if err != nil {
 			return
 		}
 		tr := full.Trace
+		dropped := 0
+		for _, m := range tr.Msgs {
+			if m.Dropped {
+				dropped++
+			}
+		}
+		if sent, events := tr.TotalMsgs(), tr.TotalEvents(); sent != events+dropped+pending {
+			t.Fatalf("%d messages sent, but %d delivered + %d dropped + %d pending = %d",
+				sent, events, dropped, pending, events+dropped+pending)
+		}
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("full trace fails Validate: %v", err)
 		}

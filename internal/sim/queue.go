@@ -91,7 +91,8 @@ func deliveryKey(t Time) float64 {
 
 // heapQueue is a hand-rolled binary min-heap in the exact (at, seq)
 // order, read through the recvTimes each operation is given: the
-// calendar's overflow store, and the whole queue in windowless mode. It
+// calendar's overflow store, which holds the wake-ups until the first pop
+// primes a window and then whatever lies beyond the window. It
 // deliberately avoids container/heap: boxing every delivery through the
 // heap.Interface `any` parameters cost one allocation per push and pop,
 // which at sparse scale was a measurable slice of the engine's allocation
@@ -146,22 +147,18 @@ func (q heapQueue) down(i int, t *recvTimes) {
 	}
 }
 
-// Calendar sizing. Below autoBucketN processes the queue is windowless:
-// the wheel has zero buckets and every delivery goes straight through the
-// overflow heap. From there the wheel starts at 1024 buckets and grows
-// with the system size (one bucket per two processes, capped) so the
+// Calendar sizing. The wheel has 1024 buckets at any N up to ~2·10^3 and
+// grows with the system size (one bucket per two processes, capped) so the
 // expected bucket population stays a handful of deliveries from N ≈ 10^3
 // to 10^6. Bucket count is pure performance tuning: routing is monotone
 // in the float key at any width, so the pop order — and therefore every
-// trace — is identical for any wheel size, zero included.
+// trace — is identical for any wheel size.
 //
-// The windowless mode stays because of memory at small N: with a window
-// at every N, the wake-ups at t = 0 give watch-dense (N = 64) a width-1
-// first window that lands ~10^5 deliveries in one bucket, and its peak
-// RSS rose from 41 to 46 MiB, while the heap at every N costs ring
-// (N = 5·10^4) 31–54% more wall time (DESIGN.md decision 8).
+// The wheel runs at every N. A heap alone cost the 5·10^4-process ring
+// 18% more wall time, even with an exactness bit on key ties; at N = 64
+// (the watched full mesh) the wheel took 16% less wall time than the heap
+// for 14% more peak RSS (DESIGN.md decision 8).
 const (
-	autoBucketN           = 4096
 	bucketQueueMinBuckets = 1024
 	bucketQueueMaxBuckets = 1 << 19
 	// bucketSortThreshold is the run length above which the drain sort
@@ -170,12 +167,8 @@ const (
 	bucketSortThreshold = 64
 )
 
-// bucketsFor returns the wheel size for a system of n processes: 0 (the
-// windowless mode) below autoBucketN.
+// bucketsFor returns the wheel size for a system of n processes.
 func bucketsFor(n int) int {
-	if n < autoBucketN {
-		return 0
-	}
 	b := bucketQueueMinBuckets
 	for b < bucketQueueMaxBuckets && b < n/2 {
 		b <<= 1
@@ -193,8 +186,7 @@ func bucketsFor(n int) int {
 // window when it empties. At sparse scale the heap's O(log n)
 // rational-flavored sift per operation becomes the engine bottleneck; the
 // calendar amortizes to O(1) routing per push and a small exact sort per
-// bucket. With zero buckets (the windowless mode, and the zero value)
-// push and pop go straight to the overflow heap.
+// bucket. The zero value has no wheel: reset sizes one before first use.
 //
 // Exactness: bucket routing is a monotone function of the (monotone) float
 // key, so an earlier bucket never holds a delivery that must pop after one
@@ -235,14 +227,14 @@ type bucketQueue struct {
 	counts []int32    // counting-sort bin offsets, recycled across drains
 
 	size   int
-	primed bool // a window exists; never set in windowless mode
+	primed bool // a window exists
 }
 
-// reset clears the queue for reuse, retaining bucket storage while the
-// wheel size stays. n is the system size the next run schedules for; the
-// wheel is resized to exactly bucketsFor(n), so a queue reused after a
-// large run does not keep scanning that run's wheel. times is where the
-// next run's messages, and so their receive times, are stored.
+// reset readies the queue for a run, retaining bucket storage while the
+// wheel size stays. n is the system size the run schedules for; the wheel
+// is sized to exactly bucketsFor(n), so a queue reused after a large run
+// does not keep scanning that run's wheel. times is where the run's
+// messages, and so their receive times, are stored.
 func (q *bucketQueue) reset(n int, times recvTimes) {
 	q.times = times
 	if want := bucketsFor(n); want != len(q.buckets) {
@@ -329,10 +321,6 @@ func (q *bucketQueue) insertCur(d delivery) {
 }
 
 func (q *bucketQueue) pop() delivery {
-	if len(q.buckets) == 0 {
-		q.size--
-		return q.over.pop(&q.times)
-	}
 	for q.curIdx >= len(q.cur) {
 		q.advance()
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 	"unsafe"
 
@@ -66,7 +67,8 @@ func newQueueHarness(store string) *queueHarness {
 }
 
 // reset empties the harness and resets the queue for a system of n
-// processes, which picks its mode; label names the case that follows.
+// processes, which picks its wheel size; label names the case that
+// follows.
 func (h *queueHarness) reset(n int, label string) {
 	h.ref, h.msgs, h.seq, h.label = h.ref[:0], h.msgs[:0], 0, label
 	if h.slots != nil {
@@ -116,21 +118,15 @@ func (h *queueHarness) checkLen(t *testing.T) {
 	}
 }
 
-// queueModes are the ranges of system sizes [lo, lo+span) that put a
-// reset bucketQueue in each of its modes: windowless (no buckets, the
-// overflow heap alone) and the calendar at its two smallest wheels.
-var queueModes = []struct {
-	name     string
-	lo, span int
-}{
-	{"windowless", 1, autoBucketN - 1},
-	{"calendar", autoBucketN, autoBucketN},
-}
+// queueMaxN bounds the system sizes the reference checks draw: sizes in
+// [1, queueMaxN) put a reset bucketQueue on its three smallest wheels
+// (1024, 2048 and 4096 buckets).
+const queueMaxN = 1 << 13
 
-// TestQueueImplementationsAgree checks both modes of the delivery queue,
-// with its messages in either store, against the sorted-slice reference
-// on an engine-like push/pop stream: each must pop the identical exact
-// (at, seq) order. Pushes land at or after the last popped time, as the
+// TestQueueImplementationsAgree checks the delivery queue, with its
+// messages in either store, against the sorted-slice reference on an
+// engine-like push/pop stream: it must pop the identical exact (at, seq)
+// order. Pushes land at or after the last popped time, as the
 // engine's do, with zero delays (equal keys), delays from a tiny set
 // (float key ties across pushes), promoted times whose float keys tie
 // with an integer time while the exact values differ, and far jumps that
@@ -139,39 +135,37 @@ func TestQueueImplementationsAgree(t *testing.T) {
 	huge := rat.MustParse("100000000000000000000000")
 	for _, store := range queueStores {
 		h := newQueueHarness(store)
-		for _, mode := range queueModes {
-			for seed := int64(0); seed < 24; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				h.reset(mode.lo+rng.Intn(mode.span), fmt.Sprintf("%s/%s seed %d", store, mode.name, seed))
-				now := rat.Zero
-				for i := 0; i < 200; i++ {
-					h.push(rat.Zero) // a wake-up burst at t = 0
-				}
-				for op := 0; op < 10000; op++ {
-					h.checkLen(t)
-					if len(h.ref) > 0 && rng.Intn(2) == 0 {
-						now = h.pop(t).at
-						continue
-					}
-					at := now
-					switch rng.Intn(5) {
-					case 0: // zero delay
-					case 1:
-						at = now.Add(rat.New(int64(1+rng.Intn(3)), 2))
-					case 2: // promoted: ⌈now⌉ + 1/(10^23 + r), a float-key tie with ⌈now⌉
-						at = rat.FromInt(now.Ceil()).Add(rat.One.Div(huge.Add(rat.FromInt(rng.Int63n(1000)))))
-					case 3:
-						at = now.Add(rat.New(rng.Int63n(1000), 7))
-					default: // far jump beyond the calendar window
-						at = now.Add(rat.FromInt(rng.Int63n(1_000_000)))
-					}
-					h.push(at)
-				}
-				for len(h.ref) > 0 {
-					h.pop(t)
-				}
-				h.checkLen(t)
+		for seed := int64(0); seed < 48; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			h.reset(1+rng.Intn(queueMaxN-1), fmt.Sprintf("%s seed %d", store, seed))
+			now := rat.Zero
+			for i := 0; i < 200; i++ {
+				h.push(rat.Zero) // a wake-up burst at t = 0
 			}
+			for op := 0; op < 10000; op++ {
+				h.checkLen(t)
+				if len(h.ref) > 0 && rng.Intn(2) == 0 {
+					now = h.pop(t).at
+					continue
+				}
+				at := now
+				switch rng.Intn(5) {
+				case 0: // zero delay
+				case 1:
+					at = now.Add(rat.New(int64(1+rng.Intn(3)), 2))
+				case 2: // promoted: ⌈now⌉ + 1/(10^23 + r), a float-key tie with ⌈now⌉
+					at = rat.FromInt(now.Ceil()).Add(rat.One.Div(huge.Add(rat.FromInt(rng.Int63n(1000)))))
+				case 3:
+					at = now.Add(rat.New(rng.Int63n(1000), 7))
+				default: // far jump beyond the calendar window
+					at = now.Add(rat.FromInt(rng.Int63n(1_000_000)))
+				}
+				h.push(at)
+			}
+			for len(h.ref) > 0 {
+				h.pop(t)
+			}
+			h.checkLen(t)
 		}
 	}
 }
@@ -182,14 +176,14 @@ func TestQueueImplementationsAgree(t *testing.T) {
 // a bucket of thousands of distinct keys — past bucketSortThreshold,
 // through the counting sort — and the population swells and shrinks so
 // buckets both swap into the spare and outgrow it. One queue per store is
-// reused across resets that cycle through the windowless mode and two
-// wheel sizes, so stale storage from another mode and wheel is in play.
+// reused across resets that cycle through three wheel sizes, so stale
+// storage from another wheel is in play.
 func TestQueueLargeDrainsAgree(t *testing.T) {
 	for _, store := range queueStores {
 		h := newQueueHarness(store)
 		for seed := int64(0); seed < 9; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			h.reset([]int{100, autoBucketN, 1 << 14}[seed%3], fmt.Sprintf("%s seed %d", store, seed))
+			h.reset([]int{100, 4096, 1 << 14}[seed%3], fmt.Sprintf("%s seed %d", store, seed))
 			for i := 0; i < 2000+rng.Intn(3000); i++ {
 				h.push(rat.Zero)
 			}
@@ -227,11 +221,11 @@ func TestQueueLargeDrainsAgree(t *testing.T) {
 // k/2 + 2^−61 all round to k/2, so only the times read through the
 // message store can order them. Pushes run against seq — within a burst
 // the later times are pushed first — so a tie-break on seq alone pops
-// them in the wrong order. Both modes run with both stores. In the
-// calendar the first window is degenerate (every primed key is 1), so the
-// first bucket's drain is a comparison sort of equal keys, successors in
-// the same family merge into the current run by binary insertion, and
-// later buckets of two families go through the counting sort.
+// them in the wrong order. Both stores run. The first window is
+// degenerate (every primed key is 1), so the first bucket's drain is a
+// comparison sort of equal keys, successors in the same family merge into
+// the current run by binary insertion, and later buckets of two families
+// go through the counting sort.
 func TestQueueFloatKeyCollisions(t *testing.T) {
 	// family f's member j is f/2 + j·2^−61, f in [2, 7], j in {−1, 0, 1}.
 	const minFamily, maxFamily = 2, 7
@@ -241,39 +235,37 @@ func TestQueueFloatKeyCollisions(t *testing.T) {
 	}
 	for _, store := range queueStores {
 		h := newQueueHarness(store)
-		for _, mode := range queueModes {
-			for seed := int64(0); seed < 8; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				h.reset(mode.lo+rng.Intn(mode.span), fmt.Sprintf("%s/%s seed %d", store, mode.name, seed))
-				pushed := [][2]int{{}} // seq → (family, member)
-				push := func(fj [2]int) {
-					h.push(colliding(fj[0], fj[1]))
-					pushed = append(pushed, fj)
-				}
-				for i := 0; i < 150; i++ {
-					push([2]int{minFamily, 1 - i%3}) // descending times, ascending seq
-				}
-				// Each delivery of member j in family f schedules 0–2
-				// successors at a member no earlier than itself in the same
-				// family or one of the next two, the later time first.
-				for len(h.ref) > 0 {
-					e := h.pop(t)
-					f, j := pushed[e.seq][0], pushed[e.seq][1]
-					var succ [][2]int
-					for k := rng.Intn(5) / 2; k > 0; k-- {
-						sf := min(f+rng.Intn(3), maxFamily)
-						sj := -1 + rng.Intn(3)
-						if sf == f {
-							sj = j + rng.Intn(2-j)
-						}
-						succ = append(succ, [2]int{sf, sj})
+		for seed := int64(0); seed < 16; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			h.reset(1+rng.Intn(queueMaxN-1), fmt.Sprintf("%s seed %d", store, seed))
+			pushed := [][2]int{{}} // seq → (family, member)
+			push := func(fj [2]int) {
+				h.push(colliding(fj[0], fj[1]))
+				pushed = append(pushed, fj)
+			}
+			for i := 0; i < 150; i++ {
+				push([2]int{minFamily, 1 - i%3}) // descending times, ascending seq
+			}
+			// Each delivery of member j in family f schedules 0–2
+			// successors at a member no earlier than itself in the same
+			// family or one of the next two, the later time first.
+			for len(h.ref) > 0 {
+				e := h.pop(t)
+				f, j := pushed[e.seq][0], pushed[e.seq][1]
+				var succ [][2]int
+				for k := rng.Intn(5) / 2; k > 0; k-- {
+					sf := min(f+rng.Intn(3), maxFamily)
+					sj := -1 + rng.Intn(3)
+					if sf == f {
+						sj = j + rng.Intn(2-j)
 					}
-					slices.SortFunc(succ, func(a, b [2]int) int { return colliding(b[0], b[1]).Cmp(colliding(a[0], a[1])) })
-					for _, s := range succ {
-						push(s)
-					}
-					h.checkLen(t)
+					succ = append(succ, [2]int{sf, sj})
 				}
+				slices.SortFunc(succ, func(a, b [2]int) int { return colliding(b[0], b[1]).Cmp(colliding(a[0], a[1])) })
+				for _, s := range succ {
+					push(s)
+				}
+				h.checkLen(t)
 			}
 		}
 	}
@@ -281,18 +273,12 @@ func TestQueueFloatKeyCollisions(t *testing.T) {
 
 // TestQueueResetSizesWheel: reset sizes the wheel to exactly bucketsFor(n)
 // in both directions, so a queue reused after a large run neither keeps
-// nor scans that run's wheel, and the zero value is a working windowless
-// queue for deliveries whose keys differ (a key tie needs the receive
-// times reset provides).
+// nor scans that run's wheel, and every size, the smallest included, gets
+// a wheel.
 func TestQueueResetSizesWheel(t *testing.T) {
 	var q bucketQueue
-	q.push(delivery{key: 1, seq: 2})
-	q.push(delivery{key: 0, seq: 1})
-	if d := q.pop(); d.seq != 1 || q.len() != 1 {
-		t.Fatalf("zero-value queue popped seq %d, %d left", d.seq, q.len())
-	}
 	for _, tc := range []struct{ n, buckets int }{
-		{1 << 20, 1 << 19}, {5000, 4096}, {autoBucketN - 1, 0}, {autoBucketN, 2048}, {1 << 14, 8192}, {0, 0},
+		{1 << 20, 1 << 19}, {5000, 4096}, {64, 1024}, {4096, 2048}, {1 << 14, 8192}, {0, 1024},
 	} {
 		q.reset(tc.n, recvTimes{})
 		if got, want := len(q.buckets), bucketsFor(tc.n); got != want || got != tc.buckets {
@@ -302,12 +288,12 @@ func TestQueueResetSizesWheel(t *testing.T) {
 }
 
 // TestDeliveryRecordPointerFree pins the delivery queue's entry: 24 B
-// with no pointer, so the queue's buckets, spare and overflow heap are
-// memory the garbage collector never scans and writes to them need no
-// write barrier.
+// on 64-bit platforms (20 B where int is 32 bits) with no pointer, so
+// the queue's buckets, spare and overflow heap are memory the garbage
+// collector never scans and writes to them need no write barrier.
 func TestDeliveryRecordPointerFree(t *testing.T) {
-	if s := unsafe.Sizeof(delivery{}); s != 24 {
-		t.Errorf("delivery is %d B, want 24", s)
+	if s, want := unsafe.Sizeof(delivery{}), uintptr(16+strconv.IntSize/8); s != want {
+		t.Errorf("delivery is %d B, want %d", s, want)
 	}
 	typ := reflect.TypeOf(delivery{})
 	for i := range typ.NumField() {

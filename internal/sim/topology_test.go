@@ -358,9 +358,9 @@ func TestTopologySizeMismatchRejected(t *testing.T) {
 }
 
 // TestEngineReuseAcrossQueueKinds: one pooled Engine cycling through
-// N=10 (windowless queue), N=5000 (calendar queue) and N=4095 and 4096,
-// on either side of the mode threshold, stays hermetic — every run matches
-// a fresh engine's trace.
+// N=10 (a 1024-bucket wheel), N=5000 (4096 buckets) and N=4095 and 4096
+// (2048 buckets each), so the wheel shrinks, grows and stays between runs,
+// stays hermetic — every run matches a fresh engine's trace.
 func TestEngineReuseAcrossQueueKinds(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 8; i++ {

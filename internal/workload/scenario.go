@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/causality"
-	"repro/internal/check"
 	"repro/internal/rat"
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -68,18 +66,13 @@ func init() {
 				return runner.Job{}, fmt.Errorf("scenario: unknown figure %q (have %s)",
 					v.String("fig"), strings.Join(figNames(), ", "))
 			}
-			return runner.Job{Trace: spec.build()}, nil
+			// The verdict pins the critical ratio, so every scenario job
+			// runs the search, whatever its caller asked for.
+			return runner.Job{Trace: spec.build(), Ratio: true}, nil
 		},
 		Verdict: func(v Values, r *runner.JobResult) error {
 			spec := figs[v.String("fig")]
-			g := r.Graph
-			if g == nil {
-				g = causality.Build(r.Trace, causality.Options{})
-			}
-			crit, found, err := check.MaxRelevantRatio(g)
-			if err != nil {
-				return err
-			}
+			crit, found := r.Ratio, r.RatioFound
 			if spec.critical == nil {
 				if found {
 					return fmt.Errorf("scenario: %s should be unconstrained, found critical ratio %v", v.String("fig"), crit)

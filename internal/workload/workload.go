@@ -397,6 +397,11 @@ func (s Source) Grid(base Values, axes []Axis, seeds []int64, opt JobOptions) ([
 		}
 		seen := make(map[string]bool, len(ax.Values))
 		for _, val := range ax.Values {
+			if val == "" {
+				// A parameter may read "" as its default, so the empty
+				// value would rerun a listed cell under a second key.
+				return nil, nil, fmt.Errorf("workload: %s sweeps %s over an empty value", s.Name, ax.Param)
+			}
 			if seen[val] {
 				// Two cells would run the same jobs under the same keys.
 				return nil, nil, fmt.Errorf("workload: %s sweeps %s=%s twice", s.Name, ax.Param, val)

@@ -308,8 +308,8 @@ func TestGridKeyNoCollisions(t *testing.T) {
 	}
 	jobs, _, err := s.Grid(base, []Axis{
 		{Param: "delay", Values: []string{"a/b", "a"}},
-		{Param: "fault", Values: []string{"", "b", "torus"}},
-		{Param: "topology", Values: []string{"", "b", "torus/4x4", "4x4"}},
+		{Param: "fault", Values: []string{"c", "b", "torus"}},
+		{Param: "topology", Values: []string{"c", "b", "torus/4x4", "4x4"}},
 	}, []int64{1}, JobOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -325,8 +325,9 @@ func TestGridKeyNoCollisions(t *testing.T) {
 		seen[j.Key] = true
 	}
 	for _, want := range []string{
-		"g/delay=a/fault=/topology=torus/4x4/seed=1",
-		"g/delay=a/fault=torus/topology=4x4/seed=1",
+		// Both would be g/a/b/torus/4x4 joined bare.
+		"g/delay=a/fault=b/topology=torus/4x4/seed=1",
+		"g/delay=a/b/fault=torus/topology=4x4/seed=1",
 	} {
 		if !seen[want] {
 			t.Errorf("no job keyed %q", want)
@@ -360,6 +361,7 @@ func TestGridDefaultsAndErrors(t *testing.T) {
 		{"empty", []Axis{{Param: "n"}}, `grid-err sweeps "n" over no values`},
 		{"repeated axis", []Axis{{Param: "n", Values: []string{"3"}}, {Param: "n", Values: []string{"4"}}}, `grid-err sweeps "n" twice`},
 		{"repeated value", []Axis{{Param: "xi", Values: []string{"2", "3", "2"}}}, "grid-err sweeps xi=2 twice"},
+		{"empty value", []Axis{{Param: "xi", Values: []string{"2", ""}}}, "grid-err sweeps xi over an empty value"},
 		{"malformed value", []Axis{{Param: "n", Values: []string{"3", "bad"}}}, `grid-err: workload: param n: "bad" is not a valid int`},
 	} {
 		if _, _, err := s.Grid(base, tc.axes, nil, JobOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
