@@ -383,9 +383,12 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		{[]string{"-workload", "broadcast", "-runs", "9223372036854775807", "-sweep", "xi=2,3"}, "exceeds 1048576 jobs"},
 		{[]string{"-workload", "broadcast", "-seed", "9223372036854775807", "-runs", "2"}, "overflows int64"},
 		{[]string{"-workload", "broadcast", "-seed", "9223372036854775000", "-runs", "1000"}, "overflows int64"},
-		// An empty sweep value would rerun the faults=none cell under the
-		// key faults=.
-		{[]string{"-workload", "broadcast", "-sweep", "faults=none,", "-json"}, "sweeps faults over an empty value"},
+		// No parameter takes the empty value: faults= would run as
+		// faults=none while its record said "faults":"", and an empty
+		// sweep value would rerun the faults=none cell under the key
+		// faults=.
+		{[]string{"-workload", "broadcast", "-param", "faults="}, `param faults: "" is not a valid string`},
+		{[]string{"-workload", "broadcast", "-sweep", "faults=none,", "-json"}, `param faults: "" is not a valid string`},
 		// Mistyped fault policies are errors without a recover/ clause too.
 		{[]string{"-workload", "broadcast", "-param", "inflight=hodl"}, `inflight="hodl": want drop or hold`},
 		{[]string{"-workload", "broadcast", "-param", "recovery=amnesai"}, `recovery="amnesai": want durable or amnesia`},

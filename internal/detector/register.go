@@ -113,7 +113,7 @@ func omegaJob(v workload.Values, seed int64) (runner.Job, error) {
 // guarantee, so follower checks are skipped there.
 func connectedTopology(spec string) bool {
 	name, _, _ := strings.Cut(spec, "/")
-	return name == "full" || name == "" || name == "ring" || name == "torus"
+	return name == "full" || name == "ring" || name == "torus"
 }
 
 // omegaVerdict checks the Ω guarantees on a completed admissible run:

@@ -16,11 +16,11 @@ import (
 //
 // The point of an Engine over the one-shot Run is fan-out cost: the fleet
 // runner (internal/runner) executes thousands of short simulations per
-// worker, and the delivery queue, per-process scratch arrays, RNG, the
-// step environment (and its send buffer) and — under bounded retention —
-// the in-flight message store are all reused across runs instead of
-// reallocated. Everything that escapes into the Result — the Trace and the
-// process state machines — is freshly allocated per run, so results from
+// worker, and the delivery queue (with the in-flight messages it holds),
+// per-process scratch arrays, RNG and the step environment (and its send
+// buffer) are all reused across runs instead of reallocated. Everything
+// that escapes into the Result — the Trace and the process state
+// machines — is freshly allocated per run, so results from
 // consecutive runs never alias: full-retention event/message storage is
 // freshly sized to the engine's high-water marks.
 //
@@ -40,7 +40,6 @@ type Engine struct {
 	env        Env           // the one step environment, reused every step
 	lastEvents int           // high-water marks sizing the next full-retention run
 	lastMsgs   int
-	slots      slotStore // bounded retention: in-flight message store
 
 	// Per-run state; reset at the top of Run.
 	cfg        Config
@@ -48,7 +47,6 @@ type Engine struct {
 	cb         Sink // cfg.Sink when it observes (custom sink), else nil
 	trace      *Trace
 	procs      []Process
-	seq        int64
 	nextMsg    MsgID
 	monitorErr error
 	net        *NetFaults // cfg.Net; nil draws nothing from the RNG
@@ -244,11 +242,12 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			}
 		}
 		e.wakeTime[p] = at
-		ref := e.recordMessage(Message{
+		m := Message{
 			From: External, To: p, SendStep: SendStepExternal,
 			SendTime: at, RecvTime: at, Payload: Wakeup{},
-		})
-		e.queue.push(delivery{key: deliveryKey(at), seq: e.nextSeq(), ref: ref})
+		}
+		e.recordMessage(&m)
+		e.queue.push(&m)
 	}
 	// Recovery wake-ups for amnesia processes: one external wake-up at the
 	// end of each down interval, so the respawned machine re-executes its
@@ -263,11 +262,12 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 			if !iv.Until.Greater(e.wakeTime[p]) {
 				continue // the initial wake-up already covers this recovery
 			}
-			ref := e.recordMessage(Message{
+			m := Message{
 				From: External, To: p, SendStep: SendStepExternal,
 				SendTime: iv.Until, RecvTime: iv.Until, Payload: Wakeup{},
-			})
-			e.queue.push(delivery{key: deliveryKey(iv.Until), seq: e.nextSeq(), ref: ref})
+			}
+			e.recordMessage(&m)
+			e.queue.push(&m)
 		}
 	}
 	// Scripted Byzantine sends, in process order for determinism (map
@@ -287,7 +287,6 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	res := &Result{Trace: e.trace, Procs: e.procs, Truncated: truncated, MonitorErr: e.monitorErr}
 	// Drop the escaping references so pooled state never aliases a result.
 	e.trace, e.procs, e.cfg, e.cb, e.monitorErr = nil, nil, Config{}, nil, nil
-	e.queue.times = recvTimes{} // it points into the escaping trace
 	e.net, e.partSides = nil, nil
 	clear(e.down) // Fault.Down slices are config-owned; do not pin them
 	e.env = Env{}
@@ -300,7 +299,6 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 // per-run outputs are freshly allocated. e.ret must be set before reset.
 func (e *Engine) reset(cfg Config) {
 	e.cfg = cfg
-	e.seq = 0
 	e.nextMsg = 0
 	e.monitorErr = nil
 	e.cb = nil
@@ -324,7 +322,6 @@ func (e *Engine) reset(cfg Config) {
 	for p := 0; p < cfg.N; p++ {
 		e.crashAfter[p] = NeverCrash
 	}
-	e.slots.reset()
 
 	// Escaping per-run state: always fresh. Full retention pre-sizes the
 	// event and message stores to the engine's high-water marks so steady
@@ -335,16 +332,10 @@ func (e *Engine) reset(cfg Config) {
 	e.trace = &Trace{N: cfg.N, Faulty: make([]bool, cfg.N), mode: e.ret.Mode}
 	e.procs = make([]Process, cfg.N)
 	e.trace.digest.init()
-	// The queue reads receive times where the messages are stored: the
-	// trace's message store under full retention, the in-flight slot
-	// store under bounded retention (where Trace.Msgs is the window's
-	// trigger store, not indexed by ref).
-	times := recvTimes{slots: &e.slots}
 	switch e.ret.Mode {
 	case RetainFullMode:
 		e.trace.Events = make([]Event, 0, e.lastEvents)
 		e.trace.Msgs = make([]Message, 0, e.lastMsgs)
-		times = recvTimes{msgs: &e.trace.Msgs}
 	case RetainWindowMode:
 		// The slide amortizes growth past the pre-size, so a window far
 		// larger than the run costs only what the run retains.
@@ -352,25 +343,18 @@ func (e *Engine) reset(cfg Config) {
 		e.trace.Events = make([]Event, 0, size)
 		e.trace.Msgs = make([]Message, 0, size)
 	}
-	e.queue.reset(cfg.N, times)
+	e.queue.reset(cfg.N)
 }
 
-// finishTrace seals the per-run trace before it escapes: full retention
-// refreshes the high-water marks; bounded retention clears the slots a
-// truncated run left occupied so the pooled store pins no payloads between
-// runs.
+// finishTrace seals the per-run trace before it escapes: the queue's
+// store zeroes the slots the run used, so the pooled engine pins no
+// payloads between runs, and full retention refreshes the high-water
+// marks.
 func (e *Engine) finishTrace() {
-	switch e.ret.Mode {
-	case RetainFullMode:
-		t := e.trace
-		if len(t.Events) > e.lastEvents {
-			e.lastEvents = len(t.Events)
-		}
-		if len(t.Msgs) > e.lastMsgs {
-			e.lastMsgs = len(t.Msgs)
-		}
-	default:
-		e.slots.clearUsed()
+	e.queue.store.clearUsed()
+	if e.ret.Mode == RetainFullMode {
+		e.lastEvents = max(e.lastEvents, len(e.trace.Events))
+		e.lastMsgs = max(e.lastMsgs, len(e.trace.Msgs))
 	}
 }
 
@@ -385,40 +369,26 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
-func (e *Engine) nextSeq() int64 {
-	e.seq++
-	return e.seq
-}
-
 // recordMessage finalizes one message (its receive time already
-// assigned), stores it per the retention mode, and returns the reference
-// its delivery carries: the ID under full retention, which indexes
-// Trace.Msgs; under bounded retention a slot of the pooled in-flight
-// store, where the message waits until takeDelivery frees the slot. The
-// stream digest folds the message here, in ID order, under every
-// retention mode.
-func (e *Engine) recordMessage(m Message) (ref int) {
+// assigned) by giving it the next ID, and records it: the stream digest
+// folds it here, in ID order, under every retention mode; full retention
+// appends it to Trace.Msgs, bounded retention only counts it. A message
+// that will be delivered waits in the delivery queue, not here.
+func (e *Engine) recordMessage(m *Message) {
 	m.ID = e.nextMsg
 	e.nextMsg++
-	e.trace.digest.foldMessage(&m)
-	switch e.ret.Mode {
-	case RetainFullMode:
-		e.trace.Msgs = append(e.trace.Msgs, m)
-		ref = int(m.ID)
-	default:
+	e.trace.digest.foldMessage(m)
+	if e.ret.Mode == RetainFullMode {
+		e.trace.Msgs = append(e.trace.Msgs, *m)
+	} else {
 		e.trace.totalMsgs++
-		// A dropped message is never delivered, so it takes no slot.
-		if !m.Dropped {
-			ref = e.slots.put(&m)
-		}
 	}
 	if e.cb != nil {
-		// Copy for the interface call: handing &m itself to an opaque
+		// Copy for the interface call: handing m itself to an opaque
 		// callee would make every message heap-escape even with no sink.
-		cm := m
+		cm := *m
 		e.cb.Message(&cm)
 	}
-	return ref
 }
 
 // sendMessage runs the network pipeline for one send: the message-level
@@ -465,7 +435,7 @@ func (e *Engine) sendMessage(from ProcessID, sendStep int, sendTime Time, to Pro
 func (e *Engine) dropMessage(m Message) {
 	m.RecvTime = m.SendTime
 	m.Dropped = true
-	e.recordMessage(m)
+	e.recordMessage(&m)
 }
 
 // deliver assigns a delay and schedules the delivery. Delivery never
@@ -495,8 +465,8 @@ func (e *Engine) deliver(m Message) {
 		}
 	}
 	m.RecvTime = recv
-	ref := e.recordMessage(m)
-	e.queue.push(delivery{key: deliveryKey(recv), seq: e.nextSeq(), ref: ref})
+	e.recordMessage(&m)
+	e.queue.push(&m)
 }
 
 // partitionCutsLink reports whether a partition's side vector severs at
@@ -516,20 +486,9 @@ func partitionCutsLink(sides []bool, topo *Links) bool {
 	return false
 }
 
-// takeDelivery resolves a popped delivery to its message. Under bounded
-// retention the message leaves its slot, which is zeroed (so it pins no
-// payload) and freed for the next send: the store holds exactly the
-// messages still in flight, however long the run.
-func (e *Engine) takeDelivery(d delivery) Message {
-	if e.ret.Mode == RetainFullMode {
-		return e.trace.Msgs[d.ref]
-	}
-	return e.slots.take(d.ref)
-}
-
 // recordEvent folds one finalized receive event into the stream digest and
-// appends it per the retention mode. m is the event's trigger message
-// (already resolved by takeDelivery).
+// appends it per the retention mode. m is the event's trigger message,
+// as the queue popped it.
 func (e *Engine) recordEvent(ev Event, m Message) {
 	t := e.trace
 	t.digest.foldEvent(&ev)
@@ -567,8 +526,7 @@ func (e *Engine) loop(maxEvents int) (truncated bool) {
 		if e.trace.TotalEvents() >= maxEvents {
 			return true
 		}
-		d := e.queue.pop()
-		m := e.takeDelivery(d)
+		m := e.queue.pop()
 		p := m.To
 
 		// A process is not taking steps while permanently crashed or inside

@@ -193,3 +193,37 @@ func TestEngineRecoversFromConfigError(t *testing.T) {
 		})
 	}
 }
+
+// TestEngineDeliversInExactTimeOrder runs a full mesh whose link delays
+// are 1 or 1 + 2^−60 — distinct receive times whose float64 keys are
+// equal — and checks that the recorded events never go back in exact
+// time. Each broadcast queues a later time before an earlier one with the
+// same key, so a queue that settled key ties by push order alone would
+// deliver them backwards.
+func TestEngineDeliversInExactTimeOrder(t *testing.T) {
+	res, err := Run(Config{
+		N: 6,
+		Spawn: func(ProcessID) Process {
+			return ProcessFunc(func(env *Env, msg Message) {
+				if env.StepIndex() < 8 {
+					env.Broadcast(env.StepIndex())
+				}
+			})
+		},
+		Delays: OverrideDelay{
+			Base:     ConstantDelay{D: rat.One},
+			Match:    func(m Message) bool { return (m.From+m.To)%2 != 0 },
+			Override: ConstantDelay{D: rat.New(1<<60+1, 1<<60)},
+		},
+		Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := res.Trace.Events
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Time.Less(evs[i-1].Time) {
+			t.Fatalf("event %d at %v delivered after event %d at %v", i, evs[i].Time, i-1, evs[i-1].Time)
+		}
+	}
+}

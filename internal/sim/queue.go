@@ -7,69 +7,53 @@ import (
 
 // delivery is a scheduled message reception: a pointer-free 24-byte
 // record, so queue storage is neither scanned by the garbage collector
-// nor written under write barriers. It keeps no copy of its receive time
-// — the message it refers to holds that as RecvTime, and recvTimes reads
-// it on a float-key tie. key is the float64 image of the receive
-// time under rat.Float64 (clamped to ±MaxFloat64): the conversion is
-// correctly rounded and therefore monotone — a < b implies key(a) <=
-// key(b), and equal times have equal keys — so float comparisons and
-// bucket assignments can never contradict the exact order, they can only
-// fail to distinguish values the exact (at, seq) comparison then settles.
+// nor written under write barriers. The message itself waits in the
+// queue's slot store, which also holds its exact receive time; the
+// record keeps only what orders it. key is the float64 image of the
+// receive time under rat.Float64 (clamped to ±MaxFloat64): the
+// conversion is correctly rounded and therefore monotone — a < b implies
+// key(a) <= key(b), and equal times have equal keys — so float
+// comparisons and bucket assignments can never contradict the exact
+// order, they can only fail to distinguish values the exact (at, seq)
+// comparison then settles.
 type delivery struct {
-	key float64
-	seq int64 // insertion order; total tie-break for determinism
-	// ref locates the message: its ID (an index into Trace.Msgs) under
-	// full retention, its in-flight store slot under bounded retention.
-	ref int
-}
-
-// recvTimes resolves a queued delivery's ref to its message's exact
-// receive time: through Trace.Msgs under full retention (msgs non-nil),
-// through the in-flight slot store under bounded retention. The engine
-// sets it once per run. The read is exact because a delivery is compared
-// only while its message is queued, and a queued message's slot is
-// neither freed nor rewritten: takeDelivery frees a slot only after pop
-// returns, and insertCur searches only the unpopped part of the run.
-type recvTimes struct {
-	msgs  *[]Message // full retention: the trace's message store
-	slots *slotStore // bounded retention: the in-flight store
-}
-
-// at returns the receive time of the message ref locates.
-func (t *recvTimes) at(ref int) *Time {
-	if t.msgs != nil {
-		return &(*t.msgs)[ref].RecvTime
-	}
-	return &t.slots.at(ref).RecvTime
+	key  float64
+	seq  int64 // insertion order; total tie-break for determinism
+	slot int   // where the message waits in the queue's slot store
 }
 
 // before is the exact total delivery order (at, seq), behind the heap's
 // sift, the current run's binary insertion and every drain sort. The
 // cached float key decides almost every comparison in one branch; only on
-// a float tie are the messages' exact receive times read and compared.
-// seq is unique per delivery, so the order is total and every correct
-// sort produces the identical sequence. It takes pointers so that the
-// heap's sift loops copy no deliveries.
-func (t *recvTimes) before(a, b *delivery) bool {
+// a float tie are the messages' exact receive times read from the store
+// and compared. seq is unique per delivery, so the order is total and
+// every correct sort produces the identical sequence. It takes pointers
+// so that the heap's sift loops copy no deliveries.
+//
+// The read is exact because a delivery is compared only while its
+// message is queued, and a queued message's slot is neither freed nor
+// rewritten: pop frees a slot only as it returns the message, and
+// insertCur searches only the unpopped part of the run.
+func (s *slotStore) before(a, b *delivery) bool {
 	if a.key != b.key {
 		return a.key < b.key
 	}
-	return t.tieBefore(a, b)
+	return s.tieBefore(a, b)
 }
 
 // tieBefore orders two deliveries with equal float keys by their exact
 // receive times, then seq. Kept out of before, so before inlines.
-func (t *recvTimes) tieBefore(a, b *delivery) bool {
-	if c := t.at(a.ref).Cmp(*t.at(b.ref)); c != 0 {
+func (s *slotStore) tieBefore(a, b *delivery) bool {
+	if c := s.at(a.slot).RecvTime.Cmp(s.at(b.slot).RecvTime); c != 0 {
 		return c < 0
 	}
 	return a.seq < b.seq
 }
 
-// sortDeliveries sorts s by the exact (at, seq) order.
-func (t *recvTimes) sortDeliveries(s []delivery) {
-	slices.SortFunc(s, func(a, b delivery) int {
-		if t.before(&a, &b) {
+// sortDeliveries sorts d by the exact (at, seq) order.
+func (s *slotStore) sortDeliveries(d []delivery) {
+	slices.SortFunc(d, func(a, b delivery) int {
+		if s.before(&a, &b) {
 			return -1
 		}
 		return 1
@@ -90,7 +74,7 @@ func deliveryKey(t Time) float64 {
 }
 
 // heapQueue is a hand-rolled binary min-heap in the exact (at, seq)
-// order, read through the recvTimes each operation is given: the
+// order, read through the slot store each operation is given: the
 // calendar's overflow store, which holds the wake-ups until the first pop
 // primes a window and then whatever lies beyond the window. It
 // deliberately avoids container/heap: boxing every delivery through the
@@ -100,27 +84,27 @@ func deliveryKey(t Time) float64 {
 // internal layout never influences results.
 type heapQueue []delivery
 
-func (q *heapQueue) push(d delivery, t *recvTimes) {
+func (q *heapQueue) push(d delivery, s *slotStore) {
 	*q = append(*q, d)
-	q.up(len(*q)-1, t)
+	q.up(len(*q)-1, s)
 }
 
-func (q *heapQueue) pop(t *recvTimes) delivery {
+func (q *heapQueue) pop(s *slotStore) delivery {
 	h := *q
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
 	d := h[n]
 	*q = h[:n]
 	if n > 0 {
-		h[:n].down(0, t)
+		h[:n].down(0, s)
 	}
 	return d
 }
 
-func (q heapQueue) up(i int, t *recvTimes) {
+func (q heapQueue) up(i int, s *slotStore) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !t.before(&q[i], &q[parent]) {
+		if !s.before(&q[i], &q[parent]) {
 			return
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -128,7 +112,7 @@ func (q heapQueue) up(i int, t *recvTimes) {
 	}
 }
 
-func (q heapQueue) down(i int, t *recvTimes) {
+func (q heapQueue) down(i int, s *slotStore) {
 	n := len(q)
 	for {
 		l := 2*i + 1
@@ -136,10 +120,10 @@ func (q heapQueue) down(i int, t *recvTimes) {
 			return
 		}
 		j := l
-		if r := l + 1; r < n && t.before(&q[r], &q[l]) {
+		if r := l + 1; r < n && s.before(&q[r], &q[l]) {
 			j = r
 		}
-		if !t.before(&q[j], &q[i]) {
+		if !s.before(&q[j], &q[i]) {
 			return
 		}
 		q[i], q[j] = q[j], q[i]
@@ -176,11 +160,15 @@ func bucketsFor(n int) int {
 	return b
 }
 
-// bucketQueue is the engine's delivery queue: push in any order, pop in
-// the exact (at, seq) order. It is a calendar ("event wheel") queue with
-// an overflow heap (Brown, "Calendar queues", CACM 31(10), 1988):
-// deliveries are binned by their float key into a window of equal-width
-// buckets; the bucket being drained is sorted once by the exact (at, seq)
+// bucketQueue is the engine's delivery queue and its in-flight message
+// store: push a message in any order, pop messages in the exact
+// (at, seq) order of their receive times and push order. Each pushed
+// message waits in a slot of the queue's store until it is popped, so
+// the store holds exactly the messages in flight, and the queue's length
+// is its occupied slot count. The queue itself is a calendar ("event
+// wheel") queue with an overflow heap (Brown, "Calendar queues", CACM
+// 31(10), 1988): deliveries are binned by their float key into a window
+// of equal-width buckets; the bucket being drained is sorted once by the exact (at, seq)
 // order, later arrivals merge into the sorted run by binary insertion, and
 // deliveries beyond the window wait in the overflow heap that re-seeds the
 // window when it empties. At sparse scale the heap's O(log n)
@@ -213,7 +201,8 @@ func bucketsFor(n int) int {
 // at one bucket per time unit the 10^5-entry buffers circulate instead of
 // being regrown, and a warm engine's drains allocate nothing.
 type bucketQueue struct {
-	times   recvTimes // resolves refs to exact receive times on key ties
+	store   slotStore // the queued messages, one slot per delivery
+	seq     int64     // deliveries pushed this run: the last one's seq
 	buckets [][]delivery
 	over    heapQueue // beyond the window (or before it is primed)
 	overMax float64   // max key ever pushed to over since last rebuild
@@ -226,17 +215,16 @@ type bucketQueue struct {
 	spare  []delivery // empty storage for a sort's output or a growing bucket
 	counts []int32    // counting-sort bin offsets, recycled across drains
 
-	size   int
 	primed bool // a window exists
 }
 
-// reset readies the queue for a run, retaining bucket storage while the
-// wheel size stays. n is the system size the run schedules for; the wheel
-// is sized to exactly bucketsFor(n), so a queue reused after a large run
-// does not keep scanning that run's wheel. times is where the run's
-// messages, and so their receive times, are stored.
-func (q *bucketQueue) reset(n int, times recvTimes) {
-	q.times = times
+// reset readies the queue for a run, retaining bucket and slot storage
+// while the wheel size stays. n is the system size the run schedules for;
+// the wheel is sized to exactly bucketsFor(n), so a queue reused after a
+// large run does not keep scanning that run's wheel.
+func (q *bucketQueue) reset(n int) {
+	q.store.reset()
+	q.seq = 0
 	if want := bucketsFor(n); want != len(q.buckets) {
 		q.buckets = make([][]delivery, want)
 	}
@@ -251,21 +239,24 @@ func (q *bucketQueue) reset(n int, times recvTimes) {
 	q.curIdx = 0
 	q.spare = q.spare[:0]
 	q.bkt = 0
-	q.size = 0
 	q.primed = false
 }
 
-func (q *bucketQueue) len() int { return q.size }
+// len is the number of messages in flight: pushed and not yet popped.
+func (q *bucketQueue) len() int { return q.store.occupied() }
 
 func (q *bucketQueue) pushOver(d delivery) {
 	if d.key > q.overMax {
 		q.overMax = d.key
 	}
-	q.over.push(d, &q.times)
+	q.over.push(d, &q.store)
 }
 
-func (q *bucketQueue) push(d delivery) {
-	q.size++
+// push queues a copy of *m, whose RecvTime is its delivery time. Equal
+// receive times pop in push order.
+func (q *bucketQueue) push(m *Message) {
+	q.seq++
+	d := delivery{key: deliveryKey(m.RecvTime), seq: q.seq, slot: q.store.put(m)}
 	if !q.primed {
 		q.pushOver(d)
 		return
@@ -304,12 +295,12 @@ func (q *bucketQueue) pushBucket(i int, d delivery) {
 // popped is (at, seq)-before any new delivery, because sends never
 // schedule earlier than the reception being processed and seq grows
 // monotonically. The search never reads the popped entries before curIdx,
-// whose slots the engine may already have freed and reused.
+// whose slots pop has already freed for reuse.
 func (q *bucketQueue) insertCur(d delivery) {
 	lo, hi := q.curIdx, len(q.cur)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if q.times.before(&d, &q.cur[mid]) {
+		if q.store.before(&d, &q.cur[mid]) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -320,20 +311,21 @@ func (q *bucketQueue) insertCur(d delivery) {
 	q.cur[lo] = d
 }
 
-func (q *bucketQueue) pop() delivery {
+// pop removes the earliest delivery and returns its message, freeing the
+// message's slot. Callers guarantee len() > 0.
+func (q *bucketQueue) pop() Message {
 	for q.curIdx >= len(q.cur) {
 		q.advance()
 	}
 	d := q.cur[q.curIdx]
 	q.curIdx++
-	q.size--
-	return d
+	return q.store.take(d.slot)
 }
 
 // advance moves the drain position to the next non-empty bucket, which
 // becomes the current run in place and is sorted; when the window is
 // exhausted it re-seeds base/width from the overflow heap. Callers
-// guarantee size > 0.
+// guarantee len() > 0.
 func (q *bucketQueue) advance() {
 	q.curIdx = 0
 	for q.bkt < len(q.buckets) {
@@ -363,7 +355,7 @@ func (q *bucketQueue) advance() {
 func (q *bucketQueue) sortRun() {
 	run := q.cur
 	if len(run) <= bucketSortThreshold {
-		q.times.sortDeliveries(run)
+		q.store.sortDeliveries(run)
 		return
 	}
 	lo, hi := run[0].key, run[0].key
@@ -380,7 +372,7 @@ func (q *bucketQueue) sortRun() {
 	if !(width > 0) || math.IsInf(width, 0) {
 		// Keys indistinguishable (or span overflow): comparison sort
 		// settles it on (at, seq).
-		q.times.sortDeliveries(run)
+		q.store.sortDeliveries(run)
 		return
 	}
 	if cap(q.counts) < nbins {
@@ -411,7 +403,7 @@ func (q *bucketQueue) sortRun() {
 	start := 0
 	for _, end := range counts {
 		if int(end)-start > 1 {
-			q.times.sortDeliveries(sorted[start:end])
+			q.store.sortDeliveries(sorted[start:end])
 		}
 		start = int(end)
 	}
@@ -446,7 +438,7 @@ func (q *bucketQueue) rebuild() {
 		if !(o < float64(len(q.buckets))) {
 			break
 		}
-		q.pushBucket(int(o), q.over.pop(&q.times))
+		q.pushBucket(int(o), q.over.pop(&q.store))
 	}
 	if len(q.over) == 0 {
 		q.overMax = math.Inf(-1)

@@ -24,14 +24,13 @@ import (
 // Drains take the bucket's storage as the current run without copying and
 // recycle the previous run's storage as a spare, which the counting sort
 // also writes into: B/op is the in-flight working set plus its growth
-// (18.6 and 21.2 MB per iteration on a 2-CPU x86-64 host, where per-drain
-// copies and per-bin appends cost 2.1–2.7 GB).
+// (35.1 and 37.7 MB per iteration on a 2-CPU x86-64 host, 13.6 MB of it
+// the slot store's 2^17 messages; per-drain copies and per-bin appends
+// once cost 2.1–2.7 GB).
 //
-// The receive times live in a message table of the in-flight size,
-// allocated before the timer starts, as the engine's slot store is not
-// the queue's: each pop's successor takes over the popped delivery's ref,
-// as a freed slot is reused by the next send, and each pop reads its
-// time from the table, as the engine's takeDelivery reads the message.
+// The queue is driven as the engine drives it: each push hands it a
+// message, which it copies into its slot store, and each pop returns the
+// message, whose successor reuses the freed slot.
 func BenchmarkDeliveryQueue(b *testing.B) {
 	const total = 10_000_000
 	const inflight = 1 << 17
@@ -45,36 +44,29 @@ func BenchmarkDeliveryQueue(b *testing.B) {
 	}
 	for _, load := range loads {
 		b.Run(load.name, func(b *testing.B) {
-			msgs := make([]Message, inflight)
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var q bucketQueue
-				q.reset(inflight, recvTimes{msgs: &msgs})
+				q.reset(inflight)
 				rng := rand.New(rand.NewSource(1))
-				seq := int64(0)
-				push := func(at Time, ref int) {
-					seq++
-					msgs[ref].RecvTime = at
-					q.push(delivery{key: deliveryKey(at), seq: seq, ref: ref})
-				}
 				for j := 0; j < inflight; j++ {
-					at := rat.Zero
+					m := Message{RecvTime: rat.Zero}
 					if !load.sameStart {
-						at = rat.New(int64(rng.Intn(4096)), 4)
+						m.RecvTime = rat.New(int64(rng.Intn(4096)), 4)
 					}
-					push(at, j)
+					q.push(&m)
 				}
-				lastKey := deliveryKey(rat.Zero)
+				last := rat.Zero
 				for j := 0; j < total-inflight; j++ {
-					d := q.pop()
-					if d.key < lastKey {
-						b.Fatalf("pop went backwards: key %v after %v", d.key, lastKey)
+					m := q.pop()
+					if m.RecvTime.Less(last) {
+						b.Fatalf("pop went backwards: %v after %v", m.RecvTime, last)
 					}
-					lastKey = d.key
+					last = m.RecvTime
 					// Successor delay in [1, 3/2], quarter-granular —
 					// the same shape UniformDelay feeds the engine.
-					push(msgs[d.ref].RecvTime.Add(rat.New(4+int64(rng.Intn(3)), 4)), d.ref)
+					m.RecvTime = m.RecvTime.Add(rat.New(4+int64(rng.Intn(3)), 4))
+					q.push(&m)
 				}
 				for q.len() > 0 {
 					q.pop()

@@ -39,73 +39,41 @@ func (r *refQueue) pop() refEntry {
 	return e
 }
 
-// queueHarness drives a bucketQueue as the engine does, keeping the
-// messages — whose receive times the queue reads on a float-key tie — in
-// either of the engine's two stores: an append-only table indexed by ref,
-// like Trace.Msgs under full retention, or the slot store of bounded
-// retention, where each pop frees its slot for a later push to reuse.
-// Every push also goes to the reference, and pop checks the queue
-// against it.
+// queueHarness drives a bucketQueue as the engine does: each pushed
+// message waits in the queue's own slot store, whose receive times the
+// queue reads on a float-key tie, and each pop frees its slot for a later
+// push to reuse. Every push also goes to the reference, and pop checks
+// the queue against it. A message's ID is its push number — the seq the
+// queue gives it, and the reference's seq — so a pop is checked for both
+// its seq and its exact time.
 type queueHarness struct {
 	q     bucketQueue
 	ref   refQueue
-	msgs  []Message
-	slots *slotStore // nil: the append-only table
 	seq   int64
 	label string // names the case in failure messages
-}
-
-// queueStores names the two stores a queueHarness can keep messages in.
-var queueStores = []string{"trace", "slots"}
-
-func newQueueHarness(store string) *queueHarness {
-	h := &queueHarness{}
-	if store == "slots" {
-		h.slots = &slotStore{}
-	}
-	return h
 }
 
 // reset empties the harness and resets the queue for a system of n
 // processes, which picks its wheel size; label names the case that
 // follows.
 func (h *queueHarness) reset(n int, label string) {
-	h.ref, h.msgs, h.seq, h.label = h.ref[:0], h.msgs[:0], 0, label
-	if h.slots != nil {
-		h.slots.reset()
-		h.q.reset(n, recvTimes{slots: h.slots})
-		return
-	}
-	h.q.reset(n, recvTimes{msgs: &h.msgs})
+	h.ref, h.seq, h.label = h.ref[:0], 0, label
+	h.q.reset(n)
 }
 
 func (h *queueHarness) push(at Time) {
 	h.seq++
-	m := Message{RecvTime: at}
-	ref := len(h.msgs)
-	if h.slots != nil {
-		ref = h.slots.put(&m)
-	} else {
-		h.msgs = append(h.msgs, m)
-	}
 	h.ref.push(at, h.seq)
-	h.q.push(delivery{key: deliveryKey(at), seq: h.seq, ref: ref})
+	h.q.push(&Message{ID: MsgID(h.seq), RecvTime: at})
 }
 
 // pop pops the queue and the reference, failing t unless both give the
-// same delivery, and returns the reference's entry. The message leaves
-// its slot after the pop, as in the engine's takeDelivery.
+// same message, and returns the reference's entry.
 func (h *queueHarness) pop(t *testing.T) refEntry {
 	t.Helper()
-	want, d := h.ref.pop(), h.q.pop()
-	var at Time
-	if h.slots != nil {
-		at = h.slots.take(d.ref).RecvTime
-	} else {
-		at = h.msgs[d.ref].RecvTime
-	}
-	if d.seq != want.seq || !at.Equal(want.at) {
-		t.Fatalf("%s: queue popped seq %d at %v, reference seq %d at %v", h.label, d.seq, at, want.seq, want.at)
+	want, m := h.ref.pop(), h.q.pop()
+	if int64(m.ID) != want.seq || !m.RecvTime.Equal(want.at) {
+		t.Fatalf("%s: queue popped seq %d at %v, reference seq %d at %v", h.label, m.ID, m.RecvTime, want.seq, want.at)
 	}
 	return want
 }
@@ -123,8 +91,7 @@ func (h *queueHarness) checkLen(t *testing.T) {
 // (1024, 2048 and 4096 buckets).
 const queueMaxN = 1 << 13
 
-// TestQueueImplementationsAgree checks the delivery queue, with its
-// messages in either store, against the sorted-slice reference on an
+// TestQueueImplementationsAgree checks the delivery queue against the sorted-slice reference on an
 // engine-like push/pop stream: it must pop the identical exact (at, seq)
 // order. Pushes land at or after the last popped time, as the
 // engine's do, with zero delays (equal keys), delays from a tiny set
@@ -133,40 +100,38 @@ const queueMaxN = 1 << 13
 // overflow the calendar window and force rebuilds.
 func TestQueueImplementationsAgree(t *testing.T) {
 	huge := rat.MustParse("100000000000000000000000")
-	for _, store := range queueStores {
-		h := newQueueHarness(store)
-		for seed := int64(0); seed < 48; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			h.reset(1+rng.Intn(queueMaxN-1), fmt.Sprintf("%s seed %d", store, seed))
-			now := rat.Zero
-			for i := 0; i < 200; i++ {
-				h.push(rat.Zero) // a wake-up burst at t = 0
-			}
-			for op := 0; op < 10000; op++ {
-				h.checkLen(t)
-				if len(h.ref) > 0 && rng.Intn(2) == 0 {
-					now = h.pop(t).at
-					continue
-				}
-				at := now
-				switch rng.Intn(5) {
-				case 0: // zero delay
-				case 1:
-					at = now.Add(rat.New(int64(1+rng.Intn(3)), 2))
-				case 2: // promoted: ⌈now⌉ + 1/(10^23 + r), a float-key tie with ⌈now⌉
-					at = rat.FromInt(now.Ceil()).Add(rat.One.Div(huge.Add(rat.FromInt(rng.Int63n(1000)))))
-				case 3:
-					at = now.Add(rat.New(rng.Int63n(1000), 7))
-				default: // far jump beyond the calendar window
-					at = now.Add(rat.FromInt(rng.Int63n(1_000_000)))
-				}
-				h.push(at)
-			}
-			for len(h.ref) > 0 {
-				h.pop(t)
-			}
-			h.checkLen(t)
+	var h queueHarness
+	for seed := int64(0); seed < 48; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h.reset(1+rng.Intn(queueMaxN-1), fmt.Sprintf("seed %d", seed))
+		now := rat.Zero
+		for i := 0; i < 200; i++ {
+			h.push(rat.Zero) // a wake-up burst at t = 0
 		}
+		for op := 0; op < 10000; op++ {
+			h.checkLen(t)
+			if len(h.ref) > 0 && rng.Intn(2) == 0 {
+				now = h.pop(t).at
+				continue
+			}
+			at := now
+			switch rng.Intn(5) {
+			case 0: // zero delay
+			case 1:
+				at = now.Add(rat.New(int64(1+rng.Intn(3)), 2))
+			case 2: // promoted: ⌈now⌉ + 1/(10^23 + r), a float-key tie with ⌈now⌉
+				at = rat.FromInt(now.Ceil()).Add(rat.One.Div(huge.Add(rat.FromInt(rng.Int63n(1000)))))
+			case 3:
+				at = now.Add(rat.New(rng.Int63n(1000), 7))
+			default: // far jump beyond the calendar window
+				at = now.Add(rat.FromInt(rng.Int63n(1_000_000)))
+			}
+			h.push(at)
+		}
+		for len(h.ref) > 0 {
+			h.pop(t)
+		}
+		h.checkLen(t)
 	}
 }
 
@@ -175,43 +140,41 @@ func TestQueueImplementationsAgree(t *testing.T) {
 // the first rebuild a zero key span (width 1), so every later drain takes
 // a bucket of thousands of distinct keys — past bucketSortThreshold,
 // through the counting sort — and the population swells and shrinks so
-// buckets both swap into the spare and outgrow it. One queue per store is
-// reused across resets that cycle through three wheel sizes, so stale
-// storage from another wheel is in play.
+// buckets both swap into the spare and outgrow it. One queue is reused
+// across resets that cycle through three wheel sizes, so stale storage
+// from another wheel — buckets and slots — is in play.
 func TestQueueLargeDrainsAgree(t *testing.T) {
-	for _, store := range queueStores {
-		h := newQueueHarness(store)
-		for seed := int64(0); seed < 9; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			h.reset([]int{100, 4096, 1 << 14}[seed%3], fmt.Sprintf("%s seed %d", store, seed))
-			for i := 0; i < 2000+rng.Intn(3000); i++ {
-				h.push(rat.Zero)
+	var h queueHarness
+	for seed := int64(0); seed < 9; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h.reset([]int{100, 4096, 1 << 14}[seed%3], fmt.Sprintf("seed %d", seed))
+		for i := 0; i < 2000+rng.Intn(3000); i++ {
+			h.push(rat.Zero)
+		}
+		for op := 0; len(h.ref) > 0 && op < 60000; op++ {
+			now := h.pop(t).at
+			// Each delivery schedules 0–2 successors a fine-grained
+			// delay in [1, 3/2] later (mean 1.1 for the first half of
+			// the ops, 0.9 after: the population swells, then tapers),
+			// now and then one at zero delay (a merge into the current
+			// run) or far beyond the window (a rebuild).
+			successors := 1
+			switch r := rng.Intn(10); {
+			case r == 0:
+				successors = 2
+			case r <= 2 && op >= 30000:
+				successors = 0
 			}
-			for op := 0; len(h.ref) > 0 && op < 60000; op++ {
-				now := h.pop(t).at
-				// Each delivery schedules 0–2 successors a fine-grained
-				// delay in [1, 3/2] later (mean 1.1 for the first half of
-				// the ops, 0.9 after: the population swells, then tapers),
-				// now and then one at zero delay (a merge into the current
-				// run) or far beyond the window (a rebuild).
-				successors := 1
-				switch r := rng.Intn(10); {
-				case r == 0:
-					successors = 2
-				case r <= 2 && op >= 30000:
-					successors = 0
-				}
-				for k := 0; k < successors; k++ {
-					h.push(now.Add(rat.New(1000+rng.Int63n(501), 1000)))
-				}
-				switch rng.Intn(200) {
-				case 0:
-					h.push(now)
-				case 1:
-					h.push(now.Add(rat.FromInt(5000 + rng.Int63n(5000))))
-				}
-				h.checkLen(t)
+			for k := 0; k < successors; k++ {
+				h.push(now.Add(rat.New(1000+rng.Int63n(501), 1000)))
 			}
+			switch rng.Intn(200) {
+			case 0:
+				h.push(now)
+			case 1:
+				h.push(now.Add(rat.FromInt(5000 + rng.Int63n(5000))))
+			}
+			h.checkLen(t)
 		}
 	}
 }
@@ -221,7 +184,7 @@ func TestQueueLargeDrainsAgree(t *testing.T) {
 // k/2 + 2^−61 all round to k/2, so only the times read through the
 // message store can order them. Pushes run against seq — within a burst
 // the later times are pushed first — so a tie-break on seq alone pops
-// them in the wrong order. Both stores run. The first window is
+// them in the wrong order. The first window is
 // degenerate (every primed key is 1), so the first bucket's drain is a
 // comparison sort of equal keys, successors in the same family merge into
 // the current run by binary insertion, and later buckets of two families
@@ -233,40 +196,38 @@ func TestQueueFloatKeyCollisions(t *testing.T) {
 	if k := deliveryKey(colliding(2, 1)); k != deliveryKey(colliding(2, -1)) || k != 1 {
 		t.Fatalf("key of 1 + 2^-61 is %v, want a collision with 1 - 2^-61 at 1", k)
 	}
-	for _, store := range queueStores {
-		h := newQueueHarness(store)
-		for seed := int64(0); seed < 16; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			h.reset(1+rng.Intn(queueMaxN-1), fmt.Sprintf("%s seed %d", store, seed))
-			pushed := [][2]int{{}} // seq → (family, member)
-			push := func(fj [2]int) {
-				h.push(colliding(fj[0], fj[1]))
-				pushed = append(pushed, fj)
-			}
-			for i := 0; i < 150; i++ {
-				push([2]int{minFamily, 1 - i%3}) // descending times, ascending seq
-			}
-			// Each delivery of member j in family f schedules 0–2
-			// successors at a member no earlier than itself in the same
-			// family or one of the next two, the later time first.
-			for len(h.ref) > 0 {
-				e := h.pop(t)
-				f, j := pushed[e.seq][0], pushed[e.seq][1]
-				var succ [][2]int
-				for k := rng.Intn(5) / 2; k > 0; k-- {
-					sf := min(f+rng.Intn(3), maxFamily)
-					sj := -1 + rng.Intn(3)
-					if sf == f {
-						sj = j + rng.Intn(2-j)
-					}
-					succ = append(succ, [2]int{sf, sj})
+	var h queueHarness
+	for seed := int64(0); seed < 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h.reset(1+rng.Intn(queueMaxN-1), fmt.Sprintf("seed %d", seed))
+		pushed := [][2]int{{}} // seq → (family, member)
+		push := func(fj [2]int) {
+			h.push(colliding(fj[0], fj[1]))
+			pushed = append(pushed, fj)
+		}
+		for i := 0; i < 150; i++ {
+			push([2]int{minFamily, 1 - i%3}) // descending times, ascending seq
+		}
+		// Each delivery of member j in family f schedules 0–2
+		// successors at a member no earlier than itself in the same
+		// family or one of the next two, the later time first.
+		for len(h.ref) > 0 {
+			e := h.pop(t)
+			f, j := pushed[e.seq][0], pushed[e.seq][1]
+			var succ [][2]int
+			for k := rng.Intn(5) / 2; k > 0; k-- {
+				sf := min(f+rng.Intn(3), maxFamily)
+				sj := -1 + rng.Intn(3)
+				if sf == f {
+					sj = j + rng.Intn(2-j)
 				}
-				slices.SortFunc(succ, func(a, b [2]int) int { return colliding(b[0], b[1]).Cmp(colliding(a[0], a[1])) })
-				for _, s := range succ {
-					push(s)
-				}
-				h.checkLen(t)
+				succ = append(succ, [2]int{sf, sj})
 			}
+			slices.SortFunc(succ, func(a, b [2]int) int { return colliding(b[0], b[1]).Cmp(colliding(a[0], a[1])) })
+			for _, s := range succ {
+				push(s)
+			}
+			h.checkLen(t)
 		}
 	}
 }
@@ -280,7 +241,7 @@ func TestQueueResetSizesWheel(t *testing.T) {
 	for _, tc := range []struct{ n, buckets int }{
 		{1 << 20, 1 << 19}, {5000, 4096}, {64, 1024}, {4096, 2048}, {1 << 14, 8192}, {0, 1024},
 	} {
-		q.reset(tc.n, recvTimes{})
+		q.reset(tc.n)
 		if got, want := len(q.buckets), bucketsFor(tc.n); got != want || got != tc.buckets {
 			t.Fatalf("reset(%d): %d buckets, want bucketsFor = %d = %d", tc.n, got, want, tc.buckets)
 		}

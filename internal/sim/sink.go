@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -86,12 +85,13 @@ func RetainNone() Sink { return retentionSink{Retention{Mode: RetainNoneMode}} }
 // layer's trace parameter: "full", "window/K" (K >= 1), or "none".
 func ParseRetention(spec string) (Sink, error) {
 	switch {
-	case spec == "" || spec == "full":
+	case spec == "full":
 		return RetainAll(), nil
 	case spec == "none":
 		return RetainNone(), nil
 	case strings.HasPrefix(spec, "window/"):
-		k, err := strconv.Atoi(strings.TrimPrefix(spec, "window/"))
+		// A window beyond MaxInt events clamps to it: either never slides.
+		k, err := parseCount(strings.TrimPrefix(spec, "window/"))
 		if err != nil || k < 1 {
 			return nil, fmt.Errorf("sim: retention %q: want window/K with K >= 1", spec)
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -23,11 +24,13 @@ func sinkTestConfig() Config {
 
 func TestParseRetention(t *testing.T) {
 	good := map[string]Retention{
-		"":          {Mode: RetainFullMode},
 		"full":      {Mode: RetainFullMode},
 		"none":      {Mode: RetainNoneMode},
 		"window/1":  {Mode: RetainWindowMode, Window: 1},
 		"window/64": {Mode: RetainWindowMode, Window: 64},
+		// Beyond MaxInt (on 32-bit platforms) the window clamps: it
+		// never slides either way.
+		"window/9223372036854775807": {Mode: RetainWindowMode, Window: math.MaxInt},
 	}
 	for spec, want := range good {
 		s, err := ParseRetention(spec)
@@ -38,7 +41,7 @@ func TestParseRetention(t *testing.T) {
 			t.Fatalf("ParseRetention(%q) = %+v, want %+v", spec, s.Retention(), want)
 		}
 	}
-	for _, spec := range []string{"window/0", "window/-3", "window/", "window/x", "ring", "Full"} {
+	for _, spec := range []string{"", "window/0", "window/-3", "window/", "window/x", "window/9223372036854775808", "ring", "Full"} {
 		if _, err := ParseRetention(spec); err == nil {
 			t.Fatalf("ParseRetention(%q): want error", spec)
 		}

@@ -1,18 +1,22 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/rat"
 )
 
-// inflightSink is a RetainNone sink that tracks the in-flight high-water
-// mark: messages that will be delivered, minus deliveries so far.
+// inflightSink is a sink of any retention that tracks the in-flight
+// high-water mark: messages that will be delivered, minus deliveries so
+// far.
 type inflightSink struct {
+	ret                   Retention
 	sent, delivered, peak int
 }
 
-func (s *inflightSink) Retention() Retention { return Retention{Mode: RetainNoneMode} }
+func (s *inflightSink) Retention() Retention { return s.ret }
 func (s *inflightSink) Event(*Event)         { s.delivered++ }
 func (s *inflightSink) Message(m *Message) {
 	if !m.Dropped {
@@ -37,16 +41,28 @@ func relaySpawn(steps int) func(ProcessID) Process {
 	}
 }
 
-// TestSlotStoreTracksInflight pins the bounded-retention store to the
-// in-flight population: on a sparse ring broadcast that keeps relaying,
-// its capacity never exceeds the in-flight high-water mark rounded up to
-// one chunk — far below the run's message total — under every fault that
-// changes what is in flight (drop, dup, partition, held deliveries across
-// recovery).
+// queued counts the deliveries a queue's wheel, current run and overflow
+// heap hold, independently of its slot store.
+func queued(q *bucketQueue) int {
+	n := len(q.cur) - q.curIdx + len(q.over)
+	for _, b := range q.buckets {
+		n += len(b)
+	}
+	return n
+}
+
+// TestSlotStoreTracksInflight pins the delivery queue's store to the
+// in-flight population under every retention mode: on a sparse ring
+// broadcast that keeps relaying, its capacity never exceeds the in-flight
+// high-water mark rounded up to one chunk — far below the run's message
+// total — under every fault that changes what is in flight (drop, dup,
+// partition, held deliveries across recovery).
 //
 // After the run the occupied slots are exactly the deliveries the queue
 // still holds (sent = delivered + dropped + pending, at the storage
-// layer): none for a drained run, the queue's length for a truncated one.
+// layer): none for a drained run, some for a truncated one. And every
+// slot is zero once the run is over, so the pooled store pins no payload
+// between runs.
 func TestSlotStoreTracksInflight(t *testing.T) {
 	const n = 5000
 	half := make([]ProcessID, n/2)
@@ -79,44 +95,59 @@ func TestSlotStoreTracksInflight(t *testing.T) {
 		{name: "recover-amnesia-hold", faults: down(RecoverAmnesia)},
 		{name: "truncated", net: &NetFaults{Dup: 0.05}, truncated: true},
 	}
-	for _, tc := range cases {
-		maxEvents := 1 << 20
-		if tc.truncated {
-			maxEvents = 140000
-		}
-		engine := NewEngine() // fresh: the store's chunks are pooled across runs
-		sink := &inflightSink{}
-		res, err := engine.Run(Config{
-			N:         n,
-			Spawn:     relaySpawn(30),
-			Delays:    UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
-			Topology:  Ring(n),
-			Seed:      3,
-			Sink:      sink,
-			Net:       tc.net,
-			Faults:    tc.faults,
-			MaxEvents: maxEvents,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if res.Truncated != tc.truncated {
-			t.Fatalf("%s: truncated = %v", tc.name, res.Truncated)
-		}
-		store := &engine.slots
-		capacity := len(store.chunks) * slotChunk
-		if bound := (sink.peak + slotChunk - 1) / slotChunk * slotChunk; capacity > bound {
-			t.Errorf("%s: store capacity %d exceeds in-flight peak %d rounded up to a chunk (%d)",
-				tc.name, capacity, sink.peak, bound)
-		}
-		if total := res.Trace.TotalMsgs(); capacity > total/8 {
-			t.Errorf("%s: store capacity %d is not well below the %d messages sent", tc.name, capacity, total)
-		}
-		if got, want := store.occupied(), engine.queue.len(); got != want {
-			t.Errorf("%s: %d occupied slots, queue holds %d deliveries", tc.name, got, want)
-		}
-		if tc.truncated && engine.queue.len() == 0 {
-			t.Errorf("%s: truncated run left nothing in flight", tc.name)
+	retentions := []Retention{{Mode: RetainFullMode}, {Mode: RetainWindowMode, Window: 1024}, {Mode: RetainNoneMode}}
+	for _, ret := range retentions {
+		for _, tc := range cases {
+			name := fmt.Sprintf("%s/%v", tc.name, ret)
+			maxEvents := 1 << 20
+			if tc.truncated {
+				maxEvents = 140000
+			}
+			engine := NewEngine() // fresh: the store's chunks are pooled across runs
+			sink := &inflightSink{ret: ret}
+			res, err := engine.Run(Config{
+				N:         n,
+				Spawn:     relaySpawn(30),
+				Delays:    UniformDelay{Min: rat.One, Max: rat.New(3, 2)},
+				Topology:  Ring(n),
+				Seed:      3,
+				Sink:      sink,
+				Net:       tc.net,
+				Faults:    tc.faults,
+				MaxEvents: maxEvents,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.Truncated != tc.truncated {
+				t.Fatalf("%s: truncated = %v", name, res.Truncated)
+			}
+			store := &engine.queue.store
+			capacity := len(store.chunks) * slotChunk
+			if bound := (sink.peak + slotChunk - 1) / slotChunk * slotChunk; capacity > bound {
+				t.Errorf("%s: store capacity %d exceeds in-flight peak %d rounded up to a chunk (%d)",
+					name, capacity, sink.peak, bound)
+			}
+			if total := res.Trace.TotalMsgs(); capacity > total/8 {
+				t.Errorf("%s: store capacity %d is not well below the %d messages sent", name, capacity, total)
+			}
+			if got, want := store.occupied(), queued(&engine.queue); got != want {
+				t.Errorf("%s: %d occupied slots, queue holds %d deliveries", name, got, want)
+			}
+			if got, want := store.occupied(), sink.sent-sink.delivered; got != want {
+				t.Errorf("%s: %d occupied slots, %d messages sent and not delivered", name, got, want)
+			}
+			if tc.truncated == (store.occupied() == 0) {
+				t.Errorf("%s: truncated = %v with %d messages in flight", name, tc.truncated, store.occupied())
+			}
+			// The pooled store pins no payload once Run returns.
+			for c, chunk := range store.chunks {
+				for i := range chunk {
+					if !reflect.ValueOf(chunk[i]).IsZero() {
+						t.Fatalf("%s: slot %d holds %+v after the run", name, c*slotChunk+i, chunk[i])
+					}
+				}
+			}
 		}
 	}
 }

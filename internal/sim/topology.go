@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -294,7 +295,7 @@ func ParseTopology(spec string, n int, seed int64) (*Links, error) {
 	}
 	name, arg, _ := strings.Cut(spec, "/")
 	switch name {
-	case "full", "":
+	case "full":
 		if arg != "" {
 			return nil, fmt.Errorf("sim: topology full takes no argument, got %q", spec)
 		}
@@ -312,8 +313,8 @@ func ParseTopology(spec string, n int, seed int64) (*Links, error) {
 				return nil, fmt.Errorf("sim: topology %q: want torus/RxC", spec)
 			}
 			var err1, err2 error
-			rows, err1 = strconv.Atoi(rs)
-			cols, err2 = strconv.Atoi(cs)
+			rows, err1 = parseCount(rs)
+			cols, err2 = parseCount(cs)
 			if err1 != nil || err2 != nil || rows <= 0 || cols <= 0 {
 				return nil, fmt.Errorf("sim: topology %q: bad dimensions", spec)
 			}
@@ -328,7 +329,7 @@ func ParseTopology(spec string, n int, seed int64) (*Links, error) {
 		}
 		return Torus(rows, cols), nil
 	case "regular":
-		d, err := strconv.Atoi(arg)
+		d, err := parseCount(arg)
 		if err != nil || d < 0 {
 			return nil, fmt.Errorf("sim: topology %q: want regular/D with D >= 0", spec)
 		}
@@ -337,13 +338,13 @@ func ParseTopology(spec string, n int, seed int64) (*Links, error) {
 		}
 		return RandomRegular(n, d, seed), nil
 	case "scalefree":
-		m, err := strconv.Atoi(arg)
+		m, err := parseCount(arg)
 		if err != nil || m < 1 {
 			return nil, fmt.Errorf("sim: topology %q: want scalefree/M with M >= 1", spec)
 		}
 		return ScaleFree(n, m, seed), nil
 	case "islands":
-		k, err := strconv.Atoi(arg)
+		k, err := parseCount(arg)
 		if err != nil || k < 1 {
 			return nil, fmt.Errorf("sim: topology %q: want islands/K with K >= 1", spec)
 		}
@@ -354,4 +355,13 @@ func ParseTopology(spec string, n int, seed int64) (*Links, error) {
 	default:
 		return nil, fmt.Errorf("sim: unknown topology %q (want full, ring, torus[/RxC], regular/D, scalefree/M, islands/K)", spec)
 	}
+}
+
+// parseCount parses a spec's decimal argument as an int64 and clamps it
+// into the int range, so that a 32-bit platform accepts and rejects the
+// same specs as a 64-bit one: every count is either bounded by the system
+// size before use or, past it, means the same as any larger count.
+func parseCount(s string) (int, error) {
+	v, err := strconv.ParseInt(s, 10, 64)
+	return int(max(min(v, math.MaxInt), math.MinInt)), err
 }

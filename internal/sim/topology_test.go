@@ -162,7 +162,6 @@ func TestParseTopology(t *testing.T) {
 		links int
 	}{
 		{"full", 9, true, 0},
-		{"", 9, true, 0},
 		{"ring", 9, false, 9},
 		{"torus", 9, false, 9 * 4},
 		{"torus/3x3", 9, false, 9 * 4},
@@ -197,7 +196,7 @@ func TestParseTopology(t *testing.T) {
 		spec string
 		n    int
 	}{
-		{"full/x", 4}, {"ring/3", 4}, {"torus/2x3", 4}, {"torus/ab", 4},
+		{"", 4}, {"full/x", 4}, {"ring/3", 4}, {"torus/2x3", 4}, {"torus/ab", 4},
 		{"regular/4", 4}, {"regular/x", 4}, {"scalefree/0", 4},
 		{"islands/5", 4}, {"islands/0", 4}, {"mesh", 4}, {"ring", 0},
 		// rows·cols wraps around to n without the per-dimension bound.

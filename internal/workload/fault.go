@@ -96,7 +96,7 @@ func clauseErr(pos int, text, format string, args ...any) error {
 
 // parseFaults parses the spec grammar documented on FaultParams.
 func parseFaults(spec string) ([]faultClause, error) {
-	if spec == "none" || spec == "" {
+	if spec == "none" {
 		return nil, nil
 	}
 	var clauses []faultClause

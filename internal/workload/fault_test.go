@@ -54,12 +54,16 @@ func TestResolveFaultsCrash(t *testing.T) {
 }
 
 func TestResolveFaultsNone(t *testing.T) {
-	for _, spec := range []string{"none", ""} {
-		v := faultValues(t, map[string]string{"faults": spec})
-		faults, net, err := ResolveFaults(v, 4, nil, nil)
-		if err != nil || faults != nil || net != nil {
-			t.Errorf("spec %q: got (%v, %v, %v), want (nil, nil, nil)", spec, faults, net, err)
-		}
+	v := faultValues(t, map[string]string{"faults": "none"})
+	faults, net, err := ResolveFaults(v, 4, nil, nil)
+	if err != nil || faults != nil || net != nil {
+		t.Errorf("spec none: got (%v, %v, %v), want (nil, nil, nil)", faults, net, err)
+	}
+	// "none" is the only spelling of no faults: the empty spec does not
+	// resolve.
+	s := Source{Name: "faulttest", Doc: "t", Params: FaultParams()}
+	if _, err := s.Resolve(map[string]string{"faults": ""}); err == nil {
+		t.Error("faults= resolved")
 	}
 }
 

@@ -23,6 +23,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -71,6 +72,9 @@ type Param struct {
 }
 
 // checkValue validates a textual value against the parameter's kind.
+// No kind accepts the empty value: every string parameter spells its
+// default ("none", "full", ...) out, so "" could only be a second,
+// differently keyed spelling of a value that already has a name.
 func (p Param) checkValue(v string) error {
 	var err error
 	switch p.Kind {
@@ -81,7 +85,9 @@ func (p Param) checkValue(v string) error {
 	case Rational:
 		_, err = rat.Parse(v)
 	case String:
-		// any value is a string
+		if v == "" {
+			err = errors.New("empty")
+		}
 	default:
 		err = fmt.Errorf("unknown kind %v", p.Kind)
 	}
@@ -397,11 +403,6 @@ func (s Source) Grid(base Values, axes []Axis, seeds []int64, opt JobOptions) ([
 		}
 		seen := make(map[string]bool, len(ax.Values))
 		for _, val := range ax.Values {
-			if val == "" {
-				// A parameter may read "" as its default, so the empty
-				// value would rerun a listed cell under a second key.
-				return nil, nil, fmt.Errorf("workload: %s sweeps %s over an empty value", s.Name, ax.Param)
-			}
 			if seen[val] {
 				// Two cells would run the same jobs under the same keys.
 				return nil, nil, fmt.Errorf("workload: %s sweeps %s=%s twice", s.Name, ax.Param, val)

@@ -21,7 +21,7 @@ func testSource(name string) Source {
 			{Name: "n", Kind: Int, Default: "3", Doc: "processes"},
 			{Name: "steps", Kind: Int, Default: "2", Doc: "broadcast steps"},
 			{Name: "xi", Kind: Rational, Default: "2", Doc: "model parameter"},
-			{Name: "label", Kind: String, Default: "", Doc: "free-form tag"},
+			{Name: "label", Kind: String, Default: "none", Doc: "free-form tag"},
 			{Name: "strict", Kind: Int, Default: "0", Doc: "nonzero: an inadmissible run fails the verdict"},
 			{Name: "budget", Kind: Int64, Default: "0", Doc: "an int64"},
 		},
@@ -52,7 +52,7 @@ func TestResolveDefaultsAndOverrides(t *testing.T) {
 	if v.Int("n") != 3 || v.Int("steps") != 2 || !v.Rat("xi").Equal(rat.FromInt(2)) {
 		t.Errorf("defaults not applied: n=%d steps=%d xi=%v", v.Int("n"), v.Int("steps"), v.Rat("xi"))
 	}
-	if v.String("label") != "" || v.Int("strict") != 0 || v.Int64("budget") != 0 {
+	if v.String("label") != "none" || v.Int("strict") != 0 || v.Int64("budget") != 0 {
 		t.Error("zero-ish defaults not applied")
 	}
 
@@ -75,6 +75,15 @@ func TestResolveDefaultsAndOverrides(t *testing.T) {
 	}
 	if _, err := s.Resolve(map[string]string{"strict": "maybe"}); err == nil {
 		t.Error("non-integer strict accepted")
+	}
+	// No kind takes the empty value, through Resolve or Set.
+	for _, name := range []string{"n", "xi", "label", "budget"} {
+		if _, err := s.Resolve(map[string]string{name: ""}); err == nil {
+			t.Errorf("Resolve accepted %s=", name)
+		}
+		if _, err := v.Set(name, ""); err == nil {
+			t.Errorf("Set accepted %s=", name)
+		}
 	}
 }
 
@@ -361,7 +370,7 @@ func TestGridDefaultsAndErrors(t *testing.T) {
 		{"empty", []Axis{{Param: "n"}}, `grid-err sweeps "n" over no values`},
 		{"repeated axis", []Axis{{Param: "n", Values: []string{"3"}}, {Param: "n", Values: []string{"4"}}}, `grid-err sweeps "n" twice`},
 		{"repeated value", []Axis{{Param: "xi", Values: []string{"2", "3", "2"}}}, "grid-err sweeps xi=2 twice"},
-		{"empty value", []Axis{{Param: "xi", Values: []string{"2", ""}}}, "grid-err sweeps xi over an empty value"},
+		{"empty value", []Axis{{Param: "label", Values: []string{"a", ""}}}, `grid-err: workload: param label: "" is not a valid string`},
 		{"malformed value", []Axis{{Param: "n", Values: []string{"3", "bad"}}}, `grid-err: workload: param n: "bad" is not a valid int`},
 	} {
 		if _, _, err := s.Grid(base, tc.axes, nil, JobOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
